@@ -159,10 +159,11 @@ def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     product = a @ b.conj().T
     phase = complex(np.trace(product) / a.shape[0])
-    if abs(abs(phase) - 1.0) > tol:
+    # Written as "not <=" so that a NaN fails both tests.
+    if not abs(abs(phase) - 1.0) <= tol:
         return PhaseMatch(False, None)
     defect = np.abs(product - phase * np.eye(a.shape[0])).max()
-    if defect > tol:
+    if not defect <= tol:
         return PhaseMatch(False, None)
     return PhaseMatch(True, phase)
 
@@ -202,7 +203,7 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     """Worst-case covariance defect of ``u`` against ``s`` over all phase points.
 
     Returns max over points p of the entrywise norm of
-    U Delta_p U^dag - Delta_(s.p).
+    U Delta_p U^dag - Delta_(s.p); NaN if any defect is NaN.
     """
     matrix = _as_matrix(u)
     n = hilbert_dim(s.modulus, parity)
@@ -216,8 +217,11 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     for point, delta in family.items():
         moved = family[apply_point(s, point)]
         defect = np.abs(matrix @ delta @ adjoint - moved).max()
-        if defect > worst:
+        # "not <=" lets a NaN defect in; nothing can outrank it afterwards.
+        if not defect <= worst:
             worst = float(defect)
+            if np.isnan(worst):
+                break
     return worst
 
 

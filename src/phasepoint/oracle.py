@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .metaplectic import apply_point, equal_up_to_phase, u_of
+from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
 from .qops import (
     EVEN,
     ODD,
@@ -182,7 +182,7 @@ def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessR
     uniqueness claim and (through the returned phase) agreement with the
     constructive route.
     """
-    n = _dim_for(s.modulus, parity)
+    n = hilbert_dim(s.modulus, parity)
     solution = solve_covariance(s, dict(delta_family(n, parity)))
     if solution.unitary is None:
         return UniquenessReport(solution.nullity, False, None, None)
@@ -196,10 +196,3 @@ def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessR
     )
     return UniquenessReport(solution.nullity, True, match.phase, residual)
 
-
-def _dim_for(modulus: int, parity: str) -> int:
-    if parity == ODD:
-        return modulus
-    if modulus % 4 != 0:
-        raise ValueError(f"even parity expects modulus 2N with N even, got {modulus}")
-    return modulus // 2

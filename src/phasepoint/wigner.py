@@ -3,6 +3,8 @@
 An odd-lattice table is N x N over integer points; an even-lattice table is
 2N x 2N over the doubled grid (state vectors have no amplitude on the ghost
 points, but the quasi-distribution does). Tables are real and sum to one.
+Both directions, state to table and table to operator, are batched FFTs over
+the kernel rows and cost O(N^2 log N).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .qops import (
     EVEN,
     ODD,
     check_parity,
-    delta_at,
     lattice_modulus,
     unit_roots,
     weyl_leonhardt,
@@ -40,8 +41,10 @@ class QuantumState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size < 2:
             raise DimensionMismatch("state needs dimension >= 2")
+        if not np.isfinite(amps).all():
+            raise NotNormalized("amplitudes must be finite")
         deviation = abs(np.linalg.norm(amps) - 1.0)
-        if deviation > NORM_TOL:
+        if not deviation <= NORM_TOL:
             raise NotNormalized(f"norm deviates from 1 by {deviation:.3e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -60,8 +63,8 @@ class QuantumState:
     def normalized(cls, vector) -> "QuantumState":
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise NotNormalized("cannot normalize the zero vector")
+        if not 0 < norm < np.inf:
+            raise NotNormalized(f"cannot normalize a vector of norm {norm}")
         return cls(vec / norm)
 
 
@@ -105,6 +108,13 @@ class Marginals(NamedTuple):
     momentum: np.ndarray
 
 
+def _step(parity: str) -> int:
+    # Kernel at (x, y) has its row-i entry in column (step*x - i) mod N, with
+    # phase w^(step*y*i) times a row-independent factor wt^(-step*x*y) where
+    # wt = exp(2 pi i / modulus): step 2 on odd lattices, 1 on the doubled grid.
+    return 2 if parity == ODD else 1
+
+
 def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> WignerTable:
     """Wigner table of a pure state.
 
@@ -112,35 +122,36 @@ def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> Wigne
     Even: W[j, k] = <psi| Delta_(j,k) |psi> / 2N over the 2N x 2N doubled
     grid. Entries are real up to rounding; the discarded imaginary parts are
     tracked and must stay below ``imag_tol``.
+
+    Every kernel has one nonzero entry per row with a phase linear in the
+    second coordinate, so each table row is one length-N DFT. With
+    w = exp(2 pi i / N):
+
+    - odd, g_m[i] = conj(psi_i) psi_(2m-i):
+      W[m, n] = w^(-2nm) (sum_i g_m[i] w^(ki)) / N at k = 2n mod N;
+    - even, g_j[i] = conj(psi_i) psi_(j-i), wt = exp(i pi / N):
+      W[j, k] = wt^(-kj) (sum_i g_j[i] w^((k mod N) i)) / 2N.
+
+    All rows go through one batched FFT: O(N^2 log N) time, O(N^2) memory.
     """
     n = state.dim
     check_parity(n, parity)
     modulus = lattice_modulus(n, parity)
+    step = _step(parity)
     amps = state.amplitudes
-    conj = amps.conj()
-    idx = np.arange(n)
-    table = np.empty((modulus, modulus))
-    worst_imag = 0.0
-    if parity == ODD:
-        roots = unit_roots(n)
-        for m in range(n):
-            base = conj * amps[(2 * m - idx) % n]
-            for nn in range(n):
-                value = (roots[(2 * nn * (idx - m)) % n] * base).sum() / n
-                worst_imag = max(worst_imag, abs(value.imag))
-                table[m, nn] = value.real
-    else:
-        roots = unit_roots(2 * n)
-        for j in range(modulus):
-            base = conj * amps[(j - idx) % n]
-            for k in range(modulus):
-                value = (roots[(2 * k * idx - k * j) % (2 * n)] * base).sum() / modulus
-                worst_imag = max(worst_imag, abs(value.imag))
-                table[j, k] = value.real
-    if worst_imag > imag_tol:
+    x = np.arange(modulus).reshape(-1, 1)
+    i = np.arange(n)
+    pairs = amps.conj() * amps[(step * x - i) % n]
+    # ifft carries the 1/N of the sum; the even grid divides by 2N, not N.
+    spectra = np.fft.ifft(pairs, axis=1) * (n / modulus)
+    y = np.arange(modulus)
+    values = unit_roots(modulus)[(-step * x * y) % modulus] * spectra[:, (step * y) % n]
+    worst_imag = float(np.abs(values.imag).max())
+    if not worst_imag <= imag_tol:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
+    table = values.real.copy()
     total = table.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"Wigner table sums to {total!r}, expected 1")
     return WignerTable(parity, table, worst_imag)
 
@@ -176,6 +187,12 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     Computes sum over points of H(point) * Delta_point / D with D = N (odd)
     or 2N (even). Real grids quantize to Hermitian operators; a constant
     grid c quantizes to c times the identity.
+
+    This is the transpose of ``wigner_of``: for each grid row x, the sum over
+    y of H[x, y] wt^(-step x y) w^(step y i) is one length-D inverse DFT read
+    at index 2i mod D, and it lands on the kernel's support (i, step*x - i).
+    At even N, rows j and j + N share that support and add. The cost is
+    O(N^2 log N); no kernel matrix is built.
     """
     values = np.asarray(grid, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -190,9 +207,15 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
             )
         n = modulus // 2
     check_parity(n, parity)
-    operator = np.zeros((n, n), dtype=complex)
-    for x in range(modulus):
-        for y in range(modulus):
-            if values[x, y] != 0.0:
-                operator += values[x, y] * delta_at(n, parity, (x, y))
-    return operator / modulus
+    if not np.isfinite(values).all():
+        raise ValueError("grid has non-finite entries")
+    step = _step(parity)
+    x = np.arange(modulus).reshape(-1, 1)
+    y = np.arange(modulus)
+    i = np.arange(n)
+    weighted = values * unit_roots(modulus)[(-step * x * y) % modulus]
+    rows = np.fft.ifft(weighted, axis=1)[:, (2 * i) % modulus]
+    rows = rows.reshape(modulus // n, n, n).sum(axis=0)
+    operator = np.empty((n, n), dtype=complex)
+    operator[i, (step * x[:n] - i) % n] = rows
+    return operator

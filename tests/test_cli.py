@@ -167,6 +167,16 @@ def test_wigner_rejects_unnormalized(capsys, tmp_path):
     assert "norm" in err
 
 
+def test_wigner_rejects_nan_amplitude(capsys, tmp_path):
+    state_file = tmp_path / "state.json"
+    write_state(state_file, [float("nan"), 1.0])
+    assert "NaN" in state_file.read_text()
+    code, out, err = run(capsys, "wigner", "--state", str(state_file), "--parity", "even")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_wigner_parity_mismatch(capsys, tmp_path):
     state_file = tmp_path / "state.json"
     write_state(state_file, [1.0, 0.0, 0.0])

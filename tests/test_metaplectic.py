@@ -166,3 +166,19 @@ def test_even_phase_root_branch_is_forced():
     wrong = np.conj(good)
     assert covariance_residual(good, generator("-", 4), EVEN) < 1e-12
     assert covariance_residual(wrong, generator("-", 4), EVEN) > 0.5
+
+
+def test_nan_never_passes_phase_comparison():
+    assert not equal_up_to_phase(np.full((2, 2), np.nan), np.eye(2)).equivalent
+    # the trace gives a finite phase; only the off-diagonal defect is NaN
+    partial = np.eye(3, dtype=complex)
+    partial[0, 1] = np.nan
+    assert not equal_up_to_phase(partial, np.eye(3)).equivalent
+
+
+@pytest.mark.parametrize("n,parity", [(3, ODD), (4, EVEN)])
+def test_covariance_residual_propagates_nan(n, parity):
+    s = generator("+", 2 * n if parity == EVEN else n)
+    unitary = u_of(s, parity).matrix.copy()
+    unitary[0, 0] = np.nan
+    assert np.isnan(covariance_residual(unitary, s, parity))

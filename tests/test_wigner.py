@@ -3,7 +3,16 @@ import pytest
 
 from conftest import random_state
 from phasepoint.metaplectic import DimensionMismatch, apply_point, u_of
-from phasepoint.qops import EVEN, ODD, ParityError, delta_cohendet, unit_roots
+from phasepoint.qops import (
+    EVEN,
+    ODD,
+    ParityError,
+    delta_at,
+    delta_cohendet,
+    lattice_modulus,
+    phase_points,
+    unit_roots,
+)
 from phasepoint.symplectic import enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
@@ -22,6 +31,25 @@ def test_state_normalization_enforced():
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     with pytest.raises(NotNormalized):
         QuantumState.normalized([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NotNormalized):
+        QuantumState(np.array([bad, 1.0]))
+    with pytest.raises(NotNormalized):
+        QuantumState.normalized([bad, 1.0])
+
+
+def test_wigner_checks_fail_on_nan():
+    # Smuggle a NaN past the state's own validation: the table checks must
+    # still refuse it rather than return an all-NaN table.
+    state = QuantumState.basis(3, 0)
+    object.__setattr__(state, "amplitudes", np.array([np.nan, 1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError):
+        wigner_of(state, ODD)
+    with pytest.raises(ValueError):
+        wigner_of(QuantumState.basis(3, 0), ODD, imag_tol=float("nan"))
 
 
 def test_basis_state_table_odd():
@@ -181,3 +209,58 @@ def test_quantize_even_parity_shape():
         weyl_quantize(np.zeros((6, 6)), EVEN)
     with pytest.raises(DimensionMismatch):
         weyl_quantize(np.zeros((3, 4)), ODD)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("edge,parity", [(3, ODD), (4, EVEN)])
+def test_quantize_rejects_non_finite_grid(bad, edge, parity):
+    grid = np.zeros((edge, edge))
+    grid[1, 1] = bad
+    with pytest.raises(ValueError):
+        weyl_quantize(grid, parity)
+
+
+DENSE_CASES = [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (2, EVEN), (4, EVEN), (6, EVEN), (8, EVEN)]
+
+
+@pytest.mark.parametrize("n,parity", DENSE_CASES)
+def test_wigner_matches_dense_definition(n, parity, rng):
+    # Reference: <psi| Delta_p |psi> / D from the dense kernel at every point.
+    state = random_state(n, rng)
+    amps = state.amplitudes
+    d = lattice_modulus(n, parity)
+    table = wigner_of(state, parity)
+    for x, y in phase_points(n, parity):
+        expected = amps.conj() @ delta_at(n, parity, (x, y)) @ amps / d
+        assert abs(table.values[x, y] - expected.real) < 1e-12
+        assert abs(expected.imag) < 1e-12
+
+
+@pytest.mark.parametrize("n,parity", DENSE_CASES)
+def test_quantize_matches_dense_definition(n, parity, rng):
+    # Reference: sum_p H(p) Delta_p / D from the dense kernels.
+    d = lattice_modulus(n, parity)
+    grid = rng.standard_normal((d, d))
+    expected = np.zeros((n, n), dtype=complex)
+    for x, y in phase_points(n, parity):
+        expected += grid[x, y] * delta_at(n, parity, (x, y))
+    expected /= d
+    assert np.abs(weyl_quantize(grid, parity) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,parity", [(1023, ODD), (512, EVEN)])
+def test_large_dimension_ladder(n, parity, rng):
+    state = random_state(n, rng)
+    amps = state.amplitudes
+    table = wigner_of(state, parity)
+    assert abs(table.total - 1.0) < 1e-12
+    position, momentum = marginals(table)
+    if parity == EVEN:
+        assert np.abs(position[1::2]).max() < 1e-12
+        assert np.abs(momentum[1::2]).max() < 1e-12
+        position, momentum = position[0::2], momentum[0::2]
+    assert np.abs(position - np.abs(amps) ** 2).max() < 1e-12
+    ft = np.fft.fft(amps, norm="ortho")
+    assert np.abs(momentum - np.abs(ft) ** 2).max() < 1e-12
+    quantized = weyl_quantize(table.values, parity)
+    assert np.abs(quantized - np.outer(amps, amps.conj()) / n).max() < 1e-12
