@@ -20,7 +20,6 @@ from .qops import (
     EVEN,
     ODD,
     ParityError,
-    PhasePoint,
     delta_cohendet,
     delta_family,
     delta_leonhardt,
@@ -42,7 +41,6 @@ from .symplectic import (
     SympMat,
     decompose,
     enumerate_group,
-    evaluate,
     generator,
     generator_power,
     group_order,
@@ -53,7 +51,7 @@ from .metaplectic import (
     DimensionMismatch,
     ParityMismatch,
     ProjUnitary,
-    act,
+    apply_point,
     covariance_residual,
     equal_up_to_phase,
     phase_defect,

@@ -27,10 +27,12 @@ from .qops import (
     check_parity,
     delta_cohendet,
     lattice_modulus,
+    symmetric_order,
     weyl_symmetric,
 )
 from .symplectic import (
     ENUMERATION_BOUND,
+    BoundExceeded,
     DecompositionFailed,
     DepthExceeded,
     GenWord,
@@ -61,17 +63,13 @@ def _parse_matrix(text: str, modulus: int) -> SympMat:
     return SympMat(a, b, c, d, modulus)
 
 
-def _symmetric_order(modulus: int) -> list[int]:
-    # Canonical indices reordered by their symmetric representative.
-    return sorted(range(modulus), key=lambda v: v - modulus if v > modulus // 2 else v)
-
-
 def _reorder(matrix: np.ndarray, order: list[int]) -> np.ndarray:
     return matrix[np.ix_(order, order)]
 
 
 def _complex_rows(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[[0.0 + z.real, 0.0 + z.imag] for z in row] for row in matrix]
+    # Adding 0.0 collapses -0.0 so formatting is stable across code paths.
+    return (np.stack([matrix.real, matrix.imag], axis=-1) + 0.0).tolist()
 
 
 def _float(value: float) -> float:
@@ -90,6 +88,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     try:
         word = decompose(mat, method=args.method)
+    except BoundExceeded as exc:
+        return _fail(str(exc), 2)
     except (DecompositionFailed, DepthExceeded) as exc:
         return _fail(str(exc), 3)
     verified = word.evaluate() == mat
@@ -122,7 +122,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
     residual = covariance_residual(unitary.matrix, mat, args.parity)
     display = unitary.matrix
     if args.index_style == "symmetric":
-        display = _reorder(display, _symmetric_order(args.dim))
+        display = _reorder(display, symmetric_order(args.dim))
     payload = {
         "dim": args.dim,
         "parity": args.parity,
@@ -160,12 +160,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     values = table.values
     header = f"# parity={args.parity}, modulus={table.modulus}"
     if args.index_style == "symmetric":
-        order = _symmetric_order(table.modulus)
+        order = symmetric_order(table.modulus)
         values = values[np.ix_(order, order)]
         header += ", index-style=symmetric"
     lines = [header]
-    for row in values:
-        lines.append(",".join(repr(_float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in (values + 0.0).tolist())
     lines.append(f"# sum={repr(_float(values.sum()))}")
     print("\n".join(lines))
     return 0
@@ -195,13 +194,13 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             checks.append((f"sw_{name}", residual, pick(1e-12)))
     if suite in ("translation", "all") and parity == ODD:
         base = delta_cohendet(n, 0, 0)
-        worst = 0.0
+        defects = []
         for m in range(n):
             for nn in range(n):
                 weyl = weyl_symmetric(n, m, nn)
                 moved = weyl @ base @ weyl.conj().T
-                worst = max(worst, float(np.abs(moved - delta_cohendet(n, m, nn)).max()))
-        checks.append(("translation_weyl", worst, pick(1e-12)))
+                defects.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
+        checks.append(("translation_weyl", np.max(defects), pick(1e-12)))
     generators = [
         ("hplus", generator("+", modulus)),
         ("hminus", generator("-", modulus)),
@@ -218,14 +217,13 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
                 )
             )
         if modulus <= ENUMERATION_BOUND:
-            worst = 0.0
-            for mat in enumerate_group(modulus):
-                unitary = u_of(mat, parity)
-                worst = max(worst, covariance_residual(unitary.matrix, mat, parity))
-            checks.append(("covariance_group", worst, pick(1e-9)))
+            residuals = [
+                covariance_residual(u_of(mat, parity).matrix, mat, parity)
+                for mat in enumerate_group(modulus)
+            ]
+            checks.append(("covariance_group", np.max(residuals), pick(1e-9)))
     if suite in ("projectivity", "all"):
         rng = np.random.default_rng(PROJECTIVITY_SEED)
-        worst = 0.0
         cache: dict[SympMat, np.ndarray] = {}
 
         def rep_of(mat: SympMat) -> np.ndarray:
@@ -235,11 +233,11 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
 
         left = _sampled_elements(modulus, PROJECTIVITY_PAIRS, rng)
         right = _sampled_elements(modulus, PROJECTIVITY_PAIRS, rng)
-        for s1, s2 in zip(left, right):
-            product = rep_of(s1 @ s2)
-            factored = rep_of(s1) @ rep_of(s2)
-            worst = max(worst, phase_defect(product, factored))
-        checks.append(("projectivity", worst, pick(1e-9)))
+        defects = [
+            phase_defect(rep_of(s1 @ s2), rep_of(s1) @ rep_of(s2))
+            for s1, s2 in zip(left, right)
+        ]
+        checks.append(("projectivity", np.max(defects), pick(1e-9)))
     if suite in ("uniqueness", "all"):
         for name, mat in generators:
             report = verify_uniqueness(mat, parity)
@@ -296,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--matrix", required=True, help="entries a,b,c,d")
     p_dec.add_argument(
         "--method", choices=["euclid", "bfs"], default="euclid",
-        help="Euclidean fast path (default) or breadth-first search",
+        help="Euclidean algorithm (default) or breadth-first shortest-word "
+        f"search (modulus <= {ENUMERATION_BOUND})",
     )
     p_dec.set_defaults(func=cmd_decompose)
 

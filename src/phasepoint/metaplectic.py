@@ -27,13 +27,11 @@ import numpy as np
 from .qops import (
     EVEN,
     ODD,
-    PhasePoint,
     check_parity,
     delta_family,
     lattice_modulus,
     unit_roots,
 )
-from .modring import ModulusMismatch
 from .symplectic import SympMat, decompose
 
 
@@ -119,7 +117,7 @@ def u_ht(n: int, parity: str) -> ProjUnitary:
     return ProjUnitary(up @ um.conj().T @ up, parity, lattice_modulus(n, parity))
 
 
-def u_of(s: SympMat, parity: str, method: str = "auto") -> ProjUnitary:
+def u_of(s: SympMat, parity: str, method: str = "euclid") -> ProjUnitary:
     """Representative of an arbitrary symplectic element via its generator word.
 
     The word comes from decompose(); any two words for the same element give
@@ -181,20 +179,8 @@ def phase_defect(a, b) -> float:
     return max(residual, abs(abs(phase) - 1.0))
 
 
-def act(s: SympMat, point: PhasePoint) -> PhasePoint:
-    """Linear action of a symplectic element on a phase point, mod the shared modulus."""
-    if s.modulus != point.modulus:
-        raise ModulusMismatch(
-            f"moduli differ: matrix {s.modulus}, point {point.modulus}"
-        )
-    return PhasePoint(
-        s.a * point.m + s.b * point.n,
-        s.c * point.m + s.d * point.n,
-        s.modulus,
-    )
-
-
 def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
+    """Linear action of a symplectic element on a lattice point, mod s.modulus."""
     m, n = point
     return ((s.a * m + s.b * n) % s.modulus, (s.c * m + s.d * n) % s.modulus)
 
@@ -213,16 +199,14 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         )
     family = delta_family(n, parity)
     adjoint = matrix.conj().T
-    worst = 0.0
-    for point, delta in family.items():
-        moved = family[apply_point(s, point)]
-        defect = np.abs(matrix @ delta @ adjoint - moved).max()
-        # "not <=" lets a NaN defect in; nothing can outrank it afterwards.
-        if not defect <= worst:
-            worst = float(defect)
-            if np.isnan(worst):
-                break
-    return worst
+    return float(
+        np.max(
+            [
+                np.abs(matrix @ delta @ adjoint - family[apply_point(s, point)]).max()
+                for point, delta in family.items()
+            ]
+        )
+    )
 
 
 def default_tolerance(n: int) -> float:

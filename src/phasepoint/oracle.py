@@ -138,30 +138,27 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     """Measure hermiticity, trace, pairwise traciality and translation covariance."""
     check_parity(n, parity)
     family = delta_family(n, parity)
-    points = sorted(family)
-    hermiticity = 0.0
-    unit_trace = 0.0
-    for point in points:
-        delta = family[point]
-        hermiticity = max(hermiticity, float(np.abs(delta - delta.conj().T).max()))
-        unit_trace = max(unit_trace, abs(complex(np.trace(delta)) - 1.0))
+    # Sorted points are row-major, so the stack reshapes to the lattice grid.
+    stack = np.array([family[p] for p in sorted(family)])
+    hermiticity = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
+    unit_trace = float(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max())
 
-    stackv = np.array([family[p].reshape(-1) for p in points])
+    stackv = stack.reshape(len(stack), -1)
     gram = stackv.conj() @ stackv.T  # Tr(Delta_p^dag Delta_q)
-    traciality = float(np.abs(gram - n * np.eye(len(points))).max())
+    traciality = float(np.abs(gram - n * np.eye(len(stack))).max())
 
     translation = None
     if parity == ODD:
-        translation = 0.0
+        # W(m', n')^dag Delta_(m, n) W(m', n') = Delta_(m - 2m', n - 2n'):
+        # rolling the grid by (2m', 2n') lines each point up with its image.
+        grid = stack.reshape(n, n, n, n)
+        defects = []
         for mp in range(n):
             for np_ in range(n):
                 weyl = weyl_cohendet(n, mp, np_)
-                for m, nn in points:
-                    lhs = weyl.conj().T @ family[(m, nn)] @ weyl
-                    rhs = family[((m - 2 * mp) % n, (nn - 2 * np_) % n)]
-                    translation = max(
-                        translation, float(np.abs(lhs - rhs).max())
-                    )
+                moved = np.roll(grid, (2 * mp, 2 * np_), axis=(0, 1)).reshape(stack.shape)
+                defects.append(np.abs(weyl.conj().T @ stack @ weyl - moved).max())
+        translation = float(np.max(defects))
     return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
 
 

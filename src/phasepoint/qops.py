@@ -14,7 +14,6 @@ so that half-integer points have odd j or odd k and all arithmetic stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -164,6 +163,12 @@ def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
     return delta_leonhardt(n, point[0], point[1])
 
 
+def symmetric_order(modulus: int) -> list[int]:
+    """Canonical indices {0, ..., modulus-1} ordered by their representative
+    in the symmetric range around zero (v - modulus for v > modulus // 2)."""
+    return sorted(range(modulus), key=lambda v: v - modulus if v > modulus // 2 else v)
+
+
 def phase_points(n: int, parity: str) -> list[tuple[int, int]]:
     """All lattice points in canonical row-major order.
 
@@ -183,21 +188,3 @@ def delta_family(n: int, parity: str):
         delta.flags.writeable = False
         family[point] = delta
     return MappingProxyType(family)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A lattice point with its index modulus (N odd, 2N even doubled)."""
-
-    m: int
-    n: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "m", int(self.m) % self.modulus)
-        object.__setattr__(self, "n", int(self.n) % self.modulus)
-
-    @property
-    def coords(self) -> tuple[int, int]:
-        return (self.m, self.n)

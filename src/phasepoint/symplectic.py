@@ -22,7 +22,7 @@ class NotSymplectic(ValueError):
 
 
 class DecompositionFailed(RuntimeError):
-    """The Euclidean fast path could not produce a verified generator word."""
+    """The Euclidean method could not produce a verified generator word."""
 
 
 class BoundExceeded(ValueError):
@@ -162,14 +162,10 @@ class GenWord:
         return result
 
 
-def evaluate(word: GenWord) -> SympMat:
-    return word.evaluate()
+def decompose(s: SympMat, method: str = "euclid") -> GenWord:
+    """Factor ``s`` into a generator word with word.evaluate() == s exactly.
 
-
-def decompose(s: SympMat, method: str = "auto") -> GenWord:
-    """Factor ``s`` into a generator word with evaluate(word) == s exactly.
-
-    The fast path runs the Euclidean algorithm on the canonical
+    The Euclidean method runs the Euclidean algorithm on the canonical
     representatives of the second column (b, d). Each quotient k dictates a
     left multiplication by h+^(-k) or h-^(-k), alternating, which replays
     the remainder chain inside the matrix; the two chain parities that end
@@ -179,23 +175,17 @@ def decompose(s: SympMat, method: str = "auto") -> GenWord:
 
         h-^(-beta - beta*gamma) (H s) h+^beta h-^(-alpha) = h_t
 
-    is solved for ``s`` itself. The word is re-evaluated before returning;
-    if verification ever fails the method falls back to breadth-first
-    search, which is total because h+ and h- generate the group.
+    is solved for ``s`` itself. The word is re-evaluated before returning
+    and DecompositionFailed is raised if it does not reproduce ``s``.
 
-    ``method`` is one of "auto" (fast path, BFS on failure), "euclid"
-    (raise DecompositionFailed instead of falling back) or "bfs".
+    ``method`` is "euclid" or "bfs" (the bounded shortest-word oracle,
+    see bfs_decompose).
     """
-    if method not in ("auto", "euclid", "bfs"):
-        raise ValueError(f"unknown method {method!r}")
+    if method == "euclid":
+        return _euclid_word(s)
     if method == "bfs":
         return bfs_decompose(s)
-    try:
-        return _euclid_word(s)
-    except DecompositionFailed:
-        if method == "euclid":
-            raise
-        return bfs_decompose(s)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _euclid_word(s: SympMat) -> GenWord:
@@ -283,8 +273,14 @@ def _word_table(modulus: int) -> dict[SympMat, GenWord]:
 def bfs_decompose(s: SympMat, max_depth: int | None = None) -> GenWord:
     """Shortest generator word for ``s``, counting aggregated powers as one factor.
 
-    Raises DepthExceeded if the shortest word is longer than ``max_depth``.
+    The search tabulates all of Sp_M, so it is bounded like enumeration:
+    raises BoundExceeded above ENUMERATION_BOUND, and DepthExceeded if the
+    shortest word is longer than ``max_depth``.
     """
+    if s.modulus > ENUMERATION_BOUND:
+        raise BoundExceeded(
+            f"modulus {s.modulus} exceeds search bound {ENUMERATION_BOUND}"
+        )
     word = _word_table(s.modulus).get(s)
     if word is None:  # unreachable: the generators span the whole group
         raise DecompositionFailed(f"{s} not reachable from the generators")

@@ -30,6 +30,7 @@ from phasepoint.qops import (
     EVEN,
     ODD,
     delta_cohendet,
+    symmetric_order,
     unit_roots,
     weyl_symmetric,
 )
@@ -48,10 +49,6 @@ GROUPS = [(3, ODD), (5, ODD), (7, ODD), (4, EVEN)]
 def report(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:02d} {name}: {status}{detail}", flush=True)
-
-
-def symmetric_order(n):
-    return sorted(range(n), key=lambda v: v - n if v > n // 2 else v)
 
 
 @pytest.fixture(scope="module")

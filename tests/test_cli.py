@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from phasepoint import cli
 from phasepoint.cli import main
+from phasepoint.symplectic import SympMat
 
 
 def run(capsys, *argv):
@@ -44,6 +46,15 @@ def test_decompose_bfs_method(capsys):
     )
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+def test_decompose_bfs_above_bound_exits_two(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--modulus", "1009", "--matrix", "2,1,1,1", "--method", "bfs"
+    )
+    assert code == 2
+    assert out == ""
+    assert "bound" in err
 
 
 def test_decompose_bad_matrix_string(capsys):
@@ -236,6 +247,24 @@ def test_verify_tol_override(capsys):
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
+    # -I is no generator, so only the whole-group check sees the NaN
+    target = SympMat(2, 0, 0, 2, 3)
+    residual = cli.covariance_residual
+    monkeypatch.setattr(
+        cli,
+        "covariance_residual",
+        lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
+    )
+    code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["covariance_group"]["pass"] is False
+    assert by_name["covariance_hplus"]["pass"] is True
 
 
 def test_bad_flags_exit_two(capsys):

@@ -6,7 +6,7 @@ from conftest import random_symplectic
 from phasepoint.metaplectic import (
     DimensionMismatch,
     ParityMismatch,
-    act,
+    apply_point,
     covariance_residual,
     default_tolerance,
     equal_up_to_phase,
@@ -17,13 +17,8 @@ from phasepoint.metaplectic import (
     u_ht,
     u_of,
 )
-from phasepoint.modring import ModulusMismatch
-from phasepoint.qops import EVEN, ODD, ParityError, PhasePoint, unit_roots
+from phasepoint.qops import EVEN, ODD, ParityError, symmetric_order, unit_roots
 from phasepoint.symplectic import SympMat, enumerate_group, generator, h_t
-
-
-def symmetric_order(n):
-    return sorted(range(n), key=lambda v: v - n if v > n // 2 else v)
 
 
 def test_u_hminus_small_odd_cases():
@@ -146,11 +141,9 @@ def test_equal_up_to_phase_examples():
 
 def test_act_on_phase_points():
     m, n = 2, 3
-    assert act(generator("+", 5), PhasePoint(m, n, 5)) == PhasePoint(m + n, n, 5)
-    assert act(generator("-", 5), PhasePoint(m, n, 5)) == PhasePoint(m, m + n, 5)
-    assert act(SympMat.identity(5), PhasePoint(m, n, 5)) == PhasePoint(m, n, 5)
-    with pytest.raises(ModulusMismatch):
-        act(SympMat.identity(5), PhasePoint(0, 0, 7))
+    assert apply_point(generator("+", 5), (m, n)) == ((m + n) % 5, n)
+    assert apply_point(generator("-", 5), (m, n)) == (m, (m + n) % 5)
+    assert apply_point(SympMat.identity(5), (m, n)) == (m, n)
 
 
 def test_default_tolerance_scaling():

@@ -4,6 +4,7 @@ from numpy.linalg import matrix_power
 
 from conftest import random_symplectic
 from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus
+from phasepoint import oracle
 from phasepoint.oracle import (
     bfs_decompose,
     integer_point_family,
@@ -13,6 +14,8 @@ from phasepoint.oracle import (
 )
 from phasepoint.qops import EVEN, ODD, delta_family
 from phasepoint.symplectic import (
+    ENUMERATION_BOUND,
+    BoundExceeded,
     DepthExceeded,
     SympMat,
     enumerate_group,
@@ -106,6 +109,15 @@ def test_bfs_depth_cap():
         bfs_decompose(h_t(7), max_depth=0)
 
 
+def test_bfs_refuses_moduli_above_enumeration_bound():
+    assert bfs_decompose(h_t(ENUMERATION_BOUND)).evaluate() == h_t(ENUMERATION_BOUND)
+    with pytest.raises(BoundExceeded):
+        bfs_decompose(h_t(ENUMERATION_BOUND + 1))
+    # raised before any table is built, so even a huge modulus fails at once
+    with pytest.raises(BoundExceeded):
+        bfs_decompose(h_t(1009))
+
+
 def test_sw_kernel_odd():
     report = verify_sw_kernel(ODD, 5)
     assert report.hermiticity < 1e-12
@@ -142,3 +154,15 @@ def test_uniqueness_reports():
     assert report.nullity == 1
     assert abs(abs(report.phase) - 1.0) < 1e-12
     assert report.closed_form_residual < 1e-9
+
+
+def test_sw_kernel_propagates_nan_kernel_entry(monkeypatch):
+    family = dict(delta_family(3, ODD))
+    poisoned = family[(1, 2)].copy()
+    poisoned[1, 1] = np.nan  # row 1 has its one nonzero entry on the diagonal
+    family[(1, 2)] = poisoned
+    monkeypatch.setattr(oracle, "delta_family", lambda n, parity: family)
+    report = verify_sw_kernel(ODD, 3)
+    assert np.isnan(report.hermiticity)
+    assert np.isnan(report.unit_trace)
+    assert np.isnan(report.translation_covariance)

@@ -152,3 +152,5 @@ def test_decompose_agrees_with_bfs_oracle(modulus):
 def test_decompose_rejects_unknown_method():
     with pytest.raises(ValueError):
         decompose(SympMat.identity(5), method="magic")
+    with pytest.raises(ValueError):
+        decompose(SympMat.identity(5), method="auto")
