@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -77,6 +78,13 @@ def _float(value: float) -> float:
     return 0.0 + float(value)
 
 
+def _residual(value: float) -> float | None:
+    """A residual for JSON output: NaN and inf have no JSON form, so a
+    non-finite residual is written as null."""
+    value = float(value)
+    return _float(value) if math.isfinite(value) else None
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     if args.modulus < 2:
         return _fail(f"modulus must be >= 2, got {args.modulus}", 2)
@@ -129,9 +137,9 @@ def cmd_rep(args: argparse.Namespace) -> int:
         "modulus": modulus,
         "matrix": list(mat.entries),
         "unitary": _complex_rows(display),
-        "covariance_residual": _float(residual),
+        "covariance_residual": _residual(residual),
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -188,6 +196,26 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
         return default if tol is None else tol
 
     checks: list[tuple[str, float, float]] = []
+    generators = [
+        ("hplus", generator("+", modulus)),
+        ("hminus", generator("-", modulus)),
+        ("ht", h_t(modulus)),
+    ]
+    # Uniqueness runs first: its dense solve is the one check with a size
+    # bound, so an oversize request fails before any other work. The output
+    # is sorted by name, so the order of the checks does not show.
+    if suite in ("uniqueness", "all"):
+        for name, mat in generators:
+            report = verify_uniqueness(mat, parity)
+            checks.append(
+                (f"uniqueness_nullity_{name}", float(abs(report.nullity - 1)), 0.5)
+            )
+            residual = (
+                report.closed_form_residual
+                if report.closed_form_residual is not None
+                else float("inf")
+            )
+            checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
     if suite in ("sw", "all"):
         report = verify_sw_kernel(parity, n)
         for name, residual in report.checks():
@@ -201,11 +229,6 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
                 moved = weyl @ base @ weyl.conj().T
                 defects.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
         checks.append(("translation_weyl", np.max(defects), pick(1e-12)))
-    generators = [
-        ("hplus", generator("+", modulus)),
-        ("hminus", generator("-", modulus)),
-        ("ht", h_t(modulus)),
-    ]
     if suite in ("covariance", "all"):
         for name, mat in generators:
             unitary = u_of(mat, parity)
@@ -238,18 +261,6 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             for s1, s2 in zip(left, right)
         ]
         checks.append(("projectivity", np.max(defects), pick(1e-9)))
-    if suite in ("uniqueness", "all"):
-        for name, mat in generators:
-            report = verify_uniqueness(mat, parity)
-            checks.append(
-                (f"uniqueness_nullity_{name}", float(abs(report.nullity - 1)), 0.5)
-            )
-            residual = (
-                report.closed_form_residual
-                if report.closed_form_residual is not None
-                else float("inf")
-            )
-            checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
     return checks
 
 
@@ -260,11 +271,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     if args.suite == "translation" and args.parity == EVEN:
         return _fail("translation suite is defined for odd parity only", 2)
-    checks = _verify_checks(args.dim, args.parity, args.suite, args.tol)
+    try:
+        checks = _verify_checks(args.dim, args.parity, args.suite, args.tol)
+    except BoundExceeded as exc:
+        return _fail(str(exc), 2)
     results = [
         {
             "name": name,
-            "max_residual": _float(residual),
+            "max_residual": _residual(residual),
             "pass": bool(residual < tolerance),
         }
         for name, residual, tolerance in sorted(checks)
@@ -277,7 +291,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "checks": results,
         "pass": all_pass,
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0 if all_pass else 1
 
 

@@ -28,7 +28,7 @@ from .qops import (
     EVEN,
     ODD,
     check_parity,
-    delta_family,
+    kernel_factors,
     lattice_modulus,
     unit_roots,
 )
@@ -190,6 +190,26 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
 
     Returns max over points p of the entrywise norm of
     U Delta_p U^dag - Delta_(s.p); NaN if any defect is NaN.
+
+    Computed from the factored kernels Delta_(x,y) = c_xy Z_y Pi_x (see
+    qops.kernel_factors), never from dense kernels:
+    U Delta_(x,y) U^dag = c_xy (U Z_y)(Pi_x U^dag), and Pi_x U^dag is a row
+    gather of U^dag. With G = [Pi_0 U^dag | ... | Pi_(N-1) U^dag] built
+    once, one GEMM (U Z_y) G per momentum index y gives the products for a
+    whole row of points. Since |c_xy| = 1, the defect at (x, y) has the
+    norm of that product block minus conj(c_xy) Delta_(s.(x,y)), which
+    touches only the N support entries of the image kernel. Cost: N^5
+    multiply-adds in N BLAS calls and O(N^3) memory.
+
+    Even lattices need only the points j, k in [0, N) of the doubled grid.
+    With wt^N = -1, Delta_(j+N,k) = (-1)^k Delta_(j,k) and
+    Delta_(j,k+N) = (-1)^j Delta_(j,k), so for (j', k') = s.(j, k) the
+    image of (j+N, k) is (j' + aN, k' + cN), whose kernel carries
+    (-1)^(a k' + c j') = (-1)^(2acj + (ad+bc)k) = (-1)^k: det s = ad - bc
+    is odd, so ad + bc is odd too. Likewise the image of (j, k+N) carries
+    (-1)^((ad+bc)j + 2bdk) = (-1)^j. Both sides of the defect at a folded
+    point pick up the same sign, so its norm equals the norm at its
+    representative, for any matrix u.
     """
     matrix = _as_matrix(u)
     n = hilbert_dim(s.modulus, parity)
@@ -197,16 +217,23 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         raise DimensionMismatch(
             f"unitary is {matrix.shape}, expected {(n, n)} for modulus {s.modulus}"
         )
-    family = delta_family(n, parity)
-    adjoint = matrix.conj().T
-    return float(
-        np.max(
-            [
-                np.abs(matrix @ delta @ adjoint - family[apply_point(s, point)]).max()
-                for point, delta in family.items()
-            ]
-        )
-    )
+    rows = np.arange(n)
+    xs = rows[:, None]
+    cols, _, _, r = kernel_factors(n, parity, xs, 0)
+    roots = unit_roots(r)
+    # gather[i, x * N + k] = (Pi_x U^dag)[i, k]
+    gather = matrix.conj().T[cols.T].reshape(n, n * n)
+    defects = []
+    for y in range(n):
+        source = kernel_factors(n, parity, xs, y)
+        image = kernel_factors(n, parity, *apply_point(s, (xs, y)))
+        # products[i, x, k] = (U Z_y Pi_x U^dag)[i, k]
+        products = ((matrix * roots[source.diag]) @ gather).reshape(n, n, n)
+        exponents = (image.diag + image.const - source.const) % r
+        # the image kernel is supported at (i, image.cols[x, i]) in block x
+        products[rows, xs, image.cols] -= roots[exponents]
+        defects.append(np.abs(products).max())
+    return float(np.max(defects))
 
 
 def default_tolerance(n: int) -> float:

@@ -21,10 +21,18 @@ from .qops import (
     delta_leonhardt,
     weyl_cohendet,
 )
-from .symplectic import DepthExceeded, SympMat, bfs_decompose  # noqa: F401  (re-exported)
+from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-exported)
+    BoundExceeded,
+    DepthExceeded,
+    SympMat,
+    bfs_decompose,
+)
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
+# Largest stacked covariance system solve_covariance builds: 256 MiB of
+# complex entries admits odd N <= 15 and even N <= 12 on the full grid.
+SYSTEM_BYTES_BOUND = 256 * 2**20
 
 
 @dataclass(eq=False)
@@ -56,11 +64,20 @@ def solve_covariance(
     The numerical nullity is the number of singular values at or below
     ``cutoff`` relative to the largest one. The point set must be closed
     under the action of ``s`` (its keys are taken mod s.modulus).
+
+    Raises BoundExceeded, before building anything, when the stacked system
+    (points * N^4 complex entries) would exceed SYSTEM_BYTES_BOUND bytes.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
+    system_bytes = len(points) * dim**4 * np.dtype(complex).itemsize
+    if system_bytes > SYSTEM_BYTES_BOUND:
+        raise BoundExceeded(
+            f"covariance system of {len(points)} points at dimension {dim} needs "
+            f"{system_bytes} bytes, above the bound of {SYSTEM_BYTES_BOUND}"
+        )
     eye = np.eye(dim)
     blocks = []
     for point in points:

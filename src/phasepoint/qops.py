@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +114,47 @@ def weyl_symmetric(n: int, m: int, nn: int) -> np.ndarray:
     return w
 
 
+class KernelFactors(NamedTuple):
+    """Factored phase point operators Delta_(x,y) = c_xy Z_y Pi_x.
+
+    Row i of Pi_x has its one 1 in column ``cols[..., i]``; Z_y is the
+    diagonal unit_roots(root_modulus)[diag[..., i]]; the scalar c_xy is
+    unit_roots(root_modulus)[const]. All exponents are reduced mod
+    root_modulus.
+    """
+
+    cols: np.ndarray
+    diag: np.ndarray
+    const: np.ndarray | int
+    root_modulus: int
+
+
+def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
+    """Factors of the phase point operators at points (x, y).
+
+    x and y are integers or integer arrays; they broadcast against the row
+    index i, which runs along the last axis (pass x[:, None] for a batch).
+
+    Odd (Cohendet), with w = exp(2 pi i / N): Pi_x sends row i to column
+    (2x - i) mod N, Z_y = diag(w^(2 y i)) and c_xy = w^(-2 x y).
+    Even (Leonhardt), doubled coordinates (x, y) = (j, k), with
+    wt = exp(2 pi i / 2N): Pi_j sends row i to column (j - i) mod N,
+    Z_k = diag(wt^(2 k i)) and c_jk = wt^(-k j).
+    """
+    rows = np.arange(n)
+    if parity == ODD:
+        return KernelFactors((2 * x - rows) % n, (2 * y * rows) % n, (-2 * x * y) % n, n)
+    r = 2 * n
+    return KernelFactors((x - rows) % n, (2 * y * rows) % r, (-x * y) % r, r)
+
+
+def _delta_from_factors(n: int, parity: str, x: int, y: int) -> np.ndarray:
+    cols, diag, const, r = kernel_factors(n, parity, x, y)
+    delta = np.zeros((n, n), dtype=complex)
+    delta[np.arange(n), cols] = unit_roots(r)[(diag + const) % r]
+    return delta
+
+
 def delta_cohendet(n: int, m: int, nn: int) -> np.ndarray:
     """Odd-lattice phase point operator at (m, nn).
 
@@ -120,11 +162,7 @@ def delta_cohendet(n: int, m: int, nn: int) -> np.ndarray:
     w^(2 nn (i - m)). Hermitian with unit trace.
     """
     check_parity(n, ODD)
-    roots = unit_roots(n)
-    rows = np.arange(n)
-    delta = np.zeros((n, n), dtype=complex)
-    delta[rows, (2 * m - rows) % n] = roots[(2 * nn * (rows - m)) % n]
-    return delta
+    return _delta_from_factors(n, ODD, m, nn)
 
 
 def weyl_leonhardt(n: int, j: int, k: int) -> np.ndarray:
@@ -149,11 +187,7 @@ def delta_leonhardt(n: int, j: int, k: int) -> np.ndarray:
     at every point of the doubled grid.
     """
     check_parity(n, EVEN)
-    roots = unit_roots(2 * n)
-    rows = np.arange(n)
-    delta = np.zeros((n, n), dtype=complex)
-    delta[rows, (j - rows) % n] = roots[(2 * k * rows - k * j) % (2 * n)]
-    return delta
+    return _delta_from_factors(n, EVEN, j, k)
 
 
 def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:

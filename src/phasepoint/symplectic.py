@@ -26,7 +26,8 @@ class DecompositionFailed(RuntimeError):
 
 
 class BoundExceeded(ValueError):
-    """Group enumeration was requested beyond the configured modulus bound."""
+    """A bounded oracle (group enumeration, BFS, the dense covariance solve)
+    was asked for an input beyond its configured bound."""
 
 
 class DepthExceeded(RuntimeError):

@@ -120,7 +120,7 @@ def test_criterion_02_even_closed_forms_dimension_two():
 
 def test_criterion_03_generator_covariance():
     start = time.perf_counter()
-    worst = 0.0
+    residuals = []
     cases = [(n, ODD) for n in (3, 5, 7, 9, 15)] + [(n, EVEN) for n in (2, 4, 6)]
     for n, parity in cases:
         modulus = n if parity == ODD else 2 * n
@@ -128,7 +128,8 @@ def test_criterion_03_generator_covariance():
             (generator("+", modulus), u_hplus),
             (generator("-", modulus), u_hminus),
         ):
-            worst = max(worst, covariance_residual(build(n, parity).matrix, mat, parity))
+            residuals.append(covariance_residual(build(n, parity).matrix, mat, parity))
+    worst = np.max(residuals)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 30.0
     report(3, "generator covariance", ok, f" (residual {worst:.2e}, {elapsed:.2f}s)")
@@ -138,10 +139,13 @@ def test_criterion_03_generator_covariance():
 
 def test_criterion_04_full_group_covariance(groups, rep_tables):
     start = time.perf_counter()
-    worst = 0.0
-    for modulus, parity in GROUPS:
-        for s in groups[modulus]:
-            worst = max(worst, covariance_residual(rep_tables[modulus][s], s, parity))
+    worst = np.max(
+        [
+            covariance_residual(rep_tables[modulus][s], s, parity)
+            for modulus, parity in GROUPS
+            for s in groups[modulus]
+        ]
+    )
     elapsed = time.perf_counter() - start
     sizes = ", ".join(f"Sp_{m}:{len(groups[m])}" for m, _ in GROUPS)
     ok = worst < 1e-9 and elapsed < 300.0
@@ -220,15 +224,15 @@ def test_criterion_07_translational_covariance():
 
 def test_criterion_08_projectivity(groups, rep_tables):
     rng = np.random.default_rng(20240810)
-    worst = 0.0
+    defects = []
     for modulus, _ in GROUPS:
         elements = groups[modulus]
         table = rep_tables[modulus]
         for _ in range(200):
             s1 = elements[int(rng.integers(len(elements)))]
             s2 = elements[int(rng.integers(len(elements)))]
-            defect = phase_defect(table[s1 @ s2], table[s1] @ table[s2])
-            worst = max(worst, defect)
+            defects.append(phase_defect(table[s1 @ s2], table[s1] @ table[s2]))
+    worst = np.max(defects)
     ok = worst < 1e-9
     report(8, "projectivity", ok, f" (residual {worst:.2e}, 200 pairs per group)")
     assert worst < 1e-9
@@ -236,14 +240,15 @@ def test_criterion_08_projectivity(groups, rep_tables):
 
 def test_criterion_09_uniqueness():
     nullities_ok = True
-    worst_phase = 0.0
+    phase_residuals = [0.0]
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
         modulus = n if parity == ODD else 2 * n
         for mat in (generator("+", modulus), generator("-", modulus), h_t(modulus)):
             rep = verify_uniqueness(mat, parity, tol=1e-9)
             nullities_ok = nullities_ok and rep.nullity == 1 and rep.unitary_found
             if rep.closed_form_residual is not None:
-                worst_phase = max(worst_phase, rep.closed_form_residual)
+                phase_residuals.append(rep.closed_form_residual)
+    worst_phase = np.max(phase_residuals)
     ok = nullities_ok and worst_phase < 1e-9
     report(
         9,

@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phasepoint import cli
 from phasepoint.cli import main
+from phasepoint.qops import delta_family
 from phasepoint.symplectic import SympMat
 
 
@@ -265,6 +271,69 @@ def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["covariance_group"]["pass"] is False
     assert by_name["covariance_hplus"]["pass"] is True
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
+    target = SympMat(2, 0, 0, 2, 3)
+    residual = cli.covariance_residual
+    monkeypatch.setattr(
+        cli,
+        "covariance_residual",
+        lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
+    )
+    code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
+    assert code == 1
+    payload = strict_json(out)
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["covariance_group"] == {
+        "name": "covariance_group",
+        "max_residual": None,
+        "pass": False,
+    }
+    assert payload["pass"] is False
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rep_writes_non_finite_residual_as_null(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "covariance_residual", lambda u, s, parity: value)
+    code, out, _ = run(capsys, "rep", "--dim", "3", "--parity", "odd", "--matrix", "1,1,0,1")
+    assert code == 0
+    assert strict_json(out)["covariance_residual"] is None
+
+
+def test_rep_builds_no_kernel_cache(capsys):
+    delta_family.cache_clear()
+    code, out, _ = run(capsys, "rep", "--dim", "9", "--parity", "odd", "--matrix", "2,1,1,1")
+    assert code == 0
+    assert json.loads(out)["covariance_residual"] < 1e-10
+    assert delta_family.cache_info().currsize == 0
+
+
+def test_verify_uniqueness_above_bound_exits_two():
+    # The dense re-solve at odd N = 31 would stack about 14 GB; it must be
+    # refused before anything is stacked. Run in a child capped at 1 GiB of
+    # address space, so a missing bound fails with MemoryError, not an OOM.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    child = subprocess.run(
+        [sys.executable, "-m", "phasepoint.cli", "verify", "--dim", "31",
+         "--parity", "odd", "--suite", "uniqueness"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
 
 
 def test_bad_flags_exit_two(capsys):

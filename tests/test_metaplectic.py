@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
@@ -17,7 +19,16 @@ from phasepoint.metaplectic import (
     u_ht,
     u_of,
 )
-from phasepoint.qops import EVEN, ODD, ParityError, symmetric_order, unit_roots
+from phasepoint.qops import (
+    EVEN,
+    ODD,
+    ParityError,
+    delta_at,
+    delta_family,
+    phase_points,
+    symmetric_order,
+    unit_roots,
+)
 from phasepoint.symplectic import SympMat, enumerate_group, generator, h_t
 
 
@@ -172,6 +183,67 @@ def test_nan_never_passes_phase_comparison():
 @pytest.mark.parametrize("n,parity", [(3, ODD), (4, EVEN)])
 def test_covariance_residual_propagates_nan(n, parity):
     s = generator("+", 2 * n if parity == EVEN else n)
-    unitary = u_of(s, parity).matrix.copy()
-    unitary[0, 0] = np.nan
-    assert np.isnan(covariance_residual(unitary, s, parity))
+    for entry in [(0, 0), (1, 2)]:
+        unitary = u_of(s, parity).matrix.copy()
+        unitary[entry] = np.nan
+        assert np.isnan(covariance_residual(unitary, s, parity))
+
+
+def dense_covariance_residual(u, s, parity):
+    # Reference: U Delta_p U^dag - Delta_(s.p) with dense kernels at every
+    # point of the full grid (the 2N x 2N doubled grid at even N).
+    n = u.shape[0]
+    return np.max(
+        [
+            np.abs(
+                u @ delta_at(n, parity, p) @ u.conj().T
+                - delta_at(n, parity, apply_point(s, p))
+            ).max()
+            for p in phase_points(n, parity)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "n,parity", [(n, ODD) for n in (3, 5, 7, 9)] + [(n, EVEN) for n in (2, 4, 6, 8)]
+)
+def test_covariance_residual_matches_dense_reference(n, parity, rng):
+    modulus = n if parity == ODD else 2 * n
+    s = random_symplectic(modulus, rng)
+    other = random_symplectic(modulus, rng)
+    while other == s:
+        other = random_symplectic(modulus, rng)
+    matrices = [
+        u_of(s, parity).matrix,
+        u_of(other, parity).matrix,
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+    ]
+    for u in matrices:
+        expected = dense_covariance_residual(u, s, parity)
+        assert covariance_residual(u, s, parity) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12
+        )
+
+
+def test_covariance_residual_builds_no_kernel_cache():
+    delta_family.cache_clear()
+    for n, parity in [(5, ODD), (4, EVEN)]:
+        s = h_t(n if parity == ODD else 2 * n)
+        assert covariance_residual(u_of(s, parity).matrix, s, parity) < 1e-10
+    assert delta_family.cache_info().currsize == 0
+
+
+def test_covariance_residual_memory_is_cubic():
+    # The dense kernel family alone is N^4 * 16 bytes, 252 MB at N = 63;
+    # the factored residual keeps O(N^3) temporaries.
+    s = SympMat(2, 1, 1, 1, 63)
+    unitary = u_of(s, ODD).matrix
+    delta_family.cache_clear()
+    tracemalloc.start()
+    try:
+        residual = covariance_residual(unitary, s, ODD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < default_tolerance(63)
+    assert peak < 32 * 2**20

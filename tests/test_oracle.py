@@ -118,6 +118,25 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
         bfs_decompose(h_t(1009))
 
 
+def test_solve_covariance_refuses_systems_above_byte_bound(monkeypatch):
+    family = dict(delta_family(3, ODD))
+    system_bytes = len(family) * 3**4 * 16
+    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", system_bytes)
+    assert solve_covariance(generator("+", 3), family).nullity == 1
+    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", system_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        solve_covariance(generator("+", 3), family)
+
+
+@pytest.mark.parametrize(
+    "n,parity,allowed", [(15, ODD, True), (17, ODD, False), (12, EVEN, True), (14, EVEN, False)]
+)
+def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
+    # full-grid families: N^2 points at odd N, (2N)^2 on the doubled grid
+    points = n**2 if parity == ODD else (2 * n) ** 2
+    assert (points * n**4 * 16 <= oracle.SYSTEM_BYTES_BOUND) == allowed
+
+
 def test_sw_kernel_odd():
     report = verify_sw_kernel(ODD, 5)
     assert report.hermiticity < 1e-12
