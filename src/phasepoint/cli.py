@@ -20,7 +20,7 @@ from .metaplectic import (
     phase_defect,
     u_of,
 )
-from .oracle import verify_sw_kernel, verify_uniqueness
+from .oracle import check_dense_bound, verify_sw_kernel, verify_uniqueness
 from .qops import (
     EVEN,
     ODD,
@@ -163,7 +163,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         return _fail(f"cannot read state file: {exc}", 2)
     try:
         table = wigner_of(state, args.parity)
-    except ParityError as exc:
+    except (ParityError, BoundExceeded) as exc:
         return _fail(str(exc), 2)
     values = table.values
     header = f"# parity={args.parity}, modulus={table.modulus}"
@@ -201,9 +201,24 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
         ("hminus", generator("-", modulus)),
         ("ht", h_t(modulus)),
     ]
-    # Uniqueness runs first: its dense solve is the one check with a size
-    # bound, so an oversize request fails before any other work. The output
-    # is sorted by name, so the order of the checks does not show.
+    # The dense kernel suites run first: theirs is the tightest size bound
+    # (odd N <= 15, even N <= 12, below the uniqueness graph's), so an
+    # oversize request fails before any other work. The output is sorted by
+    # name, so the order of the checks does not show.
+    if suite in ("sw", "all"):
+        report = verify_sw_kernel(parity, n)
+        for name, residual in report.checks():
+            checks.append((f"sw_{name}", residual, pick(1e-12)))
+    if suite in ("translation", "all") and parity == ODD:
+        check_dense_bound("translation suite", n * n, n)
+        base = delta_cohendet(n, 0, 0)
+        defects = []
+        for m in range(n):
+            for nn in range(n):
+                weyl = weyl_symmetric(n, m, nn)
+                moved = weyl @ base @ weyl.conj().T
+                defects.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
+        checks.append(("translation_weyl", np.max(defects), pick(1e-12)))
     if suite in ("uniqueness", "all"):
         for name, mat in generators:
             report = verify_uniqueness(mat, parity)
@@ -216,19 +231,6 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
                 else float("inf")
             )
             checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
-    if suite in ("sw", "all"):
-        report = verify_sw_kernel(parity, n)
-        for name, residual in report.checks():
-            checks.append((f"sw_{name}", residual, pick(1e-12)))
-    if suite in ("translation", "all") and parity == ODD:
-        base = delta_cohendet(n, 0, 0)
-        defects = []
-        for m in range(n):
-            for nn in range(n):
-                weyl = weyl_symmetric(n, m, nn)
-                moved = weyl @ base @ weyl.conj().T
-                defects.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
-        checks.append(("translation_weyl", np.max(defects), pick(1e-12)))
     if suite in ("covariance", "all"):
         for name, mat in generators:
             unitary = u_of(mat, parity)

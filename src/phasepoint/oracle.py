@@ -1,8 +1,13 @@
-"""Independent brute-force verification of the representation and kernel claims.
+"""Independent verification of the representation and kernel claims.
 
-Nothing here reuses the closed forms it checks: covariance is solved as a
-homogeneous linear system in the unknown matrix entries, factorizations come
-from breadth-first search, and the kernel properties are measured directly.
+Nothing here reuses the closed forms it checks. Uniqueness is an exact
+count: every phase point operator has one nonzero entry per row, so each
+equation of U Delta_p = Delta_(S.p) U ties two entries of U by a root of
+unity, and the solution space is read off a gain graph over integer phases
+(verify_uniqueness). The same relation solved as a dense homogeneous linear
+system (solve_covariance) is the floating-point cross-check at small N.
+Factorizations come from breadth-first search, and the kernel properties
+are measured directly.
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ from .qops import (
     check_parity,
     delta_family,
     delta_leonhardt,
-    weyl_cohendet,
+    kernel_factors,
+    lattice_modulus,
+    unit_roots,
 )
 from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-exported)
+    SYSTEM_BYTES_BOUND,
     BoundExceeded,
     DepthExceeded,
     SympMat,
@@ -30,9 +38,23 @@ from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-export
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
-# Largest stacked covariance system solve_covariance builds: 256 MiB of
-# complex entries admits odd N <= 15 and even N <= 12 on the full grid.
-SYSTEM_BYTES_BOUND = 256 * 2**20
+
+
+def check_dense_bound(what: str, points: int, dim: int) -> None:
+    """Refuse a dense computation over ``points`` phase point operators of
+    dimension ``dim`` before it starts.
+
+    Raises BoundExceeded when points * dim^4 complex entries, the size of the
+    stacked covariance system, exceed SYSTEM_BYTES_BOUND bytes. On the full
+    grid that admits odd N <= 15 and even N <= 12; the dense kernel suites
+    share the bound.
+    """
+    size = points * dim**4 * np.dtype(complex).itemsize
+    if size > SYSTEM_BYTES_BOUND:
+        raise BoundExceeded(
+            f"{what} of {points} points at dimension {dim} needs {size} bytes, "
+            f"above the bound of {SYSTEM_BYTES_BOUND}"
+        )
 
 
 @dataclass(eq=False)
@@ -72,12 +94,7 @@ def solve_covariance(
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
-    system_bytes = len(points) * dim**4 * np.dtype(complex).itemsize
-    if system_bytes > SYSTEM_BYTES_BOUND:
-        raise BoundExceeded(
-            f"covariance system of {len(points)} points at dimension {dim} needs "
-            f"{system_bytes} bytes, above the bound of {SYSTEM_BYTES_BOUND}"
-        )
+    check_dense_bound("covariance system", len(points), dim)
     eye = np.eye(dim)
     blocks = []
     for point in points:
@@ -86,9 +103,10 @@ def solve_covariance(
             raise ValueError(f"family is not closed under the action: missing {moved}")
         blocks.append(np.kron(eye, deltas[point].T) - np.kron(deltas[moved], eye))
     stacked = np.vstack(blocks)
-    # rows = points * dim^2 >= dim^2, so the reduced SVD still carries the
-    # complete right-singular basis needed for the null space
-    _, singular, vh = np.linalg.svd(stacked, full_matrices=False)
+    # rows = points * dim^2 >= dim^2, so stacked = Q R with R square; R has
+    # the same singular values and right singular vectors, which carry the
+    # whole null space, and the tall left factor is never formed
+    _, singular, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
     largest = singular[0] if singular.size else 0.0
     threshold = cutoff * (largest if largest > 0 else 1.0)
     rank = int((singular > threshold).sum())
@@ -98,8 +116,8 @@ def solve_covariance(
 
 
 def _unitarize(candidate: np.ndarray, tol: float) -> np.ndarray | None:
-    # SVD basis vectors have unit Frobenius norm; a unitary multiple must be
-    # sqrt(dim) times that.
+    # Candidates (SVD basis vectors, gain-graph solutions) have unit
+    # Frobenius norm; a unitary multiple must be sqrt(dim) times that.
     dim = candidate.shape[0]
     scaled = candidate * np.sqrt(dim)
     defect = np.abs(scaled.conj().T @ scaled - np.eye(dim)).max()
@@ -152,8 +170,13 @@ class SWKernelReport:
 
 
 def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
-    """Measure hermiticity, trace, pairwise traciality and translation covariance."""
+    """Measure hermiticity, trace, pairwise traciality and translation covariance.
+
+    Works on the dense kernel stack, so it shares solve_covariance's size
+    bound (check_dense_bound): BoundExceeded above odd N = 15 and even N = 12.
+    """
     check_parity(n, parity)
+    check_dense_bound("kernel suite", lattice_modulus(n, parity) ** 2, n)
     family = delta_family(n, parity)
     # Sorted points are row-major, so the stack reshapes to the lattice grid.
     stack = np.array([family[p] for p in sorted(family)])
@@ -168,13 +191,22 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     if parity == ODD:
         # W(m', n')^dag Delta_(m, n) W(m', n') = Delta_(m - 2m', n - 2n'):
         # rolling the grid by (2m', 2n') lines each point up with its image.
+        # weyl_cohendet(n, m', n') has its one nonzero of column t in row
+        # t + 2m', equal to w^(2n'(t + m')), so (W^dag K W)[a, b] is
+        # K[a + 2m', b + 2m'] times w^(2n'(b - a)): one gather per m' serves
+        # every n'.
+        idx = np.arange(n)
         grid = stack.reshape(n, n, n, n)
+        # phases[n', a, b] = w^(2n'(b - a))
+        phases = unit_roots(n)[(2 * idx[:, None, None] * (idx - idx[:, None])) % n]
+        # images[x, n', y] = grid[x, y - 2n'], the grid rolled by 2n' along y
+        images = grid[:, (idx - 2 * idx[:, None]) % n]
         defects = []
         for mp in range(n):
-            for np_ in range(n):
-                weyl = weyl_cohendet(n, mp, np_)
-                moved = np.roll(grid, (2 * mp, 2 * np_), axis=(0, 1)).reshape(stack.shape)
-                defects.append(np.abs(weyl.conj().T @ stack @ weyl - moved).max())
+            shift = (idx + 2 * mp) % n
+            conjugated = grid[:, :, shift[:, None], shift][:, None] * phases[:, None]
+            moved = images[(idx - 2 * mp) % n]
+            defects.append(np.abs(conjugated - moved).max())
         translation = float(np.max(defects))
     return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
 
@@ -189,24 +221,108 @@ class UniquenessReport:
     closed_form_residual: float | None
 
 
+def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
+    """Exact solution space of U Delta_p = Delta_(S.p) U over every lattice
+    point p (the doubled grid on even lattices).
+
+    Returns the nullity and, when it is 1, the solution scaled to unit
+    Frobenius norm. Every kernel is monomial: Delta_p[i, sigma_p(i)] =
+    rho^(e_p(i)), with sigma_p and e_p read from kernel_factors and rho the
+    root of unity of order R = N (odd) or 2N (even). With q = S.p, entry
+    (u, sigma_p(w)) of the relation reads
+
+        U[sigma_q(u), sigma_p(w)] = rho^(e_p(w) - e_q(u)) U[u, w],
+
+    an edge (u, w) -> (sigma_q(u), sigma_p(w)) with an integer gain mod R.
+    A solution is rho^phi up to scale on each component whose cycles all
+    have gain 0 mod R (balanced) and zero on the others, so the nullity is
+    the number of balanced components, an exact integer.
+
+    Each point contributes a permutation of the N^2 entries, so every
+    component is strongly connected and propagation along the edges alone
+    reaches all of it. All points are handled at once: each round, every
+    entry takes the smallest component label among its predecessors, with
+    the phase carried along that edge; a round that lowers no label ends the
+    search, which makes it a breadth-first search from each component's
+    smallest entry. That last round also checks every edge against the
+    phases found.
+
+    Raises BoundExceeded, before building anything, when the edge arrays
+    would exceed SYSTEM_BYTES_BOUND bytes.
+    """
+    n = hilbert_dim(s.modulus, parity)
+    side = s.modulus
+    nodes = n * n
+    edges = side * side * nodes
+    # A round holds about three int64 words and a flag per edge (26 B
+    # measured at the bound); four words leave room for the per-point tables.
+    graph_bytes = edges * 4 * np.dtype(np.int64).itemsize
+    if graph_bytes > SYSTEM_BYTES_BOUND:
+        raise BoundExceeded(
+            f"uniqueness graph of {edges} edges at dimension {n} needs "
+            f"{graph_bytes} bytes, above the bound of {SYSTEM_BYTES_BOUND}"
+        )
+    xs, ys = np.divmod(np.arange(side * side), side)
+    xs, ys = xs[:, None], ys[:, None]
+    source = kernel_factors(n, parity, xs, ys)
+    image = kernel_factors(n, parity, *apply_point(s, (xs, ys)))
+    r = source.root_modulus
+    # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
+    # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
+    into_p = np.argsort(source.cols, axis=1)
+    into_q = np.argsort(image.cols, axis=1)
+    gain_p = np.take_along_axis((source.diag + source.const) % r, into_p, 1)[:, None, :]
+    gain_q = np.take_along_axis((image.diag + image.const) % r, into_q, 1)[:, :, None]
+    rows, cols = into_q[:, :, None], into_p[:, None, :]
+
+    # Each entry's key is label * R + phase, so a minimum over keys picks
+    # the smallest label and carries one phase consistent with it.
+    label = np.arange(nodes)
+    phase = np.zeros(nodes, dtype=np.int64)
+    while True:
+        key = (label * r + phase).reshape(n, n)
+        offered = key[rows, cols]
+        carried = offered % r
+        offered -= carried
+        carried += gain_p
+        carried -= gain_q
+        carried %= r
+        offered += carried
+        best = offered.min(axis=0).reshape(-1)
+        lower = best // r < label
+        if not lower.any():
+            break
+        label[lower], phase[lower] = np.divmod(best[lower], r)
+    consistent = (offered == key).all(axis=0).reshape(-1)
+    balanced = label == np.arange(nodes)
+    balanced[label[~consistent]] = False
+    roots = np.flatnonzero(balanced)
+    if len(roots) != 1:
+        return len(roots), None
+    support = label == roots[0]
+    solution = np.where(support, unit_roots(r)[phase], 0) / np.sqrt(support.sum())
+    return 1, solution.reshape(n, n)
+
+
 def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessReport:
     """Solve covariance for ``s`` from scratch and compare to the word product.
 
-    A one-dimensional solution space containing a unitary confirms both the
+    The solution space over every lattice point comes from an exact gain
+    graph over integer phases (no dense kernel, no singular-value cutoff).
+    A one-dimensional space containing a unitary confirms both the
     uniqueness claim and (through the returned phase) agreement with the
-    constructive route.
+    constructive route. Raises BoundExceeded above odd N = 53 and even
+    N = 38 (about 32 B per edge, N^2 edges per lattice point).
     """
-    n = hilbert_dim(s.modulus, parity)
-    solution = solve_covariance(s, dict(delta_family(n, parity)))
-    if solution.unitary is None:
-        return UniquenessReport(solution.nullity, False, None, None)
+    nullity, candidate = _covariance_graph(s, parity)
+    unitary = _unitarize(candidate, UNITARY_TOL) if candidate is not None else None
+    if unitary is None:
+        return UniquenessReport(nullity, False, None, None)
     constructed = u_of(s, parity).matrix
-    match = equal_up_to_phase(solution.unitary, constructed, tol)
+    match = equal_up_to_phase(unitary, constructed, tol)
     residual = float(
         np.abs(
-            solution.unitary
-            - (match.phase if match.phase is not None else 1.0) * constructed
+            unitary - (match.phase if match.phase is not None else 1.0) * constructed
         ).max()
     )
-    return UniquenessReport(solution.nullity, True, match.phase, residual)
-
+    return UniquenessReport(nullity, True, match.phase, residual)

@@ -15,6 +15,10 @@ from functools import lru_cache
 from .modring import BothZero, ModulusMismatch, _check_modulus, euclid_trace
 
 ENUMERATION_BOUND = 12
+# Largest working set a bounded computation may allocate: the dense
+# covariance solve and kernel suites (points * N^4 complex entries: odd
+# N <= 15, even N <= 12), the gain-graph uniqueness solve and Wigner tables.
+SYSTEM_BYTES_BOUND = 256 * 2**20
 
 
 class NotSymplectic(ValueError):
@@ -26,8 +30,10 @@ class DecompositionFailed(RuntimeError):
 
 
 class BoundExceeded(ValueError):
-    """A bounded oracle (group enumeration, BFS, the dense covariance solve)
-    was asked for an input beyond its configured bound."""
+    """An input is beyond the bound of a size-limited computation: group
+    enumeration and BFS (ENUMERATION_BOUND), or the dense covariance solve,
+    the dense kernel suites, the gain-graph uniqueness solve and Wigner
+    tables (SYSTEM_BYTES_BOUND). Raised before the work is allocated."""
 
 
 class DepthExceeded(RuntimeError):

@@ -209,14 +209,15 @@ def test_criterion_06_stratonovich_weyl_suite():
 
 
 def test_criterion_07_translational_covariance():
-    worst = 0.0
+    residuals = []
     for n in (3, 5, 7):
         base = delta_cohendet(n, 0, 0)
         for m in range(n):
             for nn in range(n):
                 w = weyl_symmetric(n, m, nn)
                 moved = w @ base @ w.conj().T
-                worst = max(worst, float(np.abs(moved - delta_cohendet(n, m, nn)).max()))
+                residuals.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
+    worst = np.max(residuals)
     ok = worst < 1e-12
     report(7, "translational covariance", ok, f" (residual {worst:.2e})")
     assert worst < 1e-12
@@ -281,23 +282,24 @@ def test_criterion_10_even_negative_result():
 
 def test_criterion_11_wigner_properties():
     rng = np.random.default_rng(20240812)
-    worst = 0.0
+    residuals = []
     for n, parity in [(3, ODD), (5, ODD), (7, ODD), (2, EVEN), (4, EVEN)]:
         for _ in range(100):
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             state = QuantumState(vec / np.linalg.norm(vec))
             table = wigner_of(state, parity)
-            worst = max(worst, table.imag_residual, abs(table.total - 1.0))
+            residuals += [table.imag_residual, abs(table.total - 1.0)]
             position, momentum = marginals(table)
             ft = np.fft.fft(state.amplitudes, norm="ortho")
             if parity == ODD:
-                worst = max(worst, float(np.abs(position - np.abs(state.amplitudes) ** 2).max()))
-                worst = max(worst, float(np.abs(momentum - np.abs(ft) ** 2).max()))
+                residuals.append(np.abs(position - np.abs(state.amplitudes) ** 2).max())
+                residuals.append(np.abs(momentum - np.abs(ft) ** 2).max())
             else:
-                worst = max(worst, float(np.abs(position[0::2] - np.abs(state.amplitudes) ** 2).max()))
-                worst = max(worst, float(np.abs(position[1::2]).max()))
-                worst = max(worst, float(np.abs(momentum[0::2] - np.abs(ft) ** 2).max()))
-                worst = max(worst, float(np.abs(momentum[1::2]).max()))
+                residuals.append(np.abs(position[0::2] - np.abs(state.amplitudes) ** 2).max())
+                residuals.append(np.abs(position[1::2]).max())
+                residuals.append(np.abs(momentum[0::2] - np.abs(ft) ** 2).max())
+                residuals.append(np.abs(momentum[1::2]).max())
+    worst = np.max(residuals)
     ok = worst < 1e-11
     report(11, "Wigner properties", ok, f" (residual {worst:.2e}, 100 states per case)")
     assert worst < 1e-11

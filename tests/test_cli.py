@@ -316,21 +316,63 @@ def test_rep_builds_no_kernel_cache(capsys):
     assert delta_family.cache_info().currsize == 0
 
 
-def test_verify_uniqueness_above_bound_exits_two():
-    # The dense re-solve at odd N = 31 would stack about 14 GB; it must be
-    # refused before anything is stacked. Run in a child capped at 1 GiB of
-    # address space, so a missing bound fails with MemoryError, not an OOM.
+def run_capped(*argv):
+    """Run the CLI in a child capped at 1 GiB of address space, so a missing
+    size bound fails with MemoryError instead of exhausting the host."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    child = subprocess.run(
-        [sys.executable, "-m", "phasepoint.cli", "verify", "--dim", "31",
-         "--parity", "odd", "--suite", "uniqueness"],
+    return subprocess.run(
+        [sys.executable, "-m", "phasepoint.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
     )
+
+
+def test_verify_uniqueness_above_bound_exits_two():
+    # The uniqueness graph at odd N = 127 has about 260 million edges, several
+    # GB of arrays; it must be refused before anything is built.
+    child = run_capped("verify", "--dim", "127", "--parity", "odd", "--suite", "uniqueness")
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
+
+
+def test_verify_uniqueness_at_dimension_31_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--dim", "31", "--parity", "odd", "--suite", "uniqueness")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert len(payload["checks"]) == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--dim", "63", "--parity", "odd", "--suite", "sw"),
+        ("verify", "--dim", "14", "--parity", "even", "--suite", "sw"),
+        ("verify", "--dim", "31", "--parity", "odd", "--suite", "all"),
+        ("verify", "--dim", "17", "--parity", "odd", "--suite", "translation"),
+    ],
+)
+def test_verify_dense_suites_above_bound_exit_two(argv):
+    # The dense kernel suites share the covariance system's bound (odd
+    # N <= 15, even N <= 12); "all" at N = 31 is refused by the sw suite
+    # even though its uniqueness checks alone would pass.
+    child = run_capped(*argv)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
+
+
+def test_wigner_above_bound_exits_two(tmp_path):
+    # A 2049 x 2049 odd table is past the 256 MiB bound of the transform.
+    dim = 2049
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": dim, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1)}))
+    child = run_capped("wigner", "--state", str(state), "--parity", "odd")
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr

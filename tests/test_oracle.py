@@ -3,8 +3,8 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import random_symplectic
-from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus
-from phasepoint import oracle
+from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
+from phasepoint import oracle, qops
 from phasepoint.oracle import (
     bfs_decompose,
     integer_point_family,
@@ -12,7 +12,7 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import EVEN, ODD, delta_family
+from phasepoint.qops import EVEN, ODD, delta_family, weyl_cohendet
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -185,3 +185,119 @@ def test_sw_kernel_propagates_nan_kernel_entry(monkeypatch):
     assert np.isnan(report.hermiticity)
     assert np.isnan(report.unit_trace)
     assert np.isnan(report.translation_covariance)
+
+
+def _graph_unitary(s, parity):
+    nullity, candidate = oracle._covariance_graph(s, parity)
+    unitary = None if candidate is None else oracle._unitarize(candidate, oracle.UNITARY_TOL)
+    return nullity, unitary
+
+
+@pytest.mark.parametrize("modulus,n,parity", [(3, 3, ODD), (5, 5, ODD), (7, 7, ODD), (4, 2, EVEN), (8, 4, EVEN)])
+def test_graph_matches_svd_on_whole_group(modulus, n, parity):
+    family = dict(delta_family(n, parity))
+    for s in enumerate_group(modulus):
+        nullity, unitary = _graph_unitary(s, parity)
+        solution = solve_covariance(s, family)
+        assert nullity == solution.nullity == 1
+        assert unitary is not None and solution.unitary is not None
+        assert equal_up_to_phase(unitary, solution.unitary, tol=1e-9).equivalent
+
+
+@pytest.mark.parametrize("n,parity", [(9, ODD), (15, ODD), (6, EVEN), (12, EVEN)])
+def test_uniqueness_at_composite_dimensions(n, parity, rng):
+    modulus = n if parity == ODD else 2 * n
+    for s in [h_t(modulus)] + [random_symplectic(modulus, rng) for _ in range(3)]:
+        report = verify_uniqueness(s, parity)
+        assert report.nullity == 1
+        assert report.unitary_found
+        assert report.closed_form_residual < 1e-9
+
+
+@pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
+def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
+    # Raise one phase exponent of one kernel, Delta_point[0, .], by 1: no
+    # matrix is covariant with the mutated family.
+    modulus = n if parity == ODD else 2 * n
+
+    def mutant(n_, parity_, x, y):
+        factors = qops.kernel_factors(n_, parity_, x, y)
+        hit = np.broadcast_to((x == point[0]) & (y == point[1]), factors.diag.shape).copy()
+        hit[..., 1:] = False  # row 0 only
+        diag = np.where(hit, (factors.diag + 1) % factors.root_modulus, factors.diag)
+        return factors._replace(diag=diag)
+
+    s = h_t(modulus)
+    assert apply_point(s, point) != point
+    assert verify_uniqueness(s, parity).unitary_found
+    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    report = verify_uniqueness(s, parity)
+    assert report.nullity == 0 or not report.unitary_found
+
+
+def test_uniqueness_builds_no_kernel_cache():
+    delta_family.cache_clear()
+    assert verify_uniqueness(h_t(7), ODD).unitary_found
+    assert verify_uniqueness(h_t(8), EVEN).unitary_found
+    assert delta_family.cache_info().currsize == 0
+
+
+def test_uniqueness_refuses_graphs_above_byte_bound(monkeypatch):
+    graph_bytes = 3**2 * 3**2 * 32  # N^2 points at odd N = 3, N^2 edges each
+    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", graph_bytes)
+    assert verify_uniqueness(h_t(3), ODD).nullity == 1
+    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", graph_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        verify_uniqueness(h_t(3), ODD)
+
+
+@pytest.mark.parametrize("n,parity", [(55, ODD), (40, EVEN)])
+def test_uniqueness_graph_bound_sizes(n, parity):
+    # odd N <= 53 and even N <= 38 fit; the next sizes are refused before
+    # anything is built (far larger ones are tried in a capped child, in
+    # tests/test_cli.py)
+    modulus = n if parity == ODD else 2 * n
+    with pytest.raises(BoundExceeded):
+        verify_uniqueness(h_t(modulus), parity)
+
+
+def test_solve_covariance_matches_full_svd(rng):
+    # Reference: the SVD of the whole stacked system, left factor included.
+    for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
+        family = dict(delta_family(n, parity))
+        modulus = n if parity == ODD else 2 * n
+        for s in (h_t(modulus), random_symplectic(modulus, rng)):
+            stacked = np.vstack([
+                np.kron(np.eye(n), family[p].T) - np.kron(family[apply_point(s, p)], np.eye(n))
+                for p in sorted(family)
+            ])
+            _, singular, vh = np.linalg.svd(stacked, full_matrices=False)
+            solution = solve_covariance(s, family)
+            assert np.abs(solution.singular_values - singular).max() < 1e-10
+            assert solution.nullity == 1
+            assert equal_up_to_phase(
+                solution.basis[0] * np.sqrt(n), vh[-1].conj().reshape(n, n) * np.sqrt(n), tol=1e-10
+            ).equivalent
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sw_translation_matches_dense_conjugation(n):
+    # Reference: the dense product W^dag Delta W at every point and shift.
+    family = delta_family(n, ODD)
+    worst = []
+    for mp in range(n):
+        for np_ in range(n):
+            weyl = weyl_cohendet(n, mp, np_)
+            for (m, nn), delta in family.items():
+                moved = family[((m - 2 * mp) % n, (nn - 2 * np_) % n)]
+                worst.append(np.abs(weyl.conj().T @ delta @ weyl - moved).max())
+    assert abs(verify_sw_kernel(ODD, n).translation_covariance - np.max(worst)) < 1e-15
+
+
+@pytest.mark.parametrize("n,parity,allowed", [(15, ODD, True), (17, ODD, False), (12, EVEN, True), (14, EVEN, False)])
+def test_sw_kernel_shares_dense_bound(n, parity, allowed):
+    if allowed:
+        assert verify_sw_kernel(parity, n).hermiticity < 1e-12
+    else:
+        with pytest.raises(BoundExceeded):
+            verify_sw_kernel(parity, n)

@@ -13,7 +13,8 @@ from phasepoint.qops import (
     phase_points,
     unit_roots,
 )
-from phasepoint.symplectic import enumerate_group
+from phasepoint import wigner
+from phasepoint.symplectic import BoundExceeded, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
     QuantumState,
@@ -264,3 +265,21 @@ def test_large_dimension_ladder(n, parity, rng):
     assert np.abs(momentum - np.abs(ft) ** 2).max() < 1e-12
     quantized = weyl_quantize(table.values, parity)
     assert np.abs(quantized - np.outer(amps, amps.conj()) / n).max() < 1e-12
+
+
+def test_wigner_refuses_tables_above_byte_bound(monkeypatch):
+    state = QuantumState.basis(3, 0)
+    table_bytes = 3 * 3 * 64  # four complex words per cell of the 3 x 3 grid
+    monkeypatch.setattr(wigner, "SYSTEM_BYTES_BOUND", table_bytes)
+    assert wigner_of(state, ODD).total == pytest.approx(1.0)
+    monkeypatch.setattr(wigner, "SYSTEM_BYTES_BOUND", table_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        wigner_of(state, ODD)
+
+
+@pytest.mark.parametrize("n,parity", [(2049, ODD), (1026, EVEN)])
+def test_wigner_bound_sizes(n, parity):
+    # odd N <= 2047 and even N <= 1024 fit in 256 MiB; the next sizes are
+    # refused before the transform allocates
+    with pytest.raises(BoundExceeded):
+        wigner_of(QuantumState.basis(n, 0), parity)
