@@ -4,6 +4,10 @@ All output is deterministic: identical inputs produce byte-identical output.
 JSON goes to stdout with full round-trip float formatting; Wigner tables are
 CSV with comment-style header and sum lines. Exit codes: 0 success, 1 failed
 verification checks, 2 invalid input or flags, 3 decomposition failure.
+
+Only the integer layers load at start-up. The rep, wigner and verify
+commands import their numeric layers (and so numpy) when they run, each
+taking only what it uses, so decompose and the parser never load numpy.
 """
 
 from __future__ import annotations
@@ -13,24 +17,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .metaplectic import (
-    covariance_residual,
-    phase_defect,
-    u_of,
-)
-from .oracle import check_dense_bound, verify_sw_kernel, verify_uniqueness
-from .qops import (
-    EVEN,
-    ODD,
-    ParityError,
-    check_parity,
-    delta_cohendet,
-    lattice_modulus,
-    symmetric_order,
-    weyl_symmetric,
-)
+from .lattice import EVEN, ODD, ParityError, check_parity, lattice_modulus
 from .symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -44,7 +31,6 @@ from .symplectic import (
     generator,
     h_t,
 )
-from .wigner import NotNormalized, QuantumState, wigner_of
 
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
@@ -64,11 +50,13 @@ def _parse_matrix(text: str, modulus: int) -> SympMat:
     return SympMat(a, b, c, d, modulus)
 
 
-def _reorder(matrix: np.ndarray, order: list[int]) -> np.ndarray:
-    return matrix[np.ix_(order, order)]
+def _reorder(matrix, order: list[int]):
+    return matrix[order][:, order]
 
 
-def _complex_rows(matrix: np.ndarray) -> list[list[list[float]]]:
+def _complex_rows(matrix) -> list[list[list[float]]]:
+    import numpy as np
+
     # Adding 0.0 collapses -0.0 so formatting is stable across code paths.
     return (np.stack([matrix.real, matrix.imag], axis=-1) + 0.0).tolist()
 
@@ -123,6 +111,13 @@ def cmd_rep(args: argparse.Namespace) -> int:
         mat = _parse_matrix(args.matrix, modulus)
     except (NotSymplectic, ValueError) as exc:
         return _fail(str(exc), 2)
+    from .metaplectic import check_covariance_bound, covariance_residual, u_of
+    from .qops import symmetric_order
+
+    try:
+        check_covariance_bound(args.dim)
+    except BoundExceeded as exc:
+        return _fail(str(exc), 2)
     try:
         unitary = u_of(mat, args.parity)
     except (DecompositionFailed, DepthExceeded) as exc:
@@ -143,18 +138,22 @@ def cmd_rep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_state(path: str) -> QuantumState:
+def _load_state(path: str):
+    from .wigner import QuantumState
+
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     dim = int(data["dim"])
     amplitudes = data["amplitudes"]
     if len(amplitudes) != dim:
         raise ValueError(f"state file declares dim {dim} but has {len(amplitudes)} amplitudes")
-    vec = np.array([complex(re, im) for re, im in amplitudes])
-    return QuantumState(vec)
+    return QuantumState([complex(re, im) for re, im in amplitudes])
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
+    from .qops import symmetric_order
+    from .wigner import NotNormalized, wigner_of
+
     try:
         state = _load_state(args.state)
     except NotNormalized as exc:
@@ -168,8 +167,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     values = table.values
     header = f"# parity={args.parity}, modulus={table.modulus}"
     if args.index_style == "symmetric":
-        order = symmetric_order(table.modulus)
-        values = values[np.ix_(order, order)]
+        values = _reorder(values, symmetric_order(table.modulus))
         header += ", index-style=symmetric"
     lines = [header]
     lines.extend(",".join(map(repr, row)) for row in (values + 0.0).tolist())
@@ -190,6 +188,12 @@ def _sampled_elements(modulus: int, count: int, rng) -> list[SympMat]:
 
 
 def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
+    import numpy as np
+
+    from .metaplectic import check_covariance_bound, covariance_residual, phase_defect, u_of
+    from .oracle import check_dense_bound, verify_sw_kernel, verify_uniqueness
+    from .qops import delta_cohendet, weyl_symmetric
+
     modulus = lattice_modulus(n, parity)
 
     def pick(default: float) -> float:
@@ -232,6 +236,7 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             )
             checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
     if suite in ("covariance", "all"):
+        check_covariance_bound(n)
         for name, mat in generators:
             unitary = u_of(mat, parity)
             checks.append(

@@ -24,15 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qops import (
-    EVEN,
-    ODD,
-    check_parity,
-    kernel_factors,
-    lattice_modulus,
-    unit_roots,
-)
-from .symplectic import SympMat, decompose
+from .lattice import EVEN, ODD, check_parity, lattice_modulus
+from .qops import kernel_factors, unit_roots
+from .symplectic import SYSTEM_BYTES_BOUND, BoundExceeded, SympMat, decompose
 
 
 class ParityMismatch(ValueError):
@@ -185,6 +179,23 @@ def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
     return ((s.a * m + s.b * n) % s.modulus, (s.c * m + s.d * n) % s.modulus)
 
 
+def check_covariance_bound(n: int) -> None:
+    """Refuse a covariance residual at dimension ``n`` before it starts.
+
+    covariance_residual holds three N^3 blocks: the gather and the product
+    block (complex) and the magnitude block (real), 40 bytes per N^3; its
+    tracemalloc peak was 41 bytes per N^3 at N = 63 and 95, the rest being
+    O(N^2) temporaries. BoundExceeded is raised when the blocks would
+    exceed SYSTEM_BYTES_BOUND, which admits odd N <= 187 and even N <= 188.
+    """
+    cube_bytes = n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
+    if cube_bytes > SYSTEM_BYTES_BOUND:
+        raise BoundExceeded(
+            f"covariance residual at dimension {n} needs {cube_bytes} bytes, "
+            f"above the bound of {SYSTEM_BYTES_BOUND}"
+        )
+
+
 def covariance_residual(u, s: SympMat, parity: str) -> float:
     """Worst-case covariance defect of ``u`` against ``s`` over all phase points.
 
@@ -199,7 +210,8 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     whole row of points. Since |c_xy| = 1, the defect at (x, y) has the
     norm of that product block minus conj(c_xy) Delta_(s.(x,y)), which
     touches only the N support entries of the image kernel. Cost: N^5
-    multiply-adds in N BLAS calls and O(N^3) memory.
+    multiply-adds in N BLAS calls and O(N^3) memory, bounded by
+    check_covariance_bound before anything is allocated.
 
     Even lattices need only the points j, k in [0, N) of the doubled grid.
     With wt^N = -1, Delta_(j+N,k) = (-1)^k Delta_(j,k) and
@@ -217,6 +229,7 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         raise DimensionMismatch(
             f"unitary is {matrix.shape}, expected {(n, n)} for modulus {s.modulus}"
         )
+    check_covariance_bound(n)
     rows = np.arange(n)
     xs = rows[:, None]
     cols, _, _, r = kernel_factors(n, parity, xs, 0)

@@ -17,17 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
-from .qops import (
-    EVEN,
-    ODD,
-    check_parity,
-    delta_family,
-    delta_leonhardt,
-    kernel_factors,
-    lattice_modulus,
-    unit_roots,
-)
+from .qops import delta_family, delta_leonhardt, kernel_factors, unit_roots
 from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-exported)
     SYSTEM_BYTES_BOUND,
     BoundExceeded,

@@ -17,7 +17,8 @@ from .modring import BothZero, ModulusMismatch, _check_modulus, euclid_trace
 ENUMERATION_BOUND = 12
 # Largest working set a bounded computation may allocate: the dense
 # covariance solve and kernel suites (points * N^4 complex entries: odd
-# N <= 15, even N <= 12), the gain-graph uniqueness solve and Wigner tables.
+# N <= 15, even N <= 12), the gain-graph uniqueness solve, the covariance
+# residual and Wigner tables.
 SYSTEM_BYTES_BOUND = 256 * 2**20
 
 
@@ -32,8 +33,9 @@ class DecompositionFailed(RuntimeError):
 class BoundExceeded(ValueError):
     """An input is beyond the bound of a size-limited computation: group
     enumeration and BFS (ENUMERATION_BOUND), or the dense covariance solve,
-    the dense kernel suites, the gain-graph uniqueness solve and Wigner
-    tables (SYSTEM_BYTES_BOUND). Raised before the work is allocated."""
+    the dense kernel suites, the gain-graph uniqueness solve, the covariance
+    residual and Wigner tables (SYSTEM_BYTES_BOUND). Raised before the work
+    is allocated."""
 
 
 class DepthExceeded(RuntimeError):

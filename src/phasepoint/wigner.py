@@ -14,15 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import DimensionMismatch
-from .qops import (
-    EVEN,
-    ODD,
-    check_parity,
-    lattice_modulus,
-    unit_roots,
-    weyl_leonhardt,
-)
+from .qops import unit_roots, weyl_leonhardt
 from .symplectic import SYSTEM_BYTES_BOUND, BoundExceeded
 
 NORM_TOL = 1e-8

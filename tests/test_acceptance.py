@@ -86,9 +86,8 @@ def test_criterion_01_odd_closed_forms_dimension_seven():
     got_plus = u_hplus(7, ODD).matrix[np.ix_(order, order)]
     expected_minus = np.diag(roots[np.array(HMINUS_7_EXPONENTS)])
     got_minus = u_hminus(7, ODD).matrix[np.ix_(order, order)]
-    deviation = max(
-        float(np.abs(got_plus - expected_plus).max()),
-        float(np.abs(got_minus - expected_minus).max()),
+    deviation = np.max(
+        [np.abs(got_plus - expected_plus).max(), np.abs(got_minus - expected_minus).max()]
     )
     elapsed = time.perf_counter() - start
     ok = deviation < 1e-12 and elapsed < 1.0
@@ -306,10 +305,11 @@ def test_criterion_11_wigner_properties():
 
 
 def test_criterion_12_quantization_sanity():
-    worst = 0.0
+    residuals = []
     for n in (3, 5):
         operator = weyl_quantize(np.full((n, n), 1.75), ODD)
-        worst = max(worst, float(np.abs(operator - 1.75 * np.eye(n)).max()))
+        residuals.append(np.abs(operator - 1.75 * np.eye(n)).max())
+    worst = np.max(residuals)
     ok = worst < 1e-12
     report(12, "quantization sanity", ok, f" (residual {worst:.2e})")
     assert worst < 1e-12

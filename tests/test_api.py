@@ -27,3 +27,24 @@ BENCHMARK_NAMES = [
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_benchmark_name_is_public(name):
     assert callable(getattr(phasepoint, name, None))
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(phasepoint)
+    for name in phasepoint.__all__:
+        assert getattr(phasepoint, name) is not None
+        assert name in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        phasepoint.no_such_name
+    assert not hasattr(phasepoint, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from phasepoint import *", namespace)
+    assert set(phasepoint.__all__) <= set(namespace)
+    for name in phasepoint.__all__:
+        assert namespace[name] is getattr(phasepoint, name)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasepoint import cli
+from phasepoint import metaplectic  # the CLI reads covariance_residual here at call time
 from phasepoint.cli import main
 from phasepoint.qops import delta_family
 from phasepoint.symplectic import SympMat
@@ -258,9 +258,9 @@ def test_verify_tol_override(capsys):
 def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     # -I is no generator, so only the whole-group check sees the NaN
     target = SympMat(2, 0, 0, 2, 3)
-    residual = cli.covariance_residual
+    residual = metaplectic.covariance_residual
     monkeypatch.setattr(
-        cli,
+        metaplectic,
         "covariance_residual",
         lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
     )
@@ -282,9 +282,9 @@ def strict_json(text):
 
 def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
     target = SympMat(2, 0, 0, 2, 3)
-    residual = cli.covariance_residual
+    residual = metaplectic.covariance_residual
     monkeypatch.setattr(
-        cli,
+        metaplectic,
         "covariance_residual",
         lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
     )
@@ -302,7 +302,7 @@ def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_rep_writes_non_finite_residual_as_null(capsys, monkeypatch, value):
-    monkeypatch.setattr(cli, "covariance_residual", lambda u, s, parity: value)
+    monkeypatch.setattr(metaplectic, "covariance_residual", lambda u, s, parity: value)
     code, out, _ = run(capsys, "rep", "--dim", "3", "--parity", "odd", "--matrix", "1,1,0,1")
     assert code == 0
     assert strict_json(out)["covariance_residual"] is None
@@ -361,6 +361,23 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
     # The dense kernel suites share the covariance system's bound (odd
     # N <= 15, even N <= 12); "all" at N = 31 is refused by the sw suite
     # even though its uniqueness checks alone would pass.
+    child = run_capped(*argv)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep", "--dim", "255", "--parity", "odd", "--matrix", "1,1,0,1"),
+        ("rep", "--dim", "256", "--parity", "even", "--matrix", "1,1,0,1"),
+        ("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance"),
+    ],
+)
+def test_covariance_above_bound_exits_two(argv):
+    # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
+    # and even N = 188; rep refuses before it builds U(S).
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""

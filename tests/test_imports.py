@@ -1,0 +1,82 @@
+"""The package root and the decompose command must run without numpy.
+
+The child process poisons ``numpy`` in ``sys.modules`` before anything from
+phasepoint is imported, so any import of numpy (direct, or through a numeric
+layer) raises ImportError there and fails the test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = r"""
+import contextlib
+import io
+import json
+import sys
+
+sys.modules["numpy"] = None
+
+import phasepoint
+from phasepoint import cli, symplectic
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def fail_decompose(s, method="euclid"):
+    raise symplectic.DecompositionFailed("injected failure")
+
+
+def wrong_word(s, method="euclid"):
+    return symplectic.GenWord((), s.modulus)
+
+
+results = {"help": run("--help")}
+for method in ("euclid", "bfs"):
+    dec = ("decompose", "--method", method, "--modulus")
+    results[method] = [
+        run(*dec, "11", "--matrix", "2,1,1,1"),
+        run(*dec, "11", "--matrix", "1,1,1,1"),
+        run(*dec, "11", "--matrix", "1,2"),
+        run(*dec, "1", "--matrix", "1,0,0,1"),
+    ]
+    if method == "bfs":
+        results[method].append(run(*dec, "1009", "--matrix", "2,1,1,1"))
+    for fake in (fail_decompose, wrong_word):
+        cli.decompose = fake
+        results[method].append(run(*dec, "11", "--matrix", "2,1,1,1"))
+    cli.decompose = symplectic.decompose
+results["numeric_modules"] = sorted(
+    name for name in sys.modules
+    if name.startswith("phasepoint.") and name.split(".")[1] in
+    ("qops", "metaplectic", "wigner", "oracle")
+)
+print(json.dumps(results))
+"""
+
+
+def test_root_and_decompose_import_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    assert results["help"]["code"] == 0
+    assert "decompose" in results["help"]["out"]
+    for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):
+        runs = results[method]
+        assert [r["code"] for r in runs] == expected
+        assert json.loads(runs[0]["out"])["verified"] is True
+        for r in runs[1:]:
+            assert r["out"] == ""
+            assert r["err"].startswith("error:")
+    assert results["numeric_modules"] == []

@@ -5,10 +5,12 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import random_symplectic
+from phasepoint import metaplectic
 from phasepoint.metaplectic import (
     DimensionMismatch,
     ParityMismatch,
     apply_point,
+    check_covariance_bound,
     covariance_residual,
     default_tolerance,
     equal_up_to_phase,
@@ -29,7 +31,7 @@ from phasepoint.qops import (
     symmetric_order,
     unit_roots,
 )
-from phasepoint.symplectic import SympMat, enumerate_group, generator, h_t
+from phasepoint.symplectic import BoundExceeded, SympMat, enumerate_group, generator, h_t
 
 
 def test_u_hminus_small_odd_cases():
@@ -247,3 +249,28 @@ def test_covariance_residual_memory_is_cubic():
         tracemalloc.stop()
     assert residual < default_tolerance(63)
     assert peak < 32 * 2**20
+
+
+def test_covariance_residual_refuses_dimensions_above_byte_bound(monkeypatch):
+    s = generator("+", 3)
+    unitary = u_of(s, ODD).matrix
+    cube_bytes = 3**3 * 40  # gather and product blocks (complex), magnitudes (real)
+    monkeypatch.setattr(metaplectic, "SYSTEM_BYTES_BOUND", cube_bytes)
+    assert covariance_residual(unitary, s, ODD) < 1e-12
+    monkeypatch.setattr(metaplectic, "SYSTEM_BYTES_BOUND", cube_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        covariance_residual(unitary, s, ODD)
+
+
+@pytest.mark.parametrize("n", [187, 188])
+def test_covariance_bound_admits_largest_sizes(n):
+    # odd N = 187 and even N = 188 are the largest sizes that fit in 256 MiB
+    check_covariance_bound(n)
+
+
+@pytest.mark.parametrize("n,parity", [(189, ODD), (190, EVEN)])
+def test_covariance_bound_refuses_next_sizes(n, parity):
+    # refused before the N^3 blocks are allocated, so the call returns at once
+    modulus = n if parity == ODD else 2 * n
+    with pytest.raises(BoundExceeded):
+        covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
