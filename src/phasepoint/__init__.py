@@ -36,7 +36,6 @@ _NAMES_BY_MODULE = {
         "phase_points",
         "shift_op",
         "unit_roots",
-        "weyl_cohendet",
         "weyl_leonhardt",
         "weyl_symmetric",
     ),
@@ -55,6 +54,7 @@ _NAMES_BY_MODULE = {
         "group_order",
         "h_t",
         "multiply",
+        "random_element",
     ),
     "metaplectic": (
         "DimensionMismatch",

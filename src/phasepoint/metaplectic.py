@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .qops import kernel_factors, unit_roots
-from .symplectic import SYSTEM_BYTES_BOUND, BoundExceeded, SympMat, decompose
+from .symplectic import SympMat, check_bytes, decompose
 
 
 class ParityMismatch(ValueError):
@@ -185,15 +185,11 @@ def check_covariance_bound(n: int) -> None:
     covariance_residual holds three N^3 blocks: the gather and the product
     block (complex) and the magnitude block (real), 40 bytes per N^3; its
     tracemalloc peak was 41 bytes per N^3 at N = 63 and 95, the rest being
-    O(N^2) temporaries. BoundExceeded is raised when the blocks would
-    exceed SYSTEM_BYTES_BOUND, which admits odd N <= 187 and even N <= 188.
+    O(N^2) temporaries. check_bytes refuses blocks above the byte bound,
+    which admits odd N <= 187 and even N <= 188.
     """
     cube_bytes = n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
-    if cube_bytes > SYSTEM_BYTES_BOUND:
-        raise BoundExceeded(
-            f"covariance residual at dimension {n} needs {cube_bytes} bytes, "
-            f"above the bound of {SYSTEM_BYTES_BOUND}"
-        )
+    check_bytes(f"covariance residual at dimension {n}", cube_bytes)
 
 
 def covariance_residual(u, s: SympMat, parity: str) -> float:

@@ -21,11 +21,10 @@ from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
 from .qops import delta_family, delta_leonhardt, kernel_factors, unit_roots
 from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-exported)
-    SYSTEM_BYTES_BOUND,
-    BoundExceeded,
     DepthExceeded,
     SympMat,
     bfs_decompose,
+    check_bytes,
 )
 
 SVD_CUTOFF = 1e-9
@@ -36,17 +35,13 @@ def check_dense_bound(what: str, points: int, dim: int) -> None:
     """Refuse a dense computation over ``points`` phase point operators of
     dimension ``dim`` before it starts.
 
-    Raises BoundExceeded when points * dim^4 complex entries, the size of the
-    stacked covariance system, exceed SYSTEM_BYTES_BOUND bytes. On the full
-    grid that admits odd N <= 15 and even N <= 12; the dense kernel suites
-    share the bound.
+    Raises BoundExceeded (check_bytes) when points * dim^4 complex entries,
+    the size of the stacked covariance system, exceed the byte bound. On the
+    full grid that admits odd N <= 15 and even N <= 12; the dense kernel
+    suite shares the bound.
     """
     size = points * dim**4 * np.dtype(complex).itemsize
-    if size > SYSTEM_BYTES_BOUND:
-        raise BoundExceeded(
-            f"{what} of {points} points at dimension {dim} needs {size} bytes, "
-            f"above the bound of {SYSTEM_BYTES_BOUND}"
-        )
+    check_bytes(f"{what} of {points} points at dimension {dim}", size)
 
 
 @dataclass(eq=False)
@@ -80,7 +75,7 @@ def solve_covariance(
     under the action of ``s`` (its keys are taken mod s.modulus).
 
     Raises BoundExceeded, before building anything, when the stacked system
-    (points * N^4 complex entries) would exceed SYSTEM_BYTES_BOUND bytes.
+    (points * N^4 complex entries) would exceed the byte bound.
     """
     points = sorted(deltas)
     if not points:
@@ -181,23 +176,23 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
 
     translation = None
     if parity == ODD:
-        # W(m', n')^dag Delta_(m, n) W(m', n') = Delta_(m - 2m', n - 2n'):
-        # rolling the grid by (2m', 2n') lines each point up with its image.
-        # weyl_cohendet(n, m', n') has its one nonzero of column t in row
-        # t + 2m', equal to w^(2n'(t + m')), so (W^dag K W)[a, b] is
-        # K[a + 2m', b + 2m'] times w^(2n'(b - a)): one gather per m' serves
+        # W(m', n')^dag Delta_(m, n) W(m', n') = Delta_(m - m', n - n') for
+        # W = weyl_symmetric(n, m', n'): rolling the grid by (m', n') lines
+        # each point up with its image. Column t of W has its one nonzero in
+        # row t + m', equal to w^(n'(t + m') - m'n'/2), so (W^dag K W)[a, b]
+        # is K[a + m', b + m'] times w^(n'(b - a)): one gather per m' serves
         # every n'.
         idx = np.arange(n)
         grid = stack.reshape(n, n, n, n)
-        # phases[n', a, b] = w^(2n'(b - a))
-        phases = unit_roots(n)[(2 * idx[:, None, None] * (idx - idx[:, None])) % n]
-        # images[x, n', y] = grid[x, y - 2n'], the grid rolled by 2n' along y
-        images = grid[:, (idx - 2 * idx[:, None]) % n]
+        # phases[n', a, b] = w^(n'(b - a))
+        phases = unit_roots(n)[(idx[:, None, None] * (idx - idx[:, None])) % n]
+        # images[x, n', y] = grid[x, y - n'], the grid rolled by n' along y
+        images = grid[:, (idx - idx[:, None]) % n]
         defects = []
         for mp in range(n):
-            shift = (idx + 2 * mp) % n
+            shift = (idx + mp) % n
             conjugated = grid[:, :, shift[:, None], shift][:, None] * phases[:, None]
-            moved = images[(idx - 2 * mp) % n]
+            moved = images[(idx - mp) % n]
             defects.append(np.abs(conjugated - moved).max())
         translation = float(np.max(defects))
     return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
@@ -240,7 +235,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     phases found.
 
     Raises BoundExceeded, before building anything, when the edge arrays
-    would exceed SYSTEM_BYTES_BOUND bytes.
+    would exceed the byte bound.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
@@ -249,11 +244,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     # A round holds about three int64 words and a flag per edge (26 B
     # measured at the bound); four words leave room for the per-point tables.
     graph_bytes = edges * 4 * np.dtype(np.int64).itemsize
-    if graph_bytes > SYSTEM_BYTES_BOUND:
-        raise BoundExceeded(
-            f"uniqueness graph of {edges} edges at dimension {n} needs "
-            f"{graph_bytes} bytes, above the bound of {SYSTEM_BYTES_BOUND}"
-        )
+    check_bytes(f"uniqueness graph of {edges} edges at dimension {n}", graph_bytes)
     xs, ys = np.divmod(np.arange(side * side), side)
     xs, ys = xs[:, None], ys[:, None]
     source = kernel_factors(n, parity, xs, ys)

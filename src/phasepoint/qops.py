@@ -61,19 +61,6 @@ def half_exponent(n: int) -> int:
     return (n + 1) // 2
 
 
-def weyl_cohendet(n: int, m: int, nn: int) -> np.ndarray:
-    """Odd-lattice Weyl operator w^(-2 m nn) Q^(2 nn) P^(-2 m).
-
-    Column t carries w^(2 nn (t + m)) in row (t + 2m) mod N.
-    """
-    check_parity(n, ODD)
-    roots = unit_roots(n)
-    cols = np.arange(n)
-    w = np.zeros((n, n), dtype=complex)
-    w[(cols + 2 * m) % n, cols] = roots[(2 * nn * (cols + m)) % n]
-    return w
-
-
 def weyl_symmetric(n: int, m: int, nn: int) -> np.ndarray:
     """Odd-lattice Weyl operator in the symmetric normalization.
 

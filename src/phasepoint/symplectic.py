@@ -15,10 +15,8 @@ from functools import lru_cache
 from .modring import BothZero, ModulusMismatch, _check_modulus, euclid_trace
 
 ENUMERATION_BOUND = 12
-# Largest working set a bounded computation may allocate: the dense
-# covariance solve and kernel suites (points * N^4 complex entries: odd
-# N <= 15, even N <= 12), the gain-graph uniqueness solve, the covariance
-# residual and Wigner tables.
+# Largest working set a bounded computation may allocate; check_bytes is the
+# one place that reads it.
 SYSTEM_BYTES_BOUND = 256 * 2**20
 
 
@@ -32,10 +30,17 @@ class DecompositionFailed(RuntimeError):
 
 class BoundExceeded(ValueError):
     """An input is beyond the bound of a size-limited computation: group
-    enumeration and BFS (ENUMERATION_BOUND), or the dense covariance solve,
-    the dense kernel suites, the gain-graph uniqueness solve, the covariance
-    residual and Wigner tables (SYSTEM_BYTES_BOUND). Raised before the work
-    is allocated."""
+    enumeration and BFS (ENUMERATION_BOUND), or a working set above
+    SYSTEM_BYTES_BOUND (check_bytes). Raised before the work is allocated."""
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Refuse ``what`` before it starts when it needs more than
+    SYSTEM_BYTES_BOUND bytes. Callers keep their own byte formulas."""
+    if nbytes > SYSTEM_BYTES_BOUND:
+        raise BoundExceeded(
+            f"{what} needs {nbytes} bytes, above the bound of {SYSTEM_BYTES_BOUND}"
+        )
 
 
 class DepthExceeded(RuntimeError):
@@ -169,6 +174,16 @@ class GenWord:
         for sign, exponent in self.factors:
             result = result @ generator_power(sign, exponent, self.modulus)
         return result
+
+
+def random_element(modulus: int, rng, length: int = 6) -> SympMat:
+    """The product of ``length`` random generator powers; ``rng`` is any
+    generator with a numpy-style ``integers`` method."""
+    factors = tuple(
+        ("+" if rng.integers(2) else "-", int(rng.integers(1, modulus)))
+        for _ in range(length)
+    )
+    return GenWord(factors, modulus).evaluate()
 
 
 def decompose(s: SympMat, method: str = "euclid") -> GenWord:

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import DimensionMismatch
 from .qops import unit_roots, weyl_leonhardt
-from .symplectic import SYSTEM_BYTES_BOUND, BoundExceeded
+from .symplectic import check_bytes
 
 NORM_TOL = 1e-8
 
@@ -129,18 +129,14 @@ def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> Wigne
 
     All rows go through one batched FFT: O(N^2 log N) time, O(N^2) memory.
     The transform holds about four complex words per table cell at its
-    peak; BoundExceeded, raised before any of it is built, keeps that under
-    SYSTEM_BYTES_BOUND (odd N <= 2047, even N <= 1024).
+    peak; check_bytes, called before any of it is built, keeps that under
+    the byte bound (odd N <= 2047, even N <= 1024).
     """
     n = state.dim
     check_parity(n, parity)
     modulus = lattice_modulus(n, parity)
     table_bytes = modulus * modulus * 4 * np.dtype(complex).itemsize
-    if table_bytes > SYSTEM_BYTES_BOUND:
-        raise BoundExceeded(
-            f"Wigner table of {modulus} x {modulus} cells needs {table_bytes} bytes, "
-            f"above the bound of {SYSTEM_BYTES_BOUND}"
-        )
+    check_bytes(f"Wigner table of {modulus} x {modulus} cells", table_bytes)
     step = _step(parity)
     amps = state.amplitudes
     x = np.arange(modulus).reshape(-1, 1)

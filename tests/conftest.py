@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phasepoint.symplectic import GenWord
+from phasepoint import symplectic
+from phasepoint.symplectic import random_element
 from phasepoint.wigner import QuantumState
 
 
@@ -11,13 +12,19 @@ def random_state(n, rng):
 
 
 def random_symplectic(modulus, rng, length=6):
-    factors = tuple(
-        ("+" if rng.integers(2) else "-", int(rng.integers(1, modulus)))
-        for _ in range(length)
-    )
-    return GenWord(factors, modulus).evaluate()
+    return random_element(modulus, rng, length)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def byte_bound(monkeypatch):
+    """Set the system byte bound for one test: byte_bound(nbytes)."""
+
+    def set_bound(nbytes):
+        monkeypatch.setattr(symplectic, "SYSTEM_BYTES_BOUND", nbytes)
+
+    return set_bound

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasepoint import metaplectic  # the CLI reads covariance_residual here at call time
-from phasepoint.cli import main
+from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
+from phasepoint.cli import PROJECTIVITY_PAIRS, main
 from phasepoint.qops import delta_family
 from phasepoint.symplectic import SympMat
 
@@ -245,6 +245,47 @@ def test_verify_translation_even_rejected(capsys):
     assert code == 2
 
 
+def test_verify_translation_reports_kernel_suite_figure(capsys):
+    code, out, _ = run(capsys, "verify", "--dim", "5", "--parity", "odd", "--suite", "translation")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "translation_weyl"
+    assert check["max_residual"] == oracle.verify_sw_kernel("odd", 5).translation_covariance
+
+
+def test_verify_all_runs_kernel_suite_once(capsys, monkeypatch):
+    calls = []
+    suite = oracle.verify_sw_kernel
+
+    def counted(parity, n):
+        calls.append((parity, n))
+        return suite(parity, n)
+
+    monkeypatch.setattr(oracle, "verify_sw_kernel", counted)
+    code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "all")
+    assert code == 0
+    assert calls == [("odd", 3)]
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "sw_translation_covariance" in names
+    assert "translation_weyl" not in names
+
+
+@pytest.mark.parametrize("parity,dim", [("odd", 3), ("even", 2)])
+def test_verify_projectivity_byte_bound(capsys, byte_bound, parity, dim):
+    # the U(S) cache: three N x N complex unitaries per sampled pair
+    cache_bytes = 3 * PROJECTIVITY_PAIRS * dim**2 * 16
+    byte_bound(cache_bytes)
+    argv = ("verify", "--dim", str(dim), "--parity", parity, "--suite", "projectivity")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    byte_bound(cache_bytes - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "bound" in err
+
+
 def test_verify_tol_override(capsys):
     code, out, _ = run(
         capsys,
@@ -378,6 +419,23 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
 def test_covariance_above_bound_exits_two(argv):
     # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
     # and even N = 188; rep refuses before it builds U(S).
+    child = run_capped(*argv)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--dim", "169", "--parity", "odd", "--suite", "projectivity"),
+        ("verify", "--dim", "168", "--parity", "even", "--suite", "projectivity"),
+        ("verify", "--dim", "20001", "--parity", "odd", "--suite", "projectivity"),
+    ],
+)
+def test_projectivity_above_bound_exits_two(argv):
+    # The cache of 600 N x N unitaries passes 256 MiB above odd N = 167 and
+    # even N = 166; at N = 20001 one generator alone is several GB.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""

@@ -5,7 +5,6 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import random_symplectic
-from phasepoint import metaplectic
 from phasepoint.metaplectic import (
     DimensionMismatch,
     ParityMismatch,
@@ -251,13 +250,13 @@ def test_covariance_residual_memory_is_cubic():
     assert peak < 32 * 2**20
 
 
-def test_covariance_residual_refuses_dimensions_above_byte_bound(monkeypatch):
+def test_covariance_residual_refuses_dimensions_above_byte_bound(byte_bound):
     s = generator("+", 3)
     unitary = u_of(s, ODD).matrix
     cube_bytes = 3**3 * 40  # gather and product blocks (complex), magnitudes (real)
-    monkeypatch.setattr(metaplectic, "SYSTEM_BYTES_BOUND", cube_bytes)
+    byte_bound(cube_bytes)
     assert covariance_residual(unitary, s, ODD) < 1e-12
-    monkeypatch.setattr(metaplectic, "SYSTEM_BYTES_BOUND", cube_bytes - 1)
+    byte_bound(cube_bytes - 1)
     with pytest.raises(BoundExceeded):
         covariance_residual(unitary, s, ODD)
 

@@ -4,7 +4,7 @@ from numpy.linalg import matrix_power
 
 from conftest import random_symplectic
 from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
-from phasepoint import oracle, qops
+from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
     bfs_decompose,
     integer_point_family,
@@ -12,7 +12,7 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import EVEN, ODD, delta_family, weyl_cohendet
+from phasepoint.qops import EVEN, ODD, delta_family, weyl_symmetric
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -118,12 +118,12 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
         bfs_decompose(h_t(1009))
 
 
-def test_solve_covariance_refuses_systems_above_byte_bound(monkeypatch):
+def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
     family = dict(delta_family(3, ODD))
     system_bytes = len(family) * 3**4 * 16
-    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", system_bytes)
+    byte_bound(system_bytes)
     assert solve_covariance(generator("+", 3), family).nullity == 1
-    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", system_bytes - 1)
+    byte_bound(system_bytes - 1)
     with pytest.raises(BoundExceeded):
         solve_covariance(generator("+", 3), family)
 
@@ -134,7 +134,7 @@ def test_solve_covariance_refuses_systems_above_byte_bound(monkeypatch):
 def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
     # full-grid families: N^2 points at odd N, (2N)^2 on the doubled grid
     points = n**2 if parity == ODD else (2 * n) ** 2
-    assert (points * n**4 * 16 <= oracle.SYSTEM_BYTES_BOUND) == allowed
+    assert (points * n**4 * 16 <= symplectic.SYSTEM_BYTES_BOUND) == allowed
 
 
 def test_sw_kernel_odd():
@@ -242,11 +242,11 @@ def test_uniqueness_builds_no_kernel_cache():
     assert delta_family.cache_info().currsize == 0
 
 
-def test_uniqueness_refuses_graphs_above_byte_bound(monkeypatch):
+def test_uniqueness_refuses_graphs_above_byte_bound(byte_bound):
     graph_bytes = 3**2 * 3**2 * 32  # N^2 points at odd N = 3, N^2 edges each
-    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", graph_bytes)
+    byte_bound(graph_bytes)
     assert verify_uniqueness(h_t(3), ODD).nullity == 1
-    monkeypatch.setattr(oracle, "SYSTEM_BYTES_BOUND", graph_bytes - 1)
+    byte_bound(graph_bytes - 1)
     with pytest.raises(BoundExceeded):
         verify_uniqueness(h_t(3), ODD)
 
@@ -287,7 +287,7 @@ def test_sw_translation_matches_dense_conjugation(n):
     worst = []
     for mp in range(n):
         for np_ in range(n):
-            weyl = weyl_cohendet(n, mp, np_)
+            weyl = weyl_symmetric(n, 2 * mp, 2 * np_)
             for (m, nn), delta in family.items():
                 moved = family[((m - 2 * mp) % n, (nn - 2 * np_) % n)]
                 worst.append(np.abs(weyl.conj().T @ delta @ weyl - moved).max())

@@ -15,7 +15,6 @@ from phasepoint.qops import (
     phase_points,
     shift_op,
     unit_roots,
-    weyl_cohendet,
     weyl_leonhardt,
     weyl_symmetric,
 )
@@ -62,29 +61,30 @@ def test_half_exponent():
         half_exponent(4)
 
 
-def naive_weyl_cohendet(n, m, nn):
-    """Oracle route: explicit operator products instead of exponent tables."""
+def naive_weyl_doubled(n, m, nn):
+    """Oracle route: explicit operator products instead of exponent tables,
+    for w^(-2 m nn) Q^(2 nn) P^(-2 m) = weyl_symmetric(n, 2m, 2nn)."""
     q, p = phase_op(n), shift_op(n)
     p_inv = p.conj().T
     phase = np.exp(-4j * np.pi * m * nn / n)
     return phase * matrix_power(q, 2 * nn % n) @ matrix_power(p_inv, 2 * m % n)
 
 
-def test_weyl_cohendet_against_product_route():
+def test_weyl_doubled_labels_against_product_route():
     for n in (3, 5):
         for m in range(n):
             for nn in range(n):
-                direct = weyl_cohendet(n, m, nn)
-                assert np.abs(direct - naive_weyl_cohendet(n, m, nn)).max() < 1e-12
+                direct = weyl_symmetric(n, 2 * m, 2 * nn)
+                assert np.abs(direct - naive_weyl_doubled(n, m, nn)).max() < 1e-12
                 assert_unitary(direct)
 
 
-def test_weyl_cohendet_simple_cases():
-    assert np.abs(weyl_cohendet(3, 0, 0) - np.eye(3)).max() < TOL
+def test_weyl_doubled_labels_simple_cases():
+    assert np.abs(weyl_symmetric(3, 0, 0) - np.eye(3)).max() < TOL
     # P^-2 = P at N=3 since P^3 = 1
-    assert np.abs(weyl_cohendet(3, 1, 0) - shift_op(3)).max() < TOL
+    assert np.abs(weyl_symmetric(3, 2, 0) - shift_op(3)).max() < TOL
     with pytest.raises(ParityError):
-        weyl_cohendet(4, 0, 0)
+        weyl_symmetric(4, 0, 0)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -93,7 +93,7 @@ def test_weyl_translation_covariance(n):
     fam = delta_family(n, ODD)
     for mp in range(n):
         for np_ in range(n):
-            w = weyl_cohendet(n, mp, np_)
+            w = weyl_symmetric(n, 2 * mp, 2 * np_)
             for m in range(n):
                 for nn in range(n):
                     lhs = w.conj().T @ fam[(m, nn)] @ w
@@ -129,7 +129,7 @@ def test_delta_cohendet_against_weyl_product():
         for m in range(n):
             for nn in range(n):
                 assert (
-                    np.abs(delta_cohendet(n, m, nn) - weyl_cohendet(n, m, nn) @ t).max()
+                    np.abs(delta_cohendet(n, m, nn) - weyl_symmetric(n, 2 * m, 2 * nn) @ t).max()
                     < 1e-12
                 )
 

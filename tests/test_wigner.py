@@ -13,7 +13,6 @@ from phasepoint.qops import (
     phase_points,
     unit_roots,
 )
-from phasepoint import wigner
 from phasepoint.symplectic import BoundExceeded, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
@@ -267,12 +266,12 @@ def test_large_dimension_ladder(n, parity, rng):
     assert np.abs(quantized - np.outer(amps, amps.conj()) / n).max() < 1e-12
 
 
-def test_wigner_refuses_tables_above_byte_bound(monkeypatch):
+def test_wigner_refuses_tables_above_byte_bound(byte_bound):
     state = QuantumState.basis(3, 0)
     table_bytes = 3 * 3 * 64  # four complex words per cell of the 3 x 3 grid
-    monkeypatch.setattr(wigner, "SYSTEM_BYTES_BOUND", table_bytes)
+    byte_bound(table_bytes)
     assert wigner_of(state, ODD).total == pytest.approx(1.0)
-    monkeypatch.setattr(wigner, "SYSTEM_BYTES_BOUND", table_bytes - 1)
+    byte_bound(table_bytes - 1)
     with pytest.raises(BoundExceeded):
         wigner_of(state, ODD)
 
