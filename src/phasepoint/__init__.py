@@ -42,7 +42,6 @@ _NAMES_BY_MODULE = {
     "symplectic": (
         "BoundExceeded",
         "DecompositionFailed",
-        "DepthExceeded",
         "GenWord",
         "NotSymplectic",
         "SympMat",

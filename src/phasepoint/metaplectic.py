@@ -46,7 +46,8 @@ class ProjUnitary:
     modulus: int
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        # a copy: freezing the caller's own array would be a side effect
+        mat = np.array(self.matrix, dtype=complex)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -139,23 +140,26 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
-    """Test whether a = phase * b for a unit-modulus scalar phase.
-
-    Both arguments must be unitary for the test to be meaningful: it checks
-    that a b^dag is within ``tol`` of phase * identity and returns the phase.
-    """
+def _phase_fit(a, b) -> tuple[complex, float]:
+    """The phase c = Tr(a b^dag) / N and the residual max |a b^dag - c I|."""
     a = _as_matrix(a)
     b = _as_matrix(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     product = a @ b.conj().T
     phase = complex(np.trace(product) / a.shape[0])
+    return phase, float(np.abs(product - phase * np.eye(a.shape[0])).max())
+
+
+def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
+    """Test whether a = phase * b for a unit-modulus scalar phase.
+
+    Both arguments must be unitary for the test to be meaningful: it checks
+    that a b^dag is within ``tol`` of phase * identity and returns the phase.
+    """
+    phase, residual = _phase_fit(a, b)
     # Written as "not <=" so that a NaN fails both tests.
-    if not abs(abs(phase) - 1.0) <= tol:
-        return PhaseMatch(False, None)
-    defect = np.abs(product - phase * np.eye(a.shape[0])).max()
-    if not defect <= tol:
+    if not (abs(abs(phase) - 1.0) <= tol and residual <= tol):
         return PhaseMatch(False, None)
     return PhaseMatch(True, phase)
 
@@ -163,13 +167,7 @@ def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
 def phase_defect(a, b) -> float:
     """Distance from 'equal up to a unit phase': max of the residual matrix
     norm against the best phase and the phase's deviation from unit modulus."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    product = a @ b.conj().T
-    phase = complex(np.trace(product) / a.shape[0])
-    residual = float(np.abs(product - phase * np.eye(a.shape[0])).max())
+    phase, residual = _phase_fit(a, b)
     return max(residual, abs(abs(phase) - 1.0))
 
 

@@ -1,13 +1,13 @@
 """Independent verification of the representation and kernel claims.
 
-Nothing here reuses the closed forms it checks. Uniqueness is an exact
-count: every phase point operator has one nonzero entry per row, so each
-equation of U Delta_p = Delta_(S.p) U ties two entries of U by a root of
-unity, and the solution space is read off a gain graph over integer phases
-(verify_uniqueness). The same relation solved as a dense homogeneous linear
-system (solve_covariance) is the floating-point cross-check at small N.
-Factorizations come from breadth-first search, and the kernel properties
-are measured directly.
+Nothing here reuses the closed forms it checks. Every phase point operator
+is monomial, Delta_p[i, sigma_p(i)] = rho^(e_p(i)), so the exact oracles
+read the integer tables of kernel_factors and build no dense kernel:
+uniqueness is the solution count of a gain graph over integer phases
+(verify_uniqueness), and the kernel properties are table identities
+(verify_sw_kernel). Solving the covariance relation as a dense linear
+system (solve_covariance) is the floating-point cross-check at small N, and
+factorizations come from breadth-first search.
 """
 
 from __future__ import annotations
@@ -19,29 +19,19 @@ import numpy as np
 
 from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
-from .qops import delta_family, delta_leonhardt, kernel_factors, unit_roots
-from .symplectic import (  # noqa: F401  (DepthExceeded, bfs_decompose re-exported)
-    DepthExceeded,
-    SympMat,
-    bfs_decompose,
-    check_bytes,
-)
+from .qops import delta_leonhardt, kernel_factors, unit_roots
+from .symplectic import SympMat, bfs_decompose, check_bytes  # noqa: F401 (re-exported)
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
 
 
-def check_dense_bound(what: str, points: int, dim: int) -> None:
-    """Refuse a dense computation over ``points`` phase point operators of
-    dimension ``dim`` before it starts.
-
-    Raises BoundExceeded (check_bytes) when points * dim^4 complex entries,
-    the size of the stacked covariance system, exceed the byte bound. On the
-    full grid that admits odd N <= 15 and even N <= 12; the dense kernel
-    suite shares the bound.
-    """
-    size = points * dim**4 * np.dtype(complex).itemsize
-    check_bytes(f"{what} of {points} points at dimension {dim}", size)
+def _check_table_bytes(what: str, n: int, parity: str) -> None:
+    """Refuse ``what`` above 4 int64 words per (lattice point, matrix entry)
+    pair: odd N <= 53, even N <= 38. (The uniqueness graph measured 26 B.)"""
+    pairs = lattice_modulus(n, parity) ** 2 * n * n
+    size = pairs * 4 * np.dtype(np.int64).itemsize
+    check_bytes(f"{what} over {pairs} (point, entry) pairs at dimension {n}", size)
 
 
 @dataclass(eq=False)
@@ -61,27 +51,26 @@ class CovarianceSolution:
 
 
 def solve_covariance(
-    s: SympMat,
-    deltas: Mapping[tuple[int, int], np.ndarray],
-    cutoff: float = SVD_CUTOFF,
-    unitary_tol: float = UNITARY_TOL,
+    s: SympMat, deltas: Mapping[tuple[int, int], np.ndarray]
 ) -> CovarianceSolution:
     """Solve U Delta_p - Delta_(S.p) U = 0 over all points p of ``deltas``.
 
     The N^2 entries of U are the unknowns; with row-major vectorization each
     point contributes the block kron(I, Delta_p^T) - kron(Delta_(S.p), I).
     The numerical nullity is the number of singular values at or below
-    ``cutoff`` relative to the largest one. The point set must be closed
+    SVD_CUTOFF relative to the largest one. The point set must be closed
     under the action of ``s`` (its keys are taken mod s.modulus).
 
     Raises BoundExceeded, before building anything, when the stacked system
-    (points * N^4 complex entries) would exceed the byte bound.
+    (points * N^4 complex entries) would exceed the byte bound: above odd
+    N = 15 and even N = 12 on the full grid.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
-    check_dense_bound("covariance system", len(points), dim)
+    size = len(points) * dim**4 * np.dtype(complex).itemsize
+    check_bytes(f"covariance system of {len(points)} points at dimension {dim}", size)
     eye = np.eye(dim)
     blocks = []
     for point in points:
@@ -95,10 +84,10 @@ def solve_covariance(
     # whole null space, and the tall left factor is never formed
     _, singular, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
     largest = singular[0] if singular.size else 0.0
-    threshold = cutoff * (largest if largest > 0 else 1.0)
+    threshold = SVD_CUTOFF * (largest if largest > 0 else 1.0)
     rank = int((singular > threshold).sum())
     basis = [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
-    unitary = _unitarize(basis[0], unitary_tol) if len(basis) == 1 else None
+    unitary = _unitarize(basis[0], UNITARY_TOL) if len(basis) == 1 else None
     return CovarianceSolution(len(basis), basis, unitary, singular)
 
 
@@ -120,9 +109,12 @@ def integer_point_family(n: int) -> dict[tuple[int, int], np.ndarray]:
 
     Keys (m, nn) run over Z_N x Z_N and map to the doubled-coordinate kernel
     at (2m, 2nn). Feeding this family to solve_covariance probes whether the
-    unextended modulus-N group alone pins down a representation.
+    unextended modulus-N group alone pins down a representation. Its 16 N^4
+    bytes are refused before anything is built above N = 64.
     """
     check_parity(n, EVEN)
+    size = n**4 * np.dtype(complex).itemsize
+    check_bytes(f"integer point family of {n * n} points at dimension {n}", size)
     return {
         (m, nn): delta_leonhardt(n, 2 * m, 2 * nn)
         for m in range(n)
@@ -159,43 +151,77 @@ class SWKernelReport:
 def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     """Measure hermiticity, trace, pairwise traciality and translation covariance.
 
-    Works on the dense kernel stack, so it shares solve_covariance's size
-    bound (check_dense_bound): BoundExceeded above odd N = 15 and even N = 12.
+    Read from the kernel_factors tables sigma_p (cols) and e_p (exponents),
+    with a_p(i) = rho^(e_p(i)) in row i: hermiticity is |a(i) -
+    [sigma(sigma(i)) = i] conj(a(sigma(i)))|, the trace sums a(i) over the
+    fixed points of sigma, and Tr(Delta_p^dag Delta_q) sums conj(a_p) a_q
+    over the rows where sigma_p and sigma_q agree. Any two permutations must
+    agree on every row or on none (else ValueError), so the Gram matrix is
+    block diagonal over the classes of equal permutations. Translation
+    (_translation_defect) is O(N^5) integer work; BoundExceeded above odd
+    N = 53 and even N = 38.
     """
     check_parity(n, parity)
-    check_dense_bound("kernel suite", lattice_modulus(n, parity) ** 2, n)
-    family = delta_family(n, parity)
-    # Sorted points are row-major, so the stack reshapes to the lattice grid.
-    stack = np.array([family[p] for p in sorted(family)])
-    hermiticity = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-    unit_trace = float(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max())
-
-    stackv = stack.reshape(len(stack), -1)
-    gram = stackv.conj() @ stackv.T  # Tr(Delta_p^dag Delta_q)
-    traciality = float(np.abs(gram - n * np.eye(len(stack))).max())
-
-    translation = None
-    if parity == ODD:
-        # W(m', n')^dag Delta_(m, n) W(m', n') = Delta_(m - m', n - n') for
-        # W = weyl_symmetric(n, m', n'): rolling the grid by (m', n') lines
-        # each point up with its image. Column t of W has its one nonzero in
-        # row t + m', equal to w^(n'(t + m') - m'n'/2), so (W^dag K W)[a, b]
-        # is K[a + m', b + m'] times w^(n'(b - a)): one gather per m' serves
-        # every n'.
-        idx = np.arange(n)
-        grid = stack.reshape(n, n, n, n)
-        # phases[n', a, b] = w^(n'(b - a))
-        phases = unit_roots(n)[(idx[:, None, None] * (idx - idx[:, None])) % n]
-        # images[x, n', y] = grid[x, y - n'], the grid rolled by n' along y
-        images = grid[:, (idx - idx[:, None]) % n]
-        defects = []
-        for mp in range(n):
-            shift = (idx + mp) % n
-            conjugated = grid[:, :, shift[:, None], shift][:, None] * phases[:, None]
-            moved = images[(idx - mp) % n]
-            defects.append(np.abs(conjugated - moved).max())
-        translation = float(np.max(defects))
+    _check_table_bytes("kernel suite", n, parity)
+    side = lattice_modulus(n, parity)
+    xs, ys = np.divmod(np.arange(side * side), side)
+    factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
+    cols, exponents = factors.cols, factors.exponents
+    values = unit_roots(factors.root_modulus)[exponents]
+    rows = np.arange(n)
+    involution = np.take_along_axis(cols, cols, 1) == rows
+    mirrored = np.take_along_axis(values, cols, 1).conj()
+    hermiticity = float(np.abs(values - np.where(involution, mirrored, 0)).max())
+    trace = np.where(cols == rows, values, 0).sum(axis=1)
+    unit_trace = float(np.abs(trace - 1.0).max())
+    perms, label = np.unique(cols, axis=0, return_inverse=True)
+    if (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
+        raise ValueError("two kernel permutations agree on some rows but not all")
+    blocks = (values[label == c] for c in range(len(perms)))
+    traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
+    translation = _translation_defect(cols, exponents) if parity == ODD else None
     return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
+
+
+def _translation_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
+    """max |W^dag Delta_(x,y) W - Delta_(x-m',y-n')| over every point and every
+    W = weyl_symmetric(N, m', n'), from the odd tables indexed [x * N + y, row].
+
+    (W^dag K W)[a, b] = w^(n'(b - a)) K[a + m', b + m'], so the conjugated
+    kernel's row a holds rho^e rho^phi (e = e_p(a + m'), phi = n'(b - a))
+    at b = sigma_p(a + m') - m', and the image's holds rho^f at sigma_q(a).
+    Where the columns agree the defect is |rho^e rho^phi - rho^f|; elsewhere
+    both entries stand alone, as triples (e, phi, none) and (none, 0, f) with
+    rho^none = 0. The triples are marked one m' slice at a time (N^4
+    entries, about 14 B each), and the defect is taken once per triple.
+    """
+    n = cols.shape[1]
+    cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
+    idx = np.arange(n)
+    small = np.min_scalar_type(n)
+    small_cols, small_exponents = cols.astype(small), exponents.astype(small)
+    # times[n', d] = n' d mod N; shifts[n', y] = y - n' mod N
+    times = (idx[:, None] * idx % n).astype(small)
+    shifts = (idx - idx[:, None]) % n
+    none = n
+    seen = np.zeros((n + 1) ** 3, dtype=bool)
+    key = np.empty((n,) * 4, dtype=np.intp)  # reused by every slice
+    for mp in range(n):
+        rows = (idx + mp) % n
+        # source p = (x, y) on axes (x, y, a); image q = (x - m', y - n')
+        # on axes (n', x, y, a)
+        source_cols = (cols[:, :, rows] - mp) % n
+        image = (((idx - mp) % n)[:, None], shifts[:, None])
+        image_exponents = small_exponents[image]
+        apart = small_cols[image] != source_cols
+        np.add(exponents[:, :, rows] * (n + 1), times[:, (source_cols - idx) % n], out=key)
+        key *= n + 1
+        key += np.where(apart, none, image_exponents)
+        seen[key] = True
+        seen[none * (n + 1) ** 2 + image_exponents[apart].astype(np.intp)] = True
+    e, phi, f = np.unravel_index(np.flatnonzero(seen), (n + 1,) * 3)
+    roots = np.append(unit_roots(n), 0)
+    return float(np.abs(roots[e] * roots[phi] - roots[f]).max())
 
 
 @dataclass(eq=False)
@@ -235,16 +261,12 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     phases found.
 
     Raises BoundExceeded, before building anything, when the edge arrays
-    would exceed the byte bound.
+    (one edge per point and entry of U) would exceed _check_table_bytes.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
     nodes = n * n
-    edges = side * side * nodes
-    # A round holds about three int64 words and a flag per edge (26 B
-    # measured at the bound); four words leave room for the per-point tables.
-    graph_bytes = edges * 4 * np.dtype(np.int64).itemsize
-    check_bytes(f"uniqueness graph of {edges} edges at dimension {n}", graph_bytes)
+    _check_table_bytes("uniqueness graph", n, parity)
     xs, ys = np.divmod(np.arange(side * side), side)
     xs, ys = xs[:, None], ys[:, None]
     source = kernel_factors(n, parity, xs, ys)
@@ -254,8 +276,8 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
     into_p = np.argsort(source.cols, axis=1)
     into_q = np.argsort(image.cols, axis=1)
-    gain_p = np.take_along_axis((source.diag + source.const) % r, into_p, 1)[:, None, :]
-    gain_q = np.take_along_axis((image.diag + image.const) % r, into_q, 1)[:, :, None]
+    gain_p = np.take_along_axis(source.exponents, into_p, 1)[:, None, :]
+    gain_q = np.take_along_axis(image.exponents, into_q, 1)[:, :, None]
     rows, cols = into_q[:, :, None], into_p[:, None, :]
 
     # Each entry's key is label * R + phase, so a minimum over keys picks
@@ -303,9 +325,6 @@ def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessR
         return UniquenessReport(nullity, False, None, None)
     constructed = u_of(s, parity).matrix
     match = equal_up_to_phase(unitary, constructed, tol)
-    residual = float(
-        np.abs(
-            unitary - (match.phase if match.phase is not None else 1.0) * constructed
-        ).max()
-    )
+    phase = match.phase if match.phase is not None else 1.0
+    residual = float(np.abs(unitary - phase * constructed).max())
     return UniquenessReport(nullity, True, match.phase, residual)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .lattice import EVEN, ODD, ParityError, check_parity, lattice_modulus
 from .modring import _check_modulus
+from .symplectic import check_bytes
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +92,11 @@ class KernelFactors(NamedTuple):
     const: np.ndarray | int
     root_modulus: int
 
+    @property
+    def exponents(self) -> np.ndarray:
+        """Row i's entry is unit_roots(root_modulus)[exponents[..., i]]."""
+        return (self.diag + self.const) % self.root_modulus
+
 
 def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
     """Factors of the phase point operators at points (x, y).
@@ -112,9 +118,9 @@ def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
 
 
 def _delta_from_factors(n: int, parity: str, x: int, y: int) -> np.ndarray:
-    cols, diag, const, r = kernel_factors(n, parity, x, y)
+    factors = kernel_factors(n, parity, x, y)
     delta = np.zeros((n, n), dtype=complex)
-    delta[np.arange(n), cols] = unit_roots(r)[(diag + const) % r]
+    delta[np.arange(n), factors.cols] = unit_roots(factors.root_modulus)[factors.exponents]
     return delta
 
 
@@ -178,7 +184,10 @@ def phase_points(n: int, parity: str) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def delta_family(n: int, parity: str):
-    """Read-only map from every phase point to its phase point operator."""
+    """Read-only map from every phase point to its phase point operator: 16 N^4
+    bytes (64 N^4 even), refused at once above odd N = 63 and even N = 44."""
+    size = lattice_modulus(n, parity) ** 2 * n * n * np.dtype(complex).itemsize
+    check_bytes(f"kernel family at dimension {n}", size)
     family = {}
     for point in phase_points(n, parity):
         delta = delta_at(n, parity, point)

@@ -43,10 +43,6 @@ def check_bytes(what: str, nbytes: int) -> None:
         )
 
 
-class DepthExceeded(RuntimeError):
-    """Breadth-first search hit the word-length cap before reaching the target."""
-
-
 @dataclass(frozen=True)
 class SympMat:
     """Element of Sp_M: entries are canonical representatives, det = 1 (mod M)."""
@@ -294,12 +290,11 @@ def _word_table(modulus: int) -> dict[SympMat, GenWord]:
     return {mat: GenWord(word, modulus) for mat, word in table.items()}
 
 
-def bfs_decompose(s: SympMat, max_depth: int | None = None) -> GenWord:
+def bfs_decompose(s: SympMat) -> GenWord:
     """Shortest generator word for ``s``, counting aggregated powers as one factor.
 
     The search tabulates all of Sp_M, so it is bounded like enumeration:
-    raises BoundExceeded above ENUMERATION_BOUND, and DepthExceeded if the
-    shortest word is longer than ``max_depth``.
+    raises BoundExceeded above ENUMERATION_BOUND.
     """
     if s.modulus > ENUMERATION_BOUND:
         raise BoundExceeded(
@@ -308,10 +303,6 @@ def bfs_decompose(s: SympMat, max_depth: int | None = None) -> GenWord:
     word = _word_table(s.modulus).get(s)
     if word is None:  # unreachable: the generators span the whole group
         raise DecompositionFailed(f"{s} not reachable from the generators")
-    if max_depth is not None and len(word) > max_depth:
-        raise DepthExceeded(
-            f"shortest word has {len(word)} factors, cap was {max_depth}"
-        )
     return word
 
 

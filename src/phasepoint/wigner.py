@@ -78,7 +78,8 @@ class WignerTable:
     imag_residual: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        # a copy: freezing the caller's own array would be a side effect
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise DimensionMismatch(f"table must be square, got {vals.shape}")
         vals.flags.writeable = False
@@ -149,11 +150,10 @@ def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> Wigne
     worst_imag = float(np.abs(values.imag).max())
     if not worst_imag <= imag_tol:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
-    table = values.real.copy()
-    total = table.sum()
-    if not abs(total - 1.0) <= 1e-8:
-        raise ValueError(f"Wigner table sums to {total!r}, expected 1")
-    return WignerTable(parity, table, worst_imag)
+    table = WignerTable(parity, values.real, worst_imag)
+    if not abs(table.total - 1.0) <= 1e-8:
+        raise ValueError(f"Wigner table sums to {table.total!r}, expected 1")
+    return table
 
 
 def marginals(table: WignerTable) -> Marginals:

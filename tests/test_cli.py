@@ -389,19 +389,26 @@ def test_verify_uniqueness_at_dimension_31_passes(capsys):
     assert len(payload["checks"]) == 6
 
 
+def test_verify_sw_at_dimension_31_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--dim", "31", "--parity", "odd", "--suite", "sw")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--dim", "63", "--parity", "odd", "--suite", "sw"),
-        ("verify", "--dim", "14", "--parity", "even", "--suite", "sw"),
-        ("verify", "--dim", "31", "--parity", "odd", "--suite", "all"),
-        ("verify", "--dim", "17", "--parity", "odd", "--suite", "translation"),
+        ("verify", "--dim", "55", "--parity", "odd", "--suite", "sw"),
+        ("verify", "--dim", "40", "--parity", "even", "--suite", "sw"),
+        ("verify", "--dim", "55", "--parity", "odd", "--suite", "all"),
+        ("verify", "--dim", "55", "--parity", "odd", "--suite", "translation"),
+        ("verify", "--dim", "40", "--parity", "even", "--suite", "all"),
     ],
 )
 def test_verify_dense_suites_above_bound_exit_two(argv):
-    # The dense kernel suites share the covariance system's bound (odd
-    # N <= 15, even N <= 12); "all" at N = 31 is refused by the sw suite
-    # even though its uniqueness checks alone would pass.
+    # The kernel suites (sw, translation, and so all) share the uniqueness
+    # graph's bound, odd N <= 53 and even N <= 38; above it they are
+    # refused before any table is built.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""

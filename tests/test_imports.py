@@ -80,3 +80,23 @@ def test_root_and_decompose_import_no_numpy():
             assert r["out"] == ""
             assert r["err"].startswith("error:")
     assert results["numeric_modules"] == []
+
+
+def test_only_qops_references_delta_family():
+    # The dense kernel family is a small-N test reference: the oracles and
+    # the CLI read the kernel_factors tables, so no other module of the
+    # package may import or call it.
+    import ast
+
+    package = Path(__file__).resolve().parents[1] / "src" / "phasepoint"
+    references = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "qops.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "delta_family":
+                references.append(f"{path.name}:{node.lineno}")
+    assert references == []

@@ -8,6 +8,7 @@ from conftest import random_symplectic
 from phasepoint.metaplectic import (
     DimensionMismatch,
     ParityMismatch,
+    ProjUnitary,
     apply_point,
     check_covariance_bound,
     covariance_residual,
@@ -273,3 +274,12 @@ def test_covariance_bound_refuses_next_sizes(n, parity):
     modulus = n if parity == ODD else 2 * n
     with pytest.raises(BoundExceeded):
         covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
+
+
+def test_proj_unitary_copies_the_callers_array():
+    a = np.eye(3, dtype=complex)
+    u = ProjUnitary(a, ODD, 3)
+    assert a.flags.writeable
+    assert not u.matrix.flags.writeable
+    a[0, 0] = 2.0
+    assert u.matrix[0, 0] == 1.0

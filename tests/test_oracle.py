@@ -12,11 +12,10 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import EVEN, ODD, delta_family, weyl_symmetric
+from phasepoint.qops import EVEN, ODD, delta_family, unit_roots, weyl_symmetric
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
-    DepthExceeded,
     SympMat,
     enumerate_group,
     generator,
@@ -104,11 +103,6 @@ def test_bfs_reaches_whole_group():
         assert word.evaluate() == s
 
 
-def test_bfs_depth_cap():
-    with pytest.raises(DepthExceeded):
-        bfs_decompose(h_t(7), max_depth=0)
-
-
 def test_bfs_refuses_moduli_above_enumeration_bound():
     assert bfs_decompose(h_t(ENUMERATION_BOUND)).evaluate() == h_t(ENUMERATION_BOUND)
     with pytest.raises(BoundExceeded):
@@ -176,11 +170,11 @@ def test_uniqueness_reports():
 
 
 def test_sw_kernel_propagates_nan_kernel_entry(monkeypatch):
-    family = dict(delta_family(3, ODD))
-    poisoned = family[(1, 2)].copy()
-    poisoned[1, 1] = np.nan  # row 1 has its one nonzero entry on the diagonal
-    family[(1, 2)] = poisoned
-    monkeypatch.setattr(oracle, "delta_family", lambda n, parity: family)
+    # The suite reads every entry through the roots table; at odd N each
+    # kernel's diagonal entry is rho^0, so a NaN there reaches every figure.
+    roots = oracle.unit_roots(3).copy()
+    roots[0] = np.nan
+    monkeypatch.setattr(oracle, "unit_roots", lambda m: roots)
     report = verify_sw_kernel(ODD, 3)
     assert np.isnan(report.hermiticity)
     assert np.isnan(report.unit_trace)
@@ -214,23 +208,39 @@ def test_uniqueness_at_composite_dimensions(n, parity, rng):
         assert report.closed_form_residual < 1e-9
 
 
-@pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
-def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
-    # Raise one phase exponent of one kernel, Delta_point[0, .], by 1: no
-    # matrix is covariant with the mutated family.
-    modulus = n if parity == ODD else 2 * n
+def one_exponent_mutant(point):
+    """kernel_factors with one phase exponent, Delta_point[0, .], raised by 1."""
 
-    def mutant(n_, parity_, x, y):
-        factors = qops.kernel_factors(n_, parity_, x, y)
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
         hit = np.broadcast_to((x == point[0]) & (y == point[1]), factors.diag.shape).copy()
         hit[..., 1:] = False  # row 0 only
         diag = np.where(hit, (factors.diag + 1) % factors.root_modulus, factors.diag)
         return factors._replace(diag=diag)
 
+    return mutant
+
+
+def one_permutation_mutant(point, source):
+    """kernel_factors with Delta_point's permutation replaced by Delta_source's."""
+
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
+        hit = np.broadcast_to((x == point[0]) & (y == point[1]), factors.cols.shape)
+        other = qops.kernel_factors(n, parity, *source).cols
+        return factors._replace(cols=np.where(hit, other, factors.cols))
+
+    return mutant
+
+
+@pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
+def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
+    # No matrix is covariant with the mutated family.
+    modulus = n if parity == ODD else 2 * n
     s = h_t(modulus)
     assert apply_point(s, point) != point
     assert verify_uniqueness(s, parity).unitary_found
-    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
     report = verify_uniqueness(s, parity)
     assert report.nullity == 0 or not report.unitary_found
 
@@ -280,10 +290,8 @@ def test_solve_covariance_matches_full_svd(rng):
             ).equivalent
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_sw_translation_matches_dense_conjugation(n):
-    # Reference: the dense product W^dag Delta W at every point and shift.
-    family = delta_family(n, ODD)
+def dense_translation_defect(family, n):
+    """The dense product W^dag Delta W against its image, at every point and shift."""
     worst = []
     for mp in range(n):
         for np_ in range(n):
@@ -291,13 +299,127 @@ def test_sw_translation_matches_dense_conjugation(n):
             for (m, nn), delta in family.items():
                 moved = family[((m - 2 * mp) % n, (nn - 2 * np_) % n)]
                 worst.append(np.abs(weyl.conj().T @ delta @ weyl - moved).max())
-    assert abs(verify_sw_kernel(ODD, n).translation_covariance - np.max(worst)) < 1e-15
+    return np.max(worst)
 
 
-@pytest.mark.parametrize("n,parity,allowed", [(15, ODD, True), (17, ODD, False), (12, EVEN, True), (14, EVEN, False)])
-def test_sw_kernel_shares_dense_bound(n, parity, allowed):
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sw_translation_matches_dense_conjugation(n):
+    reference = dense_translation_defect(delta_family(n, ODD), n)
+    assert abs(verify_sw_kernel(ODD, n).translation_covariance - reference) < 1e-15
+
+
+@pytest.mark.parametrize("n,parity,allowed", [(31, ODD, True), (55, ODD, False), (38, EVEN, True), (40, EVEN, False)])
+def test_sw_kernel_shares_graph_bound(n, parity, allowed):
+    # the uniqueness graph's bound: odd N <= 53 and even N <= 38
     if allowed:
         assert verify_sw_kernel(parity, n).hermiticity < 1e-12
     else:
         with pytest.raises(BoundExceeded):
             verify_sw_kernel(parity, n)
+
+
+def test_sw_kernel_refuses_tables_above_byte_bound(byte_bound):
+    table_bytes = 3**2 * 3**2 * 32  # N^2 points at odd N = 3, N^2 entries each
+    byte_bound(table_bytes)
+    assert verify_sw_kernel(ODD, 3).translation_covariance < 1e-12
+    byte_bound(table_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        verify_sw_kernel(ODD, 3)
+
+
+def dense_figures(family, n):
+    """Hermiticity, unit trace and traciality of the dense kernel stack."""
+    stack = np.array([family[p] for p in sorted(family)])
+    hermiticity = np.abs(stack - stack.conj().transpose(0, 2, 1)).max()
+    unit_trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max()
+    flat = stack.reshape(len(stack), -1)
+    traciality = np.abs(flat.conj() @ flat.T - n * np.eye(len(stack))).max()
+    return hermiticity, unit_trace, traciality
+
+
+@pytest.mark.parametrize(
+    "n,parity", [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (2, EVEN), (4, EVEN), (6, EVEN), (8, EVEN)]
+)
+def test_sw_kernel_matches_dense_reference(n, parity):
+    # Hermiticity and trace take the same floating-point operations on the
+    # same entries as the dense stack, so they agree exactly.
+    hermiticity, unit_trace, traciality = dense_figures(delta_family(n, parity), n)
+    report = verify_sw_kernel(parity, n)
+    assert report.hermiticity == hermiticity
+    assert report.unit_trace == unit_trace
+    assert abs(report.traciality - traciality) < 1e-14
+
+
+@pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
+def test_sw_kernel_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+    report = verify_sw_kernel(parity, n)
+    assert report.hermiticity > 1e-12
+    if parity == ODD:
+        assert report.translation_covariance > 1e-12
+
+
+def test_sw_kernel_builds_no_kernel_cache():
+    delta_family.cache_clear()
+    assert verify_sw_kernel(ODD, 7).translation_covariance < 1e-12
+    assert verify_sw_kernel(EVEN, 6).hermiticity < 1e-12
+    assert delta_family.cache_info().currsize == 0
+
+
+def test_integer_point_family_byte_bound(byte_bound):
+    family_bytes = 2**2 * 2**2 * 16  # N^2 integer points at even N = 2
+    byte_bound(family_bytes)
+    assert len(integer_point_family(2)) == 4
+    byte_bound(family_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        integer_point_family(2)
+    # the default bound admits even N <= 64
+    with pytest.raises(BoundExceeded):
+        integer_point_family(66)
+
+
+def cyclic_mutant(n, parity, x, y):
+    """kernel_factors with every permutation replaced by i -> i + 1, which
+    is no involution."""
+    factors = qops.kernel_factors(n, parity, x, y)
+    return factors._replace(cols=np.broadcast_to((np.arange(n) + 1) % n, factors.cols.shape))
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [one_exponent_mutant((1, 2)), one_permutation_mutant((1, 2), (2, 2)), cyclic_mutant],
+    ids=["exponent", "permutation", "cyclic"],
+)
+def test_sw_kernel_of_mutant_matches_dense_reference(monkeypatch, mutant):
+    # Every figure of a mutated family is measured like the dense one, also
+    # where a kernel's columns disagree with its adjoint's or its image's.
+    n = 5
+    family = {}
+    for x in range(n):
+        for y in range(n):
+            factors = mutant(n, ODD, x, y)
+            family[(x, y)] = np.zeros((n, n), dtype=complex)
+            family[(x, y)][np.arange(n), factors.cols] = unit_roots(n)[factors.exponents]
+    hermiticity, unit_trace, traciality = dense_figures(family, n)
+    translation = dense_translation_defect(family, n)
+    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    report = verify_sw_kernel(ODD, n)
+    assert translation > 0.5
+    assert report.hermiticity == hermiticity
+    assert report.unit_trace == unit_trace
+    assert abs(report.traciality - traciality) < 1e-14
+    assert abs(report.translation_covariance - translation) < 1e-15
+
+
+def test_sw_kernel_refuses_partly_agreeing_permutations(monkeypatch):
+    # The Gram blocks between classes are zero only if any two permutations
+    # agree on every row or on none; one moved column breaks that.
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
+        hit = np.broadcast_to((x == 1) & (y == 2), factors.cols.shape).copy()
+        hit[..., 1:] = False  # row 0 only
+        return factors._replace(cols=np.where(hit, (factors.cols + 1) % n, factors.cols))
+
+    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    with pytest.raises(ValueError, match="agree"):
+        verify_sw_kernel(ODD, 5)

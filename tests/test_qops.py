@@ -18,6 +18,7 @@ from phasepoint.qops import (
     weyl_leonhardt,
     weyl_symmetric,
 )
+from phasepoint.symplectic import BoundExceeded
 
 TOL = 1e-12
 
@@ -228,3 +229,23 @@ def test_phase_points_and_family_shapes():
     assert set(fam) == set(phase_points(3, ODD))
     with pytest.raises(ParityError):
         phase_points(3, "diagonal")
+
+
+@pytest.mark.parametrize("n,parity,points", [(3, ODD, 9), (2, EVEN, 16)])
+def test_delta_family_byte_bound(byte_bound, n, parity, points):
+    family_bytes = points * n**2 * 16
+    delta_family.cache_clear()  # a cached family would skip the check
+    byte_bound(family_bytes)
+    assert len(delta_family(n, parity)) == points
+    delta_family.cache_clear()
+    byte_bound(family_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        delta_family(n, parity)
+
+
+@pytest.mark.parametrize("n,parity", [(65, ODD), (46, EVEN)])
+def test_delta_family_refused_above_bound(n, parity):
+    # 16 N^4 bytes odd and 64 N^4 even admit odd N <= 63 and even N <= 44;
+    # the next sizes are refused before anything is built
+    with pytest.raises(BoundExceeded):
+        delta_family(n, parity)

@@ -17,6 +17,7 @@ from phasepoint.symplectic import BoundExceeded, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
     QuantumState,
+    WignerTable,
     characteristic_fn,
     marginals,
     weyl_quantize,
@@ -282,3 +283,13 @@ def test_wigner_bound_sizes(n, parity):
     # refused before the transform allocates
     with pytest.raises(BoundExceeded):
         wigner_of(QuantumState.basis(n, 0), parity)
+
+
+def test_wigner_table_copies_the_callers_array():
+    grid = np.full((3, 3), 1 / 9)
+    table = WignerTable(ODD, grid)
+    assert grid.flags.writeable
+    assert not table.values.flags.writeable
+    grid[0, 0] = 2.0
+    assert table.values[0, 0] == 1 / 9
+    assert not wigner_of(QuantumState.basis(3, 0), ODD).values.flags.writeable
