@@ -21,10 +21,7 @@ _NAMES_BY_MODULE = {
         "BothZero",
         "EuclidTrace",
         "ModulusMismatch",
-        "NonInvertible",
-        "Residue",
         "euclid_trace",
-        "mod_inverse",
     ),
     "lattice": ("EVEN", "ODD", "ParityError"),
     "qops": (
@@ -65,7 +62,6 @@ _NAMES_BY_MODULE = {
         "phase_defect",
         "u_hminus",
         "u_hplus",
-        "u_ht",
         "u_of",
     ),
     "wigner": (

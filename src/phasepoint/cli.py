@@ -154,7 +154,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         state = _load_state(args.state)
     except NotNormalized as exc:
         return _fail(str(exc), 2)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: a dim of Infinity; RecursionError: JSON nested deeper
+    # than the decoder's recursion limit
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         return _fail(f"cannot read state file: {exc}", 2)
     try:
         table = wigner_of(state, args.parity)
@@ -241,6 +243,8 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return _fail(f"--tol must be a finite number > 0, got {args.tol!r}", 2)
     try:
         check_parity(args.dim, args.parity)
     except ParityError as exc:

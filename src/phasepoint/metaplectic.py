@@ -51,14 +51,6 @@ class ProjUnitary:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        product = self.matrix.conj().T @ self.matrix
-        return float(np.abs(product - np.eye(self.dim)).max())
-
 
 def hilbert_dim(modulus: int, parity: str) -> int:
     """Hilbert-space dimension for a symplectic modulus: N odd, or N = modulus/2 even."""
@@ -103,13 +95,6 @@ def u_hminus(n: int, parity: str) -> ProjUnitary:
         exponents = (i * i) % (2 * n)
         matrix = np.diag(unit_roots(2 * n)[exponents])
     return ProjUnitary(matrix, parity, lattice_modulus(n, parity))
-
-
-def u_ht(n: int, parity: str) -> ProjUnitary:
-    """Representative of the row swap, built as U(h+) U(h-)^(-1) U(h+)."""
-    up = u_hplus(n, parity).matrix
-    um = u_hminus(n, parity).matrix
-    return ProjUnitary(up @ um.conj().T @ up, parity, lattice_modulus(n, parity))
 
 
 def u_of(s: SympMat, parity: str, method: str = "euclid") -> ProjUnitary:
@@ -247,9 +232,3 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         defects.append(np.abs(products, out=magnitudes).max())
     return float(np.max(defects))
 
-
-def default_tolerance(n: int) -> float:
-    """Covariance residual tolerance: 1e-10 up to N = 16, scaled by sqrt(N/16) above."""
-    if n <= 16:
-        return 1e-10
-    return 1e-10 * float(np.sqrt(n / 16))

@@ -1,16 +1,12 @@
-"""Exact arithmetic in residue rings Z_M and Euclidean quotient chains."""
+"""Residue-ring moduli and Euclidean quotient chains."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 
-class NonInvertible(ValueError):
-    """The element shares a factor with the modulus, so it has no inverse."""
-
-
 class ModulusMismatch(ValueError):
-    """Two ring elements (or matrices) with different moduli were combined."""
+    """Two matrices with different moduli were combined."""
 
 
 class BothZero(ValueError):
@@ -20,101 +16,6 @@ class BothZero(ValueError):
 def _check_modulus(modulus: int) -> None:
     if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_M, stored as its canonical representative in {0, ..., M-1}.
-
-    All operations reduce immediately, so ``value`` never leaves the canonical
-    range. Mixing residues with different moduli raises ModulusMismatch.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"moduli differ: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int):
-        # Negative exponents go through the inverse, which may not exist.
-        if exponent < 0:
-            return Residue(
-                pow(self.inverse().value, -exponent, self.modulus), self.modulus
-            )
-        return Residue(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self)
-
-    @property
-    def symmetric_value(self) -> int:
-        """Representative in the symmetric range around zero.
-
-        For odd M this is the interval {-(M-1)/2, ..., (M-1)/2}; for even M
-        the representative of M/2 stays positive.
-        """
-        return self.value - self.modulus if self.value > self.modulus // 2 else self.value
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def mod_inverse(a: Residue) -> Residue:
-    """Multiplicative inverse of ``a`` in its ring.
-
-    Raises NonInvertible when gcd(a, M) != 1.
-    """
-    try:
-        inv = pow(a.value, -1, a.modulus)
-    except ValueError as exc:
-        raise NonInvertible(
-            f"{a.value} has no inverse modulo {a.modulus}"
-        ) from exc
-    return Residue(inv, a.modulus)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ read the integer tables of kernel_factors and build no dense kernel:
 uniqueness is the solution count of a gain graph over integer phases
 (verify_uniqueness), and the kernel properties are table identities
 (verify_sw_kernel). Solving the covariance relation as a dense linear
-system (solve_covariance) is the floating-point cross-check at small N, and
-factorizations come from breadth-first search.
+system (solve_covariance) is the floating-point cross-check at small N. The
+factorization oracle, breadth-first search, is symplectic.bfs_decompose.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import EVEN, ODD, check_parity, lattice_modulus
 from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
 from .qops import delta_leonhardt, kernel_factors, unit_roots
-from .symplectic import SympMat, bfs_decompose, check_bytes  # noqa: F401 (re-exported)
+from .symplectic import SympMat, check_bytes
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8

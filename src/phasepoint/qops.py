@@ -15,7 +15,6 @@ so that half-integer points have odd j or odd k and all arithmetic stays exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -182,15 +181,10 @@ def phase_points(n: int, parity: str) -> list[tuple[int, int]]:
     return [(x, y) for x in range(modulus) for y in range(modulus)]
 
 
-@lru_cache(maxsize=None)
-def delta_family(n: int, parity: str):
-    """Read-only map from every phase point to its phase point operator: 16 N^4
-    bytes (64 N^4 even), refused at once above odd N = 63 and even N = 44."""
+def delta_family(n: int, parity: str) -> dict[tuple[int, int], np.ndarray]:
+    """Map from every phase point to its phase point operator, built afresh on
+    each call: 16 N^4 bytes (64 N^4 even), refused at once above odd N = 63
+    and even N = 44."""
     size = lattice_modulus(n, parity) ** 2 * n * n * np.dtype(complex).itemsize
     check_bytes(f"kernel family at dimension {n}", size)
-    family = {}
-    for point in phase_points(n, parity):
-        delta = delta_at(n, parity, point)
-        delta.flags.writeable = False
-        family[point] = delta
-    return MappingProxyType(family)
+    return {point: delta_at(n, parity, point) for point in phase_points(n, parity)}

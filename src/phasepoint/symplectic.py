@@ -172,12 +172,12 @@ class GenWord:
         return result
 
 
-def random_element(modulus: int, rng, length: int = 6) -> SympMat:
-    """The product of ``length`` random generator powers; ``rng`` is any
-    generator with a numpy-style ``integers`` method."""
+def random_element(modulus: int, rng) -> SympMat:
+    """The product of six random generator powers; ``rng`` is any generator
+    with a numpy-style ``integers`` method."""
     factors = tuple(
         ("+" if rng.integers(2) else "-", int(rng.integers(1, modulus)))
-        for _ in range(length)
+        for _ in range(6)
     )
     return GenWord(factors, modulus).evaluate()
 
@@ -322,11 +322,13 @@ def group_order(modulus: int) -> int:
     return order
 
 
-def enumerate_group(modulus: int, bound: int = ENUMERATION_BOUND) -> list[SympMat]:
-    """All elements of Sp_M in lexicographic entry order, for M <= bound."""
+def enumerate_group(modulus: int) -> list[SympMat]:
+    """All elements of Sp_M in lexicographic entry order, for M <= ENUMERATION_BOUND."""
     _check_modulus(modulus)
-    if modulus > bound:
-        raise BoundExceeded(f"modulus {modulus} exceeds enumeration bound {bound}")
+    if modulus > ENUMERATION_BOUND:
+        raise BoundExceeded(
+            f"modulus {modulus} exceeds enumeration bound {ENUMERATION_BOUND}"
+        )
     elements = []
     rng = range(modulus)
     for a in rng:

@@ -20,6 +20,8 @@ from .qops import unit_roots, weyl_leonhardt
 from .symplectic import check_bytes
 
 NORM_TOL = 1e-8
+# Largest imaginary part wigner_of may discard from a table entry.
+IMAG_TOL = 1e-8
 
 
 class NotNormalized(ValueError):
@@ -38,7 +40,8 @@ class QuantumState:
             raise DimensionMismatch("state needs dimension >= 2")
         if not np.isfinite(amps).all():
             raise NotNormalized("amplitudes must be finite")
-        deviation = abs(np.linalg.norm(amps) - 1.0)
+        with np.errstate(over="ignore"):  # huge finite amplitudes: norm inf
+            deviation = abs(np.linalg.norm(amps) - 1.0)
         if not deviation <= NORM_TOL:
             raise NotNormalized(f"norm deviates from 1 by {deviation:.3e}")
         amps.flags.writeable = False
@@ -57,7 +60,8 @@ class QuantumState:
     @classmethod
     def normalized(cls, vector) -> "QuantumState":
         vec = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
         if not 0 < norm < np.inf:
             raise NotNormalized(f"cannot normalize a vector of norm {norm}")
         return cls(vec / norm)
@@ -111,13 +115,13 @@ def _step(parity: str) -> int:
     return 2 if parity == ODD else 1
 
 
-def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> WignerTable:
+def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     """Wigner table of a pure state.
 
     Odd: W[m, n] = <psi| Delta_(m,n) |psi> / N over the N x N integer grid.
     Even: W[j, k] = <psi| Delta_(j,k) |psi> / 2N over the 2N x 2N doubled
     grid. Entries are real up to rounding; the discarded imaginary parts are
-    tracked and must stay below ``imag_tol``.
+    tracked and must stay below IMAG_TOL.
 
     Every kernel has one nonzero entry per row with a phase linear in the
     second coordinate, so each table row is one length-N DFT. With
@@ -148,7 +152,7 @@ def wigner_of(state: QuantumState, parity: str, imag_tol: float = 1e-8) -> Wigne
     y = np.arange(modulus)
     values = unit_roots(modulus)[(-step * x * y) % modulus] * spectra[:, (step * y) % n]
     worst_imag = float(np.abs(values.imag).max())
-    if not worst_imag <= imag_tol:
+    if not worst_imag <= IMAG_TOL:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
     table = WignerTable(parity, values.real, worst_imag)
     if not abs(table.total - 1.0) <= 1e-8:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasepoint import symplectic
+from phasepoint import qops, symplectic
 from phasepoint.symplectic import random_element
 from phasepoint.wigner import QuantumState
 
@@ -11,8 +11,8 @@ def random_state(n, rng):
     return QuantumState(vec / np.linalg.norm(vec))
 
 
-def random_symplectic(modulus, rng, length=6):
-    return random_element(modulus, rng, length)
+def random_symplectic(modulus, rng):
+    return random_element(modulus, rng)
 
 
 @pytest.fixture
@@ -28,3 +28,15 @@ def byte_bound(monkeypatch):
         monkeypatch.setattr(symplectic, "SYSTEM_BYTES_BOUND", nbytes)
 
     return set_bound
+
+
+@pytest.fixture
+def no_dense_kernel(monkeypatch):
+    """Fail the test if it builds a dense phase point operator: every dense
+    kernel (delta_at, delta_family and the rest) goes through
+    qops._delta_from_factors."""
+
+    def refuse(*args):
+        raise AssertionError(f"dense kernel built: {args}")
+
+    monkeypatch.setattr(qops, "_delta_from_factors", refuse)

@@ -10,7 +10,6 @@ import pytest
 
 from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
 from phasepoint.cli import PROJECTIVITY_PAIRS, main
-from phasepoint.qops import delta_family
 from phasepoint.symplectic import SympMat
 
 
@@ -194,6 +193,23 @@ def test_wigner_rejects_nan_amplitude(capsys, tmp_path):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200_000,  # deeper than the JSON decoder's recursion limit
+        '{"dim": Infinity, "amplitudes": []}',
+    ],
+    ids=["deeply-nested", "infinite-dim"],
+)
+def test_wigner_rejects_unreadable_state_file(capsys, tmp_path, text):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(text)
+    code, out, err = run(capsys, "wigner", "--state", str(state_file), "--parity", "odd")
+    assert code == 2
+    assert out == ""
+    assert "cannot read state file" in err
+
+
 def test_wigner_parity_mismatch(capsys, tmp_path):
     state_file = tmp_path / "state.json"
     write_state(state_file, [1.0, 0.0, 0.0])
@@ -296,6 +312,20 @@ def test_verify_tol_override(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_verify_rejects_bad_tol_before_any_suite(capsys, monkeypatch, tol):
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(oracle, "verify_sw_kernel", no_suite)
+    code, out, err = run(
+        capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "sw", f"--tol={tol}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     # -I is no generator, so only the whole-group check sees the NaN
     target = SympMat(2, 0, 0, 2, 3)
@@ -349,12 +379,10 @@ def test_rep_writes_non_finite_residual_as_null(capsys, monkeypatch, value):
     assert strict_json(out)["covariance_residual"] is None
 
 
-def test_rep_builds_no_kernel_cache(capsys):
-    delta_family.cache_clear()
+def test_rep_builds_no_kernel_cache(capsys, no_dense_kernel):
     code, out, _ = run(capsys, "rep", "--dim", "9", "--parity", "odd", "--matrix", "2,1,1,1")
     assert code == 0
     assert json.loads(out)["covariance_residual"] < 1e-10
-    assert delta_family.cache_info().currsize == 0
 
 
 def run_capped(*argv):

@@ -12,13 +12,11 @@ from phasepoint.metaplectic import (
     apply_point,
     check_covariance_bound,
     covariance_residual,
-    default_tolerance,
     equal_up_to_phase,
     hilbert_dim,
     phase_defect,
     u_hminus,
     u_hplus,
-    u_ht,
     u_of,
 )
 from phasepoint.qops import (
@@ -26,7 +24,6 @@ from phasepoint.qops import (
     ODD,
     ParityError,
     delta_at,
-    delta_family,
     phase_points,
     symmetric_order,
     unit_roots,
@@ -61,8 +58,10 @@ def test_fourth_power_at_dimension_two_is_minus_identity():
 
 @pytest.mark.parametrize("n,parity", [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)])
 def test_generator_unitaries_are_unitary(n, parity):
-    for build in (u_hplus, u_hminus, u_ht):
-        assert build(n, parity).unitarity_defect() < 1e-12
+    modulus = n if parity == ODD else 2 * n
+    for unitary in (u_hplus(n, parity), u_hminus(n, parity), u_of(h_t(modulus), parity)):
+        u = unitary.matrix
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,parity", [(3, ODD), (5, ODD), (7, ODD), (2, EVEN), (4, EVEN)])
@@ -71,7 +70,7 @@ def test_generator_covariance(n, parity):
     pairs = [
         (u_hplus(n, parity), generator("+", modulus)),
         (u_hminus(n, parity), generator("-", modulus)),
-        (u_ht(n, parity), h_t(modulus)),
+        (u_of(h_t(modulus), parity), h_t(modulus)),
     ]
     for unitary, mat in pairs:
         assert covariance_residual(unitary.matrix, mat, parity) < 1e-10
@@ -159,12 +158,6 @@ def test_act_on_phase_points():
     assert apply_point(SympMat.identity(5), (m, n)) == (m, n)
 
 
-def test_default_tolerance_scaling():
-    assert default_tolerance(7) == 1e-10
-    assert default_tolerance(16) == 1e-10
-    assert default_tolerance(64) == pytest.approx(2e-10)
-
-
 def test_even_phase_root_branch_is_forced():
     # Only exp(+2 pi i / 2N) works: the conjugate square root of the basic
     # phase breaks covariance already at dimension two.
@@ -227,12 +220,10 @@ def test_covariance_residual_matches_dense_reference(n, parity, rng):
         )
 
 
-def test_covariance_residual_builds_no_kernel_cache():
-    delta_family.cache_clear()
+def test_covariance_residual_builds_no_kernel_cache(no_dense_kernel):
     for n, parity in [(5, ODD), (4, EVEN)]:
         s = h_t(n if parity == ODD else 2 * n)
         assert covariance_residual(u_of(s, parity).matrix, s, parity) < 1e-10
-    assert delta_family.cache_info().currsize == 0
 
 
 def test_covariance_residual_memory_is_cubic():
@@ -240,14 +231,13 @@ def test_covariance_residual_memory_is_cubic():
     # the factored residual keeps O(N^3) temporaries.
     s = SympMat(2, 1, 1, 1, 63)
     unitary = u_of(s, ODD).matrix
-    delta_family.cache_clear()
     tracemalloc.start()
     try:
         residual = covariance_residual(unitary, s, ODD)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual < default_tolerance(63)
+    assert residual < 1e-10 * np.sqrt(63 / 16)
     assert peak < 32 * 2**20
 
 

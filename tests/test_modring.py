@@ -2,83 +2,16 @@ import math
 
 import pytest
 
-from phasepoint.modring import (
-    BothZero,
-    EuclidTrace,
-    ModulusMismatch,
-    NonInvertible,
-    Residue,
-    euclid_trace,
-    mod_inverse,
-)
-
-
-def brute_inverse(a, m):
-    """Independent oracle: exhaustive search for the inverse."""
-    for x in range(m):
-        if (a * x) % m == 1:
-            return x
-    return None
-
-
-def test_inverse_of_three_mod_seven():
-    assert brute_inverse(3, 7) == 5
-    assert mod_inverse(Residue(3, 7)) == Residue(5, 7)
-
-
-@pytest.mark.parametrize("modulus", [2, 3, 7, 12, 29])
-def test_inverse_of_one_is_one(modulus):
-    assert mod_inverse(Residue(1, modulus)).value == 1
-
-
-def test_non_invertible():
-    with pytest.raises(NonInvertible):
-        mod_inverse(Residue(2, 4))
-
-
-def test_inverse_is_an_involution_exhaustive():
-    for m in range(2, 31):
-        for a in range(1, m):
-            if math.gcd(a, m) != 1:
-                continue
-            r = Residue(a, m)
-            assert mod_inverse(mod_inverse(r)) == r
-            assert (r * mod_inverse(r)).value == 1
-
-
-def test_canonicalization_and_symmetric_view():
-    assert Residue(-1, 7).value == 6
-    assert Residue(10, 7).value == 3
-    assert Residue(5, 7).symmetric_value == -2
-    assert Residue(3, 7).symmetric_value == 3
-    assert Residue(0, 7).symmetric_value == 0
-
-
-def test_arithmetic_matches_integer_reduction(rng):
-    for _ in range(300):
-        m = int(rng.integers(2, 60))
-        a = int(rng.integers(-1000, 1000))
-        b = int(rng.integers(-1000, 1000))
-        ra, rb = Residue(a, m), Residue(b, m)
-        assert (ra + rb).value == (a + b) % m
-        assert (ra - rb).value == (a - b) % m
-        assert (ra * rb).value == (a * b) % m
-        assert (-ra).value == (-a) % m
-        assert (ra**3).value == pow(a, 3, m)
-
-
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ModulusMismatch):
-        Residue(1, 5) + Residue(1, 7)
-    with pytest.raises(ModulusMismatch):
-        Residue(1, 5) * Residue(1, 6)
+from phasepoint.modring import BothZero, EuclidTrace, euclid_trace
+from phasepoint.qops import unit_roots
+from phasepoint.symplectic import SympMat
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(ValueError):
-        Residue(0, 1)
-    with pytest.raises(ValueError):
-        Residue(0, -3)
+    with pytest.raises(ValueError, match="modulus must be"):
+        SympMat.identity(1)
+    with pytest.raises(ValueError, match="modulus must be"):
+        unit_roots(-3)
 
 
 def test_euclid_trace_five_three():

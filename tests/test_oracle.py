@@ -6,7 +6,6 @@ from conftest import random_symplectic
 from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
 from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
-    bfs_decompose,
     integer_point_family,
     solve_covariance,
     verify_sw_kernel,
@@ -17,6 +16,7 @@ from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
     SympMat,
+    bfs_decompose,
     enumerate_group,
     generator,
     h_t,
@@ -24,7 +24,7 @@ from phasepoint.symplectic import (
 
 
 def test_solve_covariance_rediscovers_diagonal_generator():
-    solution = solve_covariance(generator("-", 3), dict(delta_family(3, ODD)))
+    solution = solve_covariance(generator("-", 3), delta_family(3, ODD))
     assert solution.nullity == 1
     assert solution.unitary is not None
     match = equal_up_to_phase(solution.unitary, u_hminus(3, ODD).matrix, tol=1e-9)
@@ -32,21 +32,21 @@ def test_solve_covariance_rediscovers_diagonal_generator():
 
 
 def test_solve_covariance_rediscovers_fourier_like_generator():
-    solution = solve_covariance(generator("+", 5), dict(delta_family(5, ODD)))
+    solution = solve_covariance(generator("+", 5), delta_family(5, ODD))
     assert solution.nullity == 1
     match = equal_up_to_phase(solution.unitary, u_hplus(5, ODD).matrix, tol=1e-9)
     assert match.equivalent
 
 
 def test_solve_covariance_dimension_seven():
-    solution = solve_covariance(generator("+", 7), dict(delta_family(7, ODD)))
+    solution = solve_covariance(generator("+", 7), delta_family(7, ODD))
     assert solution.nullity == 1
     match = equal_up_to_phase(solution.unitary, u_hplus(7, ODD).matrix, tol=1e-9)
     assert match.equivalent
 
 
 def test_solve_covariance_even_doubled_group():
-    solution = solve_covariance(generator("+", 4), dict(delta_family(2, EVEN)))
+    solution = solve_covariance(generator("+", 4), delta_family(2, EVEN))
     assert solution.nullity == 1
     expected = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
     assert equal_up_to_phase(solution.unitary, expected, tol=1e-9).equivalent
@@ -69,7 +69,7 @@ def test_unextended_even_group_has_no_unitary_representative():
 
 
 def test_solve_covariance_requires_closed_family():
-    family = dict(delta_family(3, ODD))
+    family = delta_family(3, ODD)
     del family[(1, 2)]
     with pytest.raises(ValueError):
         solve_covariance(generator("+", 3), family)
@@ -79,7 +79,7 @@ def test_solve_covariance_requires_closed_family():
 
 def test_solution_basis_actually_solves(rng):
     s = random_symplectic(3, rng)
-    family = dict(delta_family(3, ODD))
+    family = delta_family(3, ODD)
     solution = solve_covariance(s, family)
     from phasepoint.metaplectic import apply_point
 
@@ -113,7 +113,7 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
 
 
 def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
-    family = dict(delta_family(3, ODD))
+    family = delta_family(3, ODD)
     system_bytes = len(family) * 3**4 * 16
     byte_bound(system_bytes)
     assert solve_covariance(generator("+", 3), family).nullity == 1
@@ -189,7 +189,7 @@ def _graph_unitary(s, parity):
 
 @pytest.mark.parametrize("modulus,n,parity", [(3, 3, ODD), (5, 5, ODD), (7, 7, ODD), (4, 2, EVEN), (8, 4, EVEN)])
 def test_graph_matches_svd_on_whole_group(modulus, n, parity):
-    family = dict(delta_family(n, parity))
+    family = delta_family(n, parity)
     for s in enumerate_group(modulus):
         nullity, unitary = _graph_unitary(s, parity)
         solution = solve_covariance(s, family)
@@ -245,11 +245,9 @@ def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
     assert report.nullity == 0 or not report.unitary_found
 
 
-def test_uniqueness_builds_no_kernel_cache():
-    delta_family.cache_clear()
+def test_uniqueness_builds_no_kernel_cache(no_dense_kernel):
     assert verify_uniqueness(h_t(7), ODD).unitary_found
     assert verify_uniqueness(h_t(8), EVEN).unitary_found
-    assert delta_family.cache_info().currsize == 0
 
 
 def test_uniqueness_refuses_graphs_above_byte_bound(byte_bound):
@@ -274,7 +272,7 @@ def test_uniqueness_graph_bound_sizes(n, parity):
 def test_solve_covariance_matches_full_svd(rng):
     # Reference: the SVD of the whole stacked system, left factor included.
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
-        family = dict(delta_family(n, parity))
+        family = delta_family(n, parity)
         modulus = n if parity == ODD else 2 * n
         for s in (h_t(modulus), random_symplectic(modulus, rng)):
             stacked = np.vstack([
@@ -359,11 +357,9 @@ def test_sw_kernel_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
         assert report.translation_covariance > 1e-12
 
 
-def test_sw_kernel_builds_no_kernel_cache():
-    delta_family.cache_clear()
+def test_sw_kernel_builds_no_kernel_cache(no_dense_kernel):
     assert verify_sw_kernel(ODD, 7).translation_covariance < 1e-12
     assert verify_sw_kernel(EVEN, 6).hermiticity < 1e-12
-    assert delta_family.cache_info().currsize == 0
 
 
 def test_integer_point_family_byte_bound(byte_bound):

@@ -234,10 +234,8 @@ def test_phase_points_and_family_shapes():
 @pytest.mark.parametrize("n,parity,points", [(3, ODD, 9), (2, EVEN, 16)])
 def test_delta_family_byte_bound(byte_bound, n, parity, points):
     family_bytes = points * n**2 * 16
-    delta_family.cache_clear()  # a cached family would skip the check
     byte_bound(family_bytes)
     assert len(delta_family(n, parity)) == points
-    delta_family.cache_clear()
     byte_bound(family_bytes - 1)
     with pytest.raises(BoundExceeded):
         delta_family(n, parity)

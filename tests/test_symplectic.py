@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_symplectic
+from phasepoint import symplectic
 from phasepoint.modring import ModulusMismatch
 from phasepoint.symplectic import (
     BoundExceeded,
@@ -106,10 +107,11 @@ def test_group_enumeration_counts(count, modulus):
     assert group_order(modulus) == count
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
     with pytest.raises(BoundExceeded):
         enumerate_group(13)
-    assert len(enumerate_group(13, bound=13)) == group_order(13)
+    monkeypatch.setattr(symplectic, "ENUMERATION_BOUND", 13)
+    assert len(enumerate_group(13)) == group_order(13)
 
 
 def test_decompose_special_words():
@@ -137,7 +139,9 @@ def test_decompose_round_trip_exhaustive(modulus):
 def test_decompose_round_trip_random_words(rng):
     for _ in range(100):
         m = int(rng.integers(2, 30))
-        s = random_symplectic(m, rng, length=8)
+        # the same draws as random_element, over eight factors instead of six
+        factors = [("-+"[int(rng.integers(2))], int(rng.integers(1, m))) for _ in range(8)]
+        s = GenWord(tuple(factors), m).evaluate()
         assert decompose(s).evaluate() == s
 
 

@@ -34,6 +34,14 @@ def test_state_normalization_enforced():
         QuantumState.normalized([0.0, 0.0])
 
 
+def test_state_with_overflowing_norm_is_not_normalized():
+    # finite amplitudes whose norm overflows: refused, with no RuntimeWarning
+    with pytest.raises(NotNormalized):
+        QuantumState(np.array([1e308, 1e308j]))
+    with pytest.raises(NotNormalized):
+        QuantumState.normalized([1e308, 1e308])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(NotNormalized):
@@ -49,8 +57,6 @@ def test_wigner_checks_fail_on_nan():
     object.__setattr__(state, "amplitudes", np.array([np.nan, 1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         wigner_of(state, ODD)
-    with pytest.raises(ValueError):
-        wigner_of(QuantumState.basis(3, 0), ODD, imag_tol=float("nan"))
 
 
 def test_basis_state_table_odd():
