@@ -23,17 +23,11 @@ _NAMES_BY_MODULE = {
         "ModulusMismatch",
         "euclid_trace",
     ),
-    "lattice": ("EVEN", "ODD", "ParityError"),
+    "lattice": ("DimensionMismatch", "EVEN", "ODD", "ParityError"),
     "qops": (
-        "delta_cohendet",
         "delta_family",
-        "delta_leonhardt",
-        "inversion_op",
-        "phase_op",
         "phase_points",
-        "shift_op",
         "unit_roots",
-        "weyl_leonhardt",
         "weyl_symmetric",
     ),
     "symplectic": (
@@ -53,8 +47,6 @@ _NAMES_BY_MODULE = {
         "random_element",
     ),
     "metaplectic": (
-        "DimensionMismatch",
-        "ParityMismatch",
         "ProjUnitary",
         "apply_point",
         "covariance_residual",
@@ -69,7 +61,6 @@ _NAMES_BY_MODULE = {
         "NotNormalized",
         "QuantumState",
         "WignerTable",
-        "characteristic_fn",
         "marginals",
         "weyl_quantize",
         "wigner_of",

@@ -99,10 +99,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_rep(args: argparse.Namespace) -> int:
     try:
-        check_parity(args.dim, args.parity)
+        modulus = lattice_modulus(args.dim, args.parity)
     except ParityError as exc:
         return _fail(str(exc), 2)
-    modulus = lattice_modulus(args.dim, args.parity)
     try:
         mat = _parse_matrix(args.matrix, modulus)
     except ValueError as exc:  # NotSymplectic included

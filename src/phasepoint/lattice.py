@@ -1,8 +1,10 @@
-"""Lattice parity and index modulus, in pure Python.
+"""Lattice parity, index modulus and Hilbert-space dimension, in pure Python.
 
 Odd lattices (N odd) index phase points mod N; even lattices (N even) use the
-doubled grid mod 2N. These names live apart from the numeric layers so that
-argument checks and the command-line parser run without importing numpy.
+doubled grid mod 2N. This module is the one place that maps a dimension and a
+parity onto the lattice and back. Its names live apart from the numeric
+layers so that argument checks and the command-line parser run without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ PARITIES = (ODD, EVEN)
 
 
 class ParityError(ValueError):
-    """Hilbert-space dimension does not match the requested lattice parity."""
+    """A dimension or lattice modulus does not fit the requested lattice parity."""
+
+
+class DimensionMismatch(ValueError):
+    """Matrix or state dimensions disagree."""
 
 
 def check_parity(n: int, parity: str) -> None:
@@ -31,3 +37,12 @@ def lattice_modulus(n: int, parity: str) -> int:
     """Index modulus of the phase lattice: N for odd parity, 2N for even."""
     check_parity(n, parity)
     return n if parity == ODD else 2 * n
+
+
+def hilbert_dim(modulus: int, parity: str) -> int:
+    """Hilbert-space dimension N behind a lattice index modulus, the inverse
+    of lattice_modulus: modulus N (odd) or 2N (even), else ParityError."""
+    n = modulus // 2 if parity == EVEN else modulus
+    if lattice_modulus(n, parity) != modulus:
+        raise ParityError(f"modulus {modulus} is not twice an even dimension")
+    return n

@@ -24,48 +24,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import EVEN, ODD, check_parity, lattice_modulus
+from .lattice import ODD, DimensionMismatch, check_parity, hilbert_dim
 from .qops import kernel_factors, unit_roots
 from .symplectic import SympMat, check_bytes, decompose
 
 
-class ParityMismatch(ValueError):
-    """Dimension, modulus and lattice parity are inconsistent."""
-
-
-class DimensionMismatch(ValueError):
-    """Matrix or state dimensions disagree."""
-
-
 @dataclass(frozen=True, eq=False)
 class ProjUnitary:
-    """A unitary defined up to global phase, tagged with its lattice bookkeeping."""
+    """A unitary defined up to global phase."""
 
     matrix: np.ndarray
-    parity: str
-    modulus: int
 
     def __post_init__(self):
         # a copy: freezing the caller's own array would be a side effect
         mat = np.array(self.matrix, dtype=complex)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-
-def hilbert_dim(modulus: int, parity: str) -> int:
-    """Hilbert-space dimension for a symplectic modulus: N odd, or N = modulus/2 even."""
-    if parity == ODD:
-        if modulus % 2 == 0:
-            raise ParityMismatch(f"odd parity needs an odd modulus, got {modulus}")
-        return modulus
-    if parity == EVEN:
-        # N even and modulus = 2N forces modulus divisible by 4.
-        if modulus % 4 != 0:
-            raise ParityMismatch(
-                f"even parity needs a doubled modulus 2N with N even, got {modulus}"
-            )
-        return modulus // 2
-    raise ParityMismatch(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
 def u_hplus(n: int, parity: str) -> ProjUnitary:
@@ -81,7 +55,7 @@ def u_hplus(n: int, parity: str) -> ProjUnitary:
     else:
         exponents = (diff * diff) % (2 * n)
         matrix = unit_roots(2 * n)[exponents] / np.sqrt(n)
-    return ProjUnitary(matrix, parity, lattice_modulus(n, parity))
+    return ProjUnitary(matrix)
 
 
 def u_hminus(n: int, parity: str) -> ProjUnitary:
@@ -94,24 +68,24 @@ def u_hminus(n: int, parity: str) -> ProjUnitary:
     else:
         exponents = (i * i) % (2 * n)
         matrix = np.diag(unit_roots(2 * n)[exponents])
-    return ProjUnitary(matrix, parity, lattice_modulus(n, parity))
+    return ProjUnitary(matrix)
 
 
-def u_of(s: SympMat, parity: str, method: str = "euclid") -> ProjUnitary:
+def u_of(s: SympMat, parity: str) -> ProjUnitary:
     """Representative of an arbitrary symplectic element via its generator word.
 
-    The word comes from decompose(); any two words for the same element give
-    matrices that agree up to a single global phase.
+    The word is decompose()'s Euclidean word; any two words for the same
+    element give matrices that agree up to a single global phase.
     """
     n = hilbert_dim(s.modulus, parity)
-    word = decompose(s, method=method)
+    word = decompose(s)
     up = u_hplus(n, parity).matrix
     um = u_hminus(n, parity).matrix
     matrix = np.eye(n, dtype=complex)
     for sign, exponent in word.factors:
         base = up if sign == "+" else um
         matrix = matrix @ np.linalg.matrix_power(base, exponent)
-    return ProjUnitary(matrix, parity, s.modulus)
+    return ProjUnitary(matrix)
 
 
 class PhaseMatch(NamedTuple):

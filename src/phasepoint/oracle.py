@@ -17,9 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .lattice import EVEN, ODD, check_parity, lattice_modulus
-from .metaplectic import apply_point, equal_up_to_phase, hilbert_dim, u_of
-from .qops import delta_leonhardt, kernel_factors, unit_roots
+from .lattice import EVEN, ODD, check_parity, hilbert_dim, lattice_modulus
+from .metaplectic import apply_point, equal_up_to_phase, u_of
+from .qops import delta_at, kernel_factors, unit_roots
 from .symplectic import SympMat, check_bytes
 
 SVD_CUTOFF = 1e-9
@@ -116,7 +116,7 @@ def integer_point_family(n: int) -> dict[tuple[int, int], np.ndarray]:
     size = n**4 * np.dtype(complex).itemsize
     check_bytes(f"integer point family of {n * n} points at dimension {n}", size)
     return {
-        (m, nn): delta_leonhardt(n, 2 * m, 2 * nn)
+        (m, nn): delta_at(n, EVEN, (2 * m, 2 * nn))
         for m in range(n)
         for nn in range(n)
     }
@@ -161,7 +161,6 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     (_translation_defect) is O(N^5) integer work; BoundExceeded above odd
     N = 53 and even N = 38.
     """
-    check_parity(n, parity)
     _check_table_bytes("kernel suite", n, parity)
     side = lattice_modulus(n, parity)
     xs, ys = np.divmod(np.arange(side * side), side)

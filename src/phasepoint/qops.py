@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import EVEN, ODD, ParityError, check_parity, lattice_modulus
+from .lattice import ODD, ParityError, check_parity, lattice_modulus
 from .modring import _check_modulus
 from .symplectic import check_bytes
 
@@ -31,27 +31,6 @@ def unit_roots(m: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(m) / m)
     roots.flags.writeable = False
     return roots
-
-
-def phase_op(n: int) -> np.ndarray:
-    """Q = diag(w^k), w = exp(2 pi i / N)."""
-    return np.diag(unit_roots(n))
-
-
-def shift_op(n: int) -> np.ndarray:
-    """P maps |k> to |k-1> (indices mod N)."""
-    p = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    p[(cols - 1) % n, cols] = 1.0
-    return p
-
-
-def inversion_op(n: int) -> np.ndarray:
-    """T maps |k> to |-k> (indices mod N); an involutive permutation."""
-    t = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    t[(-cols) % n, cols] = 1.0
-    return t
 
 
 def half_exponent(n: int) -> int:
@@ -116,53 +95,16 @@ def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
     return KernelFactors((x - rows) % n, (2 * y * rows) % r, (-x * y) % r, r)
 
 
-def _delta_from_factors(n: int, parity: str, x: int, y: int) -> np.ndarray:
-    factors = kernel_factors(n, parity, x, y)
+def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
+    """Dense phase point operator at ``point`` for either lattice parity:
+    (m, nn) on odd lattices (Cohendet), doubled coordinates (j, k) on even
+    ones (Leonhardt), laid out as kernel_factors describes. A dimension or
+    parity that does not fit raises ParityError."""
+    check_parity(n, parity)
+    factors = kernel_factors(n, parity, *point)
     delta = np.zeros((n, n), dtype=complex)
     delta[np.arange(n), factors.cols] = unit_roots(factors.root_modulus)[factors.exponents]
     return delta
-
-
-def delta_cohendet(n: int, m: int, nn: int) -> np.ndarray:
-    """Odd-lattice phase point operator at (m, nn).
-
-    One nonzero entry per row: row i, column (2m - i) mod N carries
-    w^(2 nn (i - m)). Hermitian with unit trace.
-    """
-    check_parity(n, ODD)
-    return _delta_from_factors(n, ODD, m, nn)
-
-
-def weyl_leonhardt(n: int, j: int, k: int) -> np.ndarray:
-    """Even-lattice Weyl operator at the doubled-coordinate point (j, k).
-
-    Equals wt^(j k) Q^(-j) P^(-k) with wt = exp(2 pi i / 2N); column t
-    carries wt^(j k - 2 j (t + k)) in row (t + k) mod N.
-    """
-    check_parity(n, EVEN)
-    roots = unit_roots(2 * n)
-    cols = np.arange(n)
-    w = np.zeros((n, n), dtype=complex)
-    w[(cols + k) % n, cols] = roots[(j * k - 2 * j * (cols + k)) % (2 * n)]
-    return w
-
-
-def delta_leonhardt(n: int, j: int, k: int) -> np.ndarray:
-    """Even-lattice phase point operator at the doubled-coordinate point (j, k).
-
-    Row i, column (j - i) mod N carries wt^(2 k i - k j). Points with odd j
-    or odd k sit between the integer lattice sites (ghost points). Hermitian
-    at every point of the doubled grid.
-    """
-    check_parity(n, EVEN)
-    return _delta_from_factors(n, EVEN, j, k)
-
-
-def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
-    """Phase point operator at ``point`` for either lattice parity."""
-    if parity == ODD:
-        return delta_cohendet(n, point[0], point[1])
-    return delta_leonhardt(n, point[0], point[1])
 
 
 def symmetric_order(modulus: int) -> list[int]:

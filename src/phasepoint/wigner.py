@@ -1,4 +1,4 @@
-"""Discrete Wigner functions, marginals, characteristic functions, quantization.
+"""Discrete Wigner functions, marginals and quantization.
 
 An odd-lattice table is N x N over integer points; an even-lattice table is
 2N x 2N over the doubled grid (state vectors have no amplitude on the ghost
@@ -9,14 +9,13 @@ the kernel rows and cost O(N^2 log N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import EVEN, ODD, check_parity, lattice_modulus
-from .metaplectic import DimensionMismatch
-from .qops import unit_roots, weyl_leonhardt
+from .lattice import ODD, DimensionMismatch, hilbert_dim, lattice_modulus
+from .qops import unit_roots
 from .symplectic import check_bytes
 
 NORM_TOL = 1e-8
@@ -74,29 +73,27 @@ class WignerTable:
     ``values[x, y]`` is indexed by the first (position-like) coordinate x and
     the second (momentum-like) coordinate y, both canonical mod ``modulus``.
     ``imag_residual`` records the largest imaginary part discarded when the
-    table was computed.
+    table was computed. ``dim`` is the Hilbert-space dimension behind the
+    table; a shape that fits no dimension of ``parity`` raises ParityError.
     """
 
     parity: str
     values: np.ndarray
     imag_residual: float = 0.0
+    dim: int = field(init=False)
 
     def __post_init__(self):
         # a copy: freezing the caller's own array would be a side effect
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise DimensionMismatch(f"table must be square, got {vals.shape}")
+        object.__setattr__(self, "dim", hilbert_dim(vals.shape[0], self.parity))
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def modulus(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension behind the table."""
-        return self.modulus if self.parity == ODD else self.modulus // 2
 
     @property
     def total(self) -> float:
@@ -138,7 +135,6 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     the byte bound (odd N <= 2047, even N <= 1024).
     """
     n = state.dim
-    check_parity(n, parity)
     modulus = lattice_modulus(n, parity)
     table_bytes = modulus * modulus * 4 * np.dtype(complex).itemsize
     check_bytes(f"Wigner table of {modulus} x {modulus} cells", table_bytes)
@@ -173,18 +169,6 @@ def marginals(table: WignerTable) -> Marginals:
     )
 
 
-def characteristic_fn(state: QuantumState, j: int, k: int) -> complex:
-    """Even-lattice characteristic function at doubled coordinates (j, k).
-
-    Equals the expectation value of the even-lattice Weyl operator; the
-    Wigner table is its double inverse Fourier transform over the grid.
-    """
-    n = state.dim
-    check_parity(n, EVEN)
-    amps = state.amplitudes
-    return complex(amps.conj() @ (weyl_leonhardt(n, j, k) @ amps))
-
-
 def weyl_quantize(grid, parity: str) -> np.ndarray:
     """Operator for a classical lattice observable, in symmetric ordering.
 
@@ -202,15 +186,7 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DimensionMismatch(f"grid must be square, got {values.shape}")
     modulus = values.shape[0]
-    if parity == ODD:
-        n = modulus
-    else:
-        if modulus % 4 != 0:
-            raise DimensionMismatch(
-                f"even-parity grid edge must be twice an even dimension, got {modulus}"
-            )
-        n = modulus // 2
-    check_parity(n, parity)
+    n = hilbert_dim(modulus, parity)
     if not np.isfinite(values).all():
         raise ValueError("grid has non-finite entries")
     step = _step(parity)

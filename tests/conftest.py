@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.linalg import matrix_power
 
-from phasepoint import qops, symplectic
-from phasepoint.symplectic import random_element
+from phasepoint import oracle, qops, symplectic
+from phasepoint.qops import unit_roots
 from phasepoint.wigner import QuantumState
 
 
@@ -11,8 +12,29 @@ def random_state(n, rng):
     return QuantumState(vec / np.linalg.norm(vec))
 
 
-def random_symplectic(modulus, rng):
-    return random_element(modulus, rng)
+# Reference operators on C^N, each built straight from its definition.
+
+
+def phase_op(n):
+    """Q = diag(w^k), w = exp(2 pi i / N)."""
+    return np.diag(unit_roots(n))
+
+
+def shift_op(n):
+    """P maps |k> to |k-1> (indices mod N)."""
+    return np.roll(np.eye(n, dtype=complex), -1, axis=0)
+
+
+def inversion_op(n):
+    """T maps |k> to |-k> (indices mod N)."""
+    return np.eye(n, dtype=complex)[-np.arange(n) % n]
+
+
+def weyl_leonhardt(n, j, k):
+    """Even-lattice Weyl operator wt^(j k) Q^(-j) P^(-k), wt = exp(2 pi i / 2N),
+    at the doubled-coordinate point (j, k)."""
+    q_inv, p_inv = phase_op(n).conj().T, shift_op(n).conj().T
+    return unit_roots(2 * n)[j * k % (2 * n)] * matrix_power(q_inv, j) @ matrix_power(p_inv, k)
 
 
 @pytest.fixture
@@ -33,10 +55,11 @@ def byte_bound(monkeypatch):
 @pytest.fixture
 def no_dense_kernel(monkeypatch):
     """Fail the test if it builds a dense phase point operator: every dense
-    kernel (delta_at, delta_family and the rest) goes through
-    qops._delta_from_factors."""
+    kernel (delta_family and integer_point_family included) comes from
+    delta_at, which qops and oracle bind."""
 
     def refuse(*args):
         raise AssertionError(f"dense kernel built: {args}")
 
-    monkeypatch.setattr(qops, "_delta_from_factors", refuse)
+    for module in (qops, oracle):
+        monkeypatch.setattr(module, "delta_at", refuse)

@@ -26,16 +26,9 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import (
-    EVEN,
-    ODD,
-    delta_cohendet,
-    symmetric_order,
-    unit_roots,
-    weyl_symmetric,
-)
+from phasepoint.lattice import EVEN, ODD, lattice_modulus
+from phasepoint.qops import delta_at, symmetric_order, unit_roots, weyl_symmetric
 from phasepoint.symplectic import (
-    DecompositionFailed,
     decompose,
     enumerate_group,
     generator,
@@ -122,7 +115,7 @@ def test_criterion_03_generator_covariance():
     residuals = []
     cases = [(n, ODD) for n in (3, 5, 7, 9, 15)] + [(n, EVEN) for n in (2, 4, 6)]
     for n, parity in cases:
-        modulus = n if parity == ODD else 2 * n
+        modulus = lattice_modulus(n, parity)
         for mat, build in (
             (generator("+", modulus), u_hplus),
             (generator("-", modulus), u_hminus),
@@ -154,26 +147,16 @@ def test_criterion_04_full_group_covariance(groups, rep_tables):
 
 
 def test_criterion_05_decomposition_round_trip(groups):
-    total = 0
-    fast_path = 0
-    exact = True
-    for modulus, _ in GROUPS:
-        for s in groups[modulus]:
-            total += 1
-            try:
-                word = decompose(s, method="euclid")
-                fast_path += 1
-            except DecompositionFailed:
-                word = decompose(s, method="bfs")
-            exact = exact and word.evaluate() == s
-    rate = fast_path / total
+    # The Euclidean word alone must reproduce every element.
+    elements = [s for modulus, _ in GROUPS for s in groups[modulus]]
+    misses = sum(decompose(s).evaluate() != s for s in elements)
     report(
         5,
         "decomposition round-trip",
-        exact,
-        f" (exact on {total} elements, Euclid fast path {rate:.1%}, BFS covered rest)",
+        misses == 0,
+        f" (Euclidean word exact on {len(elements) - misses} of {len(elements)} elements)",
     )
-    assert exact
+    assert misses == 0
 
 
 def test_criterion_06_stratonovich_weyl_suite():
@@ -210,12 +193,12 @@ def test_criterion_06_stratonovich_weyl_suite():
 def test_criterion_07_translational_covariance():
     residuals = []
     for n in (3, 5, 7):
-        base = delta_cohendet(n, 0, 0)
+        base = delta_at(n, ODD, (0, 0))
         for m in range(n):
             for nn in range(n):
                 w = weyl_symmetric(n, m, nn)
                 moved = w @ base @ w.conj().T
-                residuals.append(np.abs(moved - delta_cohendet(n, m, nn)).max())
+                residuals.append(np.abs(moved - delta_at(n, ODD, (m, nn))).max())
     worst = np.max(residuals)
     ok = worst < 1e-12
     report(7, "translational covariance", ok, f" (residual {worst:.2e})")
@@ -242,7 +225,7 @@ def test_criterion_09_uniqueness():
     nullities_ok = True
     phase_residuals = [0.0]
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
-        modulus = n if parity == ODD else 2 * n
+        modulus = lattice_modulus(n, parity)
         for mat in (generator("+", modulus), generator("-", modulus), h_t(modulus)):
             rep = verify_uniqueness(mat, parity, tol=1e-9)
             nullities_ok = nullities_ok and rep.nullity == 1 and rep.unitary_found

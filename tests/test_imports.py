@@ -1,4 +1,5 @@
-"""The package root and the decompose command must run without numpy.
+"""The package root, the lattice helpers and the decompose command must run
+without numpy.
 
 The child process poisons ``numpy`` in ``sys.modules`` before anything from
 phasepoint is imported, so any import of numpy (direct, or through a numeric
@@ -20,7 +21,7 @@ import sys
 sys.modules["numpy"] = None
 
 import phasepoint
-from phasepoint import cli, symplectic
+from phasepoint import cli, lattice, symplectic
 
 
 def run(*argv):
@@ -39,6 +40,7 @@ def wrong_word(s, method="euclid"):
 
 
 results = {"help": run("--help")}
+results["hilbert_dim"] = [lattice.hilbert_dim(7, "odd"), lattice.hilbert_dim(8, "even")]
 for method in ("euclid", "bfs"):
     dec = ("decompose", "--method", method, "--modulus")
     results[method] = [
@@ -72,6 +74,7 @@ def test_root_and_decompose_import_no_numpy():
     results = json.loads(child.stdout)
     assert results["help"]["code"] == 0
     assert "decompose" in results["help"]["out"]
+    assert results["hilbert_dim"] == [7, 4]
     for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):
         runs = results[method]
         assert [r["code"] for r in runs] == expected

@@ -4,31 +4,35 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from conftest import random_symplectic
-from phasepoint.metaplectic import (
+from phasepoint.lattice import (
+    EVEN,
+    ODD,
     DimensionMismatch,
-    ParityMismatch,
+    ParityError,
+    hilbert_dim,
+    lattice_modulus,
+)
+from phasepoint.metaplectic import (
     ProjUnitary,
     apply_point,
     check_covariance_bound,
     covariance_residual,
     equal_up_to_phase,
-    hilbert_dim,
     phase_defect,
     u_hminus,
     u_hplus,
     u_of,
 )
-from phasepoint.qops import (
-    EVEN,
-    ODD,
-    ParityError,
-    delta_at,
-    phase_points,
-    symmetric_order,
-    unit_roots,
+from phasepoint.qops import delta_at, phase_points, symmetric_order, unit_roots
+from phasepoint.symplectic import (
+    BoundExceeded,
+    SympMat,
+    bfs_decompose,
+    enumerate_group,
+    generator,
+    h_t,
+    random_element,
 )
-from phasepoint.symplectic import BoundExceeded, SympMat, enumerate_group, generator, h_t
 
 
 def test_u_hminus_small_odd_cases():
@@ -58,7 +62,7 @@ def test_fourth_power_at_dimension_two_is_minus_identity():
 
 @pytest.mark.parametrize("n,parity", [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)])
 def test_generator_unitaries_are_unitary(n, parity):
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     for unitary in (u_hplus(n, parity), u_hminus(n, parity), u_of(h_t(modulus), parity)):
         u = unitary.matrix
         assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
@@ -66,7 +70,7 @@ def test_generator_unitaries_are_unitary(n, parity):
 
 @pytest.mark.parametrize("n,parity", [(3, ODD), (5, ODD), (7, ODD), (2, EVEN), (4, EVEN)])
 def test_generator_covariance(n, parity):
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     pairs = [
         (u_hplus(n, parity), generator("+", modulus)),
         (u_hminus(n, parity), generator("-", modulus)),
@@ -81,12 +85,34 @@ def test_parity_mismatch_rejected():
         u_hplus(4, ODD)
     with pytest.raises(ParityError):
         u_hminus(5, EVEN)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(ParityError):
         hilbert_dim(4, ODD)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(ParityError):
         hilbert_dim(6, EVEN)  # modulus 2N with N even must be divisible by 4
     assert hilbert_dim(7, ODD) == 7
     assert hilbert_dim(8, EVEN) == 4
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_hilbert_dim_inverts_lattice_modulus(parity):
+    moduli = {lattice_modulus(n, parity): n for n in range(2, 401) if n % 2 == (parity == ODD)}
+    for modulus in range(2, 401):
+        if modulus in moduli:
+            assert hilbert_dim(modulus, parity) == moduli[modulus]
+        else:
+            with pytest.raises(ParityError):
+                hilbert_dim(modulus, parity)
+    with pytest.raises(ParityError):
+        hilbert_dim(8, "bogus")
+
+
+def word_product(word, n, parity):
+    """U(S) as the product of generator powers along ``word``."""
+    up, um = u_hplus(n, parity).matrix, u_hminus(n, parity).matrix
+    product = np.eye(n, dtype=complex)
+    for sign, exponent in word.factors:
+        product = product @ matrix_power(up if sign == "+" else um, exponent)
+    return product
 
 
 def test_u_of_identity_and_generator():
@@ -98,7 +124,7 @@ def test_u_of_identity_and_generator():
 
 def test_u_of_random_covariance(rng):
     for _ in range(20):
-        s = random_symplectic(5, rng)
+        s = random_element(5, rng)
         rep = u_of(s, ODD)
         assert covariance_residual(rep.matrix, s, ODD) < 1e-10
 
@@ -106,10 +132,10 @@ def test_u_of_random_covariance(rng):
 def test_u_of_path_independence(rng):
     # Euclid and BFS words differ, but their products agree up to phase.
     for _ in range(10):
-        s = random_symplectic(5, rng)
-        a = u_of(s, ODD, method="euclid")
-        b = u_of(s, ODD, method="bfs")
-        assert equal_up_to_phase(a.matrix, b.matrix, tol=1e-10).equivalent
+        s = random_element(5, rng)
+        a = u_of(s, ODD).matrix
+        b = word_product(bfs_decompose(s), 5, ODD)
+        assert equal_up_to_phase(a, b, tol=1e-10).equivalent
 
 
 @pytest.mark.parametrize(
@@ -203,11 +229,11 @@ def dense_covariance_residual(u, s, parity):
     "n,parity", [(n, ODD) for n in (3, 5, 7, 9)] + [(n, EVEN) for n in (2, 4, 6, 8)]
 )
 def test_covariance_residual_matches_dense_reference(n, parity, rng):
-    modulus = n if parity == ODD else 2 * n
-    s = random_symplectic(modulus, rng)
-    other = random_symplectic(modulus, rng)
+    modulus = lattice_modulus(n, parity)
+    s = random_element(modulus, rng)
+    other = random_element(modulus, rng)
     while other == s:
-        other = random_symplectic(modulus, rng)
+        other = random_element(modulus, rng)
     matrices = [
         u_of(s, parity).matrix,
         u_of(other, parity).matrix,
@@ -222,7 +248,7 @@ def test_covariance_residual_matches_dense_reference(n, parity, rng):
 
 def test_covariance_residual_builds_no_kernel_cache(no_dense_kernel):
     for n, parity in [(5, ODD), (4, EVEN)]:
-        s = h_t(n if parity == ODD else 2 * n)
+        s = h_t(lattice_modulus(n, parity))
         assert covariance_residual(u_of(s, parity).matrix, s, parity) < 1e-10
 
 
@@ -261,14 +287,14 @@ def test_covariance_bound_admits_largest_sizes(n):
 @pytest.mark.parametrize("n,parity", [(189, ODD), (190, EVEN)])
 def test_covariance_bound_refuses_next_sizes(n, parity):
     # refused before the N^3 blocks are allocated, so the call returns at once
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
 
 
 def test_proj_unitary_copies_the_callers_array():
     a = np.eye(3, dtype=complex)
-    u = ProjUnitary(a, ODD, 3)
+    u = ProjUnitary(a)
     assert a.flags.writeable
     assert not u.matrix.flags.writeable
     a[0, 0] = 2.0

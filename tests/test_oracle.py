@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from conftest import random_symplectic
+from phasepoint.lattice import EVEN, ODD, lattice_modulus
 from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
 from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
@@ -11,7 +11,7 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import EVEN, ODD, delta_family, unit_roots, weyl_symmetric
+from phasepoint.qops import delta_family, unit_roots, weyl_symmetric
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -20,6 +20,7 @@ from phasepoint.symplectic import (
     enumerate_group,
     generator,
     h_t,
+    random_element,
 )
 
 
@@ -78,7 +79,7 @@ def test_solve_covariance_requires_closed_family():
 
 
 def test_solution_basis_actually_solves(rng):
-    s = random_symplectic(3, rng)
+    s = random_element(3, rng)
     family = delta_family(3, ODD)
     solution = solve_covariance(s, family)
     from phasepoint.metaplectic import apply_point
@@ -127,7 +128,7 @@ def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
 )
 def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
     # full-grid families: N^2 points at odd N, (2N)^2 on the doubled grid
-    points = n**2 if parity == ODD else (2 * n) ** 2
+    points = lattice_modulus(n, parity) ** 2
     assert (points * n**4 * 16 <= symplectic.SYSTEM_BYTES_BOUND) == allowed
 
 
@@ -200,8 +201,8 @@ def test_graph_matches_svd_on_whole_group(modulus, n, parity):
 
 @pytest.mark.parametrize("n,parity", [(9, ODD), (15, ODD), (6, EVEN), (12, EVEN)])
 def test_uniqueness_at_composite_dimensions(n, parity, rng):
-    modulus = n if parity == ODD else 2 * n
-    for s in [h_t(modulus)] + [random_symplectic(modulus, rng) for _ in range(3)]:
+    modulus = lattice_modulus(n, parity)
+    for s in [h_t(modulus)] + [random_element(modulus, rng) for _ in range(3)]:
         report = verify_uniqueness(s, parity)
         assert report.nullity == 1
         assert report.unitary_found
@@ -236,7 +237,7 @@ def one_permutation_mutant(point, source):
 @pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
 def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
     # No matrix is covariant with the mutated family.
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     s = h_t(modulus)
     assert apply_point(s, point) != point
     assert verify_uniqueness(s, parity).unitary_found
@@ -264,7 +265,7 @@ def test_uniqueness_graph_bound_sizes(n, parity):
     # odd N <= 53 and even N <= 38 fit; the next sizes are refused before
     # anything is built (far larger ones are tried in a capped child, in
     # tests/test_cli.py)
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         verify_uniqueness(h_t(modulus), parity)
 
@@ -273,8 +274,8 @@ def test_solve_covariance_matches_full_svd(rng):
     # Reference: the SVD of the whole stacked system, left factor included.
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
         family = delta_family(n, parity)
-        modulus = n if parity == ODD else 2 * n
-        for s in (h_t(modulus), random_symplectic(modulus, rng)):
+        modulus = lattice_modulus(n, parity)
+        for s in (h_t(modulus), random_element(modulus, rng)):
             stacked = np.vstack([
                 np.kron(np.eye(n), family[p].T) - np.kron(family[apply_point(s, p)], np.eye(n))
                 for p in sorted(family)

