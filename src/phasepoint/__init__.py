@@ -24,12 +24,7 @@ _NAMES_BY_MODULE = {
         "euclid_trace",
     ),
     "lattice": ("DimensionMismatch", "EVEN", "ODD", "ParityError"),
-    "qops": (
-        "delta_family",
-        "phase_points",
-        "unit_roots",
-        "weyl_symmetric",
-    ),
+    "qops": ("delta_family", "phase_points", "unit_roots"),
     "symplectic": (
         "BoundExceeded",
         "DecompositionFailed",

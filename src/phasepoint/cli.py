@@ -138,10 +138,16 @@ def _load_state(path: str):
 
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    dim = int(data["dim"])
+    # JSON true and false load as bool, a subclass of int: neither is a number here
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     amplitudes = data["amplitudes"]
     if len(amplitudes) != dim:
         raise ValueError(f"state file declares dim {dim} but has {len(amplitudes)} amplitudes")
+    for pair in amplitudes:
+        if type(pair) is not list or len(pair) != 2 or not {type(v) for v in pair} <= {int, float}:
+            raise ValueError(f"amplitude {pair!r} is not a pair of numbers")
     return QuantumState([complex(re, im) for re, im in amplitudes])
 
 
@@ -153,8 +159,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         state = _load_state(args.state)
     except NotNormalized as exc:
         return _fail(str(exc), 2)
-    # OverflowError: a dim of Infinity; RecursionError: JSON nested deeper
-    # than the decoder's recursion limit
+    # OverflowError: an integer amplitude too large for a float; RecursionError:
+    # JSON nested deeper than the decoder's recursion limit
     except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         return _fail(f"cannot read state file: {exc}", 2)
     try:

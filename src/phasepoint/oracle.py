@@ -5,9 +5,10 @@ is monomial, Delta_p[i, sigma_p(i)] = rho^(e_p(i)), so the exact oracles
 read the integer tables of kernel_factors and build no dense kernel:
 uniqueness is the solution count of a gain graph over integer phases
 (verify_uniqueness), and the kernel properties are table identities
-(verify_sw_kernel). Solving the covariance relation as a dense linear
-system (solve_covariance) is the floating-point cross-check at small N. The
-factorization oracle, breadth-first search, is symplectic.bfs_decompose.
+(verify_sw_kernel), translation at the two Weyl generators, which give
+every shift. The dense solve of the covariance relation (solve_covariance)
+is the floating-point cross-check at small N. The factorization oracle,
+breadth-first search, is symplectic.bfs_decompose.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .symplectic import SympMat, check_bytes
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
+CLOSED_FORM_TOL = 1e-9
 
 
 def _check_table_bytes(what: str, n: int, parity: str) -> None:
@@ -158,8 +160,9 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     over the rows where sigma_p and sigma_q agree. Any two permutations must
     agree on every row or on none (else ValueError), so the Gram matrix is
     block diagonal over the classes of equal permutations. Translation
-    (_translation_defect) is O(N^5) integer work; BoundExceeded above odd
-    N = 53 and even N = 38.
+    (_weyl_generator_defect) compares each kernel with its image under the
+    two Weyl generators, O(N^3); BoundExceeded above odd N = 53 and even
+    N = 38.
     """
     _check_table_bytes("kernel suite", n, parity)
     side = lattice_modulus(n, parity)
@@ -178,49 +181,34 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
         raise ValueError("two kernel permutations agree on some rows but not all")
     blocks = (values[label == c] for c in range(len(perms)))
     traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
-    translation = _translation_defect(cols, exponents) if parity == ODD else None
+    translation = _weyl_generator_defect(cols, exponents) if parity == ODD else None
     return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
 
 
-def _translation_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
-    """max |W^dag Delta_(x,y) W - Delta_(x-m',y-n')| over every point and every
-    W = weyl_symmetric(N, m', n'), from the odd tables indexed [x * N + y, row].
+def _weyl_generator_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
+    """max |W^dag Delta_(x,y) W - Delta_(x-m',y-n')| over every point, from the
+    odd tables indexed [x * N + y, row], for the Weyl generators (m', n') =
+    (1, 0) and (0, 1); conjugation drops phases, so they decide every shift.
 
-    (W^dag K W)[a, b] = w^(n'(b - a)) K[a + m', b + m'], so the conjugated
-    kernel's row a holds rho^e rho^phi (e = e_p(a + m'), phi = n'(b - a))
-    at b = sigma_p(a + m') - m', and the image's holds rho^f at sigma_q(a).
-    Where the columns agree the defect is |rho^e rho^phi - rho^f|; elsewhere
-    both entries stand alone, as triples (e, phi, none) and (none, 0, f) with
-    rho^none = 0. The triples are marked one m' slice at a time (N^4
-    entries, about 14 B each), and the defect is taken once per triple.
+    For (1, 0), row a is row a + 1 of Delta_p moved one column left; for
+    (0, 1), row a keeps column sigma_p(a) and its exponent gains sigma_p(a) - a.
+    Exponents are summed mod N before the lookup, so a true table gives 0.
+    Where the columns differ, the defect is the larger modulus of the two.
     """
     n = cols.shape[1]
     cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
-    idx = np.arange(n)
-    small = np.min_scalar_type(n)
-    small_cols, small_exponents = cols.astype(small), exponents.astype(small)
-    # times[n', d] = n' d mod N; shifts[n', y] = y - n' mod N
-    times = (idx[:, None] * idx % n).astype(small)
-    shifts = (idx - idx[:, None]) % n
-    none = n
-    seen = np.zeros((n + 1) ** 3, dtype=bool)
-    key = np.empty((n,) * 4, dtype=np.intp)  # reused by every slice
-    for mp in range(n):
-        rows = (idx + mp) % n
-        # source p = (x, y) on axes (x, y, a); image q = (x - m', y - n')
-        # on axes (n', x, y, a)
-        source_cols = (cols[:, :, rows] - mp) % n
-        image = (((idx - mp) % n)[:, None], shifts[:, None])
-        image_exponents = small_exponents[image]
-        apart = small_cols[image] != source_cols
-        np.add(exponents[:, :, rows] * (n + 1), times[:, (source_cols - idx) % n], out=key)
-        key *= n + 1
-        key += np.where(apart, none, image_exponents)
-        seen[key] = True
-        seen[none * (n + 1) ** 2 + image_exponents[apart].astype(np.intp)] = True
-    e, phi, f = np.unravel_index(np.flatnonzero(seen), (n + 1,) * 3)
-    roots = np.append(unit_roots(n), 0)
-    return float(np.abs(roots[e] * roots[phi] - roots[f]).max())
+    roots = unit_roots(n)
+    worst = []
+    for axis, moved_cols, moved_exponents in [
+        (0, (np.roll(cols, -1, 2) - 1) % n, np.roll(exponents, -1, 2)),
+        (1, cols, (exponents + cols - np.arange(n)) % n),
+    ]:
+        # the image of (x, y) sits one step back on the generator's axis
+        moved, image = roots[moved_exponents], roots[np.roll(exponents, 1, axis)]
+        apart = moved_cols != np.roll(cols, 1, axis)
+        defect = np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image))
+        worst.append(defect.max())
+    return float(np.max(worst))
 
 
 @dataclass(eq=False)
@@ -308,7 +296,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     return 1, solution.reshape(n, n)
 
 
-def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessReport:
+def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     """Solve covariance for ``s`` from scratch and compare to the word product.
 
     The solution space over every lattice point comes from an exact gain
@@ -323,7 +311,7 @@ def verify_uniqueness(s: SympMat, parity: str, tol: float = 1e-9) -> UniquenessR
     if unitary is None:
         return UniquenessReport(nullity, False, None, None)
     constructed = u_of(s, parity).matrix
-    match = equal_up_to_phase(unitary, constructed, tol)
+    match = equal_up_to_phase(unitary, constructed, CLOSED_FORM_TOL)
     phase = match.phase if match.phase is not None else 1.0
     residual = float(np.abs(unitary - phase * constructed).max())
     return UniquenessReport(nullity, True, match.phase, residual)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ODD, ParityError, check_parity, lattice_modulus
+from .lattice import ODD, check_parity, lattice_modulus
 from .modring import _check_modulus
 from .symplectic import check_bytes
 
@@ -31,29 +31,6 @@ def unit_roots(m: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(m) / m)
     roots.flags.writeable = False
     return roots
-
-
-def half_exponent(n: int) -> int:
-    """The residue playing the role of 1/2 mod odd N, i.e. (N+1)/2."""
-    if n % 2 == 0:
-        raise ParityError(f"1/2 has no residue representative mod even {n}")
-    return (n + 1) // 2
-
-
-def weyl_symmetric(n: int, m: int, nn: int) -> np.ndarray:
-    """Odd-lattice Weyl operator in the symmetric normalization.
-
-    w^(-m nn / 2) Q^nn P^(-m), with the half exponent realized as the
-    residue (N+1)/2. Conjugating the inversion kernel by this operator
-    translates phase points one step per unit of (m, nn).
-    """
-    check_parity(n, ODD)
-    roots = unit_roots(n)
-    half = half_exponent(n)
-    cols = np.arange(n)
-    w = np.zeros((n, n), dtype=complex)
-    w[(cols + m) % n, cols] = roots[(nn * (cols + m) - m * nn * half) % n]
-    return w
 
 
 class KernelFactors(NamedTuple):

@@ -3,6 +3,7 @@ import pytest
 from numpy.linalg import matrix_power
 
 from phasepoint import oracle, qops, symplectic
+from phasepoint.lattice import ODD, ParityError, check_parity
 from phasepoint.qops import unit_roots
 from phasepoint.wigner import QuantumState
 
@@ -28,6 +29,29 @@ def shift_op(n):
 def inversion_op(n):
     """T maps |k> to |-k> (indices mod N)."""
     return np.eye(n, dtype=complex)[-np.arange(n) % n]
+
+
+def half_exponent(n):
+    """The residue playing the role of 1/2 mod odd N, i.e. (N+1)/2."""
+    if n % 2 == 0:
+        raise ParityError(f"1/2 has no residue representative mod even {n}")
+    return (n + 1) // 2
+
+
+def weyl_symmetric(n, m, nn):
+    """Odd-lattice Weyl operator in the symmetric normalization.
+
+    w^(-m nn / 2) Q^nn P^(-m), with the half exponent realized as the
+    residue (N+1)/2. Conjugating the inversion kernel by this operator
+    translates phase points one step per unit of (m, nn).
+    """
+    check_parity(n, ODD)
+    roots = unit_roots(n)
+    half = half_exponent(n)
+    cols = np.arange(n)
+    w = np.zeros((n, n), dtype=complex)
+    w[(cols + m) % n, cols] = roots[(nn * (cols + m) - m * nn * half) % n]
+    return w
 
 
 def weyl_leonhardt(n, j, k):

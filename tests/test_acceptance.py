@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
+from conftest import weyl_symmetric
 from phasepoint.metaplectic import (
     covariance_residual,
     equal_up_to_phase,
@@ -27,7 +28,7 @@ from phasepoint.oracle import (
     verify_uniqueness,
 )
 from phasepoint.lattice import EVEN, ODD, lattice_modulus
-from phasepoint.qops import delta_at, symmetric_order, unit_roots, weyl_symmetric
+from phasepoint.qops import delta_at, symmetric_order, unit_roots
 from phasepoint.symplectic import (
     decompose,
     enumerate_group,
@@ -227,7 +228,7 @@ def test_criterion_09_uniqueness():
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
         modulus = lattice_modulus(n, parity)
         for mat in (generator("+", modulus), generator("-", modulus), h_t(modulus)):
-            rep = verify_uniqueness(mat, parity, tol=1e-9)
+            rep = verify_uniqueness(mat, parity)
             nullities_ok = nullities_ok and rep.nullity == 1 and rep.unitary_found
             if rep.closed_form_residual is not None:
                 phase_residuals.append(rep.closed_form_residual)

@@ -198,8 +198,21 @@ def test_wigner_rejects_nan_amplitude(capsys, tmp_path):
     [
         "[" * 200_000,  # deeper than the JSON decoder's recursion limit
         '{"dim": Infinity, "amplitudes": []}',
+        '{"dim": 3.7, "amplitudes": [[1, 0], [0, 0], [0, 0]]}',
+        '{"dim": "3", "amplitudes": [[1, 0], [0, 0], [0, 0]]}',
+        '{"dim": true, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"dim": 3, "amplitudes": [[true, 0], [0, false], [0, 0]]}',
+        '{"dim": 3, "amplitudes": [[1, 0], [0, 0], [1' + "0" * 400 + ', 0]]}',
     ],
-    ids=["deeply-nested", "infinite-dim"],
+    ids=[
+        "deeply-nested",
+        "infinite-dim",
+        "float-dim",
+        "string-dim",
+        "bool-dim",
+        "bool-amplitude",
+        "huge-amplitude",
+    ],
 )
 def test_wigner_rejects_unreadable_state_file(capsys, tmp_path, text):
     state_file = tmp_path / "state.json"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
+from conftest import weyl_symmetric
 from phasepoint.lattice import EVEN, ODD, lattice_modulus
 from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
 from phasepoint import oracle, qops, symplectic
@@ -11,7 +14,7 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.qops import delta_family, unit_roots, weyl_symmetric
+from phasepoint.qops import delta_family, unit_roots
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -301,10 +304,96 @@ def dense_translation_defect(family, n):
     return np.max(worst)
 
 
+def all_shifts_translation_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
+    """max |W^dag Delta_(x,y) W - Delta_(x-m',y-n')| over every point and every
+    W = weyl_symmetric(N, m', n'), from the odd tables indexed [x * N + y, row].
+
+    (W^dag K W)[a, b] = w^(n'(b - a)) K[a + m', b + m'], so the conjugated
+    kernel's row a holds rho^e rho^phi (e = e_p(a + m'), phi = n'(b - a))
+    at b = sigma_p(a + m') - m', and the image's holds rho^f at sigma_q(a).
+    Where the columns agree the defect is |rho^e rho^phi - rho^f|; elsewhere
+    both entries stand alone, as triples (e, phi, none) and (none, 0, f) with
+    rho^none = 0. The triples are marked one m' slice at a time (N^4
+    entries, about 14 B each), and the defect is taken once per triple.
+    """
+    n = cols.shape[1]
+    cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
+    idx = np.arange(n)
+    small = np.min_scalar_type(n)
+    small_cols, small_exponents = cols.astype(small), exponents.astype(small)
+    # times[n', d] = n' d mod N; shifts[n', y] = y - n' mod N
+    times = (idx[:, None] * idx % n).astype(small)
+    shifts = (idx - idx[:, None]) % n
+    none = n
+    seen = np.zeros((n + 1) ** 3, dtype=bool)
+    key = np.empty((n,) * 4, dtype=np.intp)  # reused by every slice
+    for mp in range(n):
+        rows = (idx + mp) % n
+        # source p = (x, y) on axes (x, y, a); image q = (x - m', y - n')
+        # on axes (n', x, y, a)
+        source_cols = (cols[:, :, rows] - mp) % n
+        image = (((idx - mp) % n)[:, None], shifts[:, None])
+        image_exponents = small_exponents[image]
+        apart = small_cols[image] != source_cols
+        np.add(exponents[:, :, rows] * (n + 1), times[:, (source_cols - idx) % n], out=key)
+        key *= n + 1
+        key += np.where(apart, none, image_exponents)
+        seen[key] = True
+        seen[none * (n + 1) ** 2 + image_exponents[apart].astype(np.intp)] = True
+    e, phi, f = np.unravel_index(np.flatnonzero(seen), (n + 1,) * 3)
+    roots = np.append(unit_roots(n), 0)
+    return float(np.abs(roots[e] * roots[phi] - roots[f]).max())
+
+
+def odd_tables(factors_of, n):
+    """The (cols, exponents) tables of every odd point, indexed [x * N + y, row]."""
+    xs, ys = np.divmod(np.arange(n * n), n)
+    factors = factors_of(n, ODD, xs[:, None], ys[:, None])
+    return factors.cols, factors.exponents
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_sw_translation_matches_dense_conjugation(n):
     reference = dense_translation_defect(delta_family(n, ODD), n)
     assert abs(verify_sw_kernel(ODD, n).translation_covariance - reference) < 1e-15
+    tables = odd_tables(qops.kernel_factors, n)
+    assert abs(all_shifts_translation_defect(*tables) - reference) < 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 9, 31, 53])
+def test_sw_translation_is_exact_on_true_tables(n):
+    # exponents are summed mod N before the roots lookup
+    assert verify_sw_kernel(ODD, n).translation_covariance == 0.0
+
+
+@pytest.mark.parametrize("n", [9, 15, 31])
+def test_sw_translation_true_tables_pass_both_checks(n):
+    assert verify_sw_kernel(ODD, n).translation_covariance < 1e-12
+    assert all_shifts_translation_defect(*odd_tables(qops.kernel_factors, n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", ["exponent", "permutation"])
+def test_sw_translation_rejects_mutant_at_every_point(monkeypatch, n, kind):
+    for x in range(n):
+        for y in range(n):
+            if kind == "exponent":
+                mutant = one_exponent_mutant((x, y))
+            else:
+                mutant = one_permutation_mutant((x, y), ((x + 1) % n, y))
+            assert all_shifts_translation_defect(*odd_tables(mutant, n)) > 0.5
+            monkeypatch.setattr(oracle, "kernel_factors", mutant)
+            assert verify_sw_kernel(ODD, n).translation_covariance > 0.5
+
+
+def test_sw_kernel_peak_memory_at_largest_odd_dimension():
+    tracemalloc.start()
+    try:
+        verify_sw_kernel(ODD, 53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("n,parity,allowed", [(31, ODD, True), (55, ODD, False), (38, EVEN, True), (40, EVEN, False)])

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from conftest import inversion_op, phase_op, shift_op, weyl_leonhardt
-from phasepoint.lattice import EVEN, ODD, ParityError
-from phasepoint.qops import (
-    delta_at,
-    delta_family,
+from conftest import (
     half_exponent,
-    phase_points,
-    unit_roots,
+    inversion_op,
+    phase_op,
+    shift_op,
+    weyl_leonhardt,
     weyl_symmetric,
 )
+from phasepoint.lattice import EVEN, ODD, ParityError
+from phasepoint.qops import delta_at, delta_family, phase_points, unit_roots
 from phasepoint.symplectic import BoundExceeded
 
 TOL = 1e-12
