@@ -1,20 +1,27 @@
 """Projective unitary representation of Sp_M covariant with the phase point operators.
 
 The defining relation is U(S) Delta_p U(S)^dag = Delta_(S.p) at every lattice
-point p. The generators have closed forms: on odd lattices
+point p. The generators have closed forms in one exponent table e(i): with
+rho the root of unity of order R,
 
-    U(h+)[i, k] = w^((i-k)(i-k+N)/2) / sqrt(N),   U(h-) = diag w^(i(i+N)/2),
+    U(h+)[i, k] = rho^(e((i-k) mod N)) / sqrt(N),   U(h-) = diag rho^(e(i)),
 
-with all exponents exact integers mod N, and on even lattices
+where on odd lattices e(i) = i(i+N)/2 mod N and R = N, and on even lattices
+e(i) = i^2 mod 2N and R = 2N; all exponents are exact integers mod R. For
+even lattices the unitaries act on the N-dimensional space while the
+symplectic indices live mod 2N; the doubled modulus is pure phase-point
+bookkeeping.
 
-    U(h+)[i, k] = wt^((i-k)^2) / sqrt(N),         U(h-) = diag wt^(i^2),
-
-with wt = exp(2 pi i / 2N) and exponents mod 2N. For even lattices the
-unitaries act on the N-dimensional space while the symplectic indices live
-mod 2N; the doubled modulus is pure phase-point bookkeeping. Arbitrary
-elements are represented through their generator words, which fixes U(S)
-only up to a global phase; no phase gauge is imposed, and comparisons go
-through equal_up_to_phase.
+U(h-)^k is the diagonal rho^(k e(i)). U(h+) is a circulant, which the DFT
+diagonalises: its eigenvalues are lambda_0 rho^(-e(f)), with lambda_0 the
+sum of its first column, an eighth root of unity (the chirp structure of
+Appleby, J. Math. Phys. 46, 052107, 2005). So U(h+)^k is
+lambda_0^k F^-1 diag rho^(-k e(f)) F, with F the length-N DFT. Arbitrary
+elements are represented through their four-factor words
+h-^x h+^b' h-^z h+^(-t) (symplectic.decompose(s, "four")), which costs a few
+column scalings and at most two FFT pairs; any word for the same element
+gives the same matrix up to a global phase. No phase gauge is imposed, and
+comparisons go through equal_up_to_phase.
 """
 
 from __future__ import annotations
@@ -42,49 +49,60 @@ class ProjUnitary:
         object.__setattr__(self, "matrix", mat)
 
 
+def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
+    """The generators' exponent table e(i) and its root modulus R.
+
+    u_hplus reads it at (i - k) mod N: on odd lattices (d+N)(d+2N)/2 and
+    d(d+N)/2 differ by dN + N^2, and on even ones (d+N)^2 and d^2 differ by
+    2dN + N^2 with N even, so both are 0 mod R.
+    """
+    check_parity(n, parity)
+    i = np.arange(n)
+    if parity == ODD:
+        # i and i+N have opposite parity, so the product is even.
+        return (i * (i + n)) // 2 % n, n
+    return (i * i) % (2 * n), 2 * n
+
+
 def u_hplus(n: int, parity: str) -> ProjUnitary:
     """Closed-form representative of the upper triangular generator."""
-    check_parity(n, parity)
-    i = np.arange(n).reshape(-1, 1)
-    k = np.arange(n).reshape(1, -1)
-    diff = i - k
-    if parity == ODD:
-        # diff and diff+N have opposite parity, so the product is even.
-        exponents = (diff * (diff + n)) // 2 % n
-        matrix = unit_roots(n)[exponents] / np.sqrt(n)
-    else:
-        exponents = (diff * diff) % (2 * n)
-        matrix = unit_roots(2 * n)[exponents] / np.sqrt(n)
-    return ProjUnitary(matrix)
+    exponents, r = _generator_exponents(n, parity)
+    i = np.arange(n)
+    return ProjUnitary(unit_roots(r)[exponents[(i[:, None] - i) % n]] / np.sqrt(n))
 
 
 def u_hminus(n: int, parity: str) -> ProjUnitary:
     """Closed-form representative of the lower triangular generator (diagonal)."""
-    check_parity(n, parity)
-    i = np.arange(n)
-    if parity == ODD:
-        exponents = (i * (i + n)) // 2 % n
-        matrix = np.diag(unit_roots(n)[exponents])
-    else:
-        exponents = (i * i) % (2 * n)
-        matrix = np.diag(unit_roots(2 * n)[exponents])
-    return ProjUnitary(matrix)
+    exponents, r = _generator_exponents(n, parity)
+    return ProjUnitary(np.diag(unit_roots(r)[exponents]))
 
 
 def u_of(s: SympMat, parity: str) -> ProjUnitary:
-    """Representative of an arbitrary symplectic element via its generator word.
+    """Representative of an arbitrary symplectic element via its four-factor word.
 
-    The word is decompose()'s Euclidean word; any two words for the same
-    element give matrices that agree up to a single global phase.
+    The product of the closed-form generator powers along
+    decompose(s, "four"), from the left: U(h-)^k scales column i by
+    rho^(k e(i)), and U(h+)^k is applied as an inverse FFT along the rows,
+    a scaling by its eigenvalues lambda_0^k rho^(-k e(f)) and a forward FFT.
+    That is O(N^2 log N) with no matrix product. The word is normalized, so
+    a single generator power gives exactly that power of u_hplus or
+    u_hminus; any other word for the same element agrees up to a single
+    global phase.
     """
     n = hilbert_dim(s.modulus, parity)
-    word = decompose(s)
-    up = u_hplus(n, parity).matrix
-    um = u_hminus(n, parity).matrix
+    exponents, r = _generator_exponents(n, parity)
+    roots = unit_roots(r)
+    # lambda_0 is an exact eighth root of unity; using its exponent keeps
+    # lambda_0^k free of rounding that would grow with k.
+    lambda_0 = roots[exponents].sum() / np.sqrt(n)
+    eighth = round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
     matrix = np.eye(n, dtype=complex)
-    for sign, exponent in word.factors:
-        base = up if sign == "+" else um
-        matrix = matrix @ np.linalg.matrix_power(base, exponent)
+    for sign, k in decompose(s, method="four").factors:
+        if sign == "-":
+            matrix *= roots[k * exponents % r]
+        else:
+            spectrum = unit_roots(8)[eighth * k % 8] * roots[-k * exponents % r]
+            matrix = np.fft.fft(np.fft.ifft(matrix, axis=1) * spectrum, axis=1)
     return ProjUnitary(matrix)
 
 

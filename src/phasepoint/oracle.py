@@ -89,17 +89,17 @@ def solve_covariance(
     threshold = SVD_CUTOFF * (largest if largest > 0 else 1.0)
     rank = int((singular > threshold).sum())
     basis = [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
-    unitary = _unitarize(basis[0], UNITARY_TOL) if len(basis) == 1 else None
+    unitary = _unitarize(basis[0]) if len(basis) == 1 else None
     return CovarianceSolution(len(basis), basis, unitary, singular)
 
 
-def _unitarize(candidate: np.ndarray, tol: float) -> np.ndarray | None:
+def _unitarize(candidate: np.ndarray) -> np.ndarray | None:
     # Candidates (SVD basis vectors, gain-graph solutions) have unit
     # Frobenius norm; a unitary multiple must be sqrt(dim) times that.
     dim = candidate.shape[0]
     scaled = candidate * np.sqrt(dim)
     defect = np.abs(scaled.conj().T @ scaled - np.eye(dim)).max()
-    if defect > tol:
+    if defect > UNITARY_TOL:
         return None
     flat = scaled.reshape(-1)
     leading = flat[np.abs(flat) > 0.5 / np.sqrt(dim)][0]
@@ -303,11 +303,12 @@ def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     graph over integer phases (no dense kernel, no singular-value cutoff).
     A one-dimensional space containing a unitary confirms both the
     uniqueness claim and (through the returned phase) agreement with the
-    constructive route. Raises BoundExceeded above odd N = 53 and even
-    N = 38 (about 32 B per edge, N^2 edges per lattice point).
+    constructive route, u_of's product along the four-factor word. Raises
+    BoundExceeded above odd N = 53 and even N = 38 (about 32 B per edge,
+    N^2 edges per lattice point).
     """
     nullity, candidate = _covariance_graph(s, parity)
-    unitary = _unitarize(candidate, UNITARY_TOL) if candidate is not None else None
+    unitary = _unitarize(candidate) if candidate is not None else None
     if unitary is None:
         return UniquenessReport(nullity, False, None, None)
     constructed = u_of(s, parity).matrix

@@ -2,13 +2,15 @@
 
 Sp_M is generated by the unit triangular matrices h+ = [[1,1],[0,1]] and
 h- = [[1,0],[1,1]], both of order M. Every element factors into a short word
-in powers of h+ and h-; the factorization is driven by the Euclidean
+in powers of h+ and h-. The paper's factorization is driven by the Euclidean
 algorithm on the second column and closed through the row swap
-h_t = h+ h-^(M-1) h+ = [[0,1],[M-1,0]].
+h_t = h+ h-^(M-1) h+ = [[0,1],[M-1,0]]; a closed form gives every element a
+word of at most four factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +27,7 @@ class NotSymplectic(ValueError):
 
 
 class DecompositionFailed(RuntimeError):
-    """The Euclidean method could not produce a verified generator word."""
+    """A decomposition method could not produce a verified generator word."""
 
 
 class BoundExceeded(ValueError):
@@ -198,11 +200,14 @@ def decompose(s: SympMat, method: str = "euclid") -> GenWord:
     is solved for ``s`` itself. The word is re-evaluated before returning
     and DecompositionFailed is raised if it does not reproduce ``s``.
 
-    ``method`` is "euclid" or "bfs" (the bounded shortest-word oracle,
-    see bfs_decompose).
+    ``method`` is "euclid", "four" (the word of at most four factors, see
+    _four_word) or "bfs" (the bounded shortest-word oracle, see
+    bfs_decompose).
     """
     if method == "euclid":
         return _euclid_word(s)
+    if method == "four":
+        return _four_word(s)
     if method == "bfs":
         return bfs_decompose(s)
     raise ValueError(f"unknown method {method!r}")
@@ -265,6 +270,35 @@ def _euclid_word(s: SympMat) -> GenWord:
     word = GenWord(tuple(factors), m)
     if word.evaluate() != s:
         raise DecompositionFailed("factor word does not reproduce the input")
+    return word
+
+
+def _four_word(s: SympMat) -> GenWord:
+    """The word h-^x h+^b' h-^z h+^(-t) for ``s``, at most four factors.
+
+    t is the smallest t >= 0 that makes b' = a t + b a unit mod M; one
+    exists because the row (a, b) is unimodular, so by the CRT some t avoids
+    every prime of M. With d' = c t + d, s h+^t = [[a, b'], [c, d']], and
+
+        h-^x h+^b' h-^z = [[1 + b' z, b'], [x + (x b' + 1) z, x b' + 1]]
+
+    matches it for z = (a - 1)/b' and x = (d' - 1)/b'; the bottom-left
+    entry x + d' z = (a d' - 1)/b' is c because a d' - b' c = 1. The word is
+    re-evaluated before returning, as in the Euclidean method.
+    """
+    m = s.modulus
+    for t in range(m):
+        b1 = (s.a * t + s.b) % m
+        if math.gcd(b1, m) == 1:
+            break
+    else:  # unreachable for det-1 input
+        raise DecompositionFailed(f"no t makes a*t + b a unit mod {m} for {s}")
+    inverse = pow(b1, -1, m)
+    x = (s.c * t + s.d - 1) * inverse
+    z = (s.a - 1) * inverse
+    word = GenWord((("-", x), ("+", b1), ("-", z), ("+", -t)), m)
+    if word.evaluate() != s:
+        raise DecompositionFailed("four-factor word does not reproduce the input")
     return word
 
 

@@ -28,8 +28,10 @@ from phasepoint.symplectic import (
     BoundExceeded,
     SympMat,
     bfs_decompose,
+    decompose,
     enumerate_group,
     generator,
+    generator_power,
     h_t,
     random_element,
 )
@@ -136,6 +138,38 @@ def test_u_of_path_independence(rng):
         a = u_of(s, ODD).matrix
         b = word_product(bfs_decompose(s), 5, ODD)
         assert equal_up_to_phase(a, b, tol=1e-10).equivalent
+
+
+@pytest.mark.parametrize(
+    # even lattices have moduli 2N with N even, so 4, 8 and 12 are all of them up to 12
+    "modulus,parity", [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8, 12)]
+)
+def test_u_of_matches_euclidean_word_product_on_whole_group(modulus, parity):
+    n = hilbert_dim(modulus, parity)
+    for s in enumerate_group(modulus):
+        expected = word_product(decompose(s), n, parity)
+        assert equal_up_to_phase(u_of(s, parity).matrix, expected, tol=1e-10).equivalent
+
+
+@pytest.mark.parametrize("modulus,parity", [(7, ODD), (8, EVEN)])
+def test_u_of_generator_power_is_the_matrix_power(modulus, parity):
+    # no phase freedom: a one-factor word gives exactly that power
+    n = hilbert_dim(modulus, parity)
+    for sign, base in (("+", u_hplus(n, parity)), ("-", u_hminus(n, parity))):
+        for k in range(modulus):
+            rep = u_of(generator_power(sign, k, modulus), parity).matrix
+            assert np.abs(rep - matrix_power(base.matrix, k)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,parity", [(255, ODD), (256, EVEN)])
+def test_u_of_is_projective_at_large_dimensions(n, parity):
+    modulus = lattice_modulus(n, parity)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        s1, s2 = random_element(modulus, rng), random_element(modulus, rng)
+        u1, u2, u12 = (u_of(s, parity).matrix for s in (s1, s2, s1 @ s2))
+        assert np.abs(u1.conj().T @ u1 - np.eye(n)).max() < 1e-12
+        assert phase_defect(u12, u1 @ u2) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -187,7 +187,7 @@ def test_sw_kernel_propagates_nan_kernel_entry(monkeypatch):
 
 def _graph_unitary(s, parity):
     nullity, candidate = oracle._covariance_graph(s, parity)
-    unitary = None if candidate is None else oracle._unitarize(candidate, oracle.UNITARY_TOL)
+    unitary = None if candidate is None else oracle._unitarize(candidate)
     return nullity, unitary
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from phasepoint import symplectic
 from phasepoint.modring import ModulusMismatch
 from phasepoint.symplectic import (
+    ENUMERATION_BOUND,
     BoundExceeded,
     GenWord,
     NotSymplectic,
@@ -151,6 +154,32 @@ def test_decompose_agrees_with_bfs_oracle(modulus):
     for s in enumerate_group(modulus):
         assert decompose(s, method="bfs").evaluate() == s
         assert decompose(s, method="euclid").evaluate() == s
+
+
+@pytest.mark.parametrize("modulus", range(2, ENUMERATION_BOUND + 1))
+def test_four_factor_word_on_whole_group(modulus):
+    for s in enumerate_group(modulus):
+        word = decompose(s, method="four")
+        assert len(word) <= 4
+        assert word.evaluate() == s
+
+
+@pytest.mark.parametrize("modulus", [30030, 510510, 10**6 + 3, 2**20])
+def test_four_factor_word_at_large_moduli(modulus):
+    # the word is pure integer work, so the draws are pure Python too
+    draws = random.Random(modulus)
+    for _ in range(200):
+        factors = tuple((draws.choice("+-"), draws.randrange(1, modulus)) for _ in range(6))
+        s = GenWord(factors, modulus).evaluate()
+        word = decompose(s, method="four")
+        assert len(word) <= 4
+        assert word.evaluate() == s
+
+
+def test_four_factor_word_of_a_generator_power_is_that_power():
+    for sign in "+-":
+        for k in range(1, 8):
+            assert decompose(generator_power(sign, k, 8), method="four").factors == ((sign, k),)
 
 
 def test_decompose_rejects_unknown_method():
