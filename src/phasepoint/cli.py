@@ -224,10 +224,7 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             checks.append(("covariance_group", np.max(residuals), pick(1e-9)))
     if suite in ("projectivity", "all"):
         # the U(S) cache holds up to three N x N unitaries per sampled pair:
-        # odd N <= 167, even N <= 166. u_of costs O(N^2 log N), so the largest
-        # admitted sizes run in seconds: whole-process wall on a 2-core x86
-        # host with one BLAS thread, 2.5 s at odd N = 167 and 3.2 s at even
-        # N = 166 (32.1 s and 37.7 s with the matrix-power word product)
+        # odd N <= 167, even N <= 166
         check_bytes(
             f"projectivity cache of {3 * PROJECTIVITY_PAIRS} unitaries at dimension {n}",
             3 * PROJECTIVITY_PAIRS * n * n * np.dtype(complex).itemsize,
@@ -295,9 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--modulus", type=int, required=True, help="ring modulus M")
     p_dec.add_argument("--matrix", required=True, help="entries a,b,c,d")
     p_dec.add_argument(
-        "--method", choices=["euclid", "four", "bfs"], default="euclid",
-        help="Euclidean algorithm (default), the word of at most four factors, "
-        f"or breadth-first shortest-word search (modulus <= {ENUMERATION_BOUND})",
+        "--method", choices=["euclid", "bfs"], default="euclid",
+        help="Euclidean algorithm (default) or breadth-first shortest-word "
+        f"search (modulus <= {ENUMERATION_BOUND})",
     )
     p_dec.set_defaults(func=cmd_decompose)
 

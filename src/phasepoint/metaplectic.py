@@ -18,7 +18,7 @@ sum of its first column, an eighth root of unity (the chirp structure of
 Appleby, J. Math. Phys. 46, 052107, 2005). So U(h+)^k is
 lambda_0^k F^-1 diag rho^(-k e(f)) F, with F the length-N DFT. Arbitrary
 elements are represented through their four-factor words
-h-^x h+^b' h-^z h+^(-t) (symplectic.decompose(s, "four")), which costs a few
+h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word), which costs a few
 column scalings and at most two FFT pairs; any word for the same element
 gives the same matrix up to a global phase. No phase gauge is imposed, and
 comparisons go through equal_up_to_phase.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .lattice import ODD, DimensionMismatch, check_parity, hilbert_dim
 from .qops import kernel_factors, unit_roots
-from .symplectic import SympMat, check_bytes, decompose
+from .symplectic import SympMat, check_bytes, four_factor_word
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +81,7 @@ def u_of(s: SympMat, parity: str) -> ProjUnitary:
     """Representative of an arbitrary symplectic element via its four-factor word.
 
     The product of the closed-form generator powers along
-    decompose(s, "four"), from the left: U(h-)^k scales column i by
+    four_factor_word(s), from the left: U(h-)^k scales column i by
     rho^(k e(i)), and U(h+)^k is applied as an inverse FFT along the rows,
     a scaling by its eigenvalues lambda_0^k rho^(-k e(f)) and a forward FFT.
     That is O(N^2 log N) with no matrix product. The word is normalized, so
@@ -97,7 +97,7 @@ def u_of(s: SympMat, parity: str) -> ProjUnitary:
     lambda_0 = roots[exponents].sum() / np.sqrt(n)
     eighth = round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
     matrix = np.eye(n, dtype=complex)
-    for sign, k in decompose(s, method="four").factors:
+    for sign, k in four_factor_word(s).factors:
         if sign == "-":
             matrix *= roots[k * exponents % r]
         else:

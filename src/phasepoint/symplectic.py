@@ -200,14 +200,11 @@ def decompose(s: SympMat, method: str = "euclid") -> GenWord:
     is solved for ``s`` itself. The word is re-evaluated before returning
     and DecompositionFailed is raised if it does not reproduce ``s``.
 
-    ``method`` is "euclid", "four" (the word of at most four factors, see
-    _four_word) or "bfs" (the bounded shortest-word oracle, see
-    bfs_decompose).
+    ``method`` is "euclid" or "bfs" (the bounded shortest-word oracle,
+    see bfs_decompose).
     """
     if method == "euclid":
         return _euclid_word(s)
-    if method == "four":
-        return _four_word(s)
     if method == "bfs":
         return bfs_decompose(s)
     raise ValueError(f"unknown method {method!r}")
@@ -273,7 +270,7 @@ def _euclid_word(s: SympMat) -> GenWord:
     return word
 
 
-def _four_word(s: SympMat) -> GenWord:
+def four_factor_word(s: SympMat) -> GenWord:
     """The word h-^x h+^b' h-^z h+^(-t) for ``s``, at most four factors.
 
     t is the smallest t >= 0 that makes b' = a t + b a unit mod M; one

@@ -10,7 +10,7 @@ import pytest
 
 from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
 from phasepoint.cli import PROJECTIVITY_PAIRS, main
-from phasepoint.symplectic import GenWord, SympMat
+from phasepoint.symplectic import SympMat
 
 
 def run(capsys, *argv):
@@ -60,20 +60,6 @@ def test_decompose_bfs_above_bound_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "bound" in err
-
-
-def test_decompose_four_method_at_large_modulus(capsys):
-    # b = 0 is not a unit, so the word needs t = 1 and all four factors
-    m = 2**61 - 1
-    matrix = SympMat(2, 0, 5, 2**60, m)  # 2 * 2^60 = 1 mod 2^61 - 1
-    code, out, _ = run(
-        capsys, "decompose", "--modulus", str(m), "--matrix", "2,0,5,1152921504606846976",
-        "--method", "four",
-    )
-    assert code == 0
-    word = GenWord(tuple((f["gen"], f["exp"]) for f in json.loads(out)["word"]), m)
-    assert len(word) == 4
-    assert word.evaluate() == matrix
 
 
 def test_decompose_bad_matrix_string(capsys):

@@ -41,7 +41,7 @@ def wrong_word(s, method="euclid"):
 
 results = {"help": run("--help")}
 results["hilbert_dim"] = [lattice.hilbert_dim(7, "odd"), lattice.hilbert_dim(8, "even")]
-for method in ("euclid", "four", "bfs"):
+for method in ("euclid", "bfs"):
     dec = ("decompose", "--method", method, "--modulus")
     results[method] = [
         run(*dec, "11", "--matrix", "2,1,1,1"),
@@ -75,11 +75,7 @@ def test_root_and_decompose_import_no_numpy():
     assert results["help"]["code"] == 0
     assert "decompose" in results["help"]["out"]
     assert results["hilbert_dim"] == [7, 4]
-    for method, expected in (
-        ("euclid", [0, 2, 2, 2, 3, 3]),
-        ("four", [0, 2, 2, 2, 3, 3]),
-        ("bfs", [0, 2, 2, 2, 2, 3, 3]),
-    ):
+    for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):
         runs = results[method]
         assert [r["code"] for r in runs] == expected
         assert json.loads(runs[0]["out"])["verified"] is True

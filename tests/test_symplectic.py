@@ -12,6 +12,7 @@ from phasepoint.symplectic import (
     SympMat,
     decompose,
     enumerate_group,
+    four_factor_word,
     generator,
     generator_power,
     group_order,
@@ -159,7 +160,7 @@ def test_decompose_agrees_with_bfs_oracle(modulus):
 @pytest.mark.parametrize("modulus", range(2, ENUMERATION_BOUND + 1))
 def test_four_factor_word_on_whole_group(modulus):
     for s in enumerate_group(modulus):
-        word = decompose(s, method="four")
+        word = four_factor_word(s)
         assert len(word) <= 4
         assert word.evaluate() == s
 
@@ -171,15 +172,24 @@ def test_four_factor_word_at_large_moduli(modulus):
     for _ in range(200):
         factors = tuple((draws.choice("+-"), draws.randrange(1, modulus)) for _ in range(6))
         s = GenWord(factors, modulus).evaluate()
-        word = decompose(s, method="four")
+        word = four_factor_word(s)
         assert len(word) <= 4
         assert word.evaluate() == s
+
+
+def test_four_factor_word_at_mersenne_modulus():
+    # b = 0 is not a unit, so the word needs t = 1 and all four factors
+    m = 2**61 - 1
+    s = SympMat(2, 0, 5, 2**60, m)  # 2 * 2^60 = 1 mod 2^61 - 1
+    word = four_factor_word(s)
+    assert len(word) == 4
+    assert word.evaluate() == s
 
 
 def test_four_factor_word_of_a_generator_power_is_that_power():
     for sign in "+-":
         for k in range(1, 8):
-            assert decompose(generator_power(sign, k, 8), method="four").factors == ((sign, k),)
+            assert four_factor_word(generator_power(sign, k, 8)).factors == ((sign, k),)
 
 
 def test_decompose_rejects_unknown_method():
