@@ -106,18 +106,16 @@ def cmd_rep(args: argparse.Namespace) -> int:
         mat = _parse_matrix(args.matrix, modulus)
     except ValueError as exc:  # NotSymplectic included
         return _fail(str(exc), 2)
-    from .metaplectic import check_covariance_bound, covariance_residual, u_of
+    from .metaplectic import covariance_residual, u_of
     from .qops import symmetric_order
 
     try:
-        check_covariance_bound(args.dim)
+        unitary = u_of(mat, args.parity)
+        residual = covariance_residual(unitary.matrix, mat, args.parity)
     except BoundExceeded as exc:
         return _fail(str(exc), 2)
-    try:
-        unitary = u_of(mat, args.parity)
     except DecompositionFailed as exc:
         return _fail(str(exc), 3)
-    residual = covariance_residual(unitary.matrix, mat, args.parity)
     display = unitary.matrix
     if args.index_style == "symmetric":
         display = _reorder(display, symmetric_order(args.dim))
@@ -182,7 +180,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
     import numpy as np
 
-    from .metaplectic import check_covariance_bound, covariance_residual, phase_defect, u_of
+    from .metaplectic import covariance_residual, phase_defect, u_of
     from .oracle import verify_sw_kernel, verify_uniqueness
 
     modulus = lattice_modulus(n, parity)
@@ -212,7 +210,6 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             residual = float("inf") if residual is None else residual
             checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
     if suite in ("covariance", "all"):
-        check_covariance_bound(n)
         for name, mat in generators:
             residual = covariance_residual(u_of(mat, parity).matrix, mat, parity)
             checks.append((f"covariance_{name}", residual, pick(1e-10)))
@@ -223,24 +220,19 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             ]
             checks.append(("covariance_group", np.max(residuals), pick(1e-9)))
     if suite in ("projectivity", "all"):
-        # the U(S) cache holds up to three N x N unitaries per sampled pair:
-        # odd N <= 167, even N <= 166
+        # one pair holds six N x N complex arrays: three unitaries, their
+        # product, and phase_defect's product and difference (odd N <= 1671,
+        # even N <= 1672)
         check_bytes(
-            f"projectivity cache of {3 * PROJECTIVITY_PAIRS} unitaries at dimension {n}",
-            3 * PROJECTIVITY_PAIRS * n * n * np.dtype(complex).itemsize,
+            f"projectivity pair at dimension {n}", 6 * n * n * np.dtype(complex).itemsize
         )
         rng = np.random.default_rng(PROJECTIVITY_SEED)
-        cache: dict[SympMat, np.ndarray] = {}
-
-        def rep_of(mat: SympMat) -> np.ndarray:
-            if mat not in cache:
-                cache[mat] = u_of(mat, parity).matrix
-            return cache[mat]
-
         left = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
         right = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
         defects = [
-            phase_defect(rep_of(s1 @ s2), rep_of(s1) @ rep_of(s2))
+            phase_defect(
+                u_of(s1 @ s2, parity), u_of(s1, parity).matrix @ u_of(s2, parity).matrix
+            )
             for s1, s2 in zip(left, right)
         ]
         checks.append(("projectivity", np.max(defects), pick(1e-9)))

@@ -55,8 +55,14 @@ def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     u_hplus reads it at (i - k) mod N: on odd lattices (d+N)(d+2N)/2 and
     d(d+N)/2 differ by dN + N^2, and on even ones (d+N)^2 and d^2 differ by
     2dN + N^2 with N even, so both are 0 mod R.
+
+    Every unitary builder starts here, so this is where a unitary's working
+    set is bounded, before anything is allocated: four N x N complex arrays.
+    u_of's tracemalloc peak was 49-52 bytes per entry at N = 255..512, and
+    u_hplus and u_hminus peak at 32. The bound admits N <= 2048.
     """
     check_parity(n, parity)
+    check_bytes(f"unitary at dimension {n}", 4 * n * n * np.dtype(complex).itemsize)
     i = np.arange(n)
     if parity == ODD:
         # i and i+N have opposite parity, so the product is even.
@@ -87,7 +93,7 @@ def u_of(s: SympMat, parity: str) -> ProjUnitary:
     That is O(N^2 log N) with no matrix product. The word is normalized, so
     a single generator power gives exactly that power of u_hplus or
     u_hminus; any other word for the same element agrees up to a single
-    global phase.
+    global phase. BoundExceeded above N = 2048, before anything is built.
     """
     n = hilbert_dim(s.modulus, parity)
     exponents, r = _generator_exponents(n, parity)

@@ -129,9 +129,10 @@ class SWKernelReport:
     """Measured worst-case residuals of the kernel property suite.
 
     Odd lattices measure all four properties. Even lattices measure
-    hermiticity and unit trace on the full doubled grid plus the (not
-    asserted) traciality figure; translation covariance has no even-lattice
-    counterpart here.
+    hermiticity and unit trace on the full doubled grid, the integer trace
+    (the deviation of Tr Delta_(j,k) from 2 where j and k are both even and
+    from 0 elsewhere) and the (not asserted) traciality figure; translation
+    covariance has no even-lattice counterpart here.
     """
 
     parity: str
@@ -140,6 +141,7 @@ class SWKernelReport:
     unit_trace: float
     traciality: float
     translation_covariance: float | None
+    integer_trace: float | None
 
     def checks(self) -> list[tuple[str, float]]:
         """Name/residual pairs for the properties asserted at this parity."""
@@ -147,6 +149,8 @@ class SWKernelReport:
         if self.parity == ODD:
             named.append(("traciality", self.traciality))
             named.append(("translation_covariance", self.translation_covariance))
+        else:
+            named.append(("integer_trace", self.integer_trace))
         return named
 
 
@@ -156,8 +160,9 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     Read from the kernel_factors tables sigma_p (cols) and e_p (exponents),
     with a_p(i) = rho^(e_p(i)) in row i: hermiticity is |a(i) -
     [sigma(sigma(i)) = i] conj(a(sigma(i)))|, the trace sums a(i) over the
-    fixed points of sigma, and Tr(Delta_p^dag Delta_q) sums conj(a_p) a_q
-    over the rows where sigma_p and sigma_q agree. Any two permutations must
+    fixed points of sigma (on even lattices also compared with 2 at integer
+    points and 0 at the others), and Tr(Delta_p^dag Delta_q) sums
+    conj(a_p) a_q over the rows where sigma_p and sigma_q agree. Any two permutations must
     agree on every row or on none (else ValueError), so the Gram matrix is
     block diagonal over the classes of equal permutations. Translation
     (_weyl_generator_defect) compares each kernel with its image under the
@@ -176,13 +181,19 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     hermiticity = float(np.abs(values - np.where(involution, mirrored, 0)).max())
     trace = np.where(cols == rows, values, 0).sum(axis=1)
     unit_trace = float(np.abs(trace - 1.0).max())
+    integer_trace = None
+    if parity != ODD:
+        integer_point = (xs % 2 == 0) & (ys % 2 == 0)
+        integer_trace = float(np.abs(trace - np.where(integer_point, 2.0, 0.0)).max())
     perms, label = np.unique(cols, axis=0, return_inverse=True)
     if (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
         raise ValueError("two kernel permutations agree on some rows but not all")
     blocks = (values[label == c] for c in range(len(perms)))
     traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
     translation = _weyl_generator_defect(cols, exponents) if parity == ODD else None
-    return SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation)
+    return SWKernelReport(
+        parity, n, hermiticity, unit_trace, traciality, translation, integer_trace
+    )
 
 
 def _weyl_generator_defect(cols: np.ndarray, exponents: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 An odd-lattice table is N x N over integer points; an even-lattice table is
 2N x 2N over the doubled grid (state vectors have no amplitude on the ghost
-points, but the quasi-distribution does). Tables are real and sum to one.
+points, but the quasi-distribution does). Tables are real and sum to the
+state's squared norm <psi|psi>, which is one within NORM_TOL.
 Both directions, state to table and table to operator, are batched FFTs over
 the kernel rows and cost O(N^2 log N).
 """
@@ -73,7 +74,9 @@ class WignerTable:
     ``values[x, y]`` is indexed by the first (position-like) coordinate x and
     the second (momentum-like) coordinate y, both canonical mod ``modulus``.
     ``imag_residual`` records the largest imaginary part discarded when the
-    table was computed. ``dim`` is the Hilbert-space dimension behind the
+    table was computed. ``total`` is the sum of the values; a table from
+    wigner_of sums to the state's <psi|psi>, which QuantumState admits
+    within NORM_TOL of one. ``dim`` is the Hilbert-space dimension behind the
     table; a shape that fits no dimension of ``parity`` raises ParityError.
     """
 
@@ -118,7 +121,10 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     Odd: W[m, n] = <psi| Delta_(m,n) |psi> / N over the N x N integer grid.
     Even: W[j, k] = <psi| Delta_(j,k) |psi> / 2N over the 2N x 2N doubled
     grid. Entries are real up to rounding; the discarded imaginary parts are
-    tracked and must stay below IMAG_TOL.
+    tracked and must stay below IMAG_TOL. The kernels sum to D times the
+    identity on both lattices, so the table sums to <psi|psi>, which
+    QuantumState admits up to about 1 + 2 NORM_TOL; the sum is checked
+    against it within 1e-8.
 
     Every kernel has one nonzero entry per row with a phase linear in the
     second coordinate, so each table row is one length-N DFT. With
@@ -151,8 +157,9 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     if not worst_imag <= IMAG_TOL:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
     table = WignerTable(parity, values.real, worst_imag)
-    if not abs(table.total - 1.0) <= 1e-8:
-        raise ValueError(f"Wigner table sums to {table.total!r}, expected 1")
+    norm2 = float(np.vdot(amps, amps).real)
+    if not abs(table.total - norm2) <= 1e-8:
+        raise ValueError(f"Wigner table sums to {table.total!r}, expected <psi|psi> = {norm2!r}")
     return table
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
-from phasepoint.cli import PROJECTIVITY_PAIRS, main
+from phasepoint.cli import main
 from phasepoint.symplectic import SympMat
 
 
@@ -175,6 +175,19 @@ def test_wigner_symmetric_index_style(capsys, tmp_path):
     assert rows[0] == pytest.approx([0.0, 0.0, 0.0])
 
 
+def test_wigner_accepts_state_within_norm_tolerance(capsys, tmp_path):
+    # |psi|^2 = 1 + 1.8e-8 is admitted, and the table sums to it
+    state_file = tmp_path / "state.json"
+    write_state(state_file, [1.000000009, 0.0, 0.0])
+    code, out, _ = run(capsys, "wigner", "--state", str(state_file), "--parity", "odd")
+    assert code == 0
+    lines = out.strip().splitlines()
+    rows = np.array([list(map(float, line.split(","))) for line in lines[1:4]])
+    norm2 = 1.000000009**2
+    assert rows.sum() == pytest.approx(norm2, rel=0, abs=1e-15)
+    assert float(lines[4].split("=")[1]) == pytest.approx(norm2, rel=0, abs=1e-15)
+
+
 def test_wigner_rejects_unnormalized(capsys, tmp_path):
     state_file = tmp_path / "state.json"
     write_state(state_file, [1.0, 1.0])
@@ -301,14 +314,14 @@ def test_verify_all_runs_kernel_suite_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("parity,dim", [("odd", 3), ("even", 2)])
 def test_verify_projectivity_byte_bound(capsys, byte_bound, parity, dim):
-    # the U(S) cache: three N x N complex unitaries per sampled pair
-    cache_bytes = 3 * PROJECTIVITY_PAIRS * dim**2 * 16
-    byte_bound(cache_bytes)
+    # one pair: six N x N complex arrays
+    pair_bytes = 6 * dim**2 * 16
+    byte_bound(pair_bytes)
     argv = ("verify", "--dim", str(dim), "--parity", parity, "--suite", "projectivity")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["pass"] is True
-    byte_bound(cache_bytes - 1)
+    byte_bound(pair_bytes - 1)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -466,8 +479,18 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
 )
 def test_covariance_above_bound_exits_two(argv):
     # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
-    # and even N = 188; rep refuses before it builds U(S).
+    # and even N = 188; rep refuses after it builds U(S), which is cheap there.
     child = run_capped(*argv)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize("dim", ["2049", "20001"])
+def test_rep_above_unitary_bound_exits_two(dim):
+    # U(S)'s four N x N complex arrays pass 256 MiB above N = 2048; u_of
+    # refuses before it allocates anything
+    child = run_capped("rep", "--dim", dim, "--parity", "odd", "--matrix", "1,1,0,1")
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
@@ -476,18 +499,46 @@ def test_covariance_above_bound_exits_two(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--dim", "169", "--parity", "odd", "--suite", "projectivity"),
-        ("verify", "--dim", "168", "--parity", "even", "--suite", "projectivity"),
+        ("verify", "--dim", "1673", "--parity", "odd", "--suite", "projectivity"),
+        ("verify", "--dim", "1674", "--parity", "even", "--suite", "projectivity"),
         ("verify", "--dim", "20001", "--parity", "odd", "--suite", "projectivity"),
     ],
 )
 def test_projectivity_above_bound_exits_two(argv):
-    # The cache of 600 N x N unitaries passes 256 MiB above odd N = 167 and
-    # even N = 166; at N = 20001 one generator alone is several GB.
+    # One pair's six N x N complex arrays pass 256 MiB above odd N = 1671
+    # and even N = 1672; at N = 20001 one generator alone is several GB.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
+
+
+def test_verify_projectivity_at_dimension_169_passes(capsys):
+    argv = ("verify", "--dim", "169", "--parity", "odd", "--suite", "projectivity")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("parity,dim", [("odd", "5"), ("even", "4")])
+def test_verify_projectivity_catches_a_broken_representation(capsys, monkeypatch, parity, dim):
+    # a phase on one row of U(S) whenever b and c are both nonzero: still
+    # deterministic in S, but no longer projective
+    u_of = metaplectic.u_of
+
+    def mutant(s, lattice_parity):
+        matrix = u_of(s, lattice_parity).matrix.copy()
+        if s.b and s.c:
+            matrix[0] *= 1j
+        return metaplectic.ProjUnitary(matrix)
+
+    monkeypatch.setattr(metaplectic, "u_of", mutant)
+    argv = ("verify", "--dim", dim, "--parity", parity, "--suite", "projectivity")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "projectivity"
+    assert check["pass"] is False
 
 
 def test_wigner_above_bound_exits_two(tmp_path):

@@ -326,6 +326,16 @@ def test_covariance_bound_refuses_next_sizes(n, parity):
         covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
 
 
+@pytest.mark.parametrize("build", [u_hplus, u_hminus, lambda n, parity: u_of(h_t(n), parity)])
+def test_unitary_builders_refuse_dimensions_above_byte_bound(byte_bound, build):
+    unitary_bytes = 64 * 3**2  # four N x N complex arrays
+    byte_bound(unitary_bytes)
+    assert build(3, ODD).matrix.shape == (3, 3)
+    byte_bound(unitary_bytes - 1)
+    with pytest.raises(BoundExceeded):
+        build(3, ODD)
+
+
 def test_proj_unitary_copies_the_callers_array():
     a = np.eye(3, dtype=complex)
     u = ProjUnitary(a)

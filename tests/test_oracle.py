@@ -155,7 +155,7 @@ def test_sw_kernel_even():
     assert report.traciality == pytest.approx(2.0)
     assert report.translation_covariance is None
     names = [name for name, _ in report.checks()]
-    assert names == ["hermiticity", "unit_trace"]
+    assert names == ["hermiticity", "unit_trace", "integer_trace"]
 
 
 def test_uniqueness_reports():
@@ -445,6 +445,21 @@ def test_sw_kernel_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
     assert report.hermiticity > 1e-12
     if parity == ODD:
         assert report.translation_covariance > 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 38])
+def test_sw_kernel_even_integer_trace(n):
+    # Tr Delta_(j,k) is 2 where j and k are both even and 0 everywhere else
+    assert verify_sw_kernel(EVEN, n).integer_trace < 1e-12
+
+
+@pytest.mark.parametrize("n,point", [(4, (0, 2)), (8, (0, 0))])
+def test_sw_kernel_integer_trace_rejects_mutant_at_fixed_row(monkeypatch, n, point):
+    # row 0 is a fixed row of Delta_(0,k): its column is (0 - 0) mod N. One
+    # step of the root of order 2N moves the trace by 2 sin(pi / 2N).
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+    defect = verify_sw_kernel(EVEN, n).integer_trace
+    assert defect == pytest.approx(2 * np.sin(np.pi / (2 * n)), abs=1e-12)
 
 
 def test_sw_kernel_builds_no_kernel_cache(no_dense_kernel):

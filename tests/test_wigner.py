@@ -57,6 +57,16 @@ def test_wigner_checks_fail_on_nan():
         wigner_of(state, ODD)
 
 
+@pytest.mark.parametrize("n,parity", [(3, ODD), (4, EVEN)])
+def test_wigner_accepts_state_within_norm_tolerance(n, parity):
+    # |psi|^2 = 1 + 1.8e-8: admitted by QuantumState (norm deviation 9e-9),
+    # and the table sums to |psi|^2, not to 1
+    state = QuantumState([1.000000009] + [0.0] * (n - 1))
+    norm2 = 1.000000009**2
+    assert abs(norm2 - 1.0) > 1e-8
+    assert wigner_of(state, parity).total == pytest.approx(norm2, rel=0, abs=1e-15)
+
+
 def test_basis_state_table_odd():
     table = wigner_of(QuantumState.basis(3, 0), ODD)
     expected = np.zeros((3, 3))
