@@ -33,6 +33,9 @@ from .symplectic import (
 
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
+# Working set of one pass of the stacked covariance and projectivity checks;
+# a single element that needs more runs alone.
+_STACK_BYTES = 2**20
 
 
 def _fail(message: str, code: int) -> int:
@@ -177,10 +180,17 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     return 0
 
 
+def _passes(items: list, element_bytes: int) -> list[list]:
+    """``items`` in order, cut into passes of at most max(one element,
+    _STACK_BYTES) of working set, ``element_bytes`` per element."""
+    size = max(1, _STACK_BYTES // element_bytes)
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
 def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
     import numpy as np
 
-    from .metaplectic import covariance_residual, phase_defect, u_of
+    from . import metaplectic
     from .oracle import verify_sw_kernel, verify_uniqueness
 
     modulus = lattice_modulus(n, parity)
@@ -210,32 +220,37 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
             residual = float("inf") if residual is None else residual
             checks.append((f"uniqueness_phase_{name}", residual, pick(1e-9)))
     if suite in ("covariance", "all"):
-        for name, mat in generators:
-            residual = covariance_residual(u_of(mat, parity).matrix, mat, parity)
+        elements = [mat for _, mat in generators]
+        whole_group = modulus <= ENUMERATION_BOUND
+        if whole_group:
+            elements += enumerate_group(modulus)
+        element_bytes = metaplectic._unitary_bytes(n) + metaplectic._covariance_bytes(n)
+        residuals = np.concatenate([
+            metaplectic._covariance_residuals(metaplectic._u_stack(part, parity), part, parity)
+            for part in _passes(elements, element_bytes)
+        ])
+        for (name, _), residual in zip(generators, residuals):
             checks.append((f"covariance_{name}", residual, pick(1e-10)))
-        if modulus <= ENUMERATION_BOUND:
-            residuals = [
-                covariance_residual(u_of(mat, parity).matrix, mat, parity)
-                for mat in enumerate_group(modulus)
-            ]
-            checks.append(("covariance_group", np.max(residuals), pick(1e-9)))
+        if whole_group:
+            checks.append(("covariance_group", residuals[len(generators):].max(), pick(1e-9)))
     if suite in ("projectivity", "all"):
-        # one pair holds six N x N complex arrays: three unitaries, their
-        # product, and phase_defect's product and difference (odd N <= 1671,
-        # even N <= 1672)
-        check_bytes(
-            f"projectivity pair at dimension {n}", 6 * n * n * np.dtype(complex).itemsize
-        )
+        # one pair is counted at six N x N complex arrays (odd N <= 1671,
+        # even N <= 1672); it holds at most four at once
+        pair_bytes = 6 * n * n * np.dtype(complex).itemsize
+        check_bytes(f"projectivity pair at dimension {n}", pair_bytes)
         rng = np.random.default_rng(PROJECTIVITY_SEED)
         left = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
         right = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
-        defects = [
-            phase_defect(
-                u_of(s1 @ s2, parity), u_of(s1, parity).matrix @ u_of(s2, parity).matrix
-            )
-            for s1, s2 in zip(left, right)
-        ]
-        checks.append(("projectivity", np.max(defects), pick(1e-9)))
+
+        def pass_defects(part):
+            # a function, so that one pass's unitaries are freed before the next
+            firsts, seconds = zip(*part)
+            product = metaplectic._u_stack(firsts, parity) @ metaplectic._u_stack(seconds, parity)
+            composed = metaplectic._u_stack([s1 @ s2 for s1, s2 in part], parity)
+            return metaplectic._phase_defects(composed, product)
+
+        defects = [pass_defects(part) for part in _passes(list(zip(left, right)), pair_bytes)]
+        checks.append(("projectivity", np.concatenate(defects).max(), pick(1e-9)))
     return checks
 
 

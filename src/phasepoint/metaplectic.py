@@ -27,6 +27,7 @@ comparisons go through equal_up_to_phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,11 @@ class ProjUnitary:
         object.__setattr__(self, "matrix", mat)
 
 
+def _unitary_bytes(n: int) -> int:
+    """Working set of one U(S) build: four N x N complex arrays."""
+    return 4 * n * n * np.dtype(complex).itemsize
+
+
 def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     """The generators' exponent table e(i) and its root modulus R.
 
@@ -56,18 +62,37 @@ def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     d(d+N)/2 differ by dN + N^2, and on even ones (d+N)^2 and d^2 differ by
     2dN + N^2 with N even, so both are 0 mod R.
 
-    Every unitary builder starts here, so this is where a unitary's working
+    Every unitary builder starts here, so this is where one unitary's working
     set is bounded, before anything is allocated: four N x N complex arrays.
     u_of's tracemalloc peak was 49-52 bytes per entry at N = 255..512, and
     u_hplus and u_hminus peak at 32. The bound admits N <= 2048.
     """
     check_parity(n, parity)
-    check_bytes(f"unitary at dimension {n}", 4 * n * n * np.dtype(complex).itemsize)
+    check_bytes(f"unitary at dimension {n}", _unitary_bytes(n))
+    return _exponent_table(n, parity)
+
+
+@lru_cache(maxsize=None)
+def _exponent_table(n: int, parity: str) -> tuple[np.ndarray, int]:
+    """_generator_exponents once per lattice, read-only; O(N) entries."""
     i = np.arange(n)
     if parity == ODD:
         # i and i+N have opposite parity, so the product is even.
-        return (i * (i + n)) // 2 % n, n
-    return (i * i) % (2 * n), 2 * n
+        exponents, r = (i * (i + n)) // 2 % n, n
+    else:
+        exponents, r = (i * i) % (2 * n), 2 * n
+    exponents.flags.writeable = False
+    return exponents, r
+
+
+@lru_cache(maxsize=None)
+def _chirp_eighth(n: int, parity: str) -> int:
+    """lambda_0, the sum of U(h+)'s first column, as the exponent of an
+    exact eighth root of unity; using it keeps lambda_0^k free of rounding
+    that would grow with k."""
+    exponents, r = _exponent_table(n, parity)
+    lambda_0 = unit_roots(r)[exponents].sum() / np.sqrt(n)
+    return round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
 
 
 def u_hplus(n: int, parity: str) -> ProjUnitary:
@@ -86,30 +111,62 @@ def u_hminus(n: int, parity: str) -> ProjUnitary:
 def u_of(s: SympMat, parity: str) -> ProjUnitary:
     """Representative of an arbitrary symplectic element via its four-factor word.
 
-    The product of the closed-form generator powers along
-    four_factor_word(s), from the left: U(h-)^k scales column i by
-    rho^(k e(i)), and U(h+)^k is applied as an inverse FFT along the rows,
-    a scaling by its eigenvalues lambda_0^k rho^(-k e(f)) and a forward FFT.
-    That is O(N^2 log N) with no matrix product. The word is normalized, so
-    a single generator power gives exactly that power of u_hplus or
-    u_hminus; any other word for the same element agrees up to a single
-    global phase. BoundExceeded above N = 2048, before anything is built.
+    The one-element case of _u_stack: the product of the closed-form
+    generator powers along four_factor_word(s), from the left, in
+    O(N^2 log N) with no matrix product. The word is normalized, so a single
+    generator power gives exactly that power of u_hplus or u_hminus; any
+    other word for the same element agrees up to a single global phase.
+    BoundExceeded above N = 2048, before anything is built.
     """
-    n = hilbert_dim(s.modulus, parity)
+    return ProjUnitary(_u_stack([s], parity)[0])
+
+
+def _u_stack(elements, parity: str) -> np.ndarray:
+    """U(S) for each of ``elements`` (one modulus, at least one), as a
+    (G, N, N) stack whose g-th matrix is u_of(elements[g]).
+
+    Along a four-factor word, U(h-)^k scales column i by rho^(k e(i)), and
+    U(h+)^k is applied as an inverse FFT along the rows, a scaling by its
+    eigenvalues lambda_0^k rho^(-k e(f)) and a forward FFT. Elements whose
+    normalized words have the same sign pattern (at most nine patterns) take
+    those steps together along the last axis, each with its own exponents,
+    which gives every matrix bit for bit. One element's working set is
+    bounded by _generator_exponents; the caller bounds how many a stack holds.
+    """
+    n = hilbert_dim(elements[0].modulus, parity)
     exponents, r = _generator_exponents(n, parity)
     roots = unit_roots(r)
-    # lambda_0 is an exact eighth root of unity; using its exponent keeps
-    # lambda_0^k free of rounding that would grow with k.
-    lambda_0 = roots[exponents].sum() / np.sqrt(n)
-    eighth = round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
-    matrix = np.eye(n, dtype=complex)
-    for sign, k in four_factor_word(s).factors:
-        if sign == "-":
-            matrix *= roots[k * exponents % r]
-        else:
-            spectrum = unit_roots(8)[eighth * k % 8] * roots[-k * exponents % r]
-            matrix = np.fft.fft(np.fft.ifft(matrix, axis=1) * spectrum, axis=1)
-    return ProjUnitary(matrix)
+    eighth = _chirp_eighth(n, parity)
+    groups: dict[tuple[str, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
+    for index, s in enumerate(elements):
+        factors = four_factor_word(s).factors
+        members, powers = groups.setdefault(tuple(sign for sign, _ in factors), ([], []))
+        members.append(index)
+        powers.append(tuple(k for _, k in factors))
+    stack = None
+    for signs, (members, powers) in groups.items():
+        count = len(members)
+        matrix = np.zeros((count, n, n), dtype=complex)
+        matrix.reshape(count, n * n)[:, :: n + 1] = 1
+        powers = np.array(powers, dtype=int)
+        # column scalings rho^(k e(i)) for h-^k, eigenvalue tables rho^(-k e(f)) for h+^k
+        signed = powers * np.array([-1 if sign == "+" else 1 for sign in signs], dtype=int)
+        tables = roots[signed[:, :, None] * exponents % r]
+        twists = unit_roots(8)[eighth * powers % 8]
+        for j, sign in enumerate(signs):
+            if sign == "-":
+                matrix *= tables[:, j, None]
+            else:
+                matrix = np.fft.ifft(matrix, axis=-1)
+                matrix *= twists[:, j, None, None] * tables[:, j, None]
+                matrix = np.fft.fft(matrix, axis=-1)
+        if len(groups) == 1:
+            # no copy into a separate stack: u_of holds four arrays at most
+            return matrix
+        if stack is None:
+            stack = np.empty((len(elements), n, n), dtype=complex)
+        stack[members] = matrix
+    return stack
 
 
 class PhaseMatch(NamedTuple):
@@ -123,15 +180,19 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def _phase_fit(a, b) -> tuple[complex, float]:
-    """The phase c = Tr(a b^dag) / N and the residual max |a b^dag - c I|."""
+def _phase_fit(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The phases c = Tr(a b^dag) / N and the residuals max |a b^dag - c I|
+    over a stack of (..., N, N) matrix pairs, one of each per pair."""
     a = _as_matrix(a)
     b = _as_matrix(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    product = a @ b.conj().T
-    phase = complex(np.trace(product) / a.shape[0])
-    return phase, float(np.abs(product - phase * np.eye(a.shape[0])).max())
+    n = a.shape[-1]
+    product = a @ b.conj().swapaxes(-1, -2)
+    phase = product.trace(axis1=-2, axis2=-1) / n
+    # c I touches only the diagonal; a NaN phase still reaches the residual
+    product.reshape(*product.shape[:-2], n * n)[..., :: n + 1] -= phase[..., None]
+    return phase, np.abs(product).max(axis=(-2, -1))
 
 
 def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
@@ -141,6 +202,7 @@ def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
     that a b^dag is within ``tol`` of phase * identity and returns the phase.
     """
     phase, residual = _phase_fit(a, b)
+    phase = complex(phase)
     # Written as "not <=" so that a NaN fails both tests.
     if not (abs(abs(phase) - 1.0) <= tol and residual <= tol):
         return PhaseMatch(False, None)
@@ -149,15 +211,31 @@ def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
 
 def phase_defect(a, b) -> float:
     """Distance from 'equal up to a unit phase': max of the residual matrix
-    norm against the best phase and the phase's deviation from unit modulus."""
+    norm against the best phase and the phase's deviation from unit modulus.
+    The one-element case of _phase_defects."""
+    return float(_phase_defects(a, b))
+
+
+def _phase_defects(a, b) -> np.ndarray:
+    """phase_defect for each pair of a stack of (..., N, N) matrix pairs.
+
+    |c| is taken with hypot, as Python's abs of a complex is, not with
+    numpy's complex abs, which differs from it in the last bit.
+    """
     phase, residual = _phase_fit(a, b)
-    return max(residual, abs(abs(phase) - 1.0))
+    return np.maximum(residual, np.abs(np.hypot(phase.real, phase.imag) - 1.0))
 
 
 def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
     """Linear action of a symplectic element on a lattice point, mod s.modulus."""
     m, n = point
     return ((s.a * m + s.b * n) % s.modulus, (s.c * m + s.d * n) % s.modulus)
+
+
+def _covariance_bytes(n: int) -> int:
+    """Working set of one covariance residual: three N^3 blocks, the gather
+    and the product block (complex) and the magnitude block (real)."""
+    return n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
 
 
 def check_covariance_bound(n: int) -> None:
@@ -169,15 +247,15 @@ def check_covariance_bound(n: int) -> None:
     O(N^2) temporaries. check_bytes refuses blocks above the byte bound,
     which admits odd N <= 187 and even N <= 188.
     """
-    cube_bytes = n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
-    check_bytes(f"covariance residual at dimension {n}", cube_bytes)
+    check_bytes(f"covariance residual at dimension {n}", _covariance_bytes(n))
 
 
 def covariance_residual(u, s: SympMat, parity: str) -> float:
     """Worst-case covariance defect of ``u`` against ``s`` over all phase points.
 
     Returns max over points p of the entrywise norm of
-    U Delta_p U^dag - Delta_(s.p); NaN if any defect is NaN.
+    U Delta_p U^dag - Delta_(s.p); NaN if any defect is NaN. The one-element
+    case of _covariance_residuals.
 
     Computed from the factored kernels Delta_(x,y) = c_xy Z_y Pi_x (see
     qops.kernel_factors), never from dense kernels:
@@ -206,27 +284,49 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         raise DimensionMismatch(
             f"unitary is {matrix.shape}, expected {(n, n)} for modulus {s.modulus}"
         )
+    return float(_covariance_residuals(matrix[None], [s], parity)[0])
+
+
+def _covariance_residuals(us: np.ndarray, elements, parity: str) -> np.ndarray:
+    """covariance_residual(us[g], elements[g], parity) for each g of a
+    (G, N, N) stack, as one array; elements share one modulus.
+
+    The GEMM per momentum index y is batched over the stack, and each
+    element's image kernels come from its own (a, b, c, d), so every figure
+    is the one-element figure bit for bit, NaN included, and a NaN in one
+    matrix reaches only its own figure. One element's working set is bounded
+    by check_covariance_bound; the caller bounds how many a stack holds.
+    """
+    count = len(elements)
+    modulus = elements[0].modulus
+    n = hilbert_dim(modulus, parity)
     check_covariance_bound(n)
     rows = np.arange(n)
     xs = rows[:, None]
-    cols, _, _, r = kernel_factors(n, parity, xs, 0)
+    ys = rows[:, None, None, None]
+    # source[y] is the row of points (x, y); image[y] their images, per element
+    source = kernel_factors(n, parity, xs, ys[..., 0])
+    a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None, None]
+    image_x = (a * xs + b * ys) % modulus
+    image_y = (c * xs + d * ys) % modulus
+    r = source.root_modulus
     roots = unit_roots(r)
-    # gather[i, x * N + k] = (Pi_x U^dag)[i, k]
-    gather = matrix.conj().T[cols.T].reshape(n, n * n)
+    # gather[g, i, x * N + k] = (Pi_x U_g^dag)[i, k]
+    gather = us.conj().transpose(0, 2, 1)[:, source.cols.T].reshape(count, n, n * n)
     # The N^3 buffers are allocated once: with a fresh pair per row, where
     # the allocator placed them moved the process's peak RSS by several MB
     # from one build of the same code to the next.
-    products = np.empty((n, n, n), dtype=complex)
-    magnitudes = np.empty((n, n, n))
-    defects = []
+    products = np.empty((count, n, n, n), dtype=complex)
+    magnitudes = np.empty((count, n, n, n))
+    # flat offset of products[g, i, x, 0] at [g, x, i]
+    offsets = ((np.arange(count)[:, None, None] * n + rows) * n + xs) * n
+    defects = np.empty((n, count))
     for y in range(n):
-        source = kernel_factors(n, parity, xs, y)
-        image = kernel_factors(n, parity, *apply_point(s, (xs, y)))
-        # products[i, x, k] = (U Z_y Pi_x U^dag)[i, k]
-        np.matmul(matrix * roots[source.diag], gather, out=products.reshape(n, n * n))
-        exponents = (image.diag + image.const - source.const) % r
-        # the image kernel is supported at (i, image.cols[x, i]) in block x
-        products[rows, xs, image.cols] -= roots[exponents]
-        defects.append(np.abs(products, out=magnitudes).max())
-    return float(np.max(defects))
-
+        image = kernel_factors(n, parity, image_x[y], image_y[y])
+        # products[g, i, x, k] = (U_g Z_y Pi_x U_g^dag)[i, k]
+        np.matmul(us * roots[source.diag[y]], gather, out=products.reshape(count, n, n * n))
+        exponents = (image.diag + image.const - source.const[y]) % r
+        # the image kernel is supported at (i, image.cols[g, x, i]) in block x
+        products.reshape(-1)[offsets + image.cols] -= roots[exponents]
+        defects[y] = np.abs(products, out=magnitudes).max(axis=(1, 2, 3))
+    return defects.max(axis=0)

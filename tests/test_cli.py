@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,34 @@ def test_verify_projectivity_byte_bound(capsys, byte_bound, parity, dim):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("parity,dim", [("odd", 7), ("odd", 11), ("even", 4)])
+def test_verify_output_does_not_depend_on_pass_size(capsys, stack_budget, parity, dim):
+    argv = ("verify", "--dim", str(dim), "--parity", parity, "--suite", "all")
+    code, expected, _ = run(capsys, *argv)
+    element_bytes = metaplectic._unitary_bytes(dim) + metaplectic._covariance_bytes(dim)
+    # one element per pass; then passes of 5 covariance elements, which the
+    # 3 + |Sp_M| elements (339, 1323, 387) and the 200 projectivity pairs
+    # (in passes of 17, 26 and 11) do not divide
+    for budget in (1, 5 * element_bytes):
+        stack_budget(budget)
+        assert run(capsys, *argv)[:2] == (code, expected)
+
+
+def test_verify_covariance_working_set_stays_near_the_pass_cap(capsys):
+    # one unstacked pass over Sp_11 would hold 3 + 1320 elements at
+    # 61 kB each, about 80 MB
+    argv = ("verify", "--dim", "11", "--parity", "odd", "--suite", "covariance")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert peak < 8 * 2**20
+
+
 def test_verify_tol_override(capsys):
     code, out, _ = run(
         capsys,
@@ -352,15 +381,22 @@ def test_verify_rejects_bad_tol_before_any_suite(capsys, monkeypatch, tol):
     assert "--tol" in err
 
 
+def nan_residual_at(target):
+    """_covariance_residuals with a NaN figure for the element ``target``."""
+    residuals = metaplectic._covariance_residuals
+
+    def patched(us, elements, parity):
+        figures = residuals(us, elements, parity)
+        figures[[s == target for s in elements]] = np.nan
+        return figures
+
+    return patched
+
+
 def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     # -I is no generator, so only the whole-group check sees the NaN
     target = SympMat(2, 0, 0, 2, 3)
-    residual = metaplectic.covariance_residual
-    monkeypatch.setattr(
-        metaplectic,
-        "covariance_residual",
-        lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
-    )
+    monkeypatch.setattr(metaplectic, "_covariance_residuals", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = json.loads(out)
@@ -379,12 +415,7 @@ def strict_json(text):
 
 def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
     target = SympMat(2, 0, 0, 2, 3)
-    residual = metaplectic.covariance_residual
-    monkeypatch.setattr(
-        metaplectic,
-        "covariance_residual",
-        lambda u, s, parity: float("nan") if s == target else residual(u, s, parity),
-    )
+    monkeypatch.setattr(metaplectic, "_covariance_residuals", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = strict_json(out)
@@ -524,15 +555,16 @@ def test_verify_projectivity_at_dimension_169_passes(capsys):
 def test_verify_projectivity_catches_a_broken_representation(capsys, monkeypatch, parity, dim):
     # a phase on one row of U(S) whenever b and c are both nonzero: still
     # deterministic in S, but no longer projective
-    u_of = metaplectic.u_of
+    u_stack = metaplectic._u_stack
 
-    def mutant(s, lattice_parity):
-        matrix = u_of(s, lattice_parity).matrix.copy()
-        if s.b and s.c:
-            matrix[0] *= 1j
-        return metaplectic.ProjUnitary(matrix)
+    def mutant(elements, lattice_parity):
+        stack = u_stack(elements, lattice_parity)
+        for matrix, s in zip(stack, elements):
+            if s.b and s.c:
+                matrix[0] *= 1j
+        return stack
 
-    monkeypatch.setattr(metaplectic, "u_of", mutant)
+    monkeypatch.setattr(metaplectic, "_u_stack", mutant)
     argv = ("verify", "--dim", dim, "--parity", parity, "--suite", "projectivity")
     code, out, _ = run(capsys, *argv)
     assert code == 1

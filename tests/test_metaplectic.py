@@ -14,6 +14,9 @@ from phasepoint.lattice import (
 )
 from phasepoint.metaplectic import (
     ProjUnitary,
+    _covariance_residuals,
+    _phase_defects,
+    _u_stack,
     apply_point,
     check_covariance_bound,
     covariance_residual,
@@ -343,3 +346,53 @@ def test_proj_unitary_copies_the_callers_array():
     assert not u.matrix.flags.writeable
     a[0, 0] = 2.0
     assert u.matrix[0, 0] == 1.0
+
+
+WHOLE_GROUPS = [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8, 12)]
+
+
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_stacked_cores_equal_the_one_element_functions_on_whole_group(modulus, parity):
+    # every sign pattern of the four-factor word meets the others in one
+    # stack; the figures must not depend on what else a stack holds
+    elements = enumerate_group(modulus)
+    singles = [u_of(s, parity).matrix for s in elements]
+    stack = _u_stack(elements, parity)
+    assert np.array_equal(stack, np.array(singles))
+    expected = [covariance_residual(u, s, parity) for u, s in zip(singles, elements)]
+    # passes of 50, as the CLI cuts them, and one ragged last pass
+    residuals = np.concatenate([
+        _covariance_residuals(stack[start : start + 50], elements[start : start + 50], parity)
+        for start in range(0, len(elements), 50)
+    ])
+    assert np.array_equal(residuals, expected)
+    composed = _u_stack([s @ s for s in elements], parity)
+    squares = stack @ stack
+    defects = [phase_defect(c, q) for c, q in zip(composed, squares)]
+    assert np.array_equal(_phase_defects(composed, squares), defects)
+
+
+@pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
+def test_nan_in_one_stacked_unitary_reaches_only_its_figure(n, parity, rng):
+    modulus = lattice_modulus(n, parity)
+    elements = [random_element(modulus, rng) for _ in range(6)]
+    clean = _u_stack(elements, parity)
+    for g in range(len(elements)):
+        stack = clean.copy()
+        stack[g, 1, 2] = np.nan
+        residuals = _covariance_residuals(stack, elements, parity)
+        defects = _phase_defects(stack, clean)
+        for figures in (residuals, defects):
+            assert np.isnan(figures[g])
+            assert np.isfinite(np.delete(figures, g)).all()
+
+
+def test_stacked_phase_fit_keeps_a_nan_phase():
+    # a NaN on the diagonal makes the phase NaN: the diagonal subtraction
+    # must carry it into the residual
+    stack = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    stack[1, 0, 0] = np.nan
+    defects = _phase_defects(stack, np.array([np.eye(3)] * 2))
+    assert defects[0] == 0.0
+    assert np.isnan(defects[1])
+    assert np.isnan(phase_defect(stack[1], np.eye(3)))
