@@ -46,6 +46,8 @@ _NAMES_BY_MODULE = {
         "apply_point",
         "covariance_residual",
         "equal_up_to_phase",
+        "group_covariance",
+        "group_projectivity",
         "phase_defect",
         "u_hminus",
         "u_hplus",

@@ -8,6 +8,9 @@ verification checks, 2 invalid input or flags, 3 decomposition failure.
 Only the integer layers load at start-up. The rep, wigner and verify
 commands import their numeric layers (and so numpy) when they run, each
 taking only what it uses, so decompose and the parser never load numpy.
+verify's group-wide suites are one call each, to
+metaplectic.group_covariance and metaplectic.group_projectivity, which bound
+and cut their own passes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .symplectic import (
     BoundExceeded,
     DecompositionFailed,
     SympMat,
-    check_bytes,
     decompose,
     enumerate_group,
     generator,
@@ -33,9 +35,6 @@ from .symplectic import (
 
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
-# Working set of one pass of the stacked covariance and projectivity checks;
-# a single element that needs more runs alone.
-_STACK_BYTES = 2**20
 
 
 def _fail(message: str, code: int) -> int:
@@ -47,8 +46,7 @@ def _parse_matrix(text: str, modulus: int) -> SympMat:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--matrix expects 4 comma-separated integers, got {text!r}")
-    a, b, c, d = (int(p) for p in parts)
-    return SympMat(a, b, c, d, modulus)
+    return SympMat(*(int(p) for p in parts), modulus)
 
 
 def _reorder(matrix, order: list[int]):
@@ -87,8 +85,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     except DecompositionFailed as exc:
         return _fail(str(exc), 3)
-    verified = word.evaluate() == mat
-    if not verified:
+    if word.evaluate() != mat:
         return _fail("decomposition produced a word that does not verify", 3)
     payload = {
         "modulus": args.modulus,
@@ -180,17 +177,10 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     return 0
 
 
-def _passes(items: list, element_bytes: int) -> list[list]:
-    """``items`` in order, cut into passes of at most max(one element,
-    _STACK_BYTES) of working set, ``element_bytes`` per element."""
-    size = max(1, _STACK_BYTES // element_bytes)
-    return [items[start : start + size] for start in range(0, len(items), size)]
-
-
 def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
     import numpy as np
 
-    from . import metaplectic
+    from .metaplectic import group_covariance, group_projectivity
     from .oracle import verify_sw_kernel, verify_uniqueness
 
     modulus = lattice_modulus(n, parity)
@@ -224,33 +214,17 @@ def _verify_checks(n: int, parity: str, suite: str, tol: float | None):
         whole_group = modulus <= ENUMERATION_BOUND
         if whole_group:
             elements += enumerate_group(modulus)
-        element_bytes = metaplectic._unitary_bytes(n) + metaplectic._covariance_bytes(n)
-        residuals = np.concatenate([
-            metaplectic._covariance_residuals(metaplectic._u_stack(part, parity), part, parity)
-            for part in _passes(elements, element_bytes)
-        ])
+        residuals = group_covariance(elements, parity)
         for (name, _), residual in zip(generators, residuals):
             checks.append((f"covariance_{name}", residual, pick(1e-10)))
         if whole_group:
             checks.append(("covariance_group", residuals[len(generators):].max(), pick(1e-9)))
     if suite in ("projectivity", "all"):
-        # one pair is counted at six N x N complex arrays (odd N <= 1671,
-        # even N <= 1672); it holds at most four at once
-        pair_bytes = 6 * n * n * np.dtype(complex).itemsize
-        check_bytes(f"projectivity pair at dimension {n}", pair_bytes)
         rng = np.random.default_rng(PROJECTIVITY_SEED)
         left = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
         right = [random_element(modulus, rng) for _ in range(PROJECTIVITY_PAIRS)]
-
-        def pass_defects(part):
-            # a function, so that one pass's unitaries are freed before the next
-            firsts, seconds = zip(*part)
-            product = metaplectic._u_stack(firsts, parity) @ metaplectic._u_stack(seconds, parity)
-            composed = metaplectic._u_stack([s1 @ s2 for s1, s2 in part], parity)
-            return metaplectic._phase_defects(composed, product)
-
-        defects = [pass_defects(part) for part in _passes(list(zip(left, right)), pair_bytes)]
-        checks.append(("projectivity", np.concatenate(defects).max(), pick(1e-9)))
+        defects = group_projectivity(zip(left, right), parity)
+        checks.append(("projectivity", defects.max(), pick(1e-9)))
     return checks
 
 
@@ -268,11 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except BoundExceeded as exc:
         return _fail(str(exc), 2)
     results = [
-        {
-            "name": name,
-            "max_residual": _residual(residual),
-            "pass": bool(residual < tolerance),
-        }
+        {"name": name, "max_residual": _residual(residual), "pass": bool(residual < tolerance)}
         for name, residual, tolerance in sorted(checks)
     ]
     all_pass = all(entry["pass"] for entry in results)

@@ -22,6 +22,9 @@ h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word), which costs a few
 column scalings and at most two FFT pairs; any word for the same element
 gives the same matrix up to a global phase. No phase gauge is imposed, and
 comparisons go through equal_up_to_phase.
+
+group_covariance and group_projectivity check many elements or pairs in bounded
+passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
 """
 
 from __future__ import annotations
@@ -33,8 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import ODD, DimensionMismatch, check_parity, hilbert_dim
+from .modring import ModulusMismatch
 from .qops import kernel_factors, unit_roots
 from .symplectic import SympMat, check_bytes, four_factor_word
+
+# Working set of one pass of group_covariance and group_projectivity
+_PASS_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +138,7 @@ def _u_stack(elements, parity: str) -> np.ndarray:
     normalized words have the same sign pattern (at most nine patterns) take
     those steps together along the last axis, each with its own exponents,
     which gives every matrix bit for bit. One element's working set is
-    bounded by _generator_exponents; the caller bounds how many a stack holds.
+    bounded by _generator_exponents; _passes bounds how many a stack holds.
     """
     n = hilbert_dim(elements[0].modulus, parity)
     exponents, r = _generator_exponents(n, parity)
@@ -143,7 +150,7 @@ def _u_stack(elements, parity: str) -> np.ndarray:
         members, powers = groups.setdefault(tuple(sign for sign, _ in factors), ([], []))
         members.append(index)
         powers.append(tuple(k for _, k in factors))
-    stack = None
+    stack = np.empty((len(elements), n, n), dtype=complex) if len(groups) > 1 else None
     for signs, (members, powers) in groups.items():
         count = len(members)
         matrix = np.zeros((count, n, n), dtype=complex)
@@ -160,11 +167,9 @@ def _u_stack(elements, parity: str) -> np.ndarray:
                 matrix = np.fft.ifft(matrix, axis=-1)
                 matrix *= twists[:, j, None, None] * tables[:, j, None]
                 matrix = np.fft.fft(matrix, axis=-1)
-        if len(groups) == 1:
-            # no copy into a separate stack: u_of holds four arrays at most
-            return matrix
         if stack is None:
-            stack = np.empty((len(elements), n, n), dtype=complex)
+            # one group, no copy into a separate stack: u_of holds four arrays at most
+            return matrix
         stack[members] = matrix
     return stack
 
@@ -175,16 +180,15 @@ class PhaseMatch(NamedTuple):
 
 
 def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, ProjUnitary):
-        return a.matrix
-    return np.asarray(a, dtype=complex)
+    return a.matrix if isinstance(a, ProjUnitary) else np.asarray(a, dtype=complex)
 
 
 def _phase_fit(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The phases c = Tr(a b^dag) / N and the residuals max |a b^dag - c I|
-    over a stack of (..., N, N) matrix pairs, one of each per pair."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    """The phases c = Tr(a b^dag) / N and the defects max(max |a b^dag - c I|,
+    ||c| - 1|), NaN if any entry is, of a stack of (..., N, N) matrix pairs.
+    |c| is taken with hypot, as Python's abs of a complex is; numpy's complex
+    abs differs from it in the last bit."""
+    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     n = a.shape[-1]
@@ -192,7 +196,8 @@ def _phase_fit(a, b) -> tuple[np.ndarray, np.ndarray]:
     phase = product.trace(axis1=-2, axis2=-1) / n
     # c I touches only the diagonal; a NaN phase still reaches the residual
     product.reshape(*product.shape[:-2], n * n)[..., :: n + 1] -= phase[..., None]
-    return phase, np.abs(product).max(axis=(-2, -1))
+    residual = np.abs(product).max(axis=(-2, -1))
+    return phase, np.maximum(residual, np.abs(np.hypot(phase.real, phase.imag) - 1.0))
 
 
 def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
@@ -201,29 +206,17 @@ def equal_up_to_phase(a, b, tol: float = 1e-10) -> PhaseMatch:
     Both arguments must be unitary for the test to be meaningful: it checks
     that a b^dag is within ``tol`` of phase * identity and returns the phase.
     """
-    phase, residual = _phase_fit(a, b)
-    phase = complex(phase)
-    # Written as "not <=" so that a NaN fails both tests.
-    if not (abs(abs(phase) - 1.0) <= tol and residual <= tol):
+    phase, defect = _phase_fit(a, b)
+    # Written as "not <=" so that a NaN fails the test.
+    if not defect <= tol:
         return PhaseMatch(False, None)
-    return PhaseMatch(True, phase)
+    return PhaseMatch(True, complex(phase))
 
 
 def phase_defect(a, b) -> float:
     """Distance from 'equal up to a unit phase': max of the residual matrix
-    norm against the best phase and the phase's deviation from unit modulus.
-    The one-element case of _phase_defects."""
-    return float(_phase_defects(a, b))
-
-
-def _phase_defects(a, b) -> np.ndarray:
-    """phase_defect for each pair of a stack of (..., N, N) matrix pairs.
-
-    |c| is taken with hypot, as Python's abs of a complex is, not with
-    numpy's complex abs, which differs from it in the last bit.
-    """
-    phase, residual = _phase_fit(a, b)
-    return np.maximum(residual, np.abs(np.hypot(phase.real, phase.imag) - 1.0))
+    norm against the best phase and the phase's deviation from unit modulus."""
+    return float(_phase_fit(a, b)[1])
 
 
 def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
@@ -234,19 +227,15 @@ def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
 
 def _covariance_bytes(n: int) -> int:
     """Working set of one covariance residual: three N^3 blocks, the gather
-    and the product block (complex) and the magnitude block (real)."""
+    and the product block (complex) and the magnitude block (real), 40 bytes
+    per N^3; its tracemalloc peak was 41 bytes per N^3 at N = 63 and 95, the
+    rest being O(N^2) temporaries."""
     return n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
 
 
 def check_covariance_bound(n: int) -> None:
-    """Refuse a covariance residual at dimension ``n`` before it starts.
-
-    covariance_residual holds three N^3 blocks: the gather and the product
-    block (complex) and the magnitude block (real), 40 bytes per N^3; its
-    tracemalloc peak was 41 bytes per N^3 at N = 63 and 95, the rest being
-    O(N^2) temporaries. check_bytes refuses blocks above the byte bound,
-    which admits odd N <= 187 and even N <= 188.
-    """
+    """Refuse a covariance residual at dimension ``n`` before it starts,
+    above the byte bound: odd N <= 187 and even N <= 188 pass."""
     check_bytes(f"covariance residual at dimension {n}", _covariance_bytes(n))
 
 
@@ -295,7 +284,7 @@ def _covariance_residuals(us: np.ndarray, elements, parity: str) -> np.ndarray:
     element's image kernels come from its own (a, b, c, d), so every figure
     is the one-element figure bit for bit, NaN included, and a NaN in one
     matrix reaches only its own figure. One element's working set is bounded
-    by check_covariance_bound; the caller bounds how many a stack holds.
+    by check_covariance_bound; _passes bounds how many a stack holds.
     """
     count = len(elements)
     modulus = elements[0].modulus
@@ -330,3 +319,50 @@ def _covariance_residuals(us: np.ndarray, elements, parity: str) -> np.ndarray:
         products.reshape(-1)[offsets + image.cols] -= roots[exponents]
         defects[y] = np.abs(products, out=magnitudes).max(axis=(1, 2, 3))
     return defects.max(axis=0)
+
+
+def _stack_dim(elements, parity: str) -> int:
+    """The Hilbert dimension of ``elements``: at least one, one modulus."""
+    moduli = {s.modulus for s in elements}
+    if len(moduli) != 1:
+        raise ModulusMismatch(f"a stack needs one modulus, got moduli {sorted(moduli)}")
+    return hilbert_dim(moduli.pop(), parity)
+
+
+def _passes(what: str, items: list, item_bytes: int, evaluate) -> np.ndarray:
+    """evaluate(part) over ``items`` cut into passes of at most max(one item,
+    _PASS_BYTES) of working set, joined. One item is refused through
+    check_bytes first; each pass's arrays are freed before the next starts."""
+    check_bytes(what, item_bytes)
+    size = max(1, _PASS_BYTES // item_bytes)
+    parts = [items[start : start + size] for start in range(0, len(items), size)]
+    return np.concatenate([evaluate(part) for part in parts])
+
+
+def group_covariance(elements, parity: str) -> np.ndarray:
+    """covariance_residual(u_of(s).matrix, s, parity) for each of
+    ``elements`` (one modulus), bit for bit, from stacked passes. One element
+    counts as one U(S) build and one residual: odd N <= 187, even N <= 188."""
+    elements = list(elements)
+    n = _stack_dim(elements, parity)
+    return _passes(
+        f"covariance check at dimension {n}", elements, _unitary_bytes(n) + _covariance_bytes(n),
+        lambda part: _covariance_residuals(_u_stack(part, parity), part, parity),
+    )
+
+
+def group_projectivity(pairs, parity: str) -> np.ndarray:
+    """phase_defect(u_of(s1 @ s2), u_of(s1).matrix @ u_of(s2).matrix) for
+    each (s1, s2) of ``pairs`` (one modulus), bit for bit, from stacked
+    passes. One pair counts as six N x N complex arrays, though it holds at
+    most four at once: odd N <= 1671, even N <= 1672."""
+    pairs = list(pairs)
+    n = _stack_dim([s for pair in pairs for s in pair], parity)
+
+    def defects(part):
+        firsts, seconds = zip(*part)
+        product = _u_stack(firsts, parity) @ _u_stack(seconds, parity)
+        return _phase_fit(_u_stack([s1 @ s2 for s1, s2 in part], parity), product)[1]
+
+    pair_bytes = 6 * n * n * np.dtype(complex).itemsize
+    return _passes(f"projectivity pair at dimension {n}", pairs, pair_bytes, defects)

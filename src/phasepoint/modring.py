@@ -62,8 +62,6 @@ def euclid_trace(b: int, d: int) -> EuclidTrace:
         raise BothZero("Euclidean chain undefined for (0, 0)")
     remainders = [max(b, d), min(b, d)]
     quotients: list[int] = []
-    if remainders[1] == 0:
-        return EuclidTrace((remainders[0], 0), ())
     while remainders[-1] != 0:
         q, r = divmod(remainders[-2], remainders[-1])
         quotients.append(q)

@@ -146,11 +146,10 @@ class SWKernelReport:
     def checks(self) -> list[tuple[str, float]]:
         """Name/residual pairs for the properties asserted at this parity."""
         named = [("hermiticity", self.hermiticity), ("unit_trace", self.unit_trace)]
-        if self.parity == ODD:
-            named.append(("traciality", self.traciality))
-            named.append(("translation_covariance", self.translation_covariance))
-        else:
-            named.append(("integer_trace", self.integer_trace))
+        if self.parity != ODD:
+            return named + [("integer_trace", self.integer_trace)]
+        named.append(("traciality", self.traciality))
+        named.append(("translation_covariance", self.translation_covariance))
         return named
 
 

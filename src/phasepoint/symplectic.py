@@ -10,11 +10,12 @@ word of at most four factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .modring import BothZero, ModulusMismatch, _check_modulus, euclid_trace
+from .modring import ModulusMismatch, _check_modulus, euclid_trace
 
 ENUMERATION_BOUND = 12
 # Largest working set a bounded computation may allocate; check_bytes is the
@@ -148,14 +149,9 @@ class GenWord:
             if sign not in ("+", "-"):
                 raise ValueError(f"sign must be '+' or '-', got {sign!r}")
             exponent = int(exponent) % self.modulus
-            if exponent == 0:
-                continue
             if stack and stack[-1][0] == sign:
-                merged = (stack[-1][1] + exponent) % self.modulus
-                stack.pop()
-                if merged:
-                    stack.append((sign, merged))
-            else:
+                exponent = (stack.pop()[1] + exponent) % self.modulus
+            if exponent:
                 stack.append((sign, exponent))
         object.__setattr__(self, "factors", tuple(stack))
 
@@ -168,10 +164,16 @@ class GenWord:
         return " ".join(f"h{sign}^{exp}" for sign, exp in self.factors)
 
     def evaluate(self) -> SympMat:
-        result = SympMat.identity(self.modulus)
-        for sign, exponent in self.factors:
-            result = result @ generator_power(sign, exponent, self.modulus)
-        return result
+        # h+^k adds k times column one to column two, h-^k k times column two
+        # to column one; one SympMat (one determinant check) at the end
+        m = self.modulus
+        a, b, c, d = 1, 0, 0, 1
+        for sign, k in self.factors:
+            if sign == "+":
+                b, d = (b + a * k) % m, (d + c * k) % m
+            else:
+                a, c = (a + b * k) % m, (c + d * k) % m
+        return SympMat(a, b, c, d, m)
 
 
 def random_element(modulus: int, rng) -> SympMat:
@@ -212,8 +214,7 @@ def decompose(s: SympMat, method: str = "euclid") -> GenWord:
 
 def _euclid_word(s: SympMat) -> GenWord:
     m = s.modulus
-    if s.is_identity:
-        return GenWord((), m)
+    # the identity included, as h+^0
     if s.a == 1 and s.d == 1 and s.c == 0:
         return GenWord((("+", s.b),), m)
     if s.a == 1 and s.d == 1 and s.b == 0:
@@ -225,24 +226,16 @@ def _euclid_word(s: SympMat) -> GenWord:
     # the factors in application order (first applied first).
     applied: list[tuple[str, int]] = []
     cur = s
-    if cur.b == 0:
-        pass
-    elif cur.d == 0:
-        cur = h_t(m) @ cur
-        applied.append(("t", 1))
-    else:
-        try:
-            trace = euclid_trace(cur.b, cur.d)
-        except BothZero as exc:  # unreachable for det-1 input
-            raise DecompositionFailed(str(exc)) from exc
+    if cur.b != 0 and cur.d != 0:
         sign = "+" if cur.b >= cur.d else "-"
-        for k in trace.quotients:
+        for k in euclid_trace(cur.b, cur.d).quotients:
             cur = generator_power(sign, -k, m) @ cur
             applied.append((sign, -k))
             sign = "-" if sign == "+" else "+"
-        if cur.b != 0:
-            cur = h_t(m) @ cur
-            applied.append(("t", 1))
+    # a chain (or a zero d) that leaves the top entry nonzero ends with h_t
+    if cur.b != 0:
+        cur = h_t(m) @ cur
+        applied.append(("t", 1))
     if cur.b != 0:
         raise DecompositionFailed(f"reduction left top-right entry {cur.b} != 0")
     alpha, gamma, beta = cur.a, cur.c, cur.d
@@ -261,9 +254,7 @@ def _euclid_word(s: SympMat) -> GenWord:
         else:
             factors.append((sign, -exponent))
     factors.append(("-", beta + beta * gamma))
-    factors += [("+", 1), ("-", -1), ("+", 1)]
-    factors.append(("-", alpha))
-    factors.append(("+", -beta))
+    factors += [("+", 1), ("-", -1), ("+", 1), ("-", alpha), ("+", -beta)]
     word = GenWord(tuple(factors), m)
     if word.evaluate() != s:
         raise DecompositionFailed("factor word does not reproduce the input")
@@ -303,9 +294,7 @@ def four_factor_word(s: SympMat) -> GenWord:
 def _word_table(modulus: int) -> dict[SympMat, GenWord]:
     """Breadth-first table of shortest words (in factor count) for all of Sp_M."""
     identity = SympMat.identity(modulus)
-    steps = [("+", e) for e in range(1, modulus)] + [
-        ("-", e) for e in range(1, modulus)
-    ]
+    steps = [(sign, e) for sign in "+-" for e in range(1, modulus)]
     step_mats = {step: generator_power(step[0], step[1], modulus) for step in steps}
     table: dict[SympMat, tuple[tuple[str, int], ...]] = {identity: ()}
     frontier = [identity]
@@ -360,12 +349,8 @@ def enumerate_group(modulus: int) -> list[SympMat]:
         raise BoundExceeded(
             f"modulus {modulus} exceeds enumeration bound {ENUMERATION_BOUND}"
         )
-    elements = []
-    rng = range(modulus)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if (a * d - b * c) % modulus == 1:
-                        elements.append(SympMat(a, b, c, d, modulus))
-    return elements
+    return [
+        SympMat(a, b, c, d, modulus)
+        for a, b, c, d in itertools.product(range(modulus), repeat=4)
+        if (a * d - b * c) % modulus == 1
+    ]

@@ -87,7 +87,7 @@ class WignerTable:
 
     def __post_init__(self):
         # a copy: freezing the caller's own array would be a side effect
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(_real(self.values, "table"))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise DimensionMismatch(f"table must be square, got {vals.shape}")
         object.__setattr__(self, "dim", hilbert_dim(vals.shape[0], self.parity))
@@ -101,6 +101,14 @@ class WignerTable:
     @property
     def total(self) -> float:
         return float(self.values.sum())
+
+
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as floats; a nonzero imaginary part raises, never drops."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and (values.imag != 0).any():
+        raise ValueError(f"{what} has entries with a nonzero imaginary part")
+    return np.asarray(values.real, dtype=float)
 
 
 class Marginals(NamedTuple):
@@ -189,7 +197,7 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     At even N, rows j and j + N share that support and add. The cost is
     O(N^2 log N); no kernel matrix is built.
     """
-    values = np.asarray(grid, dtype=float)
+    values = _real(grid, "grid")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DimensionMismatch(f"grid must be square, got {values.shape}")
     modulus = values.shape[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from phasepoint import cli, oracle, qops, symplectic
+from phasepoint import metaplectic, oracle, qops, symplectic
 from phasepoint.lattice import ODD, ParityError, check_parity
 from phasepoint.qops import unit_roots
 from phasepoint.wigner import QuantumState
@@ -78,11 +78,12 @@ def byte_bound(monkeypatch):
 
 @pytest.fixture
 def stack_budget(monkeypatch):
-    """Set the working-set cap of one stacked verify pass for one test:
-    stack_budget(nbytes); any nbytes below one element's runs one per pass."""
+    """Set the working-set cap of one pass of group_covariance and
+    group_projectivity for one test: stack_budget(nbytes); any nbytes below
+    one element's runs one per pass."""
 
     def set_budget(nbytes):
-        monkeypatch.setattr(cli, "_STACK_BYTES", nbytes)
+        monkeypatch.setattr(metaplectic, "_PASS_BYTES", nbytes)
 
     return set_budget
 

@@ -103,3 +103,30 @@ def test_only_qops_references_delta_family():
             if name == "delta_family":
                 references.append(f"{path.name}:{node.lineno}")
     assert references == []
+
+
+def test_cli_names_no_private_attribute_of_another_module():
+    # verify's group-wide passes sit behind metaplectic's public drivers:
+    # the CLI imports no underscore name from the package and reads no
+    # underscore attribute of a package module it imported.
+    import ast
+
+    path = Path(__file__).resolve().parents[1] / "src" / "phasepoint" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, references = set(), []
+    for node in ast.walk(tree):
+        package = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and (node.level or package.startswith("phasepoint")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    references.append(f"cli.py:{node.lineno} {alias.name}")
+                if node.module is None or node.module == "phasepoint":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            names = [a for a in node.names if a.name.startswith("phasepoint")]
+            modules.update(a.asname or a.name for a in names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in modules:
+                references.append(f"cli.py:{node.lineno} {ast.unparse(node)}")
+    assert references == []

@@ -14,18 +14,23 @@ from phasepoint.lattice import (
 )
 from phasepoint.metaplectic import (
     ProjUnitary,
+    _covariance_bytes,
     _covariance_residuals,
-    _phase_defects,
+    _phase_fit,
     _u_stack,
+    _unitary_bytes,
     apply_point,
     check_covariance_bound,
     covariance_residual,
     equal_up_to_phase,
+    group_covariance,
+    group_projectivity,
     phase_defect,
     u_hminus,
     u_hplus,
     u_of,
 )
+from phasepoint.modring import ModulusMismatch
 from phasepoint.qops import delta_at, phase_points, symmetric_order, unit_roots
 from phasepoint.symplectic import (
     BoundExceeded,
@@ -352,7 +357,9 @@ WHOLE_GROUPS = [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8,
 
 
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
-def test_stacked_cores_equal_the_one_element_functions_on_whole_group(modulus, parity):
+def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
+    modulus, parity, stack_budget
+):
     # every sign pattern of the four-factor word meets the others in one
     # stack; the figures must not depend on what else a stack holds
     elements = enumerate_group(modulus)
@@ -369,7 +376,27 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(modulus, p
     composed = _u_stack([s @ s for s in elements], parity)
     squares = stack @ stack
     defects = [phase_defect(c, q) for c, q in zip(composed, squares)]
-    assert np.array_equal(_phase_defects(composed, squares), defects)
+    assert np.array_equal(_phase_fit(composed, squares)[1], defects)
+    # the drivers, in passes of their own size and of seven covariance
+    # elements (ragged for both drivers), against one pair at a time
+    pairs = list(zip(elements, elements[::-1]))
+    expected_defects = [
+        phase_defect(u_of(s1 @ s2, parity), u1 @ u2)
+        for (s1, s2), u1, u2 in zip(pairs, singles, singles[::-1])
+    ]
+    n = hilbert_dim(modulus, parity)
+    for budget in (None, 7 * (_unitary_bytes(n) + _covariance_bytes(n))):
+        if budget is not None:
+            stack_budget(budget)
+        assert np.array_equal(group_covariance(elements, parity), expected)
+        assert np.array_equal(group_projectivity(pairs, parity), expected_defects)
+
+
+def test_drivers_refuse_mixed_moduli():
+    with pytest.raises(ModulusMismatch):
+        group_covariance([generator("+", 3), generator("+", 5)], ODD)
+    with pytest.raises(ModulusMismatch):
+        group_projectivity([(generator("+", 3),) * 2, (generator("+", 5),) * 2], ODD)
 
 
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
@@ -381,7 +408,7 @@ def test_nan_in_one_stacked_unitary_reaches_only_its_figure(n, parity, rng):
         stack = clean.copy()
         stack[g, 1, 2] = np.nan
         residuals = _covariance_residuals(stack, elements, parity)
-        defects = _phase_defects(stack, clean)
+        defects = _phase_fit(stack, clean)[1]
         for figures in (residuals, defects):
             assert np.isnan(figures[g])
             assert np.isfinite(np.delete(figures, g)).all()
@@ -392,7 +419,7 @@ def test_stacked_phase_fit_keeps_a_nan_phase():
     # must carry it into the residual
     stack = np.array([np.eye(3), np.eye(3)], dtype=complex)
     stack[1, 0, 0] = np.nan
-    defects = _phase_defects(stack, np.array([np.eye(3)] * 2))
+    defects = _phase_fit(stack, np.array([np.eye(3)] * 2))[1]
     assert defects[0] == 0.0
     assert np.isnan(defects[1])
     assert np.isnan(phase_defect(stack[1], np.eye(3)))

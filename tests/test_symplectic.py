@@ -149,6 +149,21 @@ def test_decompose_round_trip_random_words(rng):
         assert decompose(s).evaluate() == s
 
 
+@pytest.mark.parametrize("modulus", [*range(2, 25), 2**61 - 1])
+def test_evaluate_equals_the_product_of_generator_powers(modulus, rng):
+    # evaluate composes on plain integers; the oracle multiplies validated
+    # SympMats, left to right, one generator power at a time
+    for length in range(9):
+        for _ in range(5):
+            factors = [
+                ("-+"[int(rng.integers(2))], int(rng.integers(modulus))) for _ in range(length)
+            ]
+            expected = SympMat.identity(modulus)
+            for sign, exponent in factors:
+                expected = multiply(expected, generator_power(sign, exponent, modulus))
+            assert GenWord(tuple(factors), modulus).evaluate() == expected
+
+
 @pytest.mark.parametrize("modulus", range(2, 8))
 def test_decompose_agrees_with_bfs_oracle(modulus):
     # both routes must land on the same matrix (words themselves may differ)

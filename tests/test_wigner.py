@@ -233,6 +233,19 @@ def test_quantize_rejects_non_finite_grid(bad, edge, parity):
         weyl_quantize(grid, parity)
 
 
+def test_complex_grid_and_table_are_refused_not_cast():
+    # a nonzero imaginary part would be dropped by a cast to float
+    grid = np.ones((3, 3)) + 1j * np.eye(3)
+    with pytest.raises(ValueError, match="imaginary"):
+        weyl_quantize(grid, ODD)
+    with pytest.raises(ValueError, match="imaginary"):
+        WignerTable(ODD, grid / 9)
+    # complex entries with zero imaginary part are real values
+    real = np.ones((3, 3), dtype=complex)
+    assert np.array_equal(weyl_quantize(real, ODD), weyl_quantize(real.real, ODD))
+    assert WignerTable(ODD, real / 9).total == WignerTable(ODD, real.real / 9).total
+
+
 DENSE_CASES = [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (2, EVEN), (4, EVEN), (6, EVEN), (8, EVEN)]
 
 
