@@ -43,15 +43,18 @@ _NAMES_BY_MODULE = {
     ),
     "metaplectic": (
         "ProjUnitary",
+        "UTable",
         "apply_point",
         "covariance_residual",
         "equal_up_to_phase",
         "group_covariance",
         "group_projectivity",
+        "intertwining_defect",
         "phase_defect",
         "u_hminus",
         "u_hplus",
         "u_of",
+        "u_table",
     ),
     "wigner": (
         "Marginals",

@@ -10,7 +10,9 @@ commands import their numeric layers (and so numpy) when they run, each
 taking only what it uses, so decompose and the parser never load numpy.
 verify's group-wide suites are one call each, to
 metaplectic.group_covariance and metaplectic.group_projectivity, which bound
-and cut their own passes.
+and cut their own passes. rep bounds its JSON output before it builds U(S),
+and reports the exact three-point defect of U(S)'s table
+(metaplectic.u_table and metaplectic.intertwining_defect).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .symplectic import (
     BoundExceeded,
     DecompositionFailed,
     SympMat,
+    check_bytes,
     decompose,
     enumerate_group,
     generator,
@@ -33,6 +36,9 @@ from .symplectic import (
     random_element,
 )
 
+# Peak bytes per unitary entry of rep's JSON rows and text, refused through
+# check_bytes before U(S) is built
+REP_ENTRY_BYTES = 256
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
 
@@ -97,6 +103,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _certified_unitary(mat: SympMat, parity: str):
+    """u_of(mat)'s matrix, the exact covariance defect of its table and the
+    matrix's distance from that table. The table is freed on return, before
+    rep builds its JSON rows."""
+    from .metaplectic import intertwining_defect, u_of, u_table
+
+    unitary = u_of(mat, parity)
+    table = u_table(mat, parity, unitary)
+    return unitary.matrix, intertwining_defect(table, mat, parity), table.residual(unitary)
+
+
 def cmd_rep(args: argparse.Namespace) -> int:
     try:
         modulus = lattice_modulus(args.dim, args.parity)
@@ -104,28 +121,30 @@ def cmd_rep(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     try:
         mat = _parse_matrix(args.matrix, modulus)
-    except ValueError as exc:  # NotSymplectic included
+        check_bytes(f"rep output at dimension {args.dim}", REP_ENTRY_BYTES * args.dim**2)
+    except ValueError as exc:  # NotSymplectic and BoundExceeded included
         return _fail(str(exc), 2)
-    from .metaplectic import covariance_residual, u_of
     from .qops import symmetric_order
 
     try:
-        unitary = u_of(mat, args.parity)
-        residual = covariance_residual(unitary.matrix, mat, args.parity)
+        matrix, residual, table_residual = _certified_unitary(mat, args.parity)
     except BoundExceeded as exc:
         return _fail(str(exc), 2)
     except DecompositionFailed as exc:
         return _fail(str(exc), 3)
-    display = unitary.matrix
+    except ValueError as exc:  # U(S) does not round to a table
+        return _fail(str(exc), 1)
     if args.index_style == "symmetric":
-        display = _reorder(display, symmetric_order(args.dim))
+        matrix = _reorder(matrix, symmetric_order(args.dim))
     payload = {
         "dim": args.dim,
         "parity": args.parity,
         "modulus": modulus,
         "matrix": list(mat.entries),
-        "unitary": _complex_rows(display),
+        "unitary": _complex_rows(matrix),
         "covariance_residual": _residual(residual),
+        "exact": bool(residual == 0.0),
+        "table_residual": _residual(table_residual),
     }
     print(json.dumps(payload, allow_nan=False))
     return 0

@@ -25,10 +25,16 @@ comparisons go through equal_up_to_phase.
 
 group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
+
+u_table reads U(S) back as exact integers: a support of N^2/g entries, with
+g = gcd(b, N), of common modulus sqrt(g/N), whose phases are roots of unity
+of order 8R (again Appleby's chirp structure). intertwining_defect checks
+covariance on that table exactly, at three points, in O(N^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,6 +48,9 @@ from .symplectic import SympMat, check_bytes, four_factor_word
 
 # Working set of one pass of group_covariance and group_projectivity
 _PASS_BYTES = 2**20
+# u_table's rounding margins: entry moduli, and phases in radians
+_MODULUS_MARGIN = 1e-9
+_PHASE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +234,112 @@ def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
     return ((s.a * m + s.b * n) % s.modulus, (s.c * m + s.d * n) % s.modulus)
 
 
+class UTable(NamedTuple):
+    """U(S) as an exact table: entry [i, k] is
+    scale * unit_roots(root_modulus)[exponents[i, k]] where support[i, k],
+    and 0 elsewhere (where exponents holds 0). gcd = gcd(b, N) for the
+    element's upper-right entry b; the support holds N^2/gcd entries and
+    scale = sqrt(gcd / N), so every row has unit norm."""
+
+    exponents: np.ndarray
+    support: np.ndarray
+    gcd: int
+    scale: float
+    root_modulus: int
+
+    def residual(self, u) -> float:
+        """max |u - table|, entrywise: how far a float matrix is from the
+        table; NaN if any entry of ``u`` is."""
+        values = self.scale * unit_roots(self.root_modulus)[self.exponents]
+        return float(np.abs(_as_matrix(u) - np.where(self.support, values, 0)).max())
+
+
+def u_table(s: SympMat, parity: str, u=None) -> UTable:
+    """U(S) as an exact table, read off ``u`` (by default u_of(s, parity))
+    by rounding.
+
+    Every U(S) is a common modulus m = sqrt(g/N) on N^2/g entries, with
+    g = gcd(b, N), and zero elsewhere; its phases are roots of unity of
+    order L = 8R (R = N odd, 2N even), L covering the 4R that odd lattices
+    and the 2R that even ones were seen to need. Each rounding passes a
+    margin, or ValueError is raised: the entries above m/2 in modulus must
+    number exactly N^2/g, each within 1e-9 of m, every other entry must be
+    below 1e-9, and every phase within 1e-6 radians of an L-th root. A NaN
+    fails a margin. O(N^2) beyond the build of u.
+    """
+    n = hilbert_dim(s.modulus, parity)
+    matrix = u_of(s, parity).matrix if u is None else _as_matrix(u)
+    if matrix.shape != (n, n):
+        raise DimensionMismatch(f"unitary is {matrix.shape}, expected {(n, n)}")
+    g = math.gcd(s.b, n)
+    scale = math.sqrt(g / n)
+    magnitude = np.abs(matrix)
+    support = magnitude > scale / 2
+    count = int(support.sum())
+    if count != n * n // g:
+        raise ValueError(f"{count} entries near modulus {scale}, expected N^2/g = {n * n // g}")
+    # written as "not <" so that a NaN fails
+    if not np.abs(magnitude[support] - scale).max() < _MODULUS_MARGIN:
+        raise ValueError(f"an entry's modulus is not within {_MODULUS_MARGIN} of {scale}")
+    if count < n * n and not magnitude[~support].max() < _MODULUS_MARGIN:
+        raise ValueError(f"an entry off the support is not below {_MODULUS_MARGIN}")
+    root_modulus = 8 * s.modulus
+    turns = np.angle(matrix[support]) * (root_modulus / (2 * np.pi))
+    nearest = np.rint(turns)
+    if not np.abs(turns - nearest).max() * (2 * np.pi / root_modulus) < _PHASE_MARGIN:
+        raise ValueError(f"a phase is not within {_PHASE_MARGIN} of a {root_modulus}-th root")
+    exponents = np.zeros((n, n), dtype=np.int64)
+    exponents[support] = nearest.astype(np.int64) % root_modulus
+    return UTable(exponents, support, g, scale, root_modulus)
+
+
+def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
+    """max |V Delta_q - Delta_(S.q) V| over q = (0, 0), (1, 0), (0, 1), for
+    the table V; exactly 0.0 for a true table, NaN if its scale is.
+
+    With Delta_q's row i holding rho^(e_q(i)) in column sigma_q(i)
+    (qops.kernel_factors), both sides are gathers of V:
+    (V Delta_q)[i, j] = V[i, k] rho^(e_q(k)) with k = sigma_q^-1(j), and
+    (Delta_(S.q) V)[i, j] = rho^(e_(S.q)(i)) V[sigma_(S.q)(i), j]. The
+    exponents are subtracted mod the table's root modulus before the root
+    lookup, so equal entries give exactly 0; where one side's entry is off
+    the support and the other's is on it, the defect there is the table's
+    scale. O(N^2).
+
+    Three points suffice. Delta_(0,1) Delta_(0,0) is the clock Z and
+    Delta_(1,0) Delta_(0,0) the shift T on even lattices (Z^2 and T^-2 on
+    odd ones, which generate Z and T since 2 is invertible mod N), so the
+    three kernels generate the full matrix algebra M_N. By the existence
+    theorem some unitary U_0 is covariant at every point. If V intertwines
+    the three kernels with their images, U_0^-1 V commutes with a generating
+    set of M_N, so by Schur's lemma V = c U_0. A u_table table has
+    N^2/g entries of modulus sqrt(g/N), so |V|_F^2 = N = |U_0|_F^2 and
+    |c| = 1: V is unitary and U(S) Delta_p U(S)^dag = Delta_(S.p) at every
+    point p. The premise is that normalization, which u_table's margins
+    enforce and a hand-made table need not meet.
+    """
+    n = hilbert_dim(s.modulus, parity)
+    if table.exponents.shape != (n, n) or table.support.shape != (n, n):
+        raise DimensionMismatch(f"table is {table.exponents.shape}, expected {(n, n)}")
+    r = table.root_modulus
+    # |1 - rho^d| for each exponent difference d, exactly 0 at d = 0
+    chords = np.abs(1 - unit_roots(r))
+    exponents, support = table.exponents, table.support
+    defects = []
+    for point in ((0, 0), (1, 0), (0, 1)):
+        kernel = kernel_factors(n, parity, *point)
+        image = kernel_factors(n, parity, *apply_point(s, point))
+        step = r // kernel.root_modulus
+        inverse = np.argsort(kernel.cols)
+        left = exponents[:, inverse] + step * kernel.exponents[inverse]
+        right = step * image.exponents[:, None] + exponents[image.cols]
+        left_support, right_support = support[:, inverse], support[image.cols]
+        both = table.scale * chords[(left - right) % r]
+        either = np.where(left_support != right_support, table.scale, 0.0)
+        defects.append(np.where(left_support & right_support, both, either).max())
+    return float(np.max(defects))
+
+
 def _covariance_bytes(n: int) -> int:
     """Working set of one covariance residual: three N^3 blocks, the gather
     and the product block (complex) and the magnitude block (real), 40 bytes
@@ -342,8 +457,11 @@ def _passes(what: str, items: list, item_bytes: int, evaluate) -> np.ndarray:
 def group_covariance(elements, parity: str) -> np.ndarray:
     """covariance_residual(u_of(s).matrix, s, parity) for each of
     ``elements`` (one modulus), bit for bit, from stacked passes. One element
-    counts as one U(S) build and one residual: odd N <= 187, even N <= 188."""
+    counts as one U(S) build and one residual: odd N <= 187, even N <= 188.
+    No elements give an empty array."""
     elements = list(elements)
+    if not elements:
+        return np.empty(0)
     n = _stack_dim(elements, parity)
     return _passes(
         f"covariance check at dimension {n}", elements, _unitary_bytes(n) + _covariance_bytes(n),
@@ -355,8 +473,11 @@ def group_projectivity(pairs, parity: str) -> np.ndarray:
     """phase_defect(u_of(s1 @ s2), u_of(s1).matrix @ u_of(s2).matrix) for
     each (s1, s2) of ``pairs`` (one modulus), bit for bit, from stacked
     passes. One pair counts as six N x N complex arrays, though it holds at
-    most four at once: odd N <= 1671, even N <= 1672."""
+    most four at once: odd N <= 1671, even N <= 1672. No pairs give an
+    empty array."""
     pairs = list(pairs)
+    if not pairs:
+        return np.empty(0)
     n = _stack_dim([s for pair in pairs for s in pair], parity)
 
     def defects(part):

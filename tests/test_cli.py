@@ -430,10 +430,23 @@ def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_rep_writes_non_finite_residual_as_null(capsys, monkeypatch, value):
-    monkeypatch.setattr(metaplectic, "covariance_residual", lambda u, s, parity: value)
+    monkeypatch.setattr(metaplectic, "intertwining_defect", lambda table, s, parity: value)
     code, out, _ = run(capsys, "rep", "--dim", "3", "--parity", "odd", "--matrix", "1,1,0,1")
     assert code == 0
     assert strict_json(out)["covariance_residual"] is None
+
+
+def test_rep_exits_one_when_the_unitary_does_not_round_to_a_table(capsys, monkeypatch):
+    build = metaplectic.u_of
+
+    def scaled(s, parity):
+        return metaplectic.ProjUnitary(build(s, parity).matrix * 1.01)
+
+    monkeypatch.setattr(metaplectic, "u_of", scaled)
+    code, out, err = run(capsys, "rep", "--dim", "5", "--parity", "odd", "--matrix", "2,1,1,1")
+    assert code == 1
+    assert out == ""
+    assert "modulus" in err
 
 
 def test_rep_builds_no_kernel_cache(capsys, no_dense_kernel):
@@ -501,26 +514,41 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("rep", "--dim", "255", "--parity", "odd", "--matrix", "1,1,0,1"),
-        ("rep", "--dim", "256", "--parity", "even", "--matrix", "1,1,0,1"),
-        ("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance"),
-    ],
+    "argv", [("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance")]
 )
 def test_covariance_above_bound_exits_two(argv):
     # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
-    # and even N = 188; rep refuses after it builds U(S), which is cheap there.
+    # and even N = 188.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
 
 
+@pytest.mark.parametrize("dim,parity", [("255", "odd"), ("256", "even")])
+def test_rep_is_exact_above_the_covariance_bound(dim, parity):
+    # rep certifies U(S) from its exponent table, with no N^3 block
+    child = run_capped("rep", "--dim", dim, "--parity", parity, "--matrix", "2,1,1,1")
+    assert child.returncode == 0, child.stderr
+    payload = strict_json(child.stdout)
+    assert payload["exact"] is True
+    assert payload["covariance_residual"] == 0.0
+    assert payload["table_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("dim,parity", [("1025", "odd"), ("1026", "even")])
+def test_rep_above_output_bound_exits_two(dim, parity):
+    # rep's JSON rows and text, 256 bytes per unitary entry, pass 256 MiB
+    # above N = 1024; rep refuses before it builds U(S)
+    child = run_capped("rep", "--dim", dim, "--parity", parity, "--matrix", "1,1,0,1")
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "rep output" in child.stderr
+
+
 @pytest.mark.parametrize("dim", ["2049", "20001"])
 def test_rep_above_unitary_bound_exits_two(dim):
-    # U(S)'s four N x N complex arrays pass 256 MiB above N = 2048; u_of
-    # refuses before it allocates anything
+    # far above the output bound, which refuses before anything is allocated
     child = run_capped("rep", "--dim", dim, "--parity", "odd", "--matrix", "1,1,0,1")
     assert child.returncode == 2
     assert child.stdout == ""

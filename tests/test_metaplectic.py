@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,13 +26,21 @@ from phasepoint.metaplectic import (
     equal_up_to_phase,
     group_covariance,
     group_projectivity,
+    intertwining_defect,
     phase_defect,
     u_hminus,
     u_hplus,
     u_of,
+    u_table,
 )
 from phasepoint.modring import ModulusMismatch
-from phasepoint.qops import delta_at, phase_points, symmetric_order, unit_roots
+from phasepoint.qops import (
+    delta_at,
+    kernel_factors,
+    phase_points,
+    symmetric_order,
+    unit_roots,
+)
 from phasepoint.symplectic import (
     BoundExceeded,
     SympMat,
@@ -423,3 +432,127 @@ def test_stacked_phase_fit_keeps_a_nan_phase():
     assert defects[0] == 0.0
     assert np.isnan(defects[1])
     assert np.isnan(phase_defect(stack[1], np.eye(3)))
+
+
+def test_drivers_return_an_empty_array_for_no_elements():
+    for residuals in (group_covariance([], ODD), group_projectivity([], EVEN)):
+        assert residuals.shape == (0,)
+        assert residuals.dtype == float
+
+
+def all_points_defects(tables, s, parity):
+    """Reference for intertwining_defect: the same table comparison at every
+    lattice point, for tables of one scale and root modulus. V Delta_p
+    scatters V's columns k to sigma_p(k); Delta_(S.p) V gathers V's rows."""
+    n = hilbert_dim(s.modulus, parity)
+    scale, r = tables[0].scale, tables[0].root_modulus
+    exponents = np.array([table.exponents for table in tables])[:, None]
+    support = np.array([table.support for table in tables])[:, None]
+    points = np.array(phase_points(n, parity))
+    xs, ys = points[:, :1], points[:, 1:]
+    kernel = kernel_factors(n, parity, xs, ys)
+    image = kernel_factors(
+        n, parity, (s.a * xs + s.b * ys) % s.modulus, (s.c * xs + s.d * ys) % s.modulus
+    )
+    step = r // kernel.root_modulus
+    count = len(points)
+    shape = (len(tables), count, n, n)
+    # (V Delta_p)[i, sigma_p(k)] = V[i, k] rho^(e_p(k))
+    at = (slice(None), np.arange(count)[:, None, None], np.arange(n)[:, None],
+          kernel.cols[:, None, :])
+    left, left_support = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool)
+    left[at] = exponents + step * kernel.exponents[:, None, :]
+    left_support[at] = support
+    # (Delta_(S.p) V)[i, j] = rho^(e_(S.p)(i)) V[sigma_(S.p)(i), j]
+    rows = (slice(None), 0, image.cols)
+    right = step * image.exponents[:, :, None] + exponents[rows]
+    right_support = support[rows]
+    chord = scale * np.abs(1 - unit_roots(r))[(left - right) % r]
+    apart = np.where(left_support ^ right_support, scale, 0.0)
+    return np.where(left_support & right_support, chord, apart).max(axis=(1, 2, 3))
+
+
+def table_mutants(table, rng):
+    """One changed exponent, one dropped support entry and one row phase."""
+    on = np.argwhere(table.support)
+    i, k = on[rng.integers(len(on))]
+    changed = table.exponents.copy()
+    changed[i, k] = (changed[i, k] + rng.integers(1, table.root_modulus)) % table.root_modulus
+    dropped_support, dropped = table.support.copy(), table.exponents.copy()
+    dropped_support[i, k], dropped[i, k] = False, 0
+    row = rng.integers(table.exponents.shape[0])
+    phased = table.exponents.copy()
+    shifted = (phased[row] + rng.integers(1, table.root_modulus)) % table.root_modulus
+    phased[row] = np.where(table.support[row], shifted, 0)
+    return [
+        table._replace(exponents=changed),
+        table._replace(exponents=dropped, support=dropped_support),
+        table._replace(exponents=phased),
+    ]
+
+
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_three_point_defect_is_exact_on_whole_group(modulus, parity, rng):
+    n = hilbert_dim(modulus, parity)
+    elements = enumerate_group(modulus)
+    assert group_covariance(elements, parity).max() < 1e-10
+    for s in elements:
+        unitary = u_of(s, parity)
+        table = u_table(s, parity, unitary)
+        assert table.gcd == math.gcd(s.b, n)
+        assert table.support.sum() == n * n // table.gcd
+        assert table.residual(unitary) < 1e-12
+        mutants = table_mutants(table, rng)
+        three = [intertwining_defect(v, s, parity) for v in [table] + mutants]
+        every = all_points_defects([table] + mutants, s, parity)
+        assert three[0] == every[0] == 0.0
+        assert (np.array(three[1:]) > 0).all()
+        assert (every >= three).all()
+
+
+def test_u_table_reads_u_of_by_default():
+    s = SympMat(2, 1, 1, 1, 9)
+    table, read = u_table(s, ODD), u_table(s, ODD, u_of(s, ODD))
+    assert np.array_equal(table.exponents, read.exponents)
+    assert np.array_equal(table.support, read.support)
+    assert not table.exponents[~table.support].any()
+    assert (table.exponents >= 0).all() and (table.exponents < table.root_modulus).all()
+    assert table.root_modulus == 8 * 9
+
+
+@pytest.mark.parametrize("n,parity", [(7, ODD), (6, EVEN)])
+def test_u_table_refuses_what_does_not_round(n, parity, rng):
+    s = random_element(lattice_modulus(n, parity), rng)
+    u = u_of(s, parity).matrix
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    random_unitary = np.linalg.qr(gaussian)[0]
+    with_nan = u.copy()
+    with_nan[1, 2] = np.nan
+    for bad in (random_unitary, with_nan, u * 1.01):
+        with pytest.raises(ValueError):
+            u_table(s, parity, bad)
+    with pytest.raises(DimensionMismatch):
+        u_table(s, parity, u[:-1])
+
+
+def test_u_table_refuses_a_phase_between_roots():
+    s = SympMat(1, 0, 0, 1, 5)
+    u = np.eye(5, dtype=complex)
+    u[2, 2] = np.exp(1j * np.pi / 80)  # halfway between two 40th roots
+    with pytest.raises(ValueError):
+        u_table(s, ODD, u)
+
+
+def test_intertwining_defect_is_nan_for_a_nan_scale():
+    s = SympMat(2, 1, 1, 1, 5)
+    table = u_table(s, ODD)
+    assert np.isnan(intertwining_defect(table._replace(scale=float("nan")), s, ODD))
+
+
+@pytest.mark.parametrize("n,parity", [(1023, ODD), (512, EVEN)])
+def test_u_table_is_exact_at_large_dimensions(n, parity, rng):
+    s = random_element(lattice_modulus(n, parity), rng)
+    unitary = u_of(s, parity)
+    table = u_table(s, parity, unitary)
+    assert intertwining_defect(table, s, parity) == 0.0
+    assert table.residual(unitary) < 1e-12
