@@ -513,8 +513,12 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
     assert "bound" in child.stderr
 
 
+# The id argv2 is kept from when this list also held rep's two argvs, which
+# test_rep_is_exact_above_the_covariance_bound now covers.
 @pytest.mark.parametrize(
-    "argv", [("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance")]
+    "argv",
+    [("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance")],
+    ids=["argv2"],
 )
 def test_covariance_above_bound_exits_two(argv):
     # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
