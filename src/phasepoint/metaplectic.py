@@ -26,10 +26,11 @@ comparisons go through equal_up_to_phase.
 group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
 
-u_table reads U(S) back as exact integers: a support of N^2/g entries, with
-g = gcd(b, N), of common modulus sqrt(g/N), whose phases are roots of unity
-of order 8R (again Appleby's chirp structure). intertwining_defect checks
-covariance on that table exactly, at three points, in O(N^2).
+u_table reads U(S) back as exact integers: N^2/g entries (g = gcd(b, N)) of
+modulus sqrt(g/N), with phases roots of unity of order 8R (again Appleby's
+chirp structure). intertwining_defect checks covariance on that table exactly,
+at three points, and covariance_residual bounds any matrix's all-points
+defect against it, both in O(N^2).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _PASS_BYTES = 2**20
 # u_table's rounding margins: entry moduli, and phases in radians
 _MODULUS_MARGIN = 1e-9
 _PHASE_MARGIN = 1e-6
+# One covariance bound's bytes per entry, U(S)'s build included (tracemalloc
+# peak 75.5-76.1 at odd N = 511 and even N = 512): odd N <= 1831, even N <= 1830
+_BOUND_ENTRY_BYTES = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +70,6 @@ class ProjUnitary:
         object.__setattr__(self, "matrix", mat)
 
 
-def _unitary_bytes(n: int) -> int:
-    """Working set of one U(S) build: four N x N complex arrays."""
-    return 4 * n * n * np.dtype(complex).itemsize
-
-
 def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     """The generators' exponent table e(i) and its root modulus R.
 
@@ -84,7 +83,7 @@ def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     u_hplus and u_hminus peak at 32. The bound admits N <= 2048.
     """
     check_parity(n, parity)
-    check_bytes(f"unitary at dimension {n}", _unitary_bytes(n))
+    check_bytes(f"unitary at dimension {n}", 4 * n * n * np.dtype(complex).itemsize)
     return _exponent_table(n, parity)
 
 
@@ -256,7 +255,7 @@ class UTable(NamedTuple):
 
 def u_table(s: SympMat, parity: str, u=None) -> UTable:
     """U(S) as an exact table, read off ``u`` (by default u_of(s, parity))
-    by rounding.
+    by rounding; the one-element case of _round_stack.
 
     Every U(S) is a common modulus m = sqrt(g/N) on N^2/g entries, with
     g = gcd(b, N), and zero elsewhere; its phases are roots of unity of
@@ -271,31 +270,47 @@ def u_table(s: SympMat, parity: str, u=None) -> UTable:
     matrix = u_of(s, parity).matrix if u is None else _as_matrix(u)
     if matrix.shape != (n, n):
         raise DimensionMismatch(f"unitary is {matrix.shape}, expected {(n, n)}")
-    g = math.gcd(s.b, n)
-    scale = math.sqrt(g / n)
-    magnitude = np.abs(matrix)
+    (exponents, support, gcd, scale, root_modulus), failures = _round_stack(matrix[None], [s])
+    if failures[0] is not None:
+        raise ValueError(failures[0])
+    return UTable(exponents[0], support[0], int(gcd[0]), float(scale[0]), root_modulus)
+
+
+def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]:
+    """u_table(elements[g], parity, stack[g]) for each g of a (G, N, N) stack
+    (one modulus), as one UTable with a leading stack axis on each array field,
+    and each element's reason not to round, or None (else its table is void)."""
+    n = stack.shape[-1]
+    root_modulus = 8 * elements[0].modulus
+    gcds = np.array([math.gcd(s.b, n) for s in elements])
+    scales = np.sqrt(gcds / n)
+    scale = scales[:, None, None]
+    magnitude = np.abs(stack)
     support = magnitude > scale / 2
-    count = int(support.sum())
-    if count != n * n // g:
-        raise ValueError(f"{count} entries near modulus {scale}, expected N^2/g = {n * n // g}")
-    # written as "not <" so that a NaN fails
-    if not np.abs(magnitude[support] - scale).max() < _MODULUS_MARGIN:
-        raise ValueError(f"an entry's modulus is not within {_MODULUS_MARGIN} of {scale}")
-    if count < n * n and not magnitude[~support].max() < _MODULUS_MARGIN:
-        raise ValueError(f"an entry off the support is not below {_MODULUS_MARGIN}")
-    root_modulus = 8 * s.modulus
-    turns = np.angle(matrix[support]) * (root_modulus / (2 * np.pi))
+    counts = support.sum(axis=(1, 2))
+    # |magnitude - m| on the support, magnitude off it
+    moduli = np.abs(magnitude - np.where(support, scale, 0.0)).max(axis=(1, 2))
+    turns = np.angle(stack)
+    turns *= root_modulus / (2 * np.pi)
     nearest = np.rint(turns)
-    if not np.abs(turns - nearest).max() * (2 * np.pi / root_modulus) < _PHASE_MARGIN:
-        raise ValueError(f"a phase is not within {_PHASE_MARGIN} of a {root_modulus}-th root")
-    exponents = np.zeros((n, n), dtype=np.int64)
-    exponents[support] = nearest.astype(np.int64) % root_modulus
-    return UTable(exponents, support, g, scale, root_modulus)
+    turns -= nearest
+    turns = np.where(support, np.abs(turns, out=turns), 0.0).max(axis=(1, 2))
+    radians = turns * (2 * np.pi / root_modulus)
+    exponents = np.where(support, nearest, 0.0).astype(np.int64) % root_modulus
+    # written as "<" so that a NaN fails
+    rounded = (counts == n * n // gcds) & (moduli < _MODULUS_MARGIN) & (radians < _PHASE_MARGIN)
+    failures = [
+        None if ok else f"{count} entries near modulus {m} (N^2/g = {n * n // g}), moduli within "
+        f"{dm} and phases within {dp} rad (margins {_MODULUS_MARGIN} and {_PHASE_MARGIN})"
+        for ok, count, m, g, dm, dp in zip(rounded, counts, scales, gcds, moduli, radians)
+    ]
+    return UTable(exponents, support, gcds, scales, root_modulus), failures
 
 
 def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
     """max |V Delta_q - Delta_(S.q) V| over q = (0, 0), (1, 0), (0, 1), for
-    the table V; exactly 0.0 for a true table, NaN if its scale is.
+    the table V; exactly 0.0 for a true table, NaN if its scale is; the
+    one-element case of _three_point_defects.
 
     With Delta_q's row i holding rho^(e_q(i)) in column sigma_q(i)
     (qops.kernel_factors), both sides are gathers of V:
@@ -321,66 +336,65 @@ def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
     n = hilbert_dim(s.modulus, parity)
     if table.exponents.shape != (n, n) or table.support.shape != (n, n):
         raise DimensionMismatch(f"table is {table.exponents.shape}, expected {(n, n)}")
-    r = table.root_modulus
+    stacked = UTable(table.exponents[None], table.support[None], table.gcd,
+                     np.array([table.scale]), table.root_modulus)
+    return float(_three_point_defects(stacked, [s], parity)[0])
+
+
+def _three_point_defects(tables: UTable, elements, parity: str) -> np.ndarray:
+    """intertwining_defect, bit for bit, for each table of a stacked UTable
+    (as _round_stack gives) against its own element (one modulus)."""
+    exponents, support, _, scales, r = tables
+    count, n = exponents.shape[:2]
+    scale = scales[:, None, None]
     # |1 - rho^d| for each exponent difference d, exactly 0 at d = 0
     chords = np.abs(1 - unit_roots(r))
-    exponents, support = table.exponents, table.support
-    defects = []
-    for point in ((0, 0), (1, 0), (0, 1)):
-        kernel = kernel_factors(n, parity, *point)
-        image = kernel_factors(n, parity, *apply_point(s, point))
+    modulus = elements[0].modulus
+    a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None]
+    stack = np.arange(count)[:, None]
+    defects = np.zeros(count)
+    for x, y in ((0, 0), (1, 0), (0, 1)):
+        kernel = kernel_factors(n, parity, x, y)
+        image = kernel_factors(n, parity, (a * x + b * y) % modulus, (c * x + d * y) % modulus)
         step = r // kernel.root_modulus
         inverse = np.argsort(kernel.cols)
-        left = exponents[:, inverse] + step * kernel.exponents[inverse]
-        right = step * image.exponents[:, None] + exponents[image.cols]
-        left_support, right_support = support[:, inverse], support[image.cols]
-        both = table.scale * chords[(left - right) % r]
-        either = np.where(left_support != right_support, table.scale, 0.0)
-        defects.append(np.where(left_support & right_support, both, either).max())
-    return float(np.max(defects))
-
-
-def _covariance_bytes(n: int) -> int:
-    """Working set of one covariance residual: three N^3 blocks, the gather
-    and the product block (complex) and the magnitude block (real), 40 bytes
-    per N^3; its tracemalloc peak was 41 bytes per N^3 at N = 63 and 95, the
-    rest being O(N^2) temporaries."""
-    return n**3 * (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize)
-
-
-def check_covariance_bound(n: int) -> None:
-    """Refuse a covariance residual at dimension ``n`` before it starts,
-    above the byte bound: odd N <= 187 and even N <= 188 pass."""
-    check_bytes(f"covariance residual at dimension {n}", _covariance_bytes(n))
+        left = exponents[:, :, inverse] + step * kernel.exponents[inverse]
+        right = step * image.exponents[:, :, None] + exponents[stack, image.cols]
+        left_support, right_support = support[:, :, inverse], support[stack, image.cols]
+        left -= right
+        left %= r
+        both = scale * chords[left]
+        either = np.where(left_support != right_support, scale, 0.0)
+        worst = np.where(left_support & right_support, both, either).max(axis=(1, 2))
+        np.maximum(defects, worst, out=defects)
+    return defects
 
 
 def covariance_residual(u, s: SympMat, parity: str) -> float:
-    """Worst-case covariance defect of ``u`` against ``s`` over all phase points.
+    """A certified upper bound on max over all points p of the entrywise
+    norm of u Delta_p u^dag - Delta_(s.p), in O(N^2) beyond U(S)'s build;
+    NaN if ``u`` holds a NaN. The one-element case of _covariance_bounds.
 
-    Returns max over points p of the entrywise norm of
-    U Delta_p U^dag - Delta_(s.p); NaN if any defect is NaN. The one-element
-    case of _covariance_residuals.
+    The reference comes from ``s`` alone: U(S) from _u_stack, rounded to
+    its table V by u_table's margins, with an intertwining_defect of exactly
+    0.0, so that by the Schur argument there V is unitary and
+    V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure is inf.
 
-    Computed from the factored kernels Delta_(x,y) = c_xy Z_y Pi_x (see
-    qops.kernel_factors), never from dense kernels:
-    U Delta_(x,y) U^dag = c_xy (U Z_y)(Pi_x U^dag), and Pi_x U^dag is a row
-    gather of U^dag. With G = [Pi_0 U^dag | ... | Pi_(N-1) U^dag] built
-    once, one GEMM (U Z_y) G per momentum index y gives the products for a
-    whole row of points. Since |c_xy| = 1, the defect at (x, y) has the
-    norm of that product block minus conj(c_xy) Delta_(s.(x,y)), which
-    touches only the N support entries of the image kernel. Cost: N^5
-    multiply-adds in N BLAS calls and O(N^3) memory, bounded by
-    check_covariance_bound before anything is allocated.
+    With c = <V, u>_F / N (any c would do) and E = u - c V,
+    u Delta_p u^dag - Delta_(s.p) = (|c|^2 - 1) Delta_(s.p) + c V Delta_p E^dag
+    + conj(c) E Delta_p V^dag + E Delta_p E^dag. Delta_p is monomial with
+    unit-modulus entries and V's rows have unit norm, so by Cauchy-Schwarz
+    every entry at every p is at most B = ||c|^2 - 1| + 2 |c| r + r^2, with
+    r the largest row 2-norm of E.
 
-    Even lattices need only the points j, k in [0, N) of the doubled grid.
-    With wt^N = -1, Delta_(j+N,k) = (-1)^k Delta_(j,k) and
-    Delta_(j,k+N) = (-1)^j Delta_(j,k), so for (j', k') = s.(j, k) the
-    image of (j+N, k) is (j' + aN, k' + cN), whose kernel carries
-    (-1)^(a k' + c j') = (-1)^(2acj + (ad+bc)k) = (-1)^k: det s = ad - bc
-    is odd, so ad + bc is odd too. Likewise the image of (j, k+N) carries
-    (-1)^((ad+bc)j + 2bdk) = (-1)^j. Both sides of the defect at a folded
-    point pick up the same sign, so its norm equals the norm at its
-    representative, for any matrix u.
+    Floating point, with eps = 2^-53: the float V' is within 32 eps m of V
+    per entry (the angle 2 pi e / L, 26 eps; cos and sin, 2 eps;
+    m = sqrt(g/N) and the product, 4 eps), so within 32 eps per row norm
+    over a row's N/g support entries, and 0 off them. The product c V' and
+    the difference add sqrt(5) eps |c| |V'| and eps |E'| per entry; float
+    row norms are within (N + 4) eps, underflowing squares adding below
+    2^-520 at N <= 2048. So r <= r' (1 + (N + 6) eps) + 35 eps |c| + 2^-520,
+    and evaluating B in floats adds at most 8 eps B + 4 eps |c|^2.
     """
     matrix = _as_matrix(u)
     n = hilbert_dim(s.modulus, parity)
@@ -388,52 +402,37 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         raise DimensionMismatch(
             f"unitary is {matrix.shape}, expected {(n, n)} for modulus {s.modulus}"
         )
-    return float(_covariance_residuals(matrix[None], [s], parity)[0])
+    check_bytes(f"covariance bound at dimension {n}", _BOUND_ENTRY_BYTES * n * n)
+    return float(_covariance_bounds(matrix[None], _u_stack([s], parity), [s], parity)[0])
 
 
-def _covariance_residuals(us: np.ndarray, elements, parity: str) -> np.ndarray:
+def _covariance_bounds(us: np.ndarray, references: np.ndarray, elements, parity: str):
     """covariance_residual(us[g], elements[g], parity) for each g of a
-    (G, N, N) stack, as one array; elements share one modulus.
-
-    The GEMM per momentum index y is batched over the stack, and each
-    element's image kernels come from its own (a, b, c, d), so every figure
-    is the one-element figure bit for bit, NaN included, and a NaN in one
-    matrix reaches only its own figure. One element's working set is bounded
-    by check_covariance_bound; _passes bounds how many a stack holds.
-    """
-    count = len(elements)
-    modulus = elements[0].modulus
-    n = hilbert_dim(modulus, parity)
-    check_covariance_bound(n)
-    rows = np.arange(n)
-    xs = rows[:, None]
-    ys = rows[:, None, None, None]
-    # source[y] is the row of points (x, y); image[y] their images, per element
-    source = kernel_factors(n, parity, xs, ys[..., 0])
-    a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None, None]
-    image_x = (a * xs + b * ys) % modulus
-    image_y = (c * xs + d * ys) % modulus
-    r = source.root_modulus
-    roots = unit_roots(r)
-    # gather[g, i, x * N + k] = (Pi_x U_g^dag)[i, k]
-    gather = us.conj().transpose(0, 2, 1)[:, source.cols.T].reshape(count, n, n * n)
-    # The N^3 buffers are allocated once: with a fresh pair per row, where
-    # the allocator placed them moved the process's peak RSS by several MB
-    # from one build of the same code to the next.
-    products = np.empty((count, n, n, n), dtype=complex)
-    magnitudes = np.empty((count, n, n, n))
-    # flat offset of products[g, i, x, 0] at [g, x, i]
-    offsets = ((np.arange(count)[:, None, None] * n + rows) * n + xs) * n
-    defects = np.empty((n, count))
-    for y in range(n):
-        image = kernel_factors(n, parity, image_x[y], image_y[y])
-        # products[g, i, x, k] = (U_g Z_y Pi_x U_g^dag)[i, k]
-        np.matmul(us * roots[source.diag[y]], gather, out=products.reshape(count, n, n * n))
-        exponents = (image.diag + image.const - source.const[y]) % r
-        # the image kernel is supported at (i, image.cols[g, x, i]) in block x
-        products.reshape(-1)[offsets + image.cols] -= roots[exponents]
-        defects[y] = np.abs(products, out=magnitudes).max(axis=(1, 2, 3))
-    return defects.max(axis=0)
+    (G, N, N) stack (one modulus), given references[g] =
+    u_of(elements[g]).matrix; the two may be one array, never written to.
+    Every step runs on the stack, each element against its own images, so
+    each figure is the one-element figure bit for bit and a NaN reaches only
+    its own."""
+    n = us.shape[-1]
+    tables, failures = _round_stack(references, elements)
+    defects = _three_point_defects(tables, elements, parity)
+    certified = (defects == 0.0) & np.array([failure is None for failure in failures])
+    values = unit_roots(tables.root_modulus)[tables.exponents]
+    values *= tables.scale[:, None, None]
+    values[~tables.support] = 0
+    # a pairwise sum: one running sum over N^2 terms drifts by about 1e-13 at N = 1830
+    phases = (values.conj() * us).sum(axis=(1, 2)) / n
+    # values becomes E = u - c V in place
+    values *= phases[:, None, None]
+    np.subtract(us, values, out=values)
+    squares = np.abs(values)
+    squares *= squares
+    rows = np.sqrt(squares.sum(axis=2)).max(axis=1)
+    unit = 2.0**-53
+    size = np.hypot(phases.real, phases.imag)
+    r = rows * (1 + (n + 6) * unit) + 35 * unit * size + 2.0**-520
+    bound = (np.abs(size * size - 1) + 2 * size * r + r * r) * (1 + 8 * unit) + 4 * unit * size**2
+    return np.where(certified | np.isnan(bound), bound, np.inf)
 
 
 def _stack_dim(elements, parity: str) -> int:
@@ -456,17 +455,20 @@ def _passes(what: str, items: list, item_bytes: int, evaluate) -> np.ndarray:
 
 def group_covariance(elements, parity: str) -> np.ndarray:
     """covariance_residual(u_of(s).matrix, s, parity) for each of
-    ``elements`` (one modulus), bit for bit, from stacked passes. One element
-    counts as one U(S) build and one residual: odd N <= 187, even N <= 188.
-    No elements give an empty array."""
+    ``elements`` (one modulus), bit for bit, from stacked passes, each U(S)
+    bounded against itself. One element counts as _BOUND_ENTRY_BYTES per
+    entry: odd N <= 1831, even N <= 1830. No elements give an empty array."""
     elements = list(elements)
     if not elements:
         return np.empty(0)
     n = _stack_dim(elements, parity)
-    return _passes(
-        f"covariance check at dimension {n}", elements, _unitary_bytes(n) + _covariance_bytes(n),
-        lambda part: _covariance_residuals(_u_stack(part, parity), part, parity),
-    )
+
+    def bounds(part):
+        stack = _u_stack(part, parity)
+        return _covariance_bounds(stack, stack, part, parity)
+
+    element_bytes = _BOUND_ENTRY_BYTES * n * n
+    return _passes(f"covariance check at dimension {n}", elements, element_bytes, bounds)
 
 
 def group_projectivity(pairs, parity: str) -> np.ndarray:

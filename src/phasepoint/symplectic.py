@@ -177,12 +177,10 @@ class GenWord:
 
 
 def random_element(modulus: int, rng) -> SympMat:
-    """The product of six random generator powers; ``rng`` is any generator
-    with a numpy-style ``integers`` method."""
-    factors = tuple(
-        ("+" if rng.integers(2) else "-", int(rng.integers(1, modulus)))
-        for _ in range(6)
-    )
+    """The product of six random generator powers, their signs and exponents
+    drawn in one call each to ``rng``'s numpy-style ``integers`` method."""
+    signs, exponents = rng.integers(2, size=6), rng.integers(1, modulus, size=6)
+    factors = tuple(("+" if sign else "-", int(k)) for sign, k in zip(signs, exponents))
     return GenWord(factors, modulus).evaluate()
 
 

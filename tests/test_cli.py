@@ -333,7 +333,7 @@ def test_verify_projectivity_byte_bound(capsys, byte_bound, parity, dim):
 def test_verify_output_does_not_depend_on_pass_size(capsys, stack_budget, parity, dim):
     argv = ("verify", "--dim", str(dim), "--parity", parity, "--suite", "all")
     code, expected, _ = run(capsys, *argv)
-    element_bytes = metaplectic._unitary_bytes(dim) + metaplectic._covariance_bytes(dim)
+    element_bytes = metaplectic._BOUND_ENTRY_BYTES * dim**2
     # one element per pass; then passes of 5 covariance elements, which the
     # 3 + |Sp_M| elements (339, 1323, 387) and the 200 projectivity pairs
     # (in passes of 17, 26 and 11) do not divide
@@ -344,7 +344,7 @@ def test_verify_output_does_not_depend_on_pass_size(capsys, stack_budget, parity
 
 def test_verify_covariance_working_set_stays_near_the_pass_cap(capsys):
     # one unstacked pass over Sp_11 would hold 3 + 1320 elements at
-    # 61 kB each, about 80 MB
+    # about 10 kB each, about 13 MB
     argv = ("verify", "--dim", "11", "--parity", "odd", "--suite", "covariance")
     tracemalloc.start()
     try:
@@ -382,11 +382,11 @@ def test_verify_rejects_bad_tol_before_any_suite(capsys, monkeypatch, tol):
 
 
 def nan_residual_at(target):
-    """_covariance_residuals with a NaN figure for the element ``target``."""
-    residuals = metaplectic._covariance_residuals
+    """_covariance_bounds with a NaN figure for the element ``target``."""
+    residuals = metaplectic._covariance_bounds
 
-    def patched(us, elements, parity):
-        figures = residuals(us, elements, parity)
+    def patched(us, references, elements, parity):
+        figures = residuals(us, references, elements, parity)
         figures[[s == target for s in elements]] = np.nan
         return figures
 
@@ -396,7 +396,7 @@ def nan_residual_at(target):
 def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     # -I is no generator, so only the whole-group check sees the NaN
     target = SympMat(2, 0, 0, 2, 3)
-    monkeypatch.setattr(metaplectic, "_covariance_residuals", nan_residual_at(target))
+    monkeypatch.setattr(metaplectic, "_covariance_bounds", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = json.loads(out)
@@ -415,7 +415,7 @@ def strict_json(text):
 
 def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
     target = SympMat(2, 0, 0, 2, 3)
-    monkeypatch.setattr(metaplectic, "_covariance_residuals", nan_residual_at(target))
+    monkeypatch.setattr(metaplectic, "_covariance_bounds", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = strict_json(out)
@@ -447,6 +447,20 @@ def test_rep_exits_one_when_the_unitary_does_not_round_to_a_table(capsys, monkey
     assert code == 1
     assert out == ""
     assert "modulus" in err
+
+
+def test_verify_covariance_exits_one_when_no_table_can_be_certified(capsys, monkeypatch):
+    # U(S) scaled by 1.01 does not round to a table, so no figure is
+    # certified: each is inf, written as null, and fails
+    build = metaplectic._u_stack
+    monkeypatch.setattr(metaplectic, "_u_stack", lambda *args: build(*args) * 1.01)
+    code, out, err = run(capsys, "verify", "--dim", "5", "--parity", "odd", "--suite", "covariance")
+    assert code == 1
+    assert err == ""
+    payload = strict_json(out)
+    assert payload["pass"] is False
+    assert [c["max_residual"] for c in payload["checks"]] == [None] * 4
+    assert not any(c["pass"] for c in payload["checks"])
 
 
 def test_rep_builds_no_kernel_cache(capsys, no_dense_kernel):
@@ -517,16 +531,23 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
 # test_rep_is_exact_above_the_covariance_bound now covers.
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--dim", "255", "--parity", "odd", "--suite", "covariance")],
+    [("verify", "--dim", "1833", "--parity", "odd", "--suite", "covariance")],
     ids=["argv2"],
 )
 def test_covariance_above_bound_exits_two(argv):
-    # The covariance residual's N^3 blocks pass 256 MiB above odd N = 187
-    # and even N = 188.
+    # One covariance bound's 80 bytes per entry pass 256 MiB above odd
+    # N = 1831 and even N = 1830; refused before U(S) is built.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize("dim,parity", [("1023", "odd"), ("1024", "even")])
+def test_verify_covariance_passes_at_large_dimensions(dim, parity):
+    child = run_capped("verify", "--dim", dim, "--parity", parity, "--suite", "covariance")
+    assert child.returncode == 0, child.stderr
+    assert strict_json(child.stdout)["pass"] is True
 
 
 @pytest.mark.parametrize("dim,parity", [("255", "odd"), ("256", "even")])

@@ -13,15 +13,16 @@ from phasepoint.lattice import (
     hilbert_dim,
     lattice_modulus,
 )
+from phasepoint import metaplectic
 from phasepoint.metaplectic import (
     ProjUnitary,
-    _covariance_bytes,
-    _covariance_residuals,
+    _BOUND_ENTRY_BYTES,
+    _covariance_bounds,
     _phase_fit,
+    _round_stack,
+    _three_point_defects,
     _u_stack,
-    _unitary_bytes,
     apply_point,
-    check_covariance_bound,
     covariance_residual,
     equal_up_to_phase,
     group_covariance,
@@ -42,6 +43,7 @@ from phasepoint.qops import (
     unit_roots,
 )
 from phasepoint.symplectic import (
+    SYSTEM_BYTES_BOUND,
     BoundExceeded,
     SympMat,
     bfs_decompose,
@@ -276,10 +278,56 @@ def dense_covariance_residual(u, s, parity):
     )
 
 
+def all_points_covariance(us, elements, parity):
+    """The all-points float defect max_p |U Delta_p U^dag - Delta_(s.p)|
+    of each matrix of a (G, N, N) stack against its element (one modulus),
+    from the factored kernels Delta_(x,y) = c_xy Z_y Pi_x: with
+    G = [Pi_0 U^dag | ... | Pi_(N-1) U^dag], one GEMM (U Z_y) G per
+    momentum index y gives a whole row of points, and the image kernel
+    touches only N entries of each block. N^5 multiply-adds per matrix.
+
+    Even lattices need only the points j, k in [0, N) of the doubled grid:
+    with wt^N = -1, Delta_(j+N,k) = (-1)^k Delta_(j,k) and
+    Delta_(j,k+N) = (-1)^j Delta_(j,k), and since det s is odd, ad + bc is
+    odd, so the image of a folded point carries the same sign as the point;
+    the defect's norm there equals the norm at its representative.
+    """
+    count = len(elements)
+    modulus = elements[0].modulus
+    n = hilbert_dim(modulus, parity)
+    rows = np.arange(n)
+    xs = rows[:, None]
+    ys = rows[:, None, None, None]
+    # source[y] is the row of points (x, y); image[y] their images, per element
+    source = kernel_factors(n, parity, xs, ys[..., 0])
+    a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None, None]
+    image_x = (a * xs + b * ys) % modulus
+    image_y = (c * xs + d * ys) % modulus
+    r = source.root_modulus
+    roots = unit_roots(r)
+    # gather[g, i, x * N + k] = (Pi_x U_g^dag)[i, k]
+    gather = us.conj().transpose(0, 2, 1)[:, source.cols.T].reshape(count, n, n * n)
+    products = np.empty((count, n, n, n), dtype=complex)
+    # flat offset of products[g, i, x, 0] at [g, x, i]
+    offsets = ((np.arange(count)[:, None, None] * n + rows) * n + xs) * n
+    defects = np.empty((n, count))
+    for y in range(n):
+        image = kernel_factors(n, parity, image_x[y], image_y[y])
+        # products[g, i, x, k] = (U_g Z_y Pi_x U_g^dag)[i, k]
+        np.matmul(us * roots[source.diag[y]], gather, out=products.reshape(count, n, n * n))
+        exponents = (image.diag + image.const - source.const[y]) % r
+        # the image kernel is supported at (i, image.cols[g, x, i]) in block x
+        products.reshape(-1)[offsets + image.cols] -= roots[exponents]
+        defects[y] = np.abs(products).max(axis=(1, 2, 3))
+    return defects.max(axis=0)
+
+
 @pytest.mark.parametrize(
     "n,parity", [(n, ODD) for n in (3, 5, 7, 9)] + [(n, EVEN) for n in (2, 4, 6, 8)]
 )
 def test_covariance_residual_matches_dense_reference(n, parity, rng):
+    # the factored all-points loop matches the dense kernels at every point
+    # of the full grid, and covariance_residual bounds both from above
     modulus = lattice_modulus(n, parity)
     s = random_element(modulus, rng)
     other = random_element(modulus, rng)
@@ -292,9 +340,62 @@ def test_covariance_residual_matches_dense_reference(n, parity, rng):
     ]
     for u in matrices:
         expected = dense_covariance_residual(u, s, parity)
-        assert covariance_residual(u, s, parity) == pytest.approx(
-            expected, rel=1e-12, abs=1e-12
-        )
+        factored = all_points_covariance(u[None], [s], parity)[0]
+        assert factored == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert covariance_residual(u, s, parity) >= max(expected, factored)
+
+
+def covariance_cases(s, parity, rng):
+    """U(S) with one thing wrong, in each of the ways a covariance check
+    must see: the wrong element, a random matrix, a 1j phase on one support
+    entry, 1e-9 and 1e-3 perturbations and a global phase (which is not
+    wrong)."""
+    n = hilbert_dim(s.modulus, parity)
+    u = u_of(s, parity).matrix
+    other = random_element(s.modulus, rng)
+    while other == s:
+        other = random_element(s.modulus, rng)
+    mutant = u.copy()
+    mutant[tuple(np.argwhere(np.abs(u) > 0.5 / np.sqrt(n))[rng.integers(n)])] *= 1j
+
+    def noise():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    return {
+        "wrong": u_of(other, parity).matrix,
+        "random": noise(),
+        "mutant": mutant,
+        "perturbed 1e-9": u + 1e-9 * noise(),
+        "perturbed 1e-3": u + 1e-3 * noise(),
+        "phase": np.exp(0.7j) * u,
+    }
+
+
+@pytest.mark.parametrize("n,parity", [(3, ODD), (7, ODD), (31, ODD), (63, ODD),
+                                      (2, EVEN), (4, EVEN), (32, EVEN), (64, EVEN)])
+def test_covariance_residual_bounds_the_all_points_reference(n, parity, rng):
+    s = random_element(lattice_modulus(n, parity), rng)
+    cases = covariance_cases(s, parity, rng)
+    references = all_points_covariance(np.array(list(cases.values())), [s] * len(cases), parity)
+    for (name, u), reference in zip(cases.items(), references):
+        figure = covariance_residual(u, s, parity)
+        assert reference <= figure, name
+        if name == "perturbed 1e-9":
+            assert figure <= 4 * reference
+        if name == "phase":
+            assert figure < 1e-12
+        if name in ("wrong", "mutant"):
+            assert figure > 1e-3
+
+
+@pytest.mark.parametrize("modulus,parity", [(m, ODD) for m in (3, 5, 7, 9, 11)]
+                         + [(m, EVEN) for m in (4, 8, 12)])
+def test_covariance_residual_bounds_the_all_points_reference_on_whole_group(modulus, parity):
+    elements = enumerate_group(modulus)
+    figures = group_covariance(elements, parity)
+    references = all_points_covariance(_u_stack(elements, parity), elements, parity)
+    assert (references <= figures).all()
+    assert figures.max() < 1e-12
 
 
 def test_covariance_residual_builds_no_kernel_cache(no_dense_kernel):
@@ -304,43 +405,65 @@ def test_covariance_residual_builds_no_kernel_cache(no_dense_kernel):
 
 
 def test_covariance_residual_memory_is_cubic():
-    # The dense kernel family alone is N^4 * 16 bytes, 252 MB at N = 63;
-    # the factored residual keeps O(N^3) temporaries.
-    s = SympMat(2, 1, 1, 1, 63)
-    unitary = u_of(s, ODD).matrix
-    tracemalloc.start()
-    try:
-        residual = covariance_residual(unitary, s, ODD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert residual < 1e-10 * np.sqrt(63 / 16)
-    assert peak < 32 * 2**20
+    # The id is kept from the N^5 loop, whose N^3 blocks it bounded; the
+    # certified bound keeps O(N^2) arrays, and its tracemalloc peak (U(S)'s
+    # build included, the caller's matrix not) is within _BOUND_ENTRY_BYTES per entry.
+    for n, parity in [(511, ODD), (512, EVEN)]:
+        s = SympMat(2, 1, 1, 1, lattice_modulus(n, parity))
+        unitary = u_of(s, parity).matrix
+        tracemalloc.start()
+        try:
+            residual = covariance_residual(unitary, s, parity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-12
+        assert 0.85 * _BOUND_ENTRY_BYTES < peak / n**2 <= _BOUND_ENTRY_BYTES
 
 
 def test_covariance_residual_refuses_dimensions_above_byte_bound(byte_bound):
     s = generator("+", 3)
     unitary = u_of(s, ODD).matrix
-    cube_bytes = 3**3 * 40  # gather and product blocks (complex), magnitudes (real)
-    byte_bound(cube_bytes)
+    square_bytes = 3**2 * 80  # U(S)'s build, its table and the bound's arrays
+    byte_bound(square_bytes)
     assert covariance_residual(unitary, s, ODD) < 1e-12
-    byte_bound(cube_bytes - 1)
+    byte_bound(square_bytes - 1)
     with pytest.raises(BoundExceeded):
         covariance_residual(unitary, s, ODD)
 
 
-@pytest.mark.parametrize("n", [187, 188])
+@pytest.mark.parametrize("n", [1831, 1830])
 def test_covariance_bound_admits_largest_sizes(n):
-    # odd N = 187 and even N = 188 are the largest sizes that fit in 256 MiB
-    check_covariance_bound(n)
+    # odd N = 1831 and even N = 1830 are the largest sizes that fit in
+    # 256 MiB, and U(S)'s figure stays far below every tolerance there
+    assert _BOUND_ENTRY_BYTES * n**2 <= SYSTEM_BYTES_BOUND < _BOUND_ENTRY_BYTES * (n + 2) ** 2
+    parity = ODD if n % 2 else EVEN
+    s = random_element(lattice_modulus(n, parity), np.random.default_rng(n))
+    assert covariance_residual(u_of(s, parity).matrix, s, parity) < 1e-12
 
 
-@pytest.mark.parametrize("n,parity", [(189, ODD), (190, EVEN)])
+@pytest.mark.parametrize("n,parity", [(1833, ODD), (1832, EVEN)])
 def test_covariance_bound_refuses_next_sizes(n, parity):
-    # refused before the N^3 blocks are allocated, so the call returns at once
+    # refused before U(S) is built, so the call returns at once
     modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
+
+
+def test_uncertified_table_gives_inf_and_nan_stays_nan(monkeypatch):
+    s = SympMat(2, 1, 1, 1, 5)
+    u = u_of(s, ODD).matrix
+    with_nan = u.copy()
+    with_nan[1, 2] = np.nan
+    build = metaplectic._u_stack
+    monkeypatch.setattr(metaplectic, "_u_stack", lambda *args: build(*args) * 1.01)
+    assert covariance_residual(u, s, ODD) == np.inf
+    assert np.isnan(covariance_residual(with_nan, s, ODD))
+    monkeypatch.setattr(metaplectic, "_u_stack", build)
+    # a table that rounds but whose three-point defect is not 0.0
+    defects = metaplectic._three_point_defects
+    monkeypatch.setattr(metaplectic, "_three_point_defects", lambda *args: defects(*args) + 1e-300)
+    assert covariance_residual(u, s, ODD) == np.inf
 
 
 @pytest.mark.parametrize("build", [u_hplus, u_hminus, lambda n, parity: u_of(h_t(n), parity)])
@@ -377,11 +500,21 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
     assert np.array_equal(stack, np.array(singles))
     expected = [covariance_residual(u, s, parity) for u, s in zip(singles, elements)]
     # passes of 50, as the CLI cuts them, and one ragged last pass
-    residuals = np.concatenate([
-        _covariance_residuals(stack[start : start + 50], elements[start : start + 50], parity)
-        for start in range(0, len(elements), 50)
-    ])
+    parts = [(stack[start : start + 50], elements[start : start + 50])
+             for start in range(0, len(elements), 50)]
+    residuals = np.concatenate([_covariance_bounds(us, us, part, parity) for us, part in parts])
     assert np.array_equal(residuals, expected)
+    # the stacked rounding and three-point defects, against the one-element
+    # functions, for the whole group in one stack
+    tables, failures = _round_stack(stack, elements)
+    assert failures == [None] * len(elements)
+    defects = _three_point_defects(tables, elements, parity)
+    for g, (u, s) in enumerate(zip(singles, elements)):
+        table = u_table(s, parity, u)
+        assert np.array_equal(tables.exponents[g], table.exponents)
+        assert np.array_equal(tables.support[g], table.support)
+        assert (tables.gcd[g], tables.scale[g]) == (table.gcd, table.scale)
+        assert defects[g] == intertwining_defect(table, s, parity) == 0.0
     composed = _u_stack([s @ s for s in elements], parity)
     squares = stack @ stack
     defects = [phase_defect(c, q) for c, q in zip(composed, squares)]
@@ -394,7 +527,7 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
         for (s1, s2), u1, u2 in zip(pairs, singles, singles[::-1])
     ]
     n = hilbert_dim(modulus, parity)
-    for budget in (None, 7 * (_unitary_bytes(n) + _covariance_bytes(n))):
+    for budget in (None, 7 * _BOUND_ENTRY_BYTES * n * n):
         if budget is not None:
             stack_budget(budget)
         assert np.array_equal(group_covariance(elements, parity), expected)
@@ -416,7 +549,7 @@ def test_nan_in_one_stacked_unitary_reaches_only_its_figure(n, parity, rng):
     for g in range(len(elements)):
         stack = clean.copy()
         stack[g, 1, 2] = np.nan
-        residuals = _covariance_residuals(stack, elements, parity)
+        residuals = _covariance_bounds(stack, clean, elements, parity)
         defects = _phase_fit(stack, clean)[1]
         for figures in (residuals, defects):
             assert np.isnan(figures[g])

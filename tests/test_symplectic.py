@@ -143,7 +143,7 @@ def test_decompose_round_trip_exhaustive(modulus):
 def test_decompose_round_trip_random_words(rng):
     for _ in range(100):
         m = int(rng.integers(2, 30))
-        # the same draws as random_element, over eight factors instead of six
+        # random words of eight generator powers
         factors = [("-+"[int(rng.integers(2))], int(rng.integers(1, m))) for _ in range(8)]
         s = GenWord(tuple(factors), m).evaluate()
         assert decompose(s).evaluate() == s
