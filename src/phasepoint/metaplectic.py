@@ -420,18 +420,20 @@ def _covariance_bounds(us: np.ndarray, references: np.ndarray, elements, parity:
     values = unit_roots(tables.root_modulus)[tables.exponents]
     values *= tables.scale[:, None, None]
     values[~tables.support] = 0
-    # a pairwise sum: one running sum over N^2 terms drifts by about 1e-13 at N = 1830
-    phases = (values.conj() * us).sum(axis=(1, 2)) / n
-    # values becomes E = u - c V in place
-    values *= phases[:, None, None]
-    np.subtract(us, values, out=values)
-    squares = np.abs(values)
-    squares *= squares
-    rows = np.sqrt(squares.sum(axis=2)).max(axis=1)
-    unit = 2.0**-53
-    size = np.hypot(phases.real, phases.imag)
-    r = rows * (1 + (n + 6) * unit) + 35 * unit * size + 2.0**-520
-    bound = (np.abs(size * size - 1) + 2 * size * r + r * r) * (1 + 8 * unit) + 4 * unit * size**2
+    # an inf or huge entry of u makes the figure NaN or inf, quietly
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a pairwise sum: one running sum over N^2 terms drifts by about 1e-13 at N = 1830
+        phases = (values.conj() * us).sum(axis=(1, 2)) / n
+        # values becomes E = u - c V in place
+        values *= phases[:, None, None]
+        np.subtract(us, values, out=values)
+        squares = np.abs(values)
+        squares *= squares
+        rows = np.sqrt(squares.sum(axis=2)).max(axis=1)
+        unit = 2.0**-53
+        size = np.hypot(phases.real, phases.imag)
+        r = rows * (1 + (n + 6) * unit) + 35 * unit * size + 2.0**-520
+        bound = (np.abs(size * size - 1) + 2 * size * r + r * r) * (1 + 8 * unit) + 4 * unit * size**2
     return np.where(certified | np.isnan(bound), bound, np.inf)
 
 

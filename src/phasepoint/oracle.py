@@ -6,9 +6,11 @@ read the integer tables of kernel_factors and build no dense kernel:
 uniqueness is the solution count of a gain graph over integer phases
 (verify_uniqueness), and the kernel properties are table identities
 (verify_sw_kernel), translation at the two Weyl generators, which give
-every shift. The dense solve of the covariance relation (solve_covariance)
-is the floating-point cross-check at small N. The factorization oracle,
-breadth-first search, is symplectic.bfs_decompose.
+every shift. The floating-point cross-check at small N, solve_covariance,
+stacks the covariance relation as a linear system over any point family and
+solves it one connected block of unknowns at a time, a QR factorization and
+an SVD per block. The factorization oracle, breadth-first search, is
+symplectic.bfs_decompose.
 """
 
 from __future__ import annotations
@@ -58,10 +60,19 @@ def solve_covariance(
     """Solve U Delta_p - Delta_(S.p) U = 0 over all points p of ``deltas``.
 
     The N^2 entries of U are the unknowns; with row-major vectorization each
-    point contributes the block kron(I, Delta_p^T) - kron(Delta_(S.p), I).
-    The numerical nullity is the number of singular values at or below
-    SVD_CUTOFF relative to the largest one. The point set must be closed
-    under the action of ``s`` (its keys are taken mod s.modulus).
+    point contributes the block kron(I, Delta_p^T) - kron(Delta_(S.p), I),
+    written straight into a (points, N, N, N, N) array. A row couples only
+    the unknowns it is nonzero on (NaN counts as nonzero), so up to a
+    permutation the system is block diagonal over the connected components
+    of that pattern, and its singular values are the union of the blocks'.
+    Each component's rows (all-zero rows dropped) get a QR factorization and
+    an SVD of the triangular factor; a block with fewer rows than unknowns,
+    an unknown no row touches included, has its missing singular values
+    counted as zeros. The numerical nullity is the number of the N^2 values
+    at or below SVD_CUTOFF relative to the largest one. The basis is each
+    component's null vectors, components in order of their smallest
+    unknown. The point set must be closed under the action of ``s`` (its
+    keys are taken mod s.modulus).
 
     Raises BoundExceeded, before building anything, when the stacked system
     (points * N^4 complex entries) would exceed the byte bound: above odd
@@ -73,33 +84,75 @@ def solve_covariance(
     dim = deltas[points[0]].shape[0]
     size = len(points) * dim**4 * np.dtype(complex).itemsize
     check_bytes(f"covariance system of {len(points)} points at dimension {dim}", size)
-    eye = np.eye(dim)
-    blocks = []
+    images = []
     for point in points:
         moved = apply_point(s, point)
         if moved not in deltas:
             raise ValueError(f"family is not closed under the action: missing {moved}")
-        blocks.append(np.kron(eye, deltas[point].T) - np.kron(deltas[moved], eye))
-    stacked = np.vstack(blocks)
-    # rows = points * dim^2 >= dim^2, so stacked = Q R with R square; R has
-    # the same singular values and right singular vectors, which carry the
-    # whole null space, and the tall left factor is never formed
-    _, singular, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
-    largest = singular[0] if singular.size else 0.0
-    threshold = SVD_CUTOFF * (largest if largest > 0 else 1.0)
-    rank = int((singular > threshold).sum())
-    basis = [vh[i].conj().reshape(dim, dim) for i in range(rank, dim * dim)]
+        images.append(deltas[moved])
+    source = np.stack([deltas[point] for point in points])
+    system = np.zeros((len(points), dim, dim, dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    # row (p, i, j), column (k, l): Delta_p[l, j] where k = i, minus
+    # Delta_(S.p)[i, k] where l = j
+    system[:, diag, :, diag, :] = source.transpose(0, 2, 1)
+    system[:, :, diag, :, diag] -= np.stack(images)
+    unknowns = dim * dim
+    system = system.reshape(-1, unknowns)
+    column_label, row_label = _components(system != 0)
+    blocks = []
+    for root in np.unique(column_label):
+        columns = np.flatnonzero(column_label == root)
+        if columns.size == unknowns:
+            block = system
+        else:
+            block = system[np.ix_(np.flatnonzero(row_label == root), columns)]
+        _, singular, vh = np.linalg.svd(np.linalg.qr(block, mode="r"))
+        blocks.append((columns, singular, vh))
+    found = np.concatenate([values for _, values, _ in blocks])
+    singular = np.sort(np.pad(found, (0, unknowns - found.size)))[::-1]
+    threshold = SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
+    basis = []
+    for columns, values, vh in blocks:
+        for row in vh[int((values > threshold).sum()) :]:
+            vector = np.zeros(unknowns, dtype=complex)
+            vector[columns] = row.conj()
+            basis.append(vector.reshape(dim, dim))
     unitary = _unitarize(basis[0]) if len(basis) == 1 else None
     return CovarianceSolution(len(basis), basis, unitary, singular)
+
+
+def _components(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a (rows, unknowns) nonzero pattern, where a
+    row joins every unknown it touches: each unknown's label (the smallest
+    unknown of its component) and each row's label (-1 for an all-zero row).
+
+    Two unknowns are adjacent when some row touches both; labels spread by
+    taking the smallest label among neighbours, then jumping to the label's
+    own label, until a round changes nothing.
+    """
+    touched = pattern.astype(np.float32)
+    adjacent = (touched.T @ touched) > 0
+    np.fill_diagonal(adjacent, True)
+    label = np.arange(pattern.shape[1])
+    while True:
+        reached = np.where(adjacent, label, label.size).min(axis=1)
+        reached = reached[reached]
+        if (reached == label).all():
+            break
+        label = reached
+    rows = np.where(pattern.any(axis=1), label[pattern.argmax(axis=1)], -1)
+    return label, rows
 
 
 def _unitarize(candidate: np.ndarray) -> np.ndarray | None:
     # Candidates (SVD basis vectors, gain-graph solutions) have unit
     # Frobenius norm; a unitary multiple must be sqrt(dim) times that.
+    # A NaN defect fails the comparison, so a NaN entry gives None.
     dim = candidate.shape[0]
     scaled = candidate * np.sqrt(dim)
     defect = np.abs(scaled.conj().T @ scaled - np.eye(dim)).max()
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         return None
     flat = scaled.reshape(-1)
     leading = flat[np.abs(flat) > 0.5 / np.sqrt(dim)][0]

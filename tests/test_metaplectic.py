@@ -466,6 +466,28 @@ def test_uncertified_table_gives_inf_and_nan_stays_nan(monkeypatch):
     assert covariance_residual(u, s, ODD) == np.inf
 
 
+@pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0, np.inf), 1e300])
+def test_infinite_or_huge_entry_gives_a_failing_figure_without_warning(monkeypatch, n, parity, entry):
+    # warnings are errors in this suite, so reaching the asserts means none was raised
+    s = generator("+", lattice_modulus(n, parity))
+    u = u_of(s, parity).matrix.copy()
+    u[1, 2] = entry
+    assert not covariance_residual(u, s, parity) <= 1e-9
+    elements = [s, h_t(s.modulus)]
+    figures = group_covariance(elements, parity)
+    build = metaplectic._u_stack
+
+    def with_entry(part, parity):
+        stack = build(part, parity)
+        stack[0, 1, 2] = entry
+        return stack
+
+    monkeypatch.setattr(metaplectic, "_u_stack", with_entry)
+    damaged = group_covariance(elements, parity)
+    assert not damaged[0] <= 1e-9
+    assert damaged[1] == figures[1] < 1e-12
+
 @pytest.mark.parametrize("build", [u_hplus, u_hminus, lambda n, parity: u_of(h_t(n), parity)])
 def test_unitary_builders_refuse_dimensions_above_byte_bound(byte_bound, build):
     unitary_bytes = 64 * 3**2  # four N x N complex arrays

@@ -6,7 +6,7 @@ from numpy.linalg import matrix_power
 
 from conftest import weyl_symmetric
 from phasepoint.lattice import EVEN, ODD, lattice_modulus
-from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus
+from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus, u_of
 from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
     integer_point_family,
@@ -291,6 +291,114 @@ def test_solve_covariance_matches_full_svd(rng):
                 solution.basis[0] * np.sqrt(n), vh[-1].conj().reshape(n, n) * np.sqrt(n), tol=1e-10
             ).equivalent
 
+
+
+def dense_stacked_system(s, family, n):
+    """The whole stacked covariance system, one kron pair per point."""
+    return np.vstack([
+        np.kron(np.eye(n), family[p].T) - np.kron(family[apply_point(s, p)], np.eye(n))
+        for p in sorted(family)
+    ])
+
+
+def null_projector(vectors):
+    """Orthogonal projector onto the span of orthonormal vectors."""
+    flat = np.array([v.reshape(-1) for v in vectors])
+    return flat.T @ flat.conj()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_block_solve_matches_dense_svd_where_nullity_exceeds_one(n, rng):
+    # integer points split the system into several components; a basis of a
+    # null space of dimension > 1 is not unique, its projector is
+    family = integer_point_family(n)
+    for s in (generator("+", n), random_element(n, rng), random_element(n, rng)):
+        _, singular, vh = np.linalg.svd(dense_stacked_system(s, family, n), full_matrices=False)
+        rank = int((singular > oracle.SVD_CUTOFF * singular[0]).sum())
+        solution = solve_covariance(s, family)
+        assert np.abs(solution.singular_values - singular).max() < 1e-10
+        assert solution.nullity == n * n - rank > 1
+        assert solution.unitary is None
+        dense = null_projector([row.conj() for row in vh[rank:]])
+        assert np.abs(null_projector(solution.basis) - dense).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_block_solve_counts_missing_singular_values_as_zero(n, rng):
+    # The origin alone: its parity kernel gives zero rows and leaves U[0, 0]
+    # untouched, so some components have fewer rows than unknowns.
+    family = {(0, 0): delta_family(n, ODD)[(0, 0)]}
+    for s in (generator("+", n), random_element(n, rng)):
+        singular = np.linalg.svd(dense_stacked_system(s, family, n), compute_uv=False)
+        solution = solve_covariance(s, family)
+        assert solution.singular_values.shape == (n * n,)
+        assert np.abs(solution.singular_values - singular).max() < 1e-10
+        assert solution.nullity == int((singular <= oracle.SVD_CUTOFF * singular[0]).sum()) > 1
+    all_zero = solve_covariance(generator("+", 2), integer_point_family(2))
+    assert np.array_equal(all_zero.singular_values, np.zeros(4))
+    assert np.array_equal(null_projector(all_zero.basis), np.eye(4))
+
+def test_solve_covariance_on_a_dense_family_with_one_component(rng):
+    # every kernel conjugated by one random unitary V: no entry is zero, so
+    # the system is one component, and V U(S) V^dag solves it
+    n = 5
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v, _ = np.linalg.qr(gaussian)
+    family = {p: v @ delta @ v.conj().T for p, delta in delta_family(n, ODD).items()}
+    unknowns, _ = oracle._components(dense_stacked_system(h_t(n), family, n) != 0)
+    assert (unknowns == 0).all()
+    for s in (generator("+", n), random_element(n, rng)):
+        solution = solve_covariance(s, family)
+        assert solution.nullity == 1
+        expected = v @ u_of(s, ODD).matrix @ v.conj().T
+        assert equal_up_to_phase(solution.unitary, expected, tol=1e-9).equivalent
+
+
+@pytest.mark.parametrize("n,integer_points", [(7, False), (8, True)], ids=["odd-7-full-grid", "even-8-integer-points"])
+def test_solve_covariance_peak_memory(n, integer_points):
+    # check_bytes counts one copy of the system, points * N^4 complex entries
+    family = integer_point_family(n) if integer_points else delta_family(n, ODD)
+    s = generator("+", n)
+    system_bytes = len(family) * n**4 * 16
+    tracemalloc.start()
+    try:
+        solve_covariance(s, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * system_bytes
+
+
+@pytest.mark.parametrize("n,parity,integer_points", [(3, ODD, False), (4, EVEN, True), (8, EVEN, True)])
+def test_nan_in_family_gives_no_solution(n, parity, integer_points):
+    # A NaN where a kernel is zero counts as a nonzero of the system, so it
+    # reaches a block's SVD, which raises, instead of being left out.
+    clean = integer_point_family(n) if integer_points else delta_family(n, parity)
+    for point in [(0, 0), (1, 1)]:
+        family = dict(clean)
+        family[point] = family[point].copy()
+        family[point][tuple(np.argwhere(family[point] == 0)[0])] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_covariance(generator("+", n), family)
+
+def test_unitarize_rejects_nan_candidates():
+    candidate = np.eye(3, dtype=complex) / np.sqrt(3)
+    assert np.abs(oracle._unitarize(candidate) - np.eye(3)).max() < 1e-12
+    candidate[0, 1] = np.nan
+    assert oracle._unitarize(candidate) is None
+    assert oracle._unitarize(np.full((3, 3), np.nan, dtype=complex)) is None
+
+
+def test_uniqueness_with_nan_roots_finds_no_unitary(monkeypatch):
+    # the gain graph's nullity is an integer count; the NaN reaches only the
+    # candidate built from the roots table, which must not pass as unitary
+    roots = unit_roots(3).copy()
+    roots[0] = np.nan
+    monkeypatch.setattr(oracle, "unit_roots", lambda m: roots)
+    report = verify_uniqueness(generator("-", 3), ODD)
+    assert report.nullity == 1
+    assert not report.unitary_found
+    assert report.phase is None and report.closed_form_residual is None
 
 def dense_translation_defect(family, n):
     """The dense product W^dag Delta W against its image, at every point and shift."""
