@@ -8,11 +8,14 @@ verification checks, 2 invalid input or flags, 3 decomposition failure.
 Only the integer layers load at start-up. The rep, wigner and verify
 commands import their numeric layers (and so numpy) when they run, each
 taking only what it uses, so decompose and the parser never load numpy.
+Nor do they load dataclasses or inspect: the integer layers' value classes
+are plain slotted classes. tests/test_imports.py checks both.
 verify's group-wide suites are one call each, to metaplectic.group_covariance
 (certified O(N^2) bounds from U(S)'s exact table, to odd N = 1831 and even
 N = 1830) and metaplectic.group_projectivity, which cut their own passes.
-rep bounds its JSON output before it builds U(S), and reports the exact
-three-point defect of U(S)'s table (u_table and intertwining_defect).
+rep bounds its peak before it builds U(S), writes the unitary's JSON rows
+one at a time, and reports the exact three-point defect of U(S)'s table
+(u_table and intertwining_defect).
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from .symplectic import (
     random_element,
 )
 
-# Peak bytes per unitary entry of rep's JSON rows and text, refused through
-# check_bytes before U(S) is built
-REP_ENTRY_BYTES = 256
+# Peak bytes per unitary entry of rep, refused through check_bytes before
+# U(S) is built: odd N <= 1831, even N <= 1830. u_table's rounding sets the
+# peak (tracemalloc 75.3-78.4 at odd N = 255..1023 and even 256 and 512,
+# both index styles); streaming the rows, U(S) included, peaks at 17-19.
+REP_ENTRY_BYTES = 80
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
 
@@ -59,11 +64,18 @@ def _reorder(matrix, order: list[int]):
     return matrix[order][:, order]
 
 
-def _complex_rows(matrix) -> list[list[list[float]]]:
+def _complex_rows(matrix, order: list[int]):
+    """The JSON text of each row of ``matrix`` as [re, im] pairs, rows and
+    columns taken in ``order``, one row at a time."""
     import numpy as np
 
-    # Adding 0.0 collapses -0.0 so formatting is stable across code paths.
-    return (np.stack([matrix.real, matrix.imag], axis=-1) + 0.0).tolist()
+    encode = json.JSONEncoder(allow_nan=False).encode
+    order = np.asarray(order)
+    for i in order:
+        # a complex row viewed as its (re, im) float pairs; adding 0.0
+        # collapses -0.0 so formatting is stable across code paths
+        pairs = matrix[i, order].view(np.float64).reshape(-1, 2) + 0.0
+        yield encode(pairs.tolist())
 
 
 def _float(value: float) -> float:
@@ -134,19 +146,21 @@ def cmd_rep(args: argparse.Namespace) -> int:
         return _fail(str(exc), 3)
     except ValueError as exc:  # U(S) does not round to a table
         return _fail(str(exc), 1)
-    if args.index_style == "symmetric":
-        matrix = _reorder(matrix, symmetric_order(args.dim))
-    payload = {
-        "dim": args.dim,
-        "parity": args.parity,
-        "modulus": modulus,
-        "matrix": list(mat.entries),
-        "unitary": _complex_rows(matrix),
+    order = symmetric_order(args.dim) if args.index_style == "symmetric" else list(range(args.dim))
+    head = {"dim": args.dim, "parity": args.parity, "modulus": modulus, "matrix": list(mat.entries)}
+    tail = {
         "covariance_residual": _residual(residual),
         "exact": bool(residual == 0.0),
         "table_residual": _residual(table_residual),
     }
-    print(json.dumps(payload, allow_nan=False))
+    # The payload's text, with the unitary's rows written one at a time
+    # between its head and tail. u_table's margins refuse a non-finite
+    # entry, so nothing here raises once the first byte is out.
+    out = sys.stdout
+    out.write(json.dumps(head)[:-1] + ', "unitary": [')
+    for i, row in enumerate(_complex_rows(matrix, order)):
+        out.write(", " + row if i else row)
+    out.write("], " + json.dumps(tail, allow_nan=False)[1:] + "\n")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class ModulusMismatch(ValueError):
@@ -18,19 +18,62 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
+class _Frozen:
+    """Base of the integer layer's immutable value classes.
+
+    They are plain slotted classes so that the integer layer imports nothing
+    heavy: the standard library's frozen-record decorator would load inspect
+    and its import chain, about 12 ms of every decompose process. A subclass
+    names its fields in __slots__ and sets them once, in its __init__,
+    through _init. Assignment and deletion raise AttributeError; equality
+    (same class only), hashing and pickling use the field tuple, and repr
+    reads Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field tuple, read in C (a subclass has at least two fields)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, which __setattr__ would refuse to restore
+        return self.__class__, self._fields(self)
+
+
+class EuclidTrace(_Frozen):
     """Remainders and quotients of a run of the Euclidean algorithm.
 
     The chain satisfies r[i] = q[i] * r[i+1] + r[i+2] exactly, the last
     remainder is 0, and remainders strictly decrease after r[1].
     """
 
-    remainders: tuple[int, ...]
-    quotients: tuple[int, ...]
+    __slots__ = __match_args__ = ("remainders", "quotients")
 
-    def __post_init__(self):
-        rem, quo = self.remainders, self.quotients
+    def __init__(self, remainders: tuple[int, ...], quotients: tuple[int, ...]):
+        rem, quo = remainders, quotients
         if len(rem) != len(quo) + 2:
             raise ValueError("remainder chain and quotient list lengths disagree")
         for i, q in enumerate(quo):
@@ -38,6 +81,7 @@ class EuclidTrace:
                 raise ValueError("quotient chain does not reproduce the remainders")
         if rem[-1] != 0:
             raise ValueError("chain must terminate at remainder 0")
+        self._init(remainders, quotients)
 
     @property
     def length(self) -> int:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .modring import ModulusMismatch, _check_modulus, euclid_trace
+from .modring import ModulusMismatch, _check_modulus, _Frozen, euclid_trace
 
 ENUMERATION_BOUND = 12
 # Largest working set a bounded computation may allocate; check_bytes is the
@@ -46,26 +45,18 @@ def check_bytes(what: str, nbytes: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SympMat:
+class SympMat(_Frozen):
     """Element of Sp_M: entries are canonical representatives, det = 1 (mod M)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    modulus: int
+    __slots__ = __match_args__ = ("a", "b", "c", "d", "modulus")
 
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        m = self.modulus
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, int(getattr(self, name)) % m)
-        if (self.a * self.d - self.b * self.c) % m != 1:
-            raise NotSymplectic(
-                f"det {(self.a * self.d - self.b * self.c) % m} != 1 "
-                f"for {(self.a, self.b, self.c, self.d)} mod {m}"
-            )
+    def __init__(self, a: int, b: int, c: int, d: int, modulus: int):
+        _check_modulus(modulus)
+        m = modulus
+        a, b, c, d = int(a) % m, int(b) % m, int(c) % m, int(d) % m
+        if (a * d - b * c) % m != 1:
+            raise NotSymplectic(f"det {(a * d - b * c) % m} != 1 for {(a, b, c, d)} mod {m}")
+        self._init(a, b, c, d, m)
 
     @classmethod
     def identity(cls, modulus: int) -> "SympMat":
@@ -130,8 +121,7 @@ def h_t(modulus: int) -> SympMat:
     return SympMat(0, 1, modulus - 1, 0, modulus)
 
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(_Frozen):
     """An ordered product of generator powers, evaluated left to right.
 
     Exponents are canonical in {0, ..., M-1}; zero-exponent factors are
@@ -139,21 +129,20 @@ class GenWord:
     words always alternate sign.
     """
 
-    factors: tuple[tuple[str, int], ...]
-    modulus: int
+    __slots__ = __match_args__ = ("factors", "modulus")
 
-    def __post_init__(self):
-        _check_modulus(self.modulus)
+    def __init__(self, factors: tuple[tuple[str, int], ...], modulus: int):
+        _check_modulus(modulus)
         stack: list[tuple[str, int]] = []
-        for sign, exponent in self.factors:
+        for sign, exponent in factors:
             if sign not in ("+", "-"):
                 raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-            exponent = int(exponent) % self.modulus
+            exponent = int(exponent) % modulus
             if stack and stack[-1][0] == sign:
-                exponent = (stack.pop()[1] + exponent) % self.modulus
+                exponent = (stack.pop()[1] + exponent) % modulus
             if exponent:
                 stack.append((sign, exponent))
-        object.__setattr__(self, "factors", tuple(stack))
+        self._init(tuple(stack), modulus)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
@@ -59,6 +62,27 @@ def weyl_leonhardt(n, j, k):
     at the doubled-coordinate point (j, k)."""
     q_inv, p_inv = phase_op(n).conj().T, shift_op(n).conj().T
     return unit_roots(2 * n)[j * k % (2 * n)] * matrix_power(q_inv, j) @ matrix_power(p_inv, k)
+
+
+def assert_value_semantics(value, fields, text):
+    """``value`` behaves as a frozen record of ``fields``: equality and hash
+    on the field tuple (never equal to the tuple itself), ``repr`` ``text``,
+    no assignment or deletion, and copies and pickles equal to it."""
+    cls = type(value)
+    assert cls(*fields) == value
+    assert cls(**dict(zip(cls.__match_args__, fields))) == value
+    assert hash(value) == hash(fields)
+    assert value != fields and value.__eq__(fields) is NotImplemented
+    assert repr(value) == text
+    for name in cls.__match_args__ + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls
+        assert copied == value and hash(copied) == hash(value)
 
 
 @pytest.fixture

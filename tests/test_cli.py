@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import resource
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
-from phasepoint.cli import main
+from phasepoint.cli import REP_ENTRY_BYTES, main
 from phasepoint.symplectic import SympMat
 
 
@@ -463,6 +464,37 @@ def test_verify_covariance_exits_one_when_no_table_can_be_certified(capsys, monk
     assert not any(c["pass"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep", "--dim", "63", "--parity", "odd", "--matrix", "2,1,1,1"),
+        ("rep", "--dim", "32", "--parity", "even", "--matrix", "5,2,2,1", "--index-style", "symmetric"),
+    ],
+)
+def test_rep_streams_the_text_of_one_json_dump(capsys, argv):
+    # rep writes the unitary's rows one at a time; the text is still that of
+    # one json.dumps of the whole payload
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(strict_json(out), allow_nan=False) + "\n"
+
+
+def test_rep_peak_is_within_its_entry_bound():
+    # With the rows streamed, u_table's rounding sets rep's peak, about 78
+    # bytes per entry here; building the rows as one nested list took 237.
+    argv = ["rep", "--dim", "255", "--parity", "odd", "--matrix", "5,2,2,1", "--index-style", "symmetric"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv[:2] + ["3"] + argv[3:]) == 0  # loads the numeric layers
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < REP_ENTRY_BYTES * 255**2
+
+
 def test_rep_builds_no_kernel_cache(capsys, no_dense_kernel):
     code, out, _ = run(capsys, "rep", "--dim", "9", "--parity", "odd", "--matrix", "2,1,1,1")
     assert code == 0
@@ -561,10 +593,11 @@ def test_rep_is_exact_above_the_covariance_bound(dim, parity):
     assert payload["table_residual"] < 1e-12
 
 
-@pytest.mark.parametrize("dim,parity", [("1025", "odd"), ("1026", "even")])
+@pytest.mark.parametrize("dim,parity", [("1833", "odd"), ("1832", "even")])
 def test_rep_above_output_bound_exits_two(dim, parity):
-    # rep's JSON rows and text, 256 bytes per unitary entry, pass 256 MiB
-    # above N = 1024; rep refuses before it builds U(S)
+    # rep's peak, 80 bytes per unitary entry (u_table's rounding), passes
+    # 256 MiB above odd N = 1831 and even N = 1830; rep refuses before it
+    # builds U(S)
     child = run_capped("rep", "--dim", dim, "--parity", parity, "--matrix", "1,1,0,1")
     assert child.returncode == 2
     assert child.stdout == ""

@@ -1,9 +1,11 @@
 """The package root, the lattice helpers and the decompose command must run
-without numpy.
+without numpy, and without ``dataclasses`` or ``inspect``.
 
 The child process poisons ``numpy`` in ``sys.modules`` before anything from
 phasepoint is imported, so any import of numpy (direct, or through a numeric
-layer) raises ImportError there and fails the test.
+layer) raises ImportError there and fails the test. ``dataclasses`` loads
+``inspect`` and its import chain, about 12 ms of every decompose process,
+so the child also checks that neither was loaded.
 """
 
 import json
@@ -55,6 +57,9 @@ for method in ("euclid", "bfs"):
         cli.decompose = fake
         results[method].append(run(*dec, "11", "--matrix", "2,1,1,1"))
     cli.decompose = symplectic.decompose
+results["start_up_modules"] = sorted(
+    name for name in ("dataclasses", "inspect") if name in sys.modules
+)
 results["numeric_modules"] = sorted(
     name for name in sys.modules
     if name.startswith("phasepoint.") and name.split(".")[1] in
@@ -83,6 +88,7 @@ def test_root_and_decompose_import_no_numpy():
             assert r["out"] == ""
             assert r["err"].startswith("error:")
     assert results["numeric_modules"] == []
+    assert results["start_up_modules"] == []
 
 
 def test_only_qops_references_delta_family():

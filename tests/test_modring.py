@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import assert_value_semantics
 
 from phasepoint.modring import BothZero, EuclidTrace, euclid_trace
 from phasepoint.qops import unit_roots
@@ -70,7 +71,17 @@ def test_euclid_trace_reconstructs_input(rng):
 
 
 def test_invalid_trace_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quotient chain does not reproduce the remainders$"):
         EuclidTrace((5, 3, 1), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain must terminate at remainder 0$"):
         EuclidTrace((5, 3, 2), (1,))
+    with pytest.raises(ValueError, match="^remainder chain and quotient list lengths disagree$"):
+        EuclidTrace(remainders=(5, 3, 2, 1, 0), quotients=(1, 1))
+
+
+def test_euclid_trace_value_semantics():
+    assert_value_semantics(
+        euclid_trace(5, 3),
+        ((5, 3, 2, 1, 0), (1, 1, 2)),
+        "EuclidTrace(remainders=(5, 3, 2, 1, 0), quotients=(1, 1, 2))",
+    )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import assert_value_semantics
 
 from phasepoint import symplectic
 from phasepoint.modring import ModulusMismatch
@@ -99,6 +100,43 @@ def test_word_canonicalization():
     assert word.factors == (("+", 2),)
     assert len(GenWord((), 7)) == 0
     assert str(GenWord((), 7)) == "e"
+
+
+@pytest.mark.parametrize(
+    "value,fields,text",
+    [
+        (SympMat(2, 3, 3, 5, 31), (2, 3, 3, 5, 31), "SympMat(a=2, b=3, c=3, d=5, modulus=31)"),
+        (SympMat(-6, 0, 0, 8, 7), (1, 0, 0, 1, 7), "SympMat(a=1, b=0, c=0, d=1, modulus=7)"),
+        (
+            GenWord((("+", 2), ("+", 3), ("-", 8)), 7),
+            ((("+", 5), ("-", 1)), 7),
+            "GenWord(factors=(('+', 5), ('-', 1)), modulus=7)",
+        ),
+        (GenWord((), 2), ((), 2), "GenWord(factors=(), modulus=2)"),
+    ],
+)
+def test_value_semantics(value, fields, text):
+    assert_value_semantics(value, fields, text)
+
+
+def test_values_compare_only_with_their_own_class():
+    assert SympMat(1, 0, 0, 1, 5) != (1, 0, 0, 1, 5)
+    assert SympMat(1, 0, 0, 1, 5) != SympMat(1, 0, 0, 1, 7)
+    assert GenWord((), 5) != SympMat.identity(5)
+    assert len({SympMat(1, 0, 0, 1, 5), SympMat(6, 0, 0, 1, 5), (1, 0, 0, 1, 5)}) == 2
+
+
+def test_construction_errors():
+    with pytest.raises(NotSymplectic, match=r"^det 0 != 1 for \(1, 1, 1, 1\) mod 7$"):
+        SympMat(1, 1, 1, 1, 7)
+    with pytest.raises(ValueError, match="^modulus must be an integer >= 2, got 1$"):
+        SympMat(a=1, b=0, c=0, d=1, modulus=1)
+    with pytest.raises(ValueError, match="^modulus must be an integer >= 2, got True$"):
+        GenWord((), True)
+    with pytest.raises(ValueError, match="^sign must be '\\+' or '-', got 't'$"):
+        GenWord((("+", 1), ("t", 1)), 7)
+    with pytest.raises(TypeError):
+        SympMat(1, 0, 0, 1)
 
 
 @pytest.mark.parametrize(
