@@ -14,23 +14,27 @@ bookkeeping.
 
 U(h-)^k is the diagonal rho^(k e(i)). U(h+) is a circulant, which the DFT
 diagonalises: its eigenvalues are lambda_0 rho^(-e(f)), with lambda_0 the
-sum of its first column, an eighth root of unity (the chirp structure of
-Appleby, J. Math. Phys. 46, 052107, 2005). So U(h+)^k is
-lambda_0^k F^-1 diag rho^(-k e(f)) F, with F the length-N DFT. Arbitrary
-elements are represented through their four-factor words
-h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word), which costs a few
-column scalings and at most two FFT pairs; any word for the same element
-gives the same matrix up to a global phase. No phase gauge is imposed, and
-comparisons go through equal_up_to_phase.
+sum of its first column, an eighth root of unity read off a quadratic Gauss
+sum (weil.chirp_eighth; the chirp structure of Appleby, J. Math. Phys. 46,
+052107, 2005). So U(h+)^k is lambda_0^k F^-1 diag rho^(-k e(f)) F, with F
+the length-N DFT. Arbitrary elements are represented through their
+four-factor words h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word),
+which costs a few column scalings and at most two FFT pairs; any word for
+the same element gives the same matrix up to a global phase. No phase gauge
+is imposed, and comparisons go through equal_up_to_phase.
 
 group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
 
-u_table reads U(S) back as exact integers: N^2/g entries (g = gcd(b, N)) of
-modulus sqrt(g/N), with phases roots of unity of order 8R (again Appleby's
-chirp structure). intertwining_defect checks covariance on that table exactly,
-at three points, and covariance_residual bounds any matrix's all-points
-defect against it, both in O(N^2).
+U(S) is also exact integers: N^2/g entries (g = gcd(b, N)) of modulus
+sqrt(g/N), with phases roots of unity of order 8R. weil composes that table
+in closed form, as quadratic Gauss sums along the same word, and certifies
+it in O(1); u_table(s, parity) reads it with no matrix built, and
+u_table(s, parity, u) rounds a given matrix to it. intertwining_defect
+checks covariance on a table exactly, at three points, in O(N^2).
+covariance_residual bounds any matrix's all-points defect against the
+closed form in O(N^2); group_covariance reaches the same figures from its
+float stack by rounding.
 """
 
 from __future__ import annotations
@@ -46,15 +50,24 @@ from .lattice import ODD, DimensionMismatch, check_parity, hilbert_dim
 from .modring import ModulusMismatch
 from .qops import kernel_factors, unit_roots
 from .symplectic import SympMat, check_bytes, four_factor_word
+from .weil import certify, chirp_eighth, descriptor
 
 # Working set of one pass of group_covariance and group_projectivity
 _PASS_BYTES = 2**20
 # u_table's rounding margins: entry moduli, and phases in radians
 _MODULUS_MARGIN = 1e-9
 _PHASE_MARGIN = 1e-6
-# One covariance bound's bytes per entry, U(S)'s build included (tracemalloc
-# peak 75.5-76.1 at odd N = 511 and even N = 512): odd N <= 1831, even N <= 1830
+# One group_covariance element's bytes per entry, U(S)'s float build and its
+# rounding included (tracemalloc peak 75.5-76.1 at odd N = 511 and even
+# N = 512): odd N <= 1831, even N <= 1830
 _BOUND_ENTRY_BYTES = 80
+# covariance_residual's bytes per entry, the closed-form table included and
+# the caller's matrix not (tracemalloc peak 41.0 at odd N = 511 and 1023 and
+# even N = 512 and 1024): odd N <= 2469, even N <= 2468
+_RESIDUAL_ENTRY_BYTES = 44
+# u_table's closed-form table, bytes per entry (tracemalloc peak 9.0-10.2 at
+# odd N = 255..1023 and even N = 512 and 1024): N <= 4729
+_TABLE_ENTRY_BYTES = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +113,6 @@ def _exponent_table(n: int, parity: str) -> tuple[np.ndarray, int]:
     return exponents, r
 
 
-@lru_cache(maxsize=None)
-def _chirp_eighth(n: int, parity: str) -> int:
-    """lambda_0, the sum of U(h+)'s first column, as the exponent of an
-    exact eighth root of unity; using it keeps lambda_0^k free of rounding
-    that would grow with k."""
-    exponents, r = _exponent_table(n, parity)
-    lambda_0 = unit_roots(r)[exponents].sum() / np.sqrt(n)
-    return round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
-
-
 def u_hplus(n: int, parity: str) -> ProjUnitary:
     """Closed-form representative of the upper triangular generator."""
     exponents, r = _generator_exponents(n, parity)
@@ -151,7 +154,7 @@ def _u_stack(elements, parity: str) -> np.ndarray:
     n = hilbert_dim(elements[0].modulus, parity)
     exponents, r = _generator_exponents(n, parity)
     roots = unit_roots(r)
-    eighth = _chirp_eighth(n, parity)
+    eighth = chirp_eighth(n, parity)
     groups: dict[tuple[str, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
     for index, s in enumerate(elements):
         factors = four_factor_word(s).factors
@@ -254,26 +257,71 @@ class UTable(NamedTuple):
 
 
 def u_table(s: SympMat, parity: str, u=None) -> UTable:
-    """U(S) as an exact table, read off ``u`` (by default u_of(s, parity))
-    by rounding; the one-element case of _round_stack.
+    """U(S) as an exact table: by default straight from its closed form
+    (weil.descriptor), with no matrix built; given ``u``, read off it by
+    rounding, the one-element case of _round_stack.
 
     Every U(S) is a common modulus m = sqrt(g/N) on N^2/g entries, with
     g = gcd(b, N), and zero elsewhere; its phases are roots of unity of
-    order L = 8R (R = N odd, 2N even), L covering the 4R that odd lattices
-    and the 2R that even ones were seen to need. Each rounding passes a
+    order L = 8R (R = N odd, 2N even). Rounding ``u``, each step passes a
     margin, or ValueError is raised: the entries above m/2 in modulus must
     number exactly N^2/g, each within 1e-9 of m, every other entry must be
     below 1e-9, and every phase within 1e-6 radians of an L-th root. A NaN
-    fails a margin. O(N^2) beyond the build of u.
+    fails a margin. O(N^2) beyond the build of ``u``; the closed form
+    costs _TABLE_ENTRY_BYTES per entry, BoundExceeded above.
     """
     n = hilbert_dim(s.modulus, parity)
-    matrix = u_of(s, parity).matrix if u is None else _as_matrix(u)
+    if u is None:
+        check_bytes(f"unitary table at dimension {n}", _TABLE_ENTRY_BYTES * n * n)
+        return _descriptor_table(descriptor(s, parity))
+    matrix = _as_matrix(u)
     if matrix.shape != (n, n):
         raise DimensionMismatch(f"unitary is {matrix.shape}, expected {(n, n)}")
     (exponents, support, gcd, scale, root_modulus), failures = _round_stack(matrix[None], [s])
     if failures[0] is not None:
         raise ValueError(failures[0])
     return UTable(exponents[0], support[0], int(gcd[0]), float(scale[0]), root_modulus)
+
+
+def _descriptor_table(form) -> UTable:
+    """A weil.Descriptor's table, in int64 arithmetic with no rounding.
+
+    Row i's columns are k = r_i + g m' for m' in Z_(N/g), with
+    r_i = (kappa + delta i) mod g; that is the lift m = m' - t_i of the
+    descriptor's coordinate, t_i = (kappa + delta i) // g, so row i's
+    exponents are a row constant plus a row slope times m' plus P's pure
+    m' terms. Every product is reduced mod L before the next, which keeps
+    it far inside int64 at any N the byte bounds admit.
+    """
+    n, root_modulus, g = form.dim, form.root_modulus, form.gcd
+    c0, ci, cm, cii, cim, cmm = (int(c) % root_modulus for c in form.coefficients)
+    rows = np.arange(n, dtype=np.int64)
+    steps = np.arange(n // g, dtype=np.int64)
+    lifts = (form.offset + form.stride * rows) // g
+    constant = (c0 + form.eighth * (root_modulus // 8)
+                + rows * ((ci + cii * rows) % root_modulus)
+                - lifts * ((cm + cim * rows - cmm * lifts) % root_modulus)) % root_modulus
+    slopes = (cim * rows - 2 * cmm * lifts) % root_modulus
+    exponents = np.multiply.outer(slopes, steps)
+    exponents += constant[:, None]
+    exponents += (steps * ((cm + cmm * steps) % root_modulus))[None, :]
+    exponents %= root_modulus
+    if g == 1:
+        support = np.ones((n, n), dtype=bool)
+    else:
+        # column k = g m' + r sits at [m', r] of a row viewed as (N/g, g)
+        residues = (form.offset + form.stride * rows) % g
+        grid, exponents = exponents, np.zeros((n, n), dtype=np.int64)
+        support = np.zeros((n, n), dtype=bool)
+        exponents.reshape(n, n // g, g)[rows, :, residues] = grid
+        support.reshape(n, n // g, g)[rows, :, residues] = True
+    return UTable(exponents, support, g, float(np.sqrt(g / n)), root_modulus)
+
+
+def _stack_of_one(table: UTable) -> UTable:
+    """``table`` as a stacked UTable of one, its arrays viewed, not copied."""
+    return UTable(table.exponents[None], table.support[None], table.gcd,
+                  np.array([table.scale]), table.root_modulus)
 
 
 def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]:
@@ -331,14 +379,13 @@ def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
     N^2/g entries of modulus sqrt(g/N), so |V|_F^2 = N = |U_0|_F^2 and
     |c| = 1: V is unitary and U(S) Delta_p U(S)^dag = Delta_(S.p) at every
     point p. The premise is that normalization, which u_table's margins
-    enforce and a hand-made table need not meet.
+    (or, for the closed form, weil.certify) enforce and a hand-made table
+    need not meet.
     """
     n = hilbert_dim(s.modulus, parity)
     if table.exponents.shape != (n, n) or table.support.shape != (n, n):
         raise DimensionMismatch(f"table is {table.exponents.shape}, expected {(n, n)}")
-    stacked = UTable(table.exponents[None], table.support[None], table.gcd,
-                     np.array([table.scale]), table.root_modulus)
-    return float(_three_point_defects(stacked, [s], parity)[0])
+    return float(_three_point_defects(_stack_of_one(table), [s], parity)[0])
 
 
 def _three_point_defects(tables: UTable, elements, parity: str) -> np.ndarray:
@@ -372,13 +419,16 @@ def _three_point_defects(tables: UTable, elements, parity: str) -> np.ndarray:
 
 def covariance_residual(u, s: SympMat, parity: str) -> float:
     """A certified upper bound on max over all points p of the entrywise
-    norm of u Delta_p u^dag - Delta_(s.p), in O(N^2) beyond U(S)'s build;
-    NaN if ``u`` holds a NaN. The one-element case of _covariance_bounds.
+    norm of u Delta_p u^dag - Delta_(s.p), in O(N^2) with no unitary built;
+    NaN if ``u`` holds a NaN.
 
-    The reference comes from ``s`` alone: U(S) from _u_stack, rounded to
-    its table V by u_table's margins, with an intertwining_defect of exactly
-    0.0, so that by the Schur argument there V is unitary and
-    V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure is inf.
+    The reference comes from ``s`` alone: U(S)'s closed form, composed in
+    integers along four_factor_word(s) (weil.descriptor) and certified
+    exactly in O(1) (weil.certify), so that by the Schur argument of
+    intertwining_defect its table V is unitary and
+    V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure
+    is inf. _covariance_bounds reaches the same table by rounding a float
+    U(S), and the figures agree bit for bit.
 
     With c = <V, u>_F / N (any c would do) and E = u - c V,
     u Delta_p u^dag - Delta_(s.p) = (|c|^2 - 1) Delta_(s.p) + c V Delta_p E^dag
@@ -393,8 +443,9 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     over a row's N/g support entries, and 0 off them. The product c V' and
     the difference add sqrt(5) eps |c| |V'| and eps |E'| per entry; float
     row norms are within (N + 4) eps, underflowing squares adding below
-    2^-520 at N <= 2048. So r <= r' (1 + (N + 6) eps) + 35 eps |c| + 2^-520,
-    and evaluating B in floats adds at most 8 eps B + 4 eps |c|^2.
+    sqrt(N) 2^-537, under 2^-520 at every admitted N. So
+    r <= r' (1 + (N + 6) eps) + 35 eps |c| + 2^-520, and evaluating B in
+    floats adds at most 8 eps B + 4 eps |c|^2.
     """
     matrix = _as_matrix(u)
     n = hilbert_dim(s.modulus, parity)
@@ -402,28 +453,42 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         raise DimensionMismatch(
             f"unitary is {matrix.shape}, expected {(n, n)} for modulus {s.modulus}"
         )
-    check_bytes(f"covariance bound at dimension {n}", _BOUND_ENTRY_BYTES * n * n)
-    return float(_covariance_bounds(matrix[None], _u_stack([s], parity), [s], parity)[0])
+    check_bytes(f"covariance bound at dimension {n}", _RESIDUAL_ENTRY_BYTES * n * n)
+    form = descriptor(s, parity)
+    table = _stack_of_one(_descriptor_table(form))
+    return float(_bounds(matrix[None], table, np.array([certify(form, s, parity)]))[0])
 
 
 def _covariance_bounds(us: np.ndarray, references: np.ndarray, elements, parity: str):
     """covariance_residual(us[g], elements[g], parity) for each g of a
     (G, N, N) stack (one modulus), given references[g] =
     u_of(elements[g]).matrix; the two may be one array, never written to.
-    Every step runs on the stack, each element against its own images, so
-    each figure is the one-element figure bit for bit and a NaN reaches only
-    its own."""
-    n = us.shape[-1]
+    The reference tables come from rounding, certified by their three-point
+    defects. Every step runs on the stack, each element against its own
+    images, so each figure is the one-element figure bit for bit and a NaN
+    reaches only its own."""
     tables, failures = _round_stack(references, elements)
     defects = _three_point_defects(tables, elements, parity)
     certified = (defects == 0.0) & np.array([failure is None for failure in failures])
+    return _bounds(us, tables, certified)
+
+
+def _bounds(us: np.ndarray, tables: UTable, certified: np.ndarray) -> np.ndarray:
+    """covariance_residual's bound B for each g of a (G, N, N) stack against
+    the table of a stacked UTable (one scale per table), inf where
+    certified[g] is false and the bound is not NaN."""
+    n = us.shape[-1]
     values = unit_roots(tables.root_modulus)[tables.exponents]
     values *= tables.scale[:, None, None]
     values[~tables.support] = 0
     # an inf or huge entry of u makes the figure NaN or inf, quietly
     with np.errstate(invalid="ignore", over="ignore"):
-        # a pairwise sum: one running sum over N^2 terms drifts by about 1e-13 at N = 1830
-        phases = (values.conj() * us).sum(axis=(1, 2)) / n
+        # conj(V) in place and back (both exact), so the product is the one
+        # other N^2 array; a pairwise sum: one running sum over N^2 terms
+        # drifts by about 1e-13 at N = 1830
+        np.conjugate(values, out=values)
+        phases = (values * us).sum(axis=(1, 2)) / n
+        np.conjugate(values, out=values)
         # values becomes E = u - c V in place
         values *= phases[:, None, None]
         np.subtract(us, values, out=values)

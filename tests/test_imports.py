@@ -1,5 +1,6 @@
-"""The package root, the lattice helpers and the decompose command must run
-without numpy, and without ``dataclasses`` or ``inspect``.
+"""The package root, the lattice helpers, U(S)'s closed form (weil) and the
+decompose command must run without numpy, and without ``dataclasses`` or
+``inspect``.
 
 The child process poisons ``numpy`` in ``sys.modules`` before anything from
 phasepoint is imported, so any import of numpy (direct, or through a numeric
@@ -23,7 +24,7 @@ import sys
 sys.modules["numpy"] = None
 
 import phasepoint
-from phasepoint import cli, lattice, symplectic
+from phasepoint import cli, lattice, symplectic, weil
 
 
 def run(*argv):
@@ -43,6 +44,11 @@ def wrong_word(s, method="euclid"):
 
 results = {"help": run("--help")}
 results["hilbert_dim"] = [lattice.hilbert_dim(7, "odd"), lattice.hilbert_dim(8, "even")]
+results["certified"] = [
+    weil.certify(weil.descriptor(s, parity), s, parity)
+    for s, parity in ((symplectic.SympMat(2, 1, 1, 1, 2**61 - 1), "odd"),
+                      (symplectic.SympMat(2, 1, 1, 1, 2**21), "even"))
+]
 for method in ("euclid", "bfs"):
     dec = ("decompose", "--method", method, "--modulus")
     results[method] = [
@@ -80,6 +86,7 @@ def test_root_and_decompose_import_no_numpy():
     assert results["help"]["code"] == 0
     assert "decompose" in results["help"]["out"]
     assert results["hilbert_dim"] == [7, 4]
+    assert results["certified"] == [True, True]
     for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):
         runs = results[method]
         assert [r["code"] for r in runs] == expected

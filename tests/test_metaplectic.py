@@ -17,6 +17,7 @@ from phasepoint import metaplectic
 from phasepoint.metaplectic import (
     ProjUnitary,
     _BOUND_ENTRY_BYTES,
+    _RESIDUAL_ENTRY_BYTES,
     _covariance_bounds,
     _phase_fit,
     _round_stack,
@@ -49,6 +50,7 @@ from phasepoint.symplectic import (
     bfs_decompose,
     decompose,
     enumerate_group,
+    four_factor_word,
     generator,
     generator_power,
     h_t,
@@ -406,9 +408,10 @@ def test_covariance_residual_builds_no_kernel_cache(no_dense_kernel):
 
 def test_covariance_residual_memory_is_cubic():
     # The id is kept from the N^5 loop, whose N^3 blocks it bounded; the
-    # certified bound keeps O(N^2) arrays, and its tracemalloc peak (U(S)'s
-    # build included, the caller's matrix not) is within _BOUND_ENTRY_BYTES per entry.
-    for n, parity in [(511, ODD), (512, EVEN)]:
+    # certified bound keeps O(N^2) arrays, and its tracemalloc peak (the
+    # closed-form table included, the caller's matrix not) is within
+    # _RESIDUAL_ENTRY_BYTES per entry.
+    for n, parity in [(511, ODD), (1023, ODD), (512, EVEN), (1024, EVEN)]:
         s = SympMat(2, 1, 1, 1, lattice_modulus(n, parity))
         unitary = u_of(s, parity).matrix
         tracemalloc.start()
@@ -418,13 +421,13 @@ def test_covariance_residual_memory_is_cubic():
         finally:
             tracemalloc.stop()
         assert residual < 1e-12
-        assert 0.85 * _BOUND_ENTRY_BYTES < peak / n**2 <= _BOUND_ENTRY_BYTES
+        assert 0.85 * _RESIDUAL_ENTRY_BYTES < peak / n**2 <= _RESIDUAL_ENTRY_BYTES
 
 
 def test_covariance_residual_refuses_dimensions_above_byte_bound(byte_bound):
     s = generator("+", 3)
     unitary = u_of(s, ODD).matrix
-    square_bytes = 3**2 * 80  # U(S)'s build, its table and the bound's arrays
+    square_bytes = 3**2 * _RESIDUAL_ENTRY_BYTES  # the table and the bound's arrays
     byte_bound(square_bytes)
     assert covariance_residual(unitary, s, ODD) < 1e-12
     byte_bound(square_bytes - 1)
@@ -432,19 +435,27 @@ def test_covariance_residual_refuses_dimensions_above_byte_bound(byte_bound):
         covariance_residual(unitary, s, ODD)
 
 
-@pytest.mark.parametrize("n", [1831, 1830])
+def table_matrix(table):
+    """The complex matrix of an exact table."""
+    values = table.scale * unit_roots(table.root_modulus)[table.exponents]
+    values[~table.support] = 0
+    return values
+
+
+@pytest.mark.parametrize("n", [2469, 2468])
 def test_covariance_bound_admits_largest_sizes(n):
-    # odd N = 1831 and even N = 1830 are the largest sizes that fit in
-    # 256 MiB, and U(S)'s figure stays far below every tolerance there
-    assert _BOUND_ENTRY_BYTES * n**2 <= SYSTEM_BYTES_BOUND < _BOUND_ENTRY_BYTES * (n + 2) ** 2
+    # odd N = 2469 and even N = 2468 are the largest sizes that fit in
+    # 256 MiB, and U(S)'s figure stays far below every tolerance there;
+    # above u_of's N = 2048 the matrix comes from the closed-form table
+    assert _RESIDUAL_ENTRY_BYTES * n**2 <= SYSTEM_BYTES_BOUND < _RESIDUAL_ENTRY_BYTES * (n + 2) ** 2
     parity = ODD if n % 2 else EVEN
     s = random_element(lattice_modulus(n, parity), np.random.default_rng(n))
-    assert covariance_residual(u_of(s, parity).matrix, s, parity) < 1e-12
+    assert covariance_residual(table_matrix(u_table(s, parity)), s, parity) < 1e-12
 
 
-@pytest.mark.parametrize("n,parity", [(1833, ODD), (1832, EVEN)])
+@pytest.mark.parametrize("n,parity", [(2471, ODD), (2470, EVEN)])
 def test_covariance_bound_refuses_next_sizes(n, parity):
-    # refused before U(S) is built, so the call returns at once
+    # refused before anything is built, so the call returns at once
     modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         covariance_residual(np.eye(n), SympMat.identity(modulus), parity)
@@ -455,15 +466,34 @@ def test_uncertified_table_gives_inf_and_nan_stays_nan(monkeypatch):
     u = u_of(s, ODD).matrix
     with_nan = u.copy()
     with_nan[1, 2] = np.nan
-    build = metaplectic._u_stack
-    monkeypatch.setattr(metaplectic, "_u_stack", lambda *args: build(*args) * 1.01)
+    # a descriptor with one coefficient off fails its certificate
+    build = metaplectic.descriptor
+
+    def perturbed(s, parity):
+        form = build(s, parity)
+        c0, ci, cm, cii, cim, cmm = form.coefficients
+        return form.__class__(form.dim, form.root_modulus, form.gcd, form.offset, form.stride,
+                              (c0, ci, cm, cii + 1, cim, cmm), form.eighth, form.square)
+
+    monkeypatch.setattr(metaplectic, "descriptor", perturbed)
     assert covariance_residual(u, s, ODD) == np.inf
     assert np.isnan(covariance_residual(with_nan, s, ODD))
-    monkeypatch.setattr(metaplectic, "_u_stack", build)
-    # a table that rounds but whose three-point defect is not 0.0
-    defects = metaplectic._three_point_defects
-    monkeypatch.setattr(metaplectic, "_three_point_defects", lambda *args: defects(*args) + 1e-300)
+    monkeypatch.setattr(metaplectic, "descriptor", build)
+    # the true table, with its certificate forced false
+    monkeypatch.setattr(metaplectic, "certify", lambda *args: False)
     assert covariance_residual(u, s, ODD) == np.inf
+    assert np.isnan(covariance_residual(with_nan, s, ODD))
+
+
+def test_covariance_residual_builds_no_unitary_and_rounds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    for name in ("_u_stack", "_round_stack", "_three_point_defects"):
+        monkeypatch.setattr(metaplectic, name, refuse)
+    for n, parity in [(7, ODD), (8, EVEN)]:
+        s = SympMat(2, 1, 1, 1, lattice_modulus(n, parity))
+        assert covariance_residual(word_product(four_factor_word(s), n, parity), s, parity) < 1e-12
 
 
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
@@ -688,6 +718,17 @@ def test_u_table_refuses_what_does_not_round(n, parity, rng):
             u_table(s, parity, bad)
     with pytest.raises(DimensionMismatch):
         u_table(s, parity, u[:-1])
+
+
+def test_u_table_refuses_dimensions_above_byte_bound(byte_bound, monkeypatch):
+    # the closed form's table, 12 bytes per entry, and no unitary built
+    monkeypatch.setattr(metaplectic, "_u_stack", None)
+    s = SympMat(2, 1, 1, 1, 5)
+    byte_bound(5**2 * 12)
+    assert u_table(s, ODD).support.sum() == 25
+    byte_bound(5**2 * 12 - 1)
+    with pytest.raises(BoundExceeded):
+        u_table(s, ODD)
 
 
 def test_u_table_refuses_a_phase_between_roots():
