@@ -5,17 +5,17 @@ JSON goes to stdout with full round-trip float formatting; Wigner tables are
 CSV with comment-style header and sum lines. Exit codes: 0 success, 1 failed
 verification checks, 2 invalid input or flags, 3 decomposition failure.
 
-Only the integer layers load at start-up. The rep, wigner and verify
-commands import their numeric layers (and so numpy) when they run, each
-taking only what it uses, so decompose and the parser never load numpy.
-Nor do they load dataclasses or inspect: the integer layers' value classes
-are plain slotted classes. tests/test_imports.py checks both.
+Only the integer layers load at start-up. The wigner and verify commands
+import their numeric layers (and so numpy) when they run, each taking only
+what it uses; the parser, decompose and rep never load numpy. Nor do they
+load dataclasses or inspect: the integer layers' value classes are plain
+slotted classes. tests/test_imports.py checks both.
 verify's group-wide suites are one call each, to metaplectic.group_covariance
 (certified O(N^2) bounds from U(S)'s exact table, to odd N = 1831 and even
 N = 1830) and metaplectic.group_projectivity, which cut their own passes.
-rep bounds its peak before it builds U(S), writes the unitary's JSON rows
-one at a time, and reports the exact three-point defect of U(S)'s table
-(u_table and intertwining_defect).
+rep bounds its output before it starts, builds U(S)'s closed form
+(weil.descriptor), checks it exactly with weil.certify, and writes the
+unitary's JSON rows one at a time from the descriptor, in O(N) memory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from .lattice import EVEN, ODD, ParityError, check_parity, lattice_modulus
+from .lattice import EVEN, ODD, ParityError, check_parity, lattice_modulus, symmetric_order
 from .symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -39,10 +39,11 @@ from .symplectic import (
     random_element,
 )
 
-# Peak bytes per unitary entry of rep, refused through check_bytes before
-# U(S) is built: odd N <= 1831, even N <= 1830. u_table's rounding sets the
-# peak (tracemalloc 75.3-78.4 at odd N = 255..1023 and even 256 and 512,
-# both index styles); streaming the rows, U(S) included, peaks at 17-19.
+# Bytes per unitary entry of rep's output text, refused through check_bytes
+# before anything is built: odd N <= 1831, even N <= 1830. An entry is at
+# most about 52 B of text ("[re, im], "), 46.7 B on average at odd N = 1831;
+# rep's own peak is O(N), about 1.0-1.9 KiB per N (tracemalloc, odd N = 255
+# to 1831 and even 256 to 1024, both index styles).
 REP_ENTRY_BYTES = 80
 PROJECTIVITY_PAIRS = 200
 PROJECTIVITY_SEED = 20240
@@ -62,20 +63,6 @@ def _parse_matrix(text: str, modulus: int) -> SympMat:
 
 def _reorder(matrix, order: list[int]):
     return matrix[order][:, order]
-
-
-def _complex_rows(matrix, order: list[int]):
-    """The JSON text of each row of ``matrix`` as [re, im] pairs, rows and
-    columns taken in ``order``, one row at a time."""
-    import numpy as np
-
-    encode = json.JSONEncoder(allow_nan=False).encode
-    order = np.asarray(order)
-    for i in order:
-        # a complex row viewed as its (re, im) float pairs; adding 0.0
-        # collapses -0.0 so formatting is stable across code paths
-        pairs = matrix[i, order].view(np.float64).reshape(-1, 2) + 0.0
-        yield encode(pairs.tolist())
 
 
 def _float(value: float) -> float:
@@ -115,15 +102,30 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _certified_unitary(mat: SympMat, parity: str):
-    """u_of(mat)'s matrix, the exact covariance defect of its table and the
-    matrix's distance from that table. The table is freed on return, before
-    rep builds its JSON rows."""
-    from .metaplectic import intertwining_defect, u_of, u_table
+def _root_texts(form) -> list[str]:
+    """The JSON text of sqrt(g/N) zeta^e for every exponent e mod L, as an
+    [re, im] pair; adding 0.0 collapses -0.0. The angle is rounded as
+    qops.unit_roots rounds it, 2 pi e times 1/L, so the pairs are
+    u_table's float view."""
+    scale = math.sqrt(form.gcd / form.dim)
+    inverse = 1.0 / form.root_modulus
+    texts = []
+    for e in range(form.root_modulus):
+        angle = math.tau * e * inverse
+        texts.append(f"[{0.0 + scale * math.cos(angle)!r}, {0.0 + scale * math.sin(angle)!r}]")
+    return texts
 
-    unitary = u_of(mat, parity)
-    table = u_table(mat, parity, unitary)
-    return unitary.matrix, intertwining_defect(table, mat, parity), table.residual(unitary)
+
+def _unitary_rows(form, order: list[int] | None):
+    """The JSON text of each row of U(S), straight from its descriptor, rows
+    and columns taken in ``order`` (canonical if None), one row at a time."""
+    texts = _root_texts(form)
+    zero = "[0.0, 0.0]"
+    for i in range(form.dim) if order is None else order:
+        columns, exponents = form.row(i)
+        cells = [zero] * form.dim
+        cells[columns.start::columns.step] = map(texts.__getitem__, exponents)
+        yield "[" + ", ".join(cells if order is None else map(cells.__getitem__, order)) + "]"
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
@@ -136,31 +138,28 @@ def cmd_rep(args: argparse.Namespace) -> int:
         check_bytes(f"rep output at dimension {args.dim}", REP_ENTRY_BYTES * args.dim**2)
     except ValueError as exc:  # NotSymplectic and BoundExceeded included
         return _fail(str(exc), 2)
-    from .qops import symmetric_order
+    from . import weil
 
     try:
-        matrix, residual, table_residual = _certified_unitary(mat, args.parity)
-    except BoundExceeded as exc:
-        return _fail(str(exc), 2)
+        form = weil.descriptor(mat, args.parity)
     except DecompositionFailed as exc:
         return _fail(str(exc), 3)
-    except ValueError as exc:  # U(S) does not round to a table
-        return _fail(str(exc), 1)
-    order = symmetric_order(args.dim) if args.index_style == "symmetric" else list(range(args.dim))
+    except ArithmeticError as exc:  # a step left the closed form
+        return _fail(f"U(S) has no closed form: {exc}", 1)
+    if not weil.certify(form, mat, args.parity):
+        return _fail("U(S)'s closed form fails its covariance certificate", 1)
+    order = symmetric_order(args.dim) if args.index_style == "symmetric" else None
     head = {"dim": args.dim, "parity": args.parity, "modulus": modulus, "matrix": list(mat.entries)}
-    tail = {
-        "covariance_residual": _residual(residual),
-        "exact": bool(residual == 0.0),
-        "table_residual": _residual(table_residual),
-    }
+    # The certificate makes the closed form exactly covariant, and the rows
+    # are the closed form's own float view.
+    tail = {"covariance_residual": 0.0, "exact": True, "table_residual": 0.0}
     # The payload's text, with the unitary's rows written one at a time
-    # between its head and tail. u_table's margins refuse a non-finite
-    # entry, so nothing here raises once the first byte is out.
+    # between its head and tail.
     out = sys.stdout
     out.write(json.dumps(head)[:-1] + ', "unitary": [')
-    for i, row in enumerate(_complex_rows(matrix, order)):
+    for i, row in enumerate(_unitary_rows(form, order)):
         out.write(", " + row if i else row)
-    out.write("], " + json.dumps(tail, allow_nan=False)[1:] + "\n")
+    out.write("], " + json.dumps(tail)[1:] + "\n")
     return 0
 
 
@@ -183,7 +182,6 @@ def _load_state(path: str):
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
-    from .qops import symmetric_order
     from .wigner import NotNormalized, wigner_of
 
     try:

@@ -46,3 +46,9 @@ def hilbert_dim(modulus: int, parity: str) -> int:
     if lattice_modulus(n, parity) != modulus:
         raise ParityError(f"modulus {modulus} is not twice an even dimension")
     return n
+
+
+def symmetric_order(modulus: int) -> list[int]:
+    """Canonical indices {0, ..., modulus-1} ordered by their representative
+    in the symmetric range around zero (v - modulus for v > modulus // 2)."""
+    return sorted(range(modulus), key=lambda v: v - modulus if v > modulus // 2 else v)

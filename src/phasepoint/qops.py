@@ -84,12 +84,6 @@ def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
     return delta
 
 
-def symmetric_order(modulus: int) -> list[int]:
-    """Canonical indices {0, ..., modulus-1} ordered by their representative
-    in the symmetric range around zero (v - modulus for v > modulus // 2)."""
-    return sorted(range(modulus), key=lambda v: v - modulus if v > modulus // 2 else v)
-
-
 def phase_points(n: int, parity: str) -> list[tuple[int, int]]:
     """All lattice points in canonical row-major order.
 

@@ -33,6 +33,10 @@ q = (0, 0), (1, 0), (0, 1), each side a quadratic on a coset, compared at
 six points. metaplectic.intertwining_defect's Schur argument then makes V
 covariant at every phase point.
 
+Descriptor.row gives one row's support, its columns and exponents, in
+O(N/g) integer steps, so a caller such as the rep command can write U(S)
+one row at a time in O(N) memory, with no table built.
+
 Pure Python: no numpy, so the integer layers stay light.
 """
 
@@ -71,6 +75,22 @@ class Descriptor(_Frozen):
         c0, ci, cm, cii, cim, cmm = self.coefficients
         value = c0 + i * (ci + cii * i + cim * m) + m * (cm + cmm * m)
         return (value + self.eighth * (self.root_modulus // 8)) % self.root_modulus
+
+    def row(self, i: int) -> tuple[range, list[int]]:
+        """Row i's support in column order: the columns r, r + g, ... < dim
+        (r < g) as a range, and the exponent at each, a list of N/g
+        integers in O(N/g) integer steps. Column k = kappa + delta i + g m
+        is read at m = m' - t, with t = (kappa + delta i) // g and
+        k = r + g m', where P's m terms, cm m + cim i m + cmm m^2, are a
+        quadratic in m' with row-dependent linear part."""
+        n, root_modulus, g = self.dim, self.root_modulus, self.gcd
+        _, _, cm, _, cim, cmm = self.coefficients
+        t, r = divmod((self.offset + self.stride * i) % n, g)
+        first = self.exponent(i, -t)
+        slope = (cm + cim * i - 2 * cmm * t) % root_modulus
+        curve = cmm % root_modulus
+        steps = range(n // g)
+        return range(r, n, g), [(first + m * (slope + curve * m)) % root_modulus for m in steps]
 
 
 def jacobi(a: int, n: int) -> int:

@@ -27,8 +27,8 @@ from phasepoint.oracle import (
     verify_sw_kernel,
     verify_uniqueness,
 )
-from phasepoint.lattice import EVEN, ODD, lattice_modulus
-from phasepoint.qops import delta_at, symmetric_order, unit_roots
+from phasepoint.lattice import EVEN, ODD, lattice_modulus, symmetric_order
+from phasepoint.qops import delta_at, unit_roots
 from phasepoint.symplectic import (
     decompose,
     enumerate_group,

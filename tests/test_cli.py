@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import resource
@@ -10,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasepoint import metaplectic, oracle  # the CLI reads its checks here at call time
-from phasepoint.cli import REP_ENTRY_BYTES, main
-from phasepoint.symplectic import SympMat
+from phasepoint import metaplectic, oracle, weil  # the CLI reads these at call time
+from phasepoint.cli import _build_parser, main
+from phasepoint.lattice import hilbert_dim, symmetric_order
+from phasepoint.metaplectic import u_of, u_table
+from phasepoint.qops import unit_roots
+from phasepoint.symplectic import SympMat, enumerate_group, random_element
 
 
 def run(capsys, *argv):
@@ -123,6 +127,59 @@ def test_rep_symmetric_index_style(capsys):
     matrix = np.array([[complex(re, im) for re, im in row] for row in payload["unitary"]])
     w = np.exp(2j * np.pi / 3)
     assert np.abs(matrix - np.diag([w**2, 1, w**2])).max() < 1e-12
+
+
+# Fixed before the comparison was first run. The printed entries and
+# u_table's float view are one root of unity scaled by sqrt(g/N), from
+# math.cos and math.sin against numpy's exp: 2 ulp of a unit entry. (rep
+# rounds the angle as unit_roots does, and here they agree bit for bit.)
+# u_of builds U(S) with FFTs, so it is only near its table.
+TABLE_TOLERANCE = 4.5e-16
+FFT_TOLERANCE = 1e-12
+
+
+def printed_unitary(parser, s, parity, style):
+    """rep's matrix for ``s``, run in process, as an (N, N, 2) float array."""
+    n = hilbert_dim(s.modulus, parity)
+    args = parser.parse_args(["rep", "--dim", str(n), "--parity", parity, "--index-style", style,
+                              "--matrix", ",".join(map(str, s.entries))])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert args.func(args) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["exact"] is True and payload["covariance_residual"] == 0.0
+    return np.array(payload["unitary"])
+
+
+def assert_rep_matches_its_references(parser, s, parity):
+    table = u_table(s, parity)
+    view = np.where(table.support, table.scale * unit_roots(table.root_modulus)[table.exponents], 0)
+    built = u_of(s, parity).matrix
+    order = symmetric_order(view.shape[0])
+    for style, rows in (("canonical", slice(None)), ("symmetric", np.ix_(order, order))):
+        pairs = printed_unitary(parser, s, parity, style)
+        printed = pairs[..., 0] + 1j * pairs[..., 1]
+        support = table.support[rows]
+        assert np.array_equal((pairs != 0).any(axis=-1), support), (s, style)
+        assert np.abs(printed - view[rows]).max() <= TABLE_TOLERANCE, (s, style)
+        assert np.abs(printed - built[rows]).max() <= FFT_TOLERANCE, (s, style)
+
+
+@pytest.mark.parametrize("modulus,parity", [(m, "odd") for m in (3, 5, 7, 9, 11)]
+                         + [(m, "even") for m in (4, 8, 12)])
+def test_rep_prints_the_closed_form_on_whole_group(modulus, parity):
+    parser = _build_parser()
+    for s in enumerate_group(modulus):
+        assert_rep_matches_its_references(parser, s, parity)
+
+
+@pytest.mark.parametrize("n,parity", [(255, "odd"), (256, "even")])
+def test_rep_prints_the_closed_form_at_large_dimensions(n, parity):
+    parser = _build_parser()
+    rng = np.random.default_rng(20 + n)
+    for _ in range(20):
+        s = random_element(2 * n if parity == "even" else n, rng)
+        assert_rep_matches_its_references(parser, s, parity)
 
 
 def write_state(path, amplitudes):
@@ -429,25 +486,23 @@ def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
     assert payload["pass"] is False
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_rep_writes_non_finite_residual_as_null(capsys, monkeypatch, value):
-    monkeypatch.setattr(metaplectic, "intertwining_defect", lambda table, s, parity: value)
-    code, out, _ = run(capsys, "rep", "--dim", "3", "--parity", "odd", "--matrix", "1,1,0,1")
-    assert code == 0
-    assert strict_json(out)["covariance_residual"] is None
-
-
-def test_rep_exits_one_when_the_unitary_does_not_round_to_a_table(capsys, monkeypatch):
-    build = metaplectic.u_of
-
-    def scaled(s, parity):
-        return metaplectic.ProjUnitary(build(s, parity).matrix * 1.01)
-
-    monkeypatch.setattr(metaplectic, "u_of", scaled)
+def test_rep_exits_one_when_the_certificate_fails(capsys, monkeypatch):
+    monkeypatch.setattr(weil, "certify", lambda form, s, parity: False)
     code, out, err = run(capsys, "rep", "--dim", "5", "--parity", "odd", "--matrix", "2,1,1,1")
     assert code == 1
     assert out == ""
-    assert "modulus" in err
+    assert "certificate" in err
+
+
+def test_rep_exits_one_when_the_closed_form_breaks(capsys, monkeypatch):
+    def broken(word, parity):
+        raise ArithmeticError("descriptor is not periodic in m")
+
+    monkeypatch.setattr(weil, "compose", broken)
+    code, out, err = run(capsys, "rep", "--dim", "5", "--parity", "odd", "--matrix", "2,1,1,1")
+    assert code == 1
+    assert out == ""
+    assert "periodic" in err
 
 
 def test_verify_covariance_exits_one_when_no_table_can_be_certified(capsys, monkeypatch):
@@ -479,20 +534,22 @@ def test_rep_streams_the_text_of_one_json_dump(capsys, argv):
     assert out == json.dumps(strict_json(out), allow_nan=False) + "\n"
 
 
-def test_rep_peak_is_within_its_entry_bound():
-    # With the rows streamed, u_table's rounding sets rep's peak, about 78
-    # bytes per entry here; building the rows as one nested list took 237.
-    argv = ["rep", "--dim", "255", "--parity", "odd", "--matrix", "5,2,2,1", "--index-style", "symmetric"]
+def test_rep_peak_is_linear_in_the_dimension():
+    # rep holds one row and the L = 8R texts of its roots, 1.0 to 1.8 KiB
+    # per N here; a budget of 4 KiB per N, fixed before measuring, is about
+    # a twentieth of what rounding U(S) to a table held (78 B per entry).
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        assert main(argv[:2] + ["3"] + argv[3:]) == 0  # loads the numeric layers
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < REP_ENTRY_BYTES * 255**2
+        for dim, parity in (("1023", "odd"), ("1024", "even")):
+            argv = ["rep", "--dim", dim, "--parity", parity, "--matrix", "5,2,2,1"]
+            assert main(argv[:2] + ["3" if parity == "odd" else "2"] + argv[3:]) == 0
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 4096 * int(dim), (dim, parity, peak)
 
 
 def test_rep_builds_no_kernel_cache(capsys, no_dense_kernel):
@@ -584,7 +641,7 @@ def test_verify_covariance_passes_at_large_dimensions(dim, parity):
 
 @pytest.mark.parametrize("dim,parity", [("255", "odd"), ("256", "even")])
 def test_rep_is_exact_above_the_covariance_bound(dim, parity):
-    # rep certifies U(S) from its exponent table, with no N^3 block
+    # rep certifies U(S)'s closed form in O(1), with no table or N^3 block
     child = run_capped("rep", "--dim", dim, "--parity", parity, "--matrix", "2,1,1,1")
     assert child.returncode == 0, child.stderr
     payload = strict_json(child.stdout)
@@ -595,9 +652,8 @@ def test_rep_is_exact_above_the_covariance_bound(dim, parity):
 
 @pytest.mark.parametrize("dim,parity", [("1833", "odd"), ("1832", "even")])
 def test_rep_above_output_bound_exits_two(dim, parity):
-    # rep's peak, 80 bytes per unitary entry (u_table's rounding), passes
-    # 256 MiB above odd N = 1831 and even N = 1830; rep refuses before it
-    # builds U(S)
+    # rep's output bound, 80 bytes per unitary entry, passes 256 MiB above
+    # odd N = 1831 and even N = 1830; rep refuses before it builds U(S)
     child = run_capped("rep", "--dim", dim, "--parity", parity, "--matrix", "1,1,0,1")
     assert child.returncode == 2
     assert child.stdout == ""

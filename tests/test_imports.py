@@ -1,6 +1,6 @@
 """The package root, the lattice helpers, U(S)'s closed form (weil) and the
-decompose command must run without numpy, and without ``dataclasses`` or
-``inspect``.
+decompose and rep commands must run without numpy, and without
+``dataclasses`` or ``inspect``.
 
 The child process poisons ``numpy`` in ``sys.modules`` before anything from
 phasepoint is imported, so any import of numpy (direct, or through a numeric
@@ -9,11 +9,15 @@ layer) raises ImportError there and fails the test. ``dataclasses`` loads
 so the child also checks that neither was loaded.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from phasepoint.cli import main
 
 CHILD = r"""
 import contextlib
@@ -63,6 +67,17 @@ for method in ("euclid", "bfs"):
         cli.decompose = fake
         results[method].append(run(*dec, "11", "--matrix", "2,1,1,1"))
     cli.decompose = symplectic.decompose
+rep = ("rep", "--parity")
+results["rep"] = [
+    run(*rep, parity, "--dim", dim, "--matrix", "5,2,2,1", "--index-style", style)
+    for parity, dim in (("odd", "63"), ("even", "32"))
+    for style in ("canonical", "symmetric")
+]
+results["rep"].append(run(*rep, "odd", "--dim", "63", "--matrix", "1,1,1,1"))
+results["rep"].append(run(*rep, "odd", "--dim", "1833", "--matrix", "2,1,1,1"))
+weil.four_factor_word = fail_decompose
+results["rep"].append(run(*rep, "odd", "--dim", "63", "--matrix", "2,1,1,1"))
+weil.four_factor_word = symplectic.four_factor_word
 results["start_up_modules"] = sorted(
     name for name in ("dataclasses", "inspect") if name in sys.modules
 )
@@ -94,6 +109,25 @@ def test_root_and_decompose_import_no_numpy():
         for r in runs[1:]:
             assert r["out"] == ""
             assert r["err"].startswith("error:")
+    rep = results["rep"]
+    assert [r["code"] for r in rep] == [0, 0, 0, 0, 2, 2, 3]
+    argvs = [("rep", "--parity", parity, "--dim", dim, "--matrix", "5,2,2,1", "--index-style", style)
+             for parity, dim in (("odd", "63"), ("even", "32"))
+             for style in ("canonical", "symmetric")]
+    for r, argv in zip(rep, argvs):
+        # the same text as a run beside numpy and the numeric layers
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+        assert r["out"] == out.getvalue()
+        payload = json.loads(r["out"])
+        assert (payload["exact"], len(payload["unitary"])) == (True, int(argv[4]))
+    for r in rep[4:]:
+        assert r["out"] == ""
+        assert r["err"].startswith("error:")
+    assert "det" in rep[4]["err"]
+    assert "bound" in rep[5]["err"]
+    assert "injected" in rep[6]["err"]
     assert results["numeric_modules"] == []
     assert results["start_up_modules"] == []
 

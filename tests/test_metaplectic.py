@@ -12,6 +12,7 @@ from phasepoint.lattice import (
     ParityError,
     hilbert_dim,
     lattice_modulus,
+    symmetric_order,
 )
 from phasepoint import metaplectic
 from phasepoint.metaplectic import (
@@ -40,7 +41,6 @@ from phasepoint.qops import (
     delta_at,
     kernel_factors,
     phase_points,
-    symmetric_order,
     unit_roots,
 )
 from phasepoint.symplectic import (

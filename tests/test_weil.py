@@ -18,7 +18,7 @@ from phasepoint.metaplectic import (
     u_of,
     u_table,
 )
-from phasepoint.symplectic import decompose, enumerate_group, random_element
+from phasepoint.symplectic import SympMat, decompose, enumerate_group, random_element
 
 WHOLE_GROUPS = [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8, 12)]
 
@@ -112,6 +112,36 @@ def test_descriptor_table_is_the_rounded_unitary_at_large_dimensions(n, parity):
         form = weil.descriptor(s, parity)
         assert weil.certify(form, s, parity)
         assert_tables_equal(u_table(s, parity), u_table(s, parity, u_of(s, parity)))
+
+
+def assert_rows_are_the_table(form):
+    """Descriptor.row, row by row, against _descriptor_table: the table's
+    support in column order, with the table's exponents."""
+    table = _descriptor_table(form)
+    n = form.dim
+    for i in range(n):
+        columns, exponents = form.row(i)
+        assert len(columns) == len(exponents) == n // form.gcd
+        assert table.support[i].nonzero()[0].tolist() == list(columns)
+        assert table.exponents[i, columns].tolist() == exponents
+
+
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_rows_stream_the_table_on_whole_group(modulus, parity):
+    for s in enumerate_group(modulus):
+        assert_rows_are_the_table(weil.descriptor(s, parity))
+
+
+@pytest.mark.parametrize("n,parity", [(255, ODD), (256, EVEN)])
+def test_rows_stream_the_table_at_large_dimensions(n, parity):
+    modulus = lattice_modulus(n, parity)
+    rng = np.random.default_rng(n)
+    elements = [random_element(modulus, rng) for _ in range(3)]
+    # b = 0 (g = N: one entry a row) and b = 5 (g = 5 at N = 255)
+    elements += [SympMat(7, 0, 3, pow(7, -1, modulus), modulus),
+                 SympMat(1, 5, 0, 1, modulus)]
+    for s in elements:
+        assert_rows_are_the_table(weil.descriptor(s, parity))
 
 
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
