@@ -2,9 +2,9 @@
 
 Odd lattices (N odd) index phase points mod N; even lattices (N even) use the
 doubled grid mod 2N. This module is the one place that maps a dimension and a
-parity onto the lattice and back. Its names live apart from the numeric
-layers so that argument checks and the command-line parser run without
-importing numpy.
+parity onto the lattice and back, and the one place that picks a parity's
+kernel step. Its names live apart from the numeric layers so that argument
+checks and the command-line parser run without importing numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def lattice_modulus(n: int, parity: str) -> int:
     """Index modulus of the phase lattice: N for odd parity, 2N for even."""
     check_parity(n, parity)
     return n if parity == ODD else 2 * n
+
+
+def kernel_step(parity: str) -> int:
+    """The one choice between the two kernels: row i of Delta_(x,y) has its
+    nonzero in column step x - i mod N, with exponent 2 y i - step x y mod
+    lattice_modulus. Step 2 over Z_N on odd lattices (Cohendet et al.),
+    step 1 over Z_2N on the doubled grid (Leonhardt). Callers check the
+    parity, with the dimension, through check_parity."""
+    return 2 if parity == ODD else 1
 
 
 def hilbert_dim(modulus: int, parity: str) -> int:

@@ -249,12 +249,6 @@ class UTable(NamedTuple):
     scale: float
     root_modulus: int
 
-    def residual(self, u) -> float:
-        """max |u - table|, entrywise: how far a float matrix is from the
-        table; NaN if any entry of ``u`` is."""
-        values = self.scale * unit_roots(self.root_modulus)[self.exponents]
-        return float(np.abs(_as_matrix(u) - np.where(self.support, values, 0)).max())
-
 
 def u_table(s: SympMat, parity: str, u=None) -> UTable:
     """U(S) as an exact table: by default straight from its closed form
@@ -284,33 +278,22 @@ def u_table(s: SympMat, parity: str, u=None) -> UTable:
 
 
 def _descriptor_table(form) -> UTable:
-    """A weil.Descriptor's table, in int64 arithmetic with no rounding.
-
-    Row i's columns are k = r_i + g m' for m' in Z_(N/g), with
-    r_i = (kappa + delta i) mod g; that is the lift m = m' - t_i of the
-    descriptor's coordinate, t_i = (kappa + delta i) // g, so row i's
-    exponents are a row constant plus a row slope times m' plus P's pure
-    m' terms. Every product is reduced mod L before the next, which keeps
-    it far inside int64 at any N the byte bounds admit.
-    """
+    """A weil.Descriptor's table, in int64 arithmetic with no rounding: every
+    row laid out at once by Descriptor.row_terms, whose products stay far
+    inside int64 at any N the byte bounds admit."""
     n, root_modulus, g = form.dim, form.root_modulus, form.gcd
-    c0, ci, cm, cii, cim, cmm = (int(c) % root_modulus for c in form.coefficients)
     rows = np.arange(n, dtype=np.int64)
     steps = np.arange(n // g, dtype=np.int64)
-    lifts = (form.offset + form.stride * rows) // g
-    constant = (c0 + form.eighth * (root_modulus // 8)
-                + rows * ((ci + cii * rows) % root_modulus)
-                - lifts * ((cm + cim * rows - cmm * lifts) % root_modulus)) % root_modulus
-    slopes = (cim * rows - 2 * cmm * lifts) % root_modulus
+    residues, first, slopes = form.row_terms(rows)
+    curve = int(form.coefficients[5]) % root_modulus
     exponents = np.multiply.outer(slopes, steps)
-    exponents += constant[:, None]
-    exponents += (steps * ((cm + cmm * steps) % root_modulus))[None, :]
+    exponents += first[:, None]
+    exponents += (steps * (curve * steps % root_modulus))[None, :]
     exponents %= root_modulus
     if g == 1:
         support = np.ones((n, n), dtype=bool)
     else:
         # column k = g m' + r sits at [m', r] of a row viewed as (N/g, g)
-        residues = (form.offset + form.stride * rows) % g
         grid, exponents = exponents, np.zeros((n, n), dtype=np.int64)
         support = np.zeros((n, n), dtype=bool)
         exponents.reshape(n, n // g, g)[rows, :, residues] = grid

@@ -28,6 +28,12 @@ from .symplectic import SympMat, check_bytes
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
+# solve_covariance's bytes per entry of its stacked system: the system, the
+# QR's copy of a block and LAPACK's workspace. Peak RSS grew by 3.10 and 3.09
+# copies of the complex system at odd N = 11 and 13, where it is one block,
+# and by 1.3-1.5 copies on the doubled grid, where it splits; 3.25 copies
+# are counted.
+_SYSTEM_ENTRY_BYTES = 52
 
 
 def _check_table_bytes(what: str, n: int, parity: str) -> None:
@@ -74,15 +80,17 @@ def solve_covariance(
     unknown. The point set must be closed under the action of ``s`` (its
     keys are taken mod s.modulus).
 
-    Raises BoundExceeded, before building anything, when the stacked system
-    (points * N^4 complex entries) would exceed the byte bound: above odd
-    N = 15 and even N = 12 on the full grid.
+    A kernel with a NaN or inf entry raises ValueError before the system is
+    built. Raises BoundExceeded, before building anything, when the solve's
+    working set would exceed the byte bound: _SYSTEM_ENTRY_BYTES per entry
+    of the stacked system (points * N^4 complex entries), which admits odd
+    N <= 13 and even N <= 10 on the full grid.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
-    size = len(points) * dim**4 * np.dtype(complex).itemsize
+    size = len(points) * dim**4 * _SYSTEM_ENTRY_BYTES
     check_bytes(f"covariance system of {len(points)} points at dimension {dim}", size)
     images = []
     for point in points:
@@ -91,6 +99,9 @@ def solve_covariance(
             raise ValueError(f"family is not closed under the action: missing {moved}")
         images.append(deltas[moved])
     source = np.stack([deltas[point] for point in points])
+    # every image is a kernel of the family, so the sources cover them all
+    if not np.isfinite(source).all():
+        raise ValueError("phase point family has a kernel that is not finite")
     system = np.zeros((len(points), dim, dim, dim, dim), dtype=complex)
     diag = np.arange(dim)
     # row (p, i, j), column (k, l): Delta_p[l, j] where k = i, minus

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ODD, check_parity, lattice_modulus
+from .lattice import kernel_step, lattice_modulus
 from .modring import _check_modulus
 from .symplectic import check_bytes
 
@@ -34,42 +34,30 @@ def unit_roots(m: int) -> np.ndarray:
 
 
 class KernelFactors(NamedTuple):
-    """Factored phase point operators Delta_(x,y) = c_xy Z_y Pi_x.
-
-    Row i of Pi_x has its one 1 in column ``cols[..., i]``; Z_y is the
-    diagonal unit_roots(root_modulus)[diag[..., i]]; the scalar c_xy is
-    unit_roots(root_modulus)[const]. All exponents are reduced mod
-    root_modulus.
-    """
+    """Phase point operators as integer tables: row i of Delta_(x,y) has its
+    one nonzero, unit_roots(root_modulus)[exponents[..., i]], in column
+    ``cols[..., i]``. Exponents are reduced mod root_modulus."""
 
     cols: np.ndarray
-    diag: np.ndarray
-    const: np.ndarray | int
+    exponents: np.ndarray
     root_modulus: int
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """Row i's entry is unit_roots(root_modulus)[exponents[..., i]]."""
-        return (self.diag + self.const) % self.root_modulus
 
 
 def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
-    """Factors of the phase point operators at points (x, y).
+    """Tables of the phase point operators at points (x, y), laid out by
+    lattice.kernel_step: column step x - i mod N and exponent
+    2 y i - step x y mod R, with R = lattice_modulus(n, parity). That is
+    Cohendet's kernel w^(2 y i - 2 x y) in column 2x - i on odd lattices,
+    w = exp(2 pi i / N), and Leonhardt's wt^(2 k i - j k) in column j - i
+    at doubled coordinates (j, k) on even ones, wt = exp(2 pi i / 2N).
 
     x and y are integers or integer arrays; they broadcast against the row
     index i, which runs along the last axis (pass x[:, None] for a batch).
-
-    Odd (Cohendet), with w = exp(2 pi i / N): Pi_x sends row i to column
-    (2x - i) mod N, Z_y = diag(w^(2 y i)) and c_xy = w^(-2 x y).
-    Even (Leonhardt), doubled coordinates (x, y) = (j, k), with
-    wt = exp(2 pi i / 2N): Pi_j sends row i to column (j - i) mod N,
-    Z_k = diag(wt^(2 k i)) and c_jk = wt^(-k j).
+    A dimension or parity that does not fit raises ParityError.
     """
+    step, r = kernel_step(parity), lattice_modulus(n, parity)
     rows = np.arange(n)
-    if parity == ODD:
-        return KernelFactors((2 * x - rows) % n, (2 * y * rows) % n, (-2 * x * y) % n, n)
-    r = 2 * n
-    return KernelFactors((x - rows) % n, (2 * y * rows) % r, (-x * y) % r, r)
+    return KernelFactors((step * x - rows) % n, (2 * y * rows - step * x * y) % r, r)
 
 
 def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
@@ -77,7 +65,6 @@ def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
     (m, nn) on odd lattices (Cohendet), doubled coordinates (j, k) on even
     ones (Leonhardt), laid out as kernel_factors describes. A dimension or
     parity that does not fit raises ParityError."""
-    check_parity(n, parity)
     factors = kernel_factors(n, parity, *point)
     delta = np.zeros((n, n), dtype=complex)
     delta[np.arange(n), factors.cols] = unit_roots(factors.root_modulus)[factors.exponents]

@@ -33,9 +33,12 @@ q = (0, 0), (1, 0), (0, 1), each side a quadratic on a coset, compared at
 six points. metaplectic.intertwining_defect's Schur argument then makes V
 covariant at every phase point.
 
-Descriptor.row gives one row's support, its columns and exponents, in
-O(N/g) integer steps, so a caller such as the rep command can write U(S)
-one row at a time in O(N) memory, with no table built.
+Descriptor.row_terms lays out a row's support and exponents, for an int or
+an int64 array of rows, and is the one place that does. Descriptor.row
+reads it into one row's columns and exponents in O(N/g) integer steps, so
+a caller such as the rep command can write U(S) one row at a time in O(N)
+memory, with no table built; metaplectic's table view reads it for all
+rows at once.
 
 Pure Python: no numpy, so the integer layers stay light.
 """
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import ODD, hilbert_dim
+from .lattice import ODD, hilbert_dim, kernel_step
 from .modring import _Frozen
 from .symplectic import four_factor_word
 
@@ -76,19 +79,31 @@ class Descriptor(_Frozen):
         value = c0 + i * (ci + cii * i + cim * m) + m * (cm + cmm * m)
         return (value + self.eighth * (self.root_modulus // 8)) % self.root_modulus
 
-    def row(self, i: int) -> tuple[range, list[int]]:
-        """Row i's support in column order: the columns r, r + g, ... < dim
-        (r < g) as a range, and the exponent at each, a list of N/g
-        integers in O(N/g) integer steps. Column k = kappa + delta i + g m
-        is read at m = m' - t, with t = (kappa + delta i) // g and
-        k = r + g m', where P's m terms, cm m + cim i m + cmm m^2, are a
-        quadratic in m' with row-dependent linear part."""
+    def row_terms(self, i):
+        """Row i's layout, for an int or an int64 array i: its first column
+        r < g, and the exponent at column r + g m', first + m' (slope +
+        curve m') mod L, with curve = cmm mod L for every row. Column
+        k = kappa + delta i + g m is read at m = m' - t, with
+        t = ((kappa + delta i) mod N) // g, so first is P(i, -t) with the
+        eighth root and slope = cm + cim i - 2 cmm t. The coefficients are
+        reduced mod L before any product, which keeps int64 exact at every
+        N the byte bounds admit."""
         n, root_modulus, g = self.dim, self.root_modulus, self.gcd
-        _, _, cm, _, cim, cmm = self.coefficients
+        c0, ci, cm, cii, cim, cmm = (int(c) % root_modulus for c in self.coefficients)
         t, r = divmod((self.offset + self.stride * i) % n, g)
-        first = self.exponent(i, -t)
-        slope = (cm + cim * i - 2 * cmm * t) % root_modulus
-        curve = cmm % root_modulus
+        linear = cm + cim * i
+        first = (c0 + self.eighth * (root_modulus // 8)
+                 + i * ((ci + cii * i) % root_modulus)
+                 - t * ((linear - cmm * t) % root_modulus)) % root_modulus
+        return r, first, (linear - 2 * cmm * t) % root_modulus
+
+    def row(self, i: int) -> tuple[range, list[int]]:
+        """Row i's support in column order, the columns r, r + g, ... < dim
+        as a range, and the exponent at each, a list of N/g integers in
+        O(N/g) integer steps (row_terms)."""
+        n, root_modulus, g = self.dim, self.root_modulus, self.gcd
+        r, first, slope = self.row_terms(i)
+        curve = self.coefficients[5] % root_modulus
         steps = range(n // g)
         return range(r, n, g), [(first + m * (slope + curve * m)) % root_modulus for m in steps]
 
@@ -262,9 +277,9 @@ def certify(form: Descriptor, s, parity: str) -> bool:
        so three points decide it; the table is then well defined, and P may
        be read at unreduced indices.
     3. For q = (0, 0), (1, 0), (0, 1) and q' = S.q, with Delta_q's row i
-       holding zeta^(8 e_q(i)) in column u - i (qops.kernel_factors: u = 2x
-       and e_q(i) = 2yi - 2xy on odd lattices, u = x and 2yi - xy on even
-       ones): (V Delta_q)[i, j] = V[i, u - j] zeta^(8 e_q(u - j)) and
+       holding zeta^(8 e_q(i)) in column u - i (lattice.kernel_step:
+       u = step x and e_q(i) = 2yi - step xy),
+       (V Delta_q)[i, j] = V[i, u - j] zeta^(8 e_q(u - j)) and
        (Delta_q' V)[i, j] = zeta^(8 e_q'(i)) V[u' - i, j]. Their cosets must
        agree mod g; then, in the coset's lifted coordinates (i, mu), both
        exponents are integer quadratics, which agree mod L on all of Z^2
@@ -283,12 +298,12 @@ def certify(form: Descriptor, s, parity: str) -> bool:
         here = at(i, m)
         if at(i, m + period) != here or at(i + n, m - delta * period) != here:
             return False
-    odd = parity == ODD
+    step = kernel_step(parity)
     for x, y in ((0, 0), (1, 0), (0, 1)):
         x2, y2 = (s.a * x + s.b * y) % s.modulus, (s.c * x + s.d * y) % s.modulus
-        u, u2 = (2 * x, 2 * x2) if odd else (x, x2)
-        # e_q(k) in zeta units, at any integer k
-        const, const2 = (16 * x * y, 16 * x2 * y2) if odd else (8 * x * y, 8 * x2 * y2)
+        u, u2 = step * x, step * x2
+        # e_q(k) = 2yk - step xy in R units, times 8 in zeta units
+        const, const2 = 8 * step * x * y, 8 * step * x2 * y2
         left_offset, right_offset = u - kappa, kappa + delta * u2
         if (right_offset - left_offset) % g:
             return False

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ODD, DimensionMismatch, hilbert_dim, lattice_modulus
+from .lattice import DimensionMismatch, hilbert_dim, kernel_step, lattice_modulus
 from .qops import unit_roots
 from .symplectic import check_bytes
 
@@ -116,13 +116,6 @@ class Marginals(NamedTuple):
     momentum: np.ndarray
 
 
-def _step(parity: str) -> int:
-    # Kernel at (x, y) has its row-i entry in column (step*x - i) mod N, with
-    # phase w^(step*y*i) times a row-independent factor wt^(-step*x*y) where
-    # wt = exp(2 pi i / modulus): step 2 on odd lattices, 1 on the doubled grid.
-    return 2 if parity == ODD else 1
-
-
 def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     """Wigner table of a pure state.
 
@@ -152,7 +145,7 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     modulus = lattice_modulus(n, parity)
     table_bytes = modulus * modulus * 4 * np.dtype(complex).itemsize
     check_bytes(f"Wigner table of {modulus} x {modulus} cells", table_bytes)
-    step = _step(parity)
+    step = kernel_step(parity)
     amps = state.amplitudes
     x = np.arange(modulus).reshape(-1, 1)
     i = np.arange(n)
@@ -191,9 +184,10 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     or 2N (even). Real grids quantize to Hermitian operators; a constant
     grid c quantizes to c times the identity.
 
-    This is the transpose of ``wigner_of``: for each grid row x, the sum over
-    y of H[x, y] wt^(-step x y) w^(step y i) is one length-D inverse DFT read
-    at index 2i mod D, and it lands on the kernel's support (i, step*x - i).
+    This is the transpose of ``wigner_of``: with step = lattice.kernel_step,
+    for each grid row x, the sum over y of H[x, y] wt^(-step x y) w^(step y i)
+    is one length-D inverse DFT read at index 2i mod D, and it lands on the
+    kernel's support (i, step*x - i).
     At even N, rows j and j + N share that support and add. The cost is
     O(N^2 log N); no kernel matrix is built.
     """
@@ -204,7 +198,7 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     n = hilbert_dim(modulus, parity)
     if not np.isfinite(values).all():
         raise ValueError("grid has non-finite entries")
-    step = _step(parity)
+    step = kernel_step(parity)
     x = np.arange(modulus).reshape(-1, 1)
     y = np.arange(modulus)
     i = np.arange(n)

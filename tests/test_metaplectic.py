@@ -316,8 +316,9 @@ def all_points_covariance(us, elements, parity):
     for y in range(n):
         image = kernel_factors(n, parity, image_x[y], image_y[y])
         # products[g, i, x, k] = (U_g Z_y Pi_x U_g^dag)[i, k]
-        np.matmul(us * roots[source.diag[y]], gather, out=products.reshape(count, n, n * n))
-        exponents = (image.diag + image.const - source.const[y]) % r
+        # Z_y is the row of points' kernel at x = 0, c_xy its exponent at i = 0
+        np.matmul(us * roots[source.exponents[y, 0]], gather, out=products.reshape(count, n, n * n))
+        exponents = (image.exponents - source.exponents[y, :, :1]) % r
         # the image kernel is supported at (i, image.cols[g, x, i]) in block x
         products.reshape(-1)[offsets + image.cols] -= roots[exponents]
         defects[y] = np.abs(products).max(axis=(1, 2, 3))
@@ -686,7 +687,7 @@ def test_three_point_defect_is_exact_on_whole_group(modulus, parity, rng):
         table = u_table(s, parity, unitary)
         assert table.gcd == math.gcd(s.b, n)
         assert table.support.sum() == n * n // table.gcd
-        assert table.residual(unitary) < 1e-12
+        assert np.abs(unitary.matrix - table_matrix(table)).max() < 1e-12
         mutants = table_mutants(table, rng)
         three = [intertwining_defect(v, s, parity) for v in [table] + mutants]
         every = all_points_defects([table] + mutants, s, parity)
@@ -751,4 +752,4 @@ def test_u_table_is_exact_at_large_dimensions(n, parity, rng):
     unitary = u_of(s, parity)
     table = u_table(s, parity, unitary)
     assert intertwining_defect(table, s, parity) == 0.0
-    assert table.residual(unitary) < 1e-12
+    assert np.abs(unitary.matrix - table_matrix(table)).max() < 1e-12

@@ -117,8 +117,9 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
 
 
 def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
+    # 3.25 copies of the system's complex entries: 52 bytes per entry
     family = delta_family(3, ODD)
-    system_bytes = len(family) * 3**4 * 16
+    system_bytes = len(family) * 3**4 * 52
     byte_bound(system_bytes)
     assert solve_covariance(generator("+", 3), family).nullity == 1
     byte_bound(system_bytes - 1)
@@ -127,12 +128,12 @@ def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
 
 
 @pytest.mark.parametrize(
-    "n,parity,allowed", [(15, ODD, True), (17, ODD, False), (12, EVEN, True), (14, EVEN, False)]
+    "n,parity,allowed", [(13, ODD, True), (15, ODD, False), (10, EVEN, True), (12, EVEN, False)]
 )
 def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
     # full-grid families: N^2 points at odd N, (2N)^2 on the doubled grid
     points = lattice_modulus(n, parity) ** 2
-    assert (points * n**4 * 16 <= symplectic.SYSTEM_BYTES_BOUND) == allowed
+    assert (points * n**4 * 52 <= symplectic.SYSTEM_BYTES_BOUND) == allowed
 
 
 def test_sw_kernel_odd():
@@ -217,10 +218,11 @@ def one_exponent_mutant(point):
 
     def mutant(n, parity, x, y):
         factors = qops.kernel_factors(n, parity, x, y)
-        hit = np.broadcast_to((x == point[0]) & (y == point[1]), factors.diag.shape).copy()
+        exponents = factors.exponents
+        hit = np.broadcast_to((x == point[0]) & (y == point[1]), exponents.shape).copy()
         hit[..., 1:] = False  # row 0 only
-        diag = np.where(hit, (factors.diag + 1) % factors.root_modulus, factors.diag)
-        return factors._replace(diag=diag)
+        raised = np.where(hit, (exponents + 1) % factors.root_modulus, exponents)
+        return factors._replace(exponents=raised)
 
     return mutant
 
@@ -356,7 +358,9 @@ def test_solve_covariance_on_a_dense_family_with_one_component(rng):
 
 @pytest.mark.parametrize("n,integer_points", [(7, False), (8, True)], ids=["odd-7-full-grid", "even-8-integer-points"])
 def test_solve_covariance_peak_memory(n, integer_points):
-    # check_bytes counts one copy of the system, points * N^4 complex entries
+    # check_bytes counts 3.25 copies of the system (points * N^4 complex
+    # entries) for peak RSS; tracemalloc sees less, as LAPACK's workspace is
+    # not traced
     family = integer_point_family(n) if integer_points else delta_family(n, ODD)
     s = generator("+", n)
     system_bytes = len(family) * n**4 * 16
@@ -371,14 +375,14 @@ def test_solve_covariance_peak_memory(n, integer_points):
 
 @pytest.mark.parametrize("n,parity,integer_points", [(3, ODD, False), (4, EVEN, True), (8, EVEN, True)])
 def test_nan_in_family_gives_no_solution(n, parity, integer_points):
-    # A NaN where a kernel is zero counts as a nonzero of the system, so it
-    # reaches a block's SVD, which raises, instead of being left out.
+    # A NaN where a kernel is zero is refused before the system is built,
+    # not left to numpy's SVD.
     clean = integer_point_family(n) if integer_points else delta_family(n, parity)
     for point in [(0, 0), (1, 1)]:
         family = dict(clean)
         family[point] = family[point].copy()
         family[point][tuple(np.argwhere(family[point] == 0)[0])] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match="not finite"):
             solve_covariance(generator("+", n), family)
 
 def test_unitarize_rejects_nan_candidates():

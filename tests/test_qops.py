@@ -10,8 +10,8 @@ from conftest import (
     weyl_leonhardt,
     weyl_symmetric,
 )
-from phasepoint.lattice import EVEN, ODD, ParityError
-from phasepoint.qops import delta_at, delta_family, phase_points, unit_roots
+from phasepoint.lattice import EVEN, ODD, ParityError, kernel_step
+from phasepoint.qops import delta_at, delta_family, kernel_factors, phase_points, unit_roots
 from phasepoint.symplectic import BoundExceeded
 
 TOL = 1e-12
@@ -144,6 +144,20 @@ def test_delta_leonhardt_base_point():
     assert np.abs(ghost - np.array([[0, 1], [1, 0]])).max() < TOL
     with pytest.raises(ParityError):
         delta_at(3, EVEN, (0, 0))
+
+
+@pytest.mark.parametrize("n,parity", [(4, ODD), (3, EVEN), (1, ODD), (4, "bogus")])
+def test_kernel_factors_refuses_a_dimension_that_does_not_fit(n, parity):
+    with pytest.raises(ParityError):
+        kernel_factors(n, parity, 1, 0)
+
+
+def test_kernel_step_is_two_on_odd_lattices_and_one_on_the_doubled_grid():
+    # Cohendet's Delta_(x,y) sends row i to column 2x - i mod N, Leonhardt's
+    # Delta_(j,k) to column j - i
+    assert kernel_step(ODD) == 2 and kernel_step(EVEN) == 1
+    assert kernel_factors(5, ODD, 1, 0).cols.tolist() == [2, 1, 0, 4, 3]
+    assert kernel_factors(4, EVEN, 1, 0).cols.tolist() == [1, 0, 3, 2]
 
 
 @pytest.mark.parametrize("parity", ["bogus", "Odd", ""])

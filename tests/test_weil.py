@@ -144,6 +144,25 @@ def test_rows_stream_the_table_at_large_dimensions(n, parity):
         assert_rows_are_the_table(weil.descriptor(s, parity))
 
 
+@pytest.mark.parametrize("n,parity", [(255, ODD), (1023, ODD), (256, EVEN), (1024, EVEN)])
+def test_row_terms_of_all_rows_are_each_rows(n, parity):
+    # the int64 layout _descriptor_table reads, against the pure-Python one
+    # Descriptor.row reads, with g = 1 and g > 1
+    modulus = lattice_modulus(n, parity)
+    rng = np.random.default_rng(n)
+    elements = [random_element(modulus, rng) for _ in range(2)]
+    elements += [SympMat(1, 1, 0, 1, modulus), SympMat(1, 6, 1, 7, modulus),
+                 SympMat(7, 0, 3, pow(7, -1, modulus), modulus)]
+    gcds = {math.gcd(s.b, n) for s in elements}
+    assert 1 in gcds and len(gcds) > 2
+    rows = np.arange(n, dtype=np.int64)
+    for s in elements:
+        form = weil.descriptor(s, parity)
+        terms = form.row_terms(rows)
+        assert all(array.dtype == np.int64 for array in terms)
+        assert [tuple(map(int, row)) for row in zip(*terms)] == [form.row_terms(i) for i in range(n)]
+
+
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
 def test_euclidean_word_gives_the_same_table_up_to_one_phase(modulus, parity):
     # the paper's Euclidean word, up to 13 factors long, as the independent
