@@ -7,10 +7,9 @@ uniqueness is the solution count of a gain graph over integer phases
 (verify_uniqueness), and the kernel properties are table identities
 (verify_sw_kernel), translation at the two Weyl generators, which give
 every shift. The floating-point cross-check at small N, solve_covariance,
-stacks the covariance relation as a linear system over any point family and
-solves it one connected block of unknowns at a time, a QR factorization and
-an SVD per block. The factorization oracle, breadth-first search, is
-symplectic.bfs_decompose.
+builds the covariance relation's linear system over any point family from
+its nonzeros, block by connected block, and factors all blocks of a shape
+in one stacked QR and SVD. The factorization oracle is bfs_decompose.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
 # solve_covariance's bytes per entry of its stacked system: the system, the
-# QR's copy of a block and LAPACK's workspace. Peak RSS grew by 3.10 and 3.09
-# copies of the complex system at odd N = 11 and 13, where it is one block,
-# and by 1.3-1.5 copies on the doubled grid, where it splits; 3.25 copies
-# are counted.
+# QR's copy and LAPACK's workspace when it is one block (peak RSS grew by
+# 3.10 and 3.09 copies at odd N = 11 and 13); 3.25 copies are counted. A
+# split system builds only its blocks, so this over-counts it; the count
+# stays, as it fixes the admitted sizes (odd N <= 13, even N <= 10).
 _SYSTEM_ENTRY_BYTES = 52
 
 
@@ -65,26 +64,16 @@ def solve_covariance(
 ) -> CovarianceSolution:
     """Solve U Delta_p - Delta_(S.p) U = 0 over all points p of ``deltas``.
 
-    The N^2 entries of U are the unknowns; with row-major vectorization each
-    point contributes the block kron(I, Delta_p^T) - kron(Delta_(S.p), I),
-    written straight into a (points, N, N, N, N) array. A row couples only
-    the unknowns it is nonzero on (NaN counts as nonzero), so up to a
-    permutation the system is block diagonal over the connected components
-    of that pattern, and its singular values are the union of the blocks'.
-    Each component's rows (all-zero rows dropped) get a QR factorization and
-    an SVD of the triangular factor; a block with fewer rows than unknowns,
-    an unknown no row touches included, has its missing singular values
-    counted as zeros. The numerical nullity is the number of the N^2 values
-    at or below SVD_CUTOFF relative to the largest one. The basis is each
-    component's null vectors, components in order of their smallest
-    unknown. The point set must be closed under the action of ``s`` (its
-    keys are taken mod s.modulus).
-
-    A kernel with a NaN or inf entry raises ValueError before the system is
-    built. Raises BoundExceeded, before building anything, when the solve's
-    working set would exceed the byte bound: _SYSTEM_ENTRY_BYTES per entry
-    of the stacked system (points * N^4 complex entries), which admits odd
-    N <= 13 and even N <= 10 on the full grid.
+    The unknowns are U's N^2 entries, row-major; point p contributes the rows
+    kron(I, Delta_p^T) - kron(Delta_(S.p), I). Each block of them (_blocks)
+    gets a QR factorization and an SVD of its triangular factor, missing
+    values of a block with fewer rows than unknowns counted as zeros. The
+    nullity counts the N^2 values at or below SVD_CUTOFF times the largest;
+    the basis is each block's null vectors, blocks by smallest unknown. The
+    family must be closed under ``s`` (keys mod s.modulus). Raises ValueError
+    for a NaN or inf kernel entry and BoundExceeded above _SYSTEM_ENTRY_BYTES
+    per entry of the stacked system (points * N^4), admitting odd N <= 13 and
+    even N <= 10 on the full grid; both before the system is built.
     """
     points = sorted(deltas)
     if not points:
@@ -92,68 +81,79 @@ def solve_covariance(
     dim = deltas[points[0]].shape[0]
     size = len(points) * dim**4 * _SYSTEM_ENTRY_BYTES
     check_bytes(f"covariance system of {len(points)} points at dimension {dim}", size)
-    images = []
-    for point in points:
-        moved = apply_point(s, point)
-        if moved not in deltas:
-            raise ValueError(f"family is not closed under the action: missing {moved}")
-        images.append(deltas[moved])
+    moved = [apply_point(s, point) for point in points]
+    missing = [point for point in moved if point not in deltas]
+    if missing:
+        raise ValueError(f"family is not closed under the action: missing {missing[0]}")
     source = np.stack([deltas[point] for point in points])
     # every image is a kernel of the family, so the sources cover them all
     if not np.isfinite(source).all():
         raise ValueError("phase point family has a kernel that is not finite")
-    system = np.zeros((len(points), dim, dim, dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    # row (p, i, j), column (k, l): Delta_p[l, j] where k = i, minus
-    # Delta_(S.p)[i, k] where l = j
-    system[:, diag, :, diag, :] = source.transpose(0, 2, 1)
-    system[:, :, diag, :, diag] -= np.stack(images)
-    unknowns = dim * dim
-    system = system.reshape(-1, unknowns)
-    column_label, row_label = _components(system != 0)
     blocks = []
-    for root in np.unique(column_label):
-        columns = np.flatnonzero(column_label == root)
-        if columns.size == unknowns:
-            block = system
-        else:
-            block = system[np.ix_(np.flatnonzero(row_label == root), columns)]
-        _, singular, vh = np.linalg.svd(np.linalg.qr(block, mode="r"))
-        blocks.append((columns, singular, vh))
+    for columns, stack in _blocks(source, np.stack([deltas[point] for point in moved])):
+        _, singular, vh = np.linalg.svd(np.linalg.qr(stack, mode="r"))
+        blocks += zip(columns, np.atleast_2d(singular), vh.reshape(-1, *vh.shape[-2:]))
+    blocks.sort(key=lambda block: block[0][0])
     found = np.concatenate([values for _, values, _ in blocks])
-    singular = np.sort(np.pad(found, (0, unknowns - found.size)))[::-1]
+    singular = np.sort(np.pad(found, (0, dim * dim - found.size)))[::-1]
     threshold = SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
     basis = []
     for columns, values, vh in blocks:
         for row in vh[int((values > threshold).sum()) :]:
-            vector = np.zeros(unknowns, dtype=complex)
+            vector = np.zeros(dim * dim, dtype=complex)
             vector[columns] = row.conj()
             basis.append(vector.reshape(dim, dim))
     unitary = _unitarize(basis[0]) if len(basis) == 1 else None
     return CovarianceSolution(len(basis), basis, unitary, singular)
 
 
-def _components(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Connected components of a (rows, unknowns) nonzero pattern, where a
-    row joins every unknown it touches: each unknown's label (the smallest
-    unknown of its component) and each row's label (-1 for an all-zero row).
-
-    Two unknowns are adjacent when some row touches both; labels spread by
-    taking the smallest label among neighbours, then jumping to the label's
-    own label, until a round changes nothing.
+def _blocks(source: np.ndarray, image: np.ndarray) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """The connected blocks of the system of the (points, N, N) source and
+    image kernels, built from their nonzeros: row (p, i, j), column (k, l)
+    holds Delta_p[l, j] where k = i minus Delta_(S.p)[i, k] where l = j.
+    Labels: the least label among a row's unknowns, then that label's own,
+    until none changes. Per block shape, the components' columns and their
+    rows (increasing; zero rows only if one block) stacked, a lone block 2-D.
     """
-    touched = pattern.astype(np.float32)
-    adjacent = (touched.T @ touched) > 0
-    np.fill_diagonal(adjacent, True)
-    label = np.arange(pattern.shape[1])
-    while True:
-        reached = np.where(adjacent, label, label.size).min(axis=1)
-        reached = reached[reached]
-        if (reached == label).all():
-            break
-        label = reached
-    rows = np.where(pattern.any(axis=1), label[pattern.argmax(axis=1)], -1)
-    return label, rows
+    dim = source.shape[1]
+    unknowns, off = dim * dim, ~np.eye(dim, dtype=bool)
+    p, l, j = (x.repeat(dim) for x in np.nonzero((source != 0) & off))
+    q, i, k = (x.repeat(dim) for x in np.nonzero((image != 0) & off))
+    a, b = np.arange(p.size) % dim, np.arange(q.size) % dim
+    # on the diagonals both terms fall on one entry: their difference
+    both = source.diagonal(0, 1, 2)[:, None, :] - image.diagonal(0, 1, 2)[:, :, None]
+    f = np.flatnonzero(both)
+    rows = np.concatenate([(p * dim + a) * dim + j, (q * dim + i) * dim + b, f])
+    cols = np.concatenate([a * dim + l, k * dim + b, f % unknowns])
+    values = np.concatenate([source[p, l, j], 0 - image[q, i, k], both.ravel()[f]])
+    label, settled = np.arange(unknowns), False
+    while not settled:
+        row_label = np.full(len(source) * unknowns, unknowns)
+        np.minimum.at(row_label, rows, label[cols])
+        reached = label.copy()
+        np.minimum.at(reached, cols, row_label[rows])
+        settled = (reached[reached] == label).all()
+        label = reached[reached]
+    roots, block = np.unique(label, return_inverse=True)
+    row_block = np.append(block, -1 if roots.size > 1 else 0)[row_label]
+    heights = np.bincount(row_block + 1, minlength=roots.size + 1)[1:]
+    shapes, shape_of = np.unique(heights * (unknowns + 1) + np.bincount(block), return_inverse=True)
+
+    def ranks(group):  # each element's place among its group's, in index order
+        order = np.argsort(group, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
+        return rank
+    owner, slot = block[cols], ranks(shape_of)
+    row_rank, col_rank = ranks(row_block)[rows], ranks(block)[cols]
+    stacks = []
+    for which, (tall, wide) in enumerate(zip(*np.divmod(shapes, unknowns + 1))):
+        members, mine = np.flatnonzero(shape_of == which), shape_of[owner] == which
+        stack = np.zeros((members.size, tall, wide), dtype=complex)
+        stack[slot[owner[mine]], row_rank[mine], col_rank[mine]] = values[mine]
+        columns = [np.flatnonzero(block == c) for c in members]
+        stacks.append((columns, stack if members.size > 1 else stack[0]))
+    return stacks
 
 
 def _unitarize(candidate: np.ndarray) -> np.ndarray | None:

@@ -90,6 +90,18 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture(scope="session")
+def integer_point_solutions():
+    """solve_covariance on integer_point_family(N) for every element of
+    Sp_N, N = 2, 4, 6, 8, as {N: [(s, solution), ...]}: criterion 10's
+    whole-group check and the dense-build parity test share them."""
+    solutions = {}
+    for n in (2, 4, 6, 8):
+        family = oracle.integer_point_family(n)
+        solutions[n] = [(s, oracle.solve_covariance(s, family)) for s in symplectic.enumerate_group(n)]
+    return solutions
+
+
 @pytest.fixture
 def byte_bound(monkeypatch):
     """Set the system byte bound for one test: byte_bound(nbytes)."""

@@ -263,6 +263,28 @@ def test_criterion_10_even_negative_result():
     assert not_projective
 
 
+def test_criterion_10_integer_points_on_whole_groups(integer_point_solutions):
+    # every element of Sp_N leaves the integer-point system a 4-dimensional
+    # solution space with no unitary in it, at N = 2, 4, 6 and 8
+    nullities = {
+        solution.nullity for solved in integer_point_solutions.values() for _, solution in solved
+    }
+    no_unitary = all(
+        solution.unitary is None for solved in integer_point_solutions.values() for _, solution in solved
+    )
+    elements = sum(len(solved) for solved in integer_point_solutions.values())
+    ok = nullities == {4} and no_unitary
+    report(
+        10,
+        "even-lattice negative result on whole groups",
+        ok,
+        f" ({elements} elements of Sp_N, N = 2, 4, 6, 8: nullities {sorted(nullities)}, "
+        f"no unitary: {no_unitary})",
+    )
+    assert nullities == {4}
+    assert no_unitary
+
+
 def test_criterion_11_wigner_properties():
     rng = np.random.default_rng(20240812)
     residuals = []

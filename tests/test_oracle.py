@@ -309,6 +309,104 @@ def null_projector(vectors):
     return flat.T @ flat.conj()
 
 
+def components(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a (rows, unknowns) nonzero pattern, where a
+    row joins every unknown it touches: each unknown's label (the smallest
+    unknown of its component) and each row's label (-1 for an all-zero row).
+
+    Two unknowns are adjacent when some row touches both; labels spread by
+    taking the smallest label among neighbours, then jumping to the label's
+    own label, until a round changes nothing.
+    """
+    touched = pattern.astype(np.float32)
+    adjacent = (touched.T @ touched) > 0
+    np.fill_diagonal(adjacent, True)
+    label = np.arange(pattern.shape[1])
+    while True:
+        reached = np.where(adjacent, label, label.size).min(axis=1)
+        reached = reached[reached]
+        if (reached == label).all():
+            break
+        label = reached
+    rows = np.where(pattern.any(axis=1), label[pattern.argmax(axis=1)], -1)
+    return label, rows
+
+
+def dense_solve_covariance(s, deltas):
+    """solve_covariance from the whole system: every entry of a dense
+    (points, N, N, N, N) array, blocks from its float32 pattern product
+    (components), each block gathered and factored on its own."""
+    points = sorted(deltas)
+    dim = deltas[points[0]].shape[0]
+    images = [deltas[apply_point(s, point)] for point in points]
+    source = np.stack([deltas[point] for point in points])
+    system = np.zeros((len(points), dim, dim, dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    # row (p, i, j), column (k, l): Delta_p[l, j] where k = i, minus
+    # Delta_(S.p)[i, k] where l = j
+    system[:, diag, :, diag, :] = source.transpose(0, 2, 1)
+    system[:, :, diag, :, diag] -= np.stack(images)
+    unknowns = dim * dim
+    system = system.reshape(-1, unknowns)
+    column_label, row_label = components(system != 0)
+    blocks = []
+    for root in np.unique(column_label):
+        columns = np.flatnonzero(column_label == root)
+        if columns.size == unknowns:
+            block = system
+        else:
+            block = system[np.ix_(np.flatnonzero(row_label == root), columns)]
+        _, singular, vh = np.linalg.svd(np.linalg.qr(block, mode="r"))
+        blocks.append((columns, singular, vh))
+    found = np.concatenate([values for _, values, _ in blocks])
+    singular = np.sort(np.pad(found, (0, unknowns - found.size)))[::-1]
+    threshold = oracle.SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
+    basis = []
+    for columns, values, vh in blocks:
+        for row in vh[int((values > threshold).sum()) :]:
+            vector = np.zeros(unknowns, dtype=complex)
+            vector[columns] = row.conj()
+            basis.append(vector.reshape(dim, dim))
+    unitary = oracle._unitarize(basis[0]) if len(basis) == 1 else None
+    return oracle.CovarianceSolution(len(basis), basis, unitary, singular)
+
+
+def conjugated_family(n, rng):
+    """Every odd kernel conjugated by one random unitary V: no entry is zero."""
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v, _ = np.linalg.qr(gaussian)
+    return v, {p: v @ delta @ v.conj().T for p, delta in delta_family(n, ODD).items()}
+
+
+def assert_same_solution(solution, reference):
+    assert solution.nullity == reference.nullity
+    assert np.array_equal(solution.singular_values, reference.singular_values)
+    assert len(solution.basis) == len(reference.basis)
+    assert all(np.array_equal(a, b) for a, b in zip(solution.basis, reference.basis))
+    assert (solution.unitary is None) == (reference.unitary is None)
+    assert solution.unitary is None or np.array_equal(solution.unitary, reference.unitary)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_solve_covariance_matches_dense_build_on_integer_points(n, integer_point_solutions):
+    # bit for bit on every element of Sp_N; the solutions are shared with
+    # criterion 10's whole-group check
+    family = integer_point_family(n)
+    for s, solution in integer_point_solutions[n]:
+        assert_same_solution(solution, dense_solve_covariance(s, family))
+
+
+@pytest.mark.parametrize(
+    "n,parity,conjugated",
+    [(3, ODD, False), (5, ODD, False), (2, EVEN, False), (4, EVEN, False), (5, ODD, True)],
+    ids=["odd-3", "odd-5", "even-2", "even-4", "conjugated-odd-5"],
+)
+def test_solve_covariance_matches_dense_build_on_whole_group(n, parity, conjugated, rng):
+    family = conjugated_family(n, rng)[1] if conjugated else delta_family(n, parity)
+    for s in enumerate_group(lattice_modulus(n, parity)):
+        assert_same_solution(solve_covariance(s, family), dense_solve_covariance(s, family))
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_block_solve_matches_dense_svd_where_nullity_exceeds_one(n, rng):
     # integer points split the system into several components; a basis of a
@@ -344,10 +442,8 @@ def test_solve_covariance_on_a_dense_family_with_one_component(rng):
     # every kernel conjugated by one random unitary V: no entry is zero, so
     # the system is one component, and V U(S) V^dag solves it
     n = 5
-    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    v, _ = np.linalg.qr(gaussian)
-    family = {p: v @ delta @ v.conj().T for p, delta in delta_family(n, ODD).items()}
-    unknowns, _ = oracle._components(dense_stacked_system(h_t(n), family, n) != 0)
+    v, family = conjugated_family(n, rng)
+    unknowns, _ = components(dense_stacked_system(h_t(n), family, n) != 0)
     assert (unknowns == 0).all()
     for s in (generator("+", n), random_element(n, rng)):
         solution = solve_covariance(s, family)
@@ -371,6 +467,21 @@ def test_solve_covariance_peak_memory(n, integer_points):
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * system_bytes
+
+
+def test_solve_covariance_builds_only_the_blocks_of_a_split_system():
+    # the integer points at N = 8 split the system into blocks (4 of 960 x 16
+    # under h+), which are all that is built: the peak stays below one copy
+    # of the whole system of points * N^4 complex entries
+    n = 8
+    family = integer_point_family(n)
+    tracemalloc.start()
+    try:
+        solve_covariance(generator("+", n), family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * len(family) * n**4 * 16
 
 
 @pytest.mark.parametrize("n,parity,integer_points", [(3, ODD, False), (4, EVEN, True), (8, EVEN, True)])
