@@ -49,7 +49,6 @@ _NAMES_BY_MODULE = {
         "equal_up_to_phase",
         "group_covariance",
         "group_projectivity",
-        "intertwining_defect",
         "phase_defect",
         "u_hminus",
         "u_hplus",

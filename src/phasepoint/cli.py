@@ -11,8 +11,8 @@ what it uses; the parser, decompose and rep never load numpy. Nor do they
 load dataclasses or inspect: the integer layers' value classes are plain
 slotted classes. tests/test_imports.py checks both.
 verify's group-wide suites are one call each, to metaplectic.group_covariance
-(certified O(N^2) bounds from U(S)'s exact table, to odd N = 1831 and even
-N = 1830) and metaplectic.group_projectivity, which cut their own passes.
+(certified O(N^2) bounds from U(S)'s exact table, to odd N = 2047 and even
+N = 2048) and metaplectic.group_projectivity, which cut their own passes.
 rep bounds its output before it starts, builds U(S)'s closed form
 (weil.descriptor), checks it exactly with weil.certify, and writes the
 unitary's JSON rows one at a time from the descriptor, in O(N) memory.

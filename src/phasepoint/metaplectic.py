@@ -27,14 +27,17 @@ group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
 
 U(S) is also exact integers: N^2/g entries (g = gcd(b, N)) of modulus
-sqrt(g/N), with phases roots of unity of order 8R. weil composes that table
-in closed form, as quadratic Gauss sums along the same word, and certifies
-it in O(1); u_table(s, parity) reads it with no matrix built, and
-u_table(s, parity, u) rounds a given matrix to it. intertwining_defect
-checks covariance on a table exactly, at three points, in O(N^2).
-covariance_residual bounds any matrix's all-points defect against the
-closed form in O(N^2); group_covariance reaches the same figures from its
-float stack by rounding.
+sqrt(g/N), with phases roots of unity of order 8R. There is one exact
+covariance check for each form of that table: weil composes it in closed
+form, as quadratic Gauss sums along the same word, and weil.certify checks
+it in O(1); a table rounded from a float stack is checked by
+_three_point_certified, an integer comparison at three points in O(N^2)
+whose Schur argument covers every point. u_table returns only tables that
+passed: u_table(s, parity) reads the closed form with no matrix built, and
+u_table(s, parity, u) rounds a given matrix. covariance_residual bounds
+any matrix's all-points defect against the closed form in O(N^2);
+group_covariance reaches the same figures from its float stack by
+rounding.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ _PASS_BYTES = 2**20
 _MODULUS_MARGIN = 1e-9
 _PHASE_MARGIN = 1e-6
 # One group_covariance element's bytes per entry, U(S)'s float build and its
-# rounding included (tracemalloc peak 75.5-76.1 at odd N = 511 and even
-# N = 512): odd N <= 1831, even N <= 1830
-_BOUND_ENTRY_BYTES = 80
+# rounding included (tracemalloc peak 57.0-57.1 at odd N = 255..1023 and
+# even N = 256..1024, set by the bound's two complex arrays beside U(S) and
+# its table): odd N <= 2047, even N <= 2048, u_of's own limit
+_BOUND_ENTRY_BYTES = 64
 # covariance_residual's bytes per entry, the closed-form table included and
 # the caller's matrix not (tracemalloc peak 41.0 at odd N = 511 and 1023 and
 # even N = 512 and 1024): odd N <= 2469, even N <= 2468
@@ -251,29 +255,38 @@ class UTable(NamedTuple):
 
 
 def u_table(s: SympMat, parity: str, u=None) -> UTable:
-    """U(S) as an exact table: by default straight from its closed form
-    (weil.descriptor), with no matrix built; given ``u``, read off it by
-    rounding, the one-element case of _round_stack.
+    """U(S) as an exact table, certified covariant for ``s``: by default
+    straight from its closed form (weil.descriptor), with no matrix built,
+    checked by weil.certify in O(1); given ``u``, read off it by rounding,
+    the one-element case of _round_stack, and checked by
+    _three_point_certified in O(N^2).
 
     Every U(S) is a common modulus m = sqrt(g/N) on N^2/g entries, with
     g = gcd(b, N), and zero elsewhere; its phases are roots of unity of
     order L = 8R (R = N odd, 2N even). Rounding ``u``, each step passes a
-    margin, or ValueError is raised: the entries above m/2 in modulus must
-    number exactly N^2/g, each within 1e-9 of m, every other entry must be
-    below 1e-9, and every phase within 1e-6 radians of an L-th root. A NaN
-    fails a margin. O(N^2) beyond the build of ``u``; the closed form
-    costs _TABLE_ENTRY_BYTES per entry, BoundExceeded above.
+    margin: the entries above m/2 in modulus must number exactly N^2/g,
+    each within 1e-9 of m, every other entry must be below 1e-9, and every
+    phase within 1e-6 radians of an L-th root. A NaN fails a margin. A
+    failed margin or check raises ValueError, which names it. O(N^2) beyond
+    the build of ``u``; the closed form costs _TABLE_ENTRY_BYTES per entry,
+    BoundExceeded above.
     """
     n = hilbert_dim(s.modulus, parity)
     if u is None:
         check_bytes(f"unitary table at dimension {n}", _TABLE_ENTRY_BYTES * n * n)
-        return _descriptor_table(descriptor(s, parity))
+        form = descriptor(s, parity)
+        if not certify(form, s, parity):
+            raise ValueError(f"the closed form of U(S) for {s} fails weil.certify")
+        return _descriptor_table(form)
     matrix = _as_matrix(u)
     if matrix.shape != (n, n):
         raise DimensionMismatch(f"unitary is {matrix.shape}, expected {(n, n)}")
-    (exponents, support, gcd, scale, root_modulus), failures = _round_stack(matrix[None], [s])
+    tables, failures = _round_stack(matrix[None], [s])
     if failures[0] is not None:
         raise ValueError(failures[0])
+    if not _three_point_certified(tables, [s], parity)[0]:
+        raise ValueError(f"the rounded table is not covariant for {s} at (0, 0), (1, 0), (0, 1)")
+    exponents, support, gcd, scale, root_modulus = tables
     return UTable(exponents[0], support[0], int(gcd[0]), float(scale[0]), root_modulus)
 
 
@@ -299,12 +312,6 @@ def _descriptor_table(form) -> UTable:
         exponents.reshape(n, n // g, g)[rows, :, residues] = grid
         support.reshape(n, n // g, g)[rows, :, residues] = True
     return UTable(exponents, support, g, float(np.sqrt(g / n)), root_modulus)
-
-
-def _stack_of_one(table: UTable) -> UTable:
-    """``table`` as a stacked UTable of one, its arrays viewed, not copied."""
-    return UTable(table.exponents[None], table.support[None], table.gcd,
-                  np.array([table.scale]), table.root_modulus)
 
 
 def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]:
@@ -338,19 +345,17 @@ def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]
     return UTable(exponents, support, gcds, scales, root_modulus), failures
 
 
-def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
-    """max |V Delta_q - Delta_(S.q) V| over q = (0, 0), (1, 0), (0, 1), for
-    the table V; exactly 0.0 for a true table, NaN if its scale is; the
-    one-element case of _three_point_defects.
+def _three_point_certified(tables: UTable, elements, parity: str) -> np.ndarray:
+    """Whether each table V of a stacked UTable (as _round_stack gives) is
+    exactly covariant for its own element (one modulus): one bool each.
 
-    With Delta_q's row i holding rho^(e_q(i)) in column sigma_q(i)
-    (qops.kernel_factors), both sides are gathers of V:
-    (V Delta_q)[i, j] = V[i, k] rho^(e_q(k)) with k = sigma_q^-1(j), and
-    (Delta_(S.q) V)[i, j] = rho^(e_(S.q)(i)) V[sigma_(S.q)(i), j]. The
-    exponents are subtracted mod the table's root modulus before the root
-    lookup, so equal entries give exactly 0; where one side's entry is off
-    the support and the other's is on it, the defect there is the table's
-    scale. O(N^2).
+    At q = (0, 0), (1, 0), (0, 1), with Delta_q's row i holding
+    rho^(e_q(i)) in column sigma_q(i) (qops.kernel_factors), both sides are
+    gathers of V: (V Delta_q)[i, j] = V[i, k] rho^(e_q(k)) with
+    k = sigma_q^-1(j), and (Delta_(S.q) V)[i, j] =
+    rho^(e_(S.q)(i)) V[sigma_(S.q)(i), j]. They are equal when their
+    supports are, and their exponents agree mod the table's root modulus on
+    that support: integer comparisons only, in O(N^2).
 
     Three points suffice. Delta_(0,1) Delta_(0,0) is the clock Z and
     Delta_(1,0) Delta_(0,0) the shift T on even lattices (Z^2 and T^-2 on
@@ -365,39 +370,27 @@ def intertwining_defect(table: UTable, s: SympMat, parity: str) -> float:
     (or, for the closed form, weil.certify) enforce and a hand-made table
     need not meet.
     """
-    n = hilbert_dim(s.modulus, parity)
-    if table.exponents.shape != (n, n) or table.support.shape != (n, n):
-        raise DimensionMismatch(f"table is {table.exponents.shape}, expected {(n, n)}")
-    return float(_three_point_defects(_stack_of_one(table), [s], parity)[0])
-
-
-def _three_point_defects(tables: UTable, elements, parity: str) -> np.ndarray:
-    """intertwining_defect, bit for bit, for each table of a stacked UTable
-    (as _round_stack gives) against its own element (one modulus)."""
-    exponents, support, _, scales, r = tables
+    exponents, support, _, _, r = tables
     count, n = exponents.shape[:2]
-    scale = scales[:, None, None]
-    # |1 - rho^d| for each exponent difference d, exactly 0 at d = 0
-    chords = np.abs(1 - unit_roots(r))
     modulus = elements[0].modulus
     a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None]
     stack = np.arange(count)[:, None]
-    defects = np.zeros(count)
+    certified = np.ones(count, dtype=bool)
     for x, y in ((0, 0), (1, 0), (0, 1)):
         kernel = kernel_factors(n, parity, x, y)
         image = kernel_factors(n, parity, (a * x + b * y) % modulus, (c * x + d * y) % modulus)
         step = r // kernel.root_modulus
         inverse = np.argsort(kernel.cols)
-        left = exponents[:, :, inverse] + step * kernel.exponents[inverse]
-        right = step * image.exponents[:, :, None] + exponents[stack, image.cols]
-        left_support, right_support = support[:, :, inverse], support[stack, image.cols]
-        left -= right
-        left %= r
-        both = scale * chords[left]
-        either = np.where(left_support != right_support, scale, 0.0)
-        worst = np.where(left_support & right_support, both, either).max(axis=(1, 2))
-        np.maximum(defects, worst, out=defects)
-    return defects
+        difference = exponents[:, :, inverse]
+        difference += step * kernel.exponents[inverse]
+        difference -= step * image.exponents[:, :, None]
+        difference -= exponents[stack, image.cols]
+        difference %= r
+        on = support[:, :, inverse]
+        difference[~on] = 0
+        certified &= (on == support[stack, image.cols]).all(axis=(1, 2))
+        certified &= ~difference.any(axis=(1, 2))
+    return certified
 
 
 def covariance_residual(u, s: SympMat, parity: str) -> float:
@@ -408,7 +401,7 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     The reference comes from ``s`` alone: U(S)'s closed form, composed in
     integers along four_factor_word(s) (weil.descriptor) and certified
     exactly in O(1) (weil.certify), so that by the Schur argument of
-    intertwining_defect its table V is unitary and
+    _three_point_certified its table V is unitary and
     V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure
     is inf. _covariance_bounds reaches the same table by rounding a float
     U(S), and the figures agree bit for bit.
@@ -438,7 +431,8 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
         )
     check_bytes(f"covariance bound at dimension {n}", _RESIDUAL_ENTRY_BYTES * n * n)
     form = descriptor(s, parity)
-    table = _stack_of_one(_descriptor_table(form))
+    exponents, support, gcd, scale, root_modulus = _descriptor_table(form)
+    table = UTable(exponents[None], support[None], gcd, np.array([scale]), root_modulus)
     return float(_bounds(matrix[None], table, np.array([certify(form, s, parity)]))[0])
 
 
@@ -446,14 +440,13 @@ def _covariance_bounds(us: np.ndarray, references: np.ndarray, elements, parity:
     """covariance_residual(us[g], elements[g], parity) for each g of a
     (G, N, N) stack (one modulus), given references[g] =
     u_of(elements[g]).matrix; the two may be one array, never written to.
-    The reference tables come from rounding, certified by their three-point
-    defects. Every step runs on the stack, each element against its own
-    images, so each figure is the one-element figure bit for bit and a NaN
-    reaches only its own."""
+    The reference tables come from rounding, certified by
+    _three_point_certified. Every step runs on the stack, each element
+    against its own images, so each figure is the one-element figure bit for
+    bit and a NaN reaches only its own."""
     tables, failures = _round_stack(references, elements)
-    defects = _three_point_defects(tables, elements, parity)
-    certified = (defects == 0.0) & np.array([failure is None for failure in failures])
-    return _bounds(us, tables, certified)
+    rounded = np.array([failure is None for failure in failures])
+    return _bounds(us, tables, _three_point_certified(tables, elements, parity) & rounded)
 
 
 def _bounds(us: np.ndarray, tables: UTable, certified: np.ndarray) -> np.ndarray:
@@ -507,7 +500,7 @@ def group_covariance(elements, parity: str) -> np.ndarray:
     """covariance_residual(u_of(s).matrix, s, parity) for each of
     ``elements`` (one modulus), bit for bit, from stacked passes, each U(S)
     bounded against itself. One element counts as _BOUND_ENTRY_BYTES per
-    entry: odd N <= 1831, even N <= 1830. No elements give an empty array."""
+    entry: odd N <= 2047, even N <= 2048. No elements give an empty array."""
     elements = list(elements)
     if not elements:
         return np.empty(0)

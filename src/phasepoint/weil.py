@@ -30,8 +30,9 @@ symbols, so a descriptor costs O(log M) integer work at any modulus.
 certify checks a descriptor against its element exactly, in O(1): the
 magnitude, P's periodicity on the torus, and V Delta_q = Delta_(S.q) V at
 q = (0, 0), (1, 0), (0, 1), each side a quadratic on a coset, compared at
-six points. metaplectic.intertwining_defect's Schur argument then makes V
-covariant at every phase point.
+six points. The Schur argument in metaplectic._three_point_certified, the
+same three-point check on a rounded table, then makes V covariant at every
+phase point.
 
 Descriptor.row_terms lays out a row's support and exponents, for an int or
 an int64 array of rows, and is the one place that does. Descriptor.row
@@ -284,6 +285,9 @@ def certify(form: Descriptor, s, parity: str) -> bool:
        agree mod g; then, in the coset's lifted coordinates (i, mu), both
        exponents are integer quadratics, which agree mod L on all of Z^2
        if they agree at the six Newton points.
+
+    By the Schur argument in metaplectic._three_point_certified, 1 and 3
+    make V unitary and covariant at every phase point.
     """
     n, root_modulus, g, kappa, delta = (form.dim, form.root_modulus, form.gcd,
                                         form.offset, form.stride)

@@ -64,6 +64,24 @@ def weyl_leonhardt(n, j, k):
     return unit_roots(2 * n)[j * k % (2 * n)] * matrix_power(q_inv, j) @ matrix_power(p_inv, k)
 
 
+def stacked(tables):
+    """One-element UTables as one stacked UTable, as _round_stack gives:
+    a leading stack axis on each array field."""
+    return metaplectic.UTable(
+        np.array([table.exponents for table in tables]),
+        np.array([table.support for table in tables]),
+        np.array([table.gcd for table in tables]),
+        np.array([table.scale for table in tables]),
+        tables[0].root_modulus,
+    )
+
+
+def unstacked(tables, g):
+    """The g-th table of a stacked UTable, as u_table gives it."""
+    return metaplectic.UTable(tables.exponents[g], tables.support[g], int(tables.gcd[g]),
+                              float(tables.scale[g]), tables.root_modulus)
+
+
 def assert_value_semantics(value, fields, text):
     """``value`` behaves as a frozen record of ``fields``: equality and hash
     on the field tuple (never equal to the tuple itself), ``repr`` ``text``,

@@ -29,6 +29,12 @@ def test_benchmark_name_is_public(name):
     assert callable(getattr(phasepoint, name, None))
 
 
+def test_public_surface_does_not_grow():
+    # a new public name has to be deliberate: this cap only comes down, on
+    # the way to ROADMAP item 6's target of at most 47 names
+    assert len(phasepoint.__all__) <= 51
+
+
 def test_every_public_name_resolves_and_is_listed():
     listed = dir(phasepoint)
     for name in phasepoint.__all__:

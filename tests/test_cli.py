@@ -620,12 +620,13 @@ def test_verify_dense_suites_above_bound_exit_two(argv):
 # test_rep_is_exact_above_the_covariance_bound now covers.
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--dim", "1833", "--parity", "odd", "--suite", "covariance")],
+    [("verify", "--dim", "2049", "--parity", "odd", "--suite", "covariance")],
     ids=["argv2"],
 )
 def test_covariance_above_bound_exits_two(argv):
-    # One covariance bound's 80 bytes per entry pass 256 MiB above odd
-    # N = 1831 and even N = 1830; refused before U(S) is built.
+    # One covariance element's 64 bytes per entry pass 256 MiB above odd
+    # N = 2047 and even N = 2048, as u_of's build does; refused before U(S)
+    # is built.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
+from conftest import stacked, unstacked
+
 from phasepoint.lattice import (
     EVEN,
     ODD,
@@ -21,15 +23,15 @@ from phasepoint.metaplectic import (
     _RESIDUAL_ENTRY_BYTES,
     _covariance_bounds,
     _phase_fit,
+    _bounds,
     _round_stack,
-    _three_point_defects,
+    _three_point_certified,
     _u_stack,
     apply_point,
     covariance_residual,
     equal_up_to_phase,
     group_covariance,
     group_projectivity,
-    intertwining_defect,
     phase_defect,
     u_hminus,
     u_hplus,
@@ -454,6 +456,30 @@ def test_covariance_bound_admits_largest_sizes(n):
     assert covariance_residual(table_matrix(u_table(s, parity)), s, parity) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2047, 2048])
+def test_group_covariance_bound_admits_the_unitary_builders_sizes(n):
+    # odd N = 2047 and even N = 2048 are the largest sizes of one
+    # group_covariance element in 256 MiB, and u_of's own largest sizes
+    assert _BOUND_ENTRY_BYTES * n**2 <= SYSTEM_BYTES_BOUND < _BOUND_ENTRY_BYTES * (n + 2) ** 2
+    assert 4 * 16 * n**2 <= SYSTEM_BYTES_BOUND < 4 * 16 * (n + 2) ** 2
+
+
+@pytest.mark.parametrize("n,parity,wide", [(1023, ODD, (2, 3, 1, 2)), (1024, EVEN, (1, 4, 1, 5))])
+def test_group_covariance_peak_is_within_its_entry_bound(n, parity, wide):
+    # one element with g = gcd(b, N) = 1 and one with g = b > 1
+    modulus = lattice_modulus(n, parity)
+    for s in (SympMat(2, 1, 1, 1, modulus), SympMat(*wide, modulus)):
+        assert math.gcd(s.b, n) == s.b
+        tracemalloc.start()
+        try:
+            figure = group_covariance([s], parity)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert figure < 1e-12
+        assert peak <= _BOUND_ENTRY_BYTES * n**2
+
+
 @pytest.mark.parametrize("n,parity", [(2471, ODD), (2470, EVEN)])
 def test_covariance_bound_refuses_next_sizes(n, parity):
     # refused before anything is built, so the call returns at once
@@ -490,7 +516,7 @@ def test_covariance_residual_builds_no_unitary_and_rounds_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"called with {args}")
 
-    for name in ("_u_stack", "_round_stack", "_three_point_defects"):
+    for name in ("_u_stack", "_round_stack", "_three_point_certified"):
         monkeypatch.setattr(metaplectic, name, refuse)
     for n, parity in [(7, ODD), (8, EVEN)]:
         s = SympMat(2, 1, 1, 1, lattice_modulus(n, parity))
@@ -557,17 +583,17 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
              for start in range(0, len(elements), 50)]
     residuals = np.concatenate([_covariance_bounds(us, us, part, parity) for us, part in parts])
     assert np.array_equal(residuals, expected)
-    # the stacked rounding and three-point defects, against the one-element
+    # the stacked rounding and three-point verdicts, against the one-element
     # functions, for the whole group in one stack
     tables, failures = _round_stack(stack, elements)
     assert failures == [None] * len(elements)
-    defects = _three_point_defects(tables, elements, parity)
+    verdicts = _three_point_certified(tables, elements, parity)
     for g, (u, s) in enumerate(zip(singles, elements)):
         table = u_table(s, parity, u)
         assert np.array_equal(tables.exponents[g], table.exponents)
         assert np.array_equal(tables.support[g], table.support)
         assert (tables.gcd[g], tables.scale[g]) == (table.gcd, table.scale)
-        assert defects[g] == intertwining_defect(table, s, parity) == 0.0
+        assert verdicts[g] and _three_point_certified(stacked([table]), [s], parity)[0]
     composed = _u_stack([s @ s for s in elements], parity)
     squares = stack @ stack
     defects = [phase_defect(c, q) for c, q in zip(composed, squares)]
@@ -627,7 +653,7 @@ def test_drivers_return_an_empty_array_for_no_elements():
 
 
 def all_points_defects(tables, s, parity):
-    """Reference for intertwining_defect: the same table comparison at every
+    """Reference for _three_point_certified: the same table comparison at every
     lattice point, for tables of one scale and root modulus. V Delta_p
     scatters V's columns k to sigma_p(k); Delta_(S.p) V gathers V's rows."""
     n = hilbert_dim(s.modulus, parity)
@@ -679,21 +705,30 @@ def table_mutants(table, rng):
 
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
 def test_three_point_defect_is_exact_on_whole_group(modulus, parity, rng):
+    # the verdicts come from whole-group stacks: the true tables, and each
+    # kind of mutant; the all-points reference is taken one element at a time
     n = hilbert_dim(modulus, parity)
     elements = enumerate_group(modulus)
     assert group_covariance(elements, parity).max() < 1e-10
-    for s in elements:
-        unitary = u_of(s, parity)
-        table = u_table(s, parity, unitary)
+    unitaries = _u_stack(elements, parity)
+    tables, failures = _round_stack(unitaries, elements)
+    assert failures == [None] * len(elements)
+    everies, kinds = [], [[] for _ in range(3)]
+    for g, s in enumerate(elements):
+        table = unstacked(tables, g)
         assert table.gcd == math.gcd(s.b, n)
         assert table.support.sum() == n * n // table.gcd
-        assert np.abs(unitary.matrix - table_matrix(table)).max() < 1e-12
+        assert np.abs(unitaries[g] - table_matrix(table)).max() < 1e-12
         mutants = table_mutants(table, rng)
-        three = [intertwining_defect(v, s, parity) for v in [table] + mutants]
-        every = all_points_defects([table] + mutants, s, parity)
-        assert three[0] == every[0] == 0.0
-        assert (np.array(three[1:]) > 0).all()
-        assert (every >= three).all()
+        for kind, mutant in zip(kinds, mutants):
+            kind.append(mutant)
+        everies.append(all_points_defects([table] + mutants, s, parity))
+    three = np.array([_three_point_certified(tables, elements, parity)]
+                     + [_three_point_certified(stacked(kind), elements, parity) for kind in kinds]).T
+    every = np.array(everies)
+    assert (every[:, 0] == 0.0).all() and three[:, 0].all()
+    assert not three[:, 1:].any()
+    assert np.array_equal(three, every == 0.0)
 
 
 def test_u_table_reads_u_of_by_default():
@@ -732,6 +767,26 @@ def test_u_table_refuses_dimensions_above_byte_bound(byte_bound, monkeypatch):
         u_table(s, ODD)
 
 
+@pytest.mark.parametrize("n,parity", [(7, ODD), (8, EVEN)])
+def test_u_table_refuses_the_unitary_of_another_element(n, parity, rng):
+    # s h- has s's upper-right entry, so its unitary rounds with s's gcd and
+    # passes every margin, but it is not covariant for s
+    modulus = lattice_modulus(n, parity)
+    for _ in range(5):
+        s = random_element(modulus, rng)
+        other = u_of(s @ generator("-", modulus), parity)
+        with pytest.raises(ValueError, match="not covariant"):
+            u_table(s, parity, other)
+
+
+def test_u_table_refuses_a_closed_form_that_fails_its_certificate(monkeypatch):
+    s = SympMat(2, 1, 1, 1, 5)
+    assert u_table(s, ODD).support.all()
+    monkeypatch.setattr(metaplectic, "certify", lambda *args: False)
+    with pytest.raises(ValueError, match="certify"):
+        u_table(s, ODD)
+
+
 def test_u_table_refuses_a_phase_between_roots():
     s = SympMat(1, 0, 0, 1, 5)
     u = np.eye(5, dtype=complex)
@@ -740,10 +795,14 @@ def test_u_table_refuses_a_phase_between_roots():
         u_table(s, ODD, u)
 
 
-def test_intertwining_defect_is_nan_for_a_nan_scale():
+def test_nan_scale_table_gets_a_nan_figure():
+    # the verdict reads exponents and supports only, so it passes a true
+    # table with a NaN scale; the bound must then be NaN, never a small figure
     s = SympMat(2, 1, 1, 1, 5)
-    table = u_table(s, ODD)
-    assert np.isnan(intertwining_defect(table._replace(scale=float("nan")), s, ODD))
+    tables = stacked([u_table(s, ODD)._replace(scale=float("nan"))])
+    certified = _three_point_certified(tables, [s], ODD)
+    assert certified[0]
+    assert np.isnan(_bounds(u_of(s, ODD).matrix[None], tables, certified)[0])
 
 
 @pytest.mark.parametrize("n,parity", [(1023, ODD), (512, EVEN)])
@@ -751,5 +810,5 @@ def test_u_table_is_exact_at_large_dimensions(n, parity, rng):
     s = random_element(lattice_modulus(n, parity), rng)
     unitary = u_of(s, parity)
     table = u_table(s, parity, unitary)
-    assert intertwining_defect(table, s, parity) == 0.0
+    assert _three_point_certified(stacked([table]), [s], parity)[0]
     assert np.abs(unitary.matrix - table_matrix(table)).max() < 1e-12

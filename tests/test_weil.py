@@ -1,5 +1,5 @@
 """U(S)'s closed form (phasepoint.weil) against brute-force sums, the float
-build's rounded tables and the three-point defect."""
+build's rounded tables and the three-point verdict."""
 
 import math
 import tracemalloc
@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import stacked
 from phasepoint import weil
 from phasepoint.lattice import EVEN, ODD, lattice_modulus
 from phasepoint.metaplectic import (
     UTable,
     _descriptor_table,
     _round_stack,
+    _three_point_certified,
     _u_stack,
-    intertwining_defect,
     u_of,
     u_table,
 )
@@ -220,4 +221,4 @@ def test_certificate_passes_no_mutant_with_a_nonzero_three_point_defect(modulus,
     # one global phase per element, and next to no other mutant
     assert len(elements) <= len(passed) < len(elements) + total / 100
     for mutant, s in passed:
-        assert intertwining_defect(_descriptor_table(mutant), s, parity) == 0.0
+        assert _three_point_certified(stacked([_descriptor_table(mutant)]), [s], parity)[0]
