@@ -18,10 +18,13 @@ sum of its first column, an eighth root of unity read off a quadratic Gauss
 sum (weil.chirp_eighth; the chirp structure of Appleby, J. Math. Phys. 46,
 052107, 2005). So U(h+)^k is lambda_0^k F^-1 diag rho^(-k e(f)) F, with F
 the length-N DFT. Arbitrary elements are represented through their
-four-factor words h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word),
-which costs a few column scalings and at most two FFT pairs; any word for
-the same element gives the same matrix up to a global phase. No phase gauge
-is imposed, and comparisons go through equal_up_to_phase.
+four-factor words h-^x h+^b' h-^z h+^(-t) (symplectic.four_factor_word).
+Up to the first h+ power the product is diagonal, and that power makes it a
+chirp-circulant read off one length-N transform, so a word costs a few
+column scalings and at most one FFT pair of N x N matrices, none when b is
+a unit mod M (then t = 0); any word for the same element gives the same
+matrix up to a global phase. No phase gauge is imposed, and comparisons go
+through equal_up_to_phase.
 
 group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
@@ -61,7 +64,7 @@ _PASS_BYTES = 2**20
 _MODULUS_MARGIN = 1e-9
 _PHASE_MARGIN = 1e-6
 # One group_covariance element's bytes per entry, U(S)'s float build and its
-# rounding included (tracemalloc peak 57.0-57.1 at odd N = 255..1023 and
+# rounding included (tracemalloc peak 57.0-58.1 at odd N = 255..1023 and
 # even N = 256..1024, set by the bound's two complex arrays beside U(S) and
 # its table): odd N <= 2047, even N <= 2048, u_of's own limit
 _BOUND_ENTRY_BYTES = 64
@@ -96,8 +99,9 @@ def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
 
     Every unitary builder starts here, so this is where one unitary's working
     set is bounded, before anything is allocated: four N x N complex arrays.
-    u_of's tracemalloc peak was 49-52 bytes per entry at N = 255..512, and
-    u_hplus and u_hminus peak at 32. The bound admits N <= 2048.
+    u_of's tracemalloc peak was 16.4-22.5 bytes per entry for words with at
+    most one h+ power and 32.1-32.4 for four-factor words at N = 255..1024,
+    and u_hplus and u_hminus peak at 32. The bound admits N <= 2048.
     """
     check_parity(n, parity)
     check_bytes(f"unitary at dimension {n}", 4 * n * n * np.dtype(complex).itemsize)
@@ -140,20 +144,32 @@ def u_of(s: SympMat, parity: str) -> ProjUnitary:
     other word for the same element agrees up to a single global phase.
     BoundExceeded above N = 2048, before anything is built.
     """
-    return ProjUnitary(_u_stack([s], parity)[0])
+    # the stack is fresh, so it is frozen in place rather than copied
+    matrix = _u_stack([s], parity)[0]
+    matrix.flags.writeable = False
+    unitary = object.__new__(ProjUnitary)
+    object.__setattr__(unitary, "matrix", matrix)
+    return unitary
 
 
 def _u_stack(elements, parity: str) -> np.ndarray:
     """U(S) for each of ``elements`` (one modulus, at least one), as a
-    (G, N, N) stack whose g-th matrix is u_of(elements[g]).
+    C-ordered (G, N, N) stack whose g-th matrix is u_of(elements[g]).
 
-    Along a four-factor word, U(h-)^k scales column i by rho^(k e(i)), and
-    U(h+)^k is applied as an inverse FFT along the rows, a scaling by its
-    eigenvalues lambda_0^k rho^(-k e(f)) and a forward FFT. Elements whose
-    normalized words have the same sign pattern (at most nine patterns) take
-    those steps together along the last axis, each with its own exponents,
-    which gives every matrix bit for bit. One element's working set is
-    bounded by _generator_exponents; _passes bounds how many a stack holds.
+    Along a four-factor word, U(h-)^k scales column i by rho^(k e(i)). Up to
+    the first h+ power only such scalings act, on the identity, so the
+    product is a diagonal d, and U(h+)^k turns it into the chirp-circulant
+    d[i] c[(i - k) mod N], c = lambda_0^k ifft(rho^(-k e(f))): one length-N
+    transform, no matrix FFT. A later U(h+)^k is applied as an inverse FFT
+    along the rows, a scaling by its eigenvalues lambda_0^k rho^(-k e(f))
+    and a forward FFT, so a word costs at most one FFT pair, and none when
+    it has at most one h+ power (among them every element whose b is a unit
+    mod M).
+    Elements whose normalized words have the same sign pattern (at most
+    nine patterns) take those steps together along the last axis, each with
+    its own exponents, which gives every matrix bit for bit. One element's
+    working set is bounded by _generator_exponents; _passes bounds how many
+    a stack holds.
     """
     n = hilbert_dim(elements[0].modulus, parity)
     exponents, r = _generator_exponents(n, parity)
@@ -168,25 +184,47 @@ def _u_stack(elements, parity: str) -> np.ndarray:
     stack = np.empty((len(elements), n, n), dtype=complex) if len(groups) > 1 else None
     for signs, (members, powers) in groups.items():
         count = len(members)
-        matrix = np.zeros((count, n, n), dtype=complex)
-        matrix.reshape(count, n * n)[:, :: n + 1] = 1
         powers = np.array(powers, dtype=int)
         # column scalings rho^(k e(i)) for h-^k, eigenvalue tables rho^(-k e(f)) for h+^k
         signed = powers * np.array([-1 if sign == "+" else 1 for sign in signs], dtype=int)
         tables = roots[signed[:, :, None] * exponents % r]
         twists = unit_roots(8)[eighth * powers % 8]
-        for j, sign in enumerate(signs):
-            if sign == "-":
+        # words alternate in sign, so at most one scaling precedes the first h+
+        lead = int(signs[:1] == ("-",))
+        diagonal = tables[:, 0] if lead else np.ones((count, n), dtype=complex)
+        matrix = None
+        for j, sign in enumerate(signs[lead:], start=lead):
+            if matrix is None:
+                column = np.fft.ifft(tables[:, j], axis=-1)
+                column *= twists[:, j, None]
+                matrix = _chirp_circulant(diagonal, column)
+            elif sign == "-":
                 matrix *= tables[:, j, None]
             else:
                 matrix = np.fft.ifft(matrix, axis=-1)
                 matrix *= twists[:, j, None, None] * tables[:, j, None]
                 matrix = np.fft.fft(matrix, axis=-1)
+        if matrix is None:
+            matrix = np.zeros((count, n, n), dtype=complex)
+            matrix.reshape(count, n * n)[:, :: n + 1] = diagonal
         if stack is None:
-            # one group, no copy into a separate stack: u_of holds four arrays at most
+            # one group, no copy into a separate stack
             return matrix
         stack[members] = matrix
     return stack
+
+
+def _chirp_circulant(diagonal: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The fresh C-ordered (G, N, N) stack diagonal[g, i] column[g, (i - k) mod N]:
+    entry [g, i, k] read from the doubled column at N + i - k, a strided
+    view with a negative column stride (no index table, no gather)."""
+    count, n = column.shape
+    doubled = np.concatenate([column, column], axis=1)
+    step = doubled.itemsize
+    circulant = np.lib.stride_tricks.as_strided(
+        doubled[:, n:], (count, n, n), (doubled.strides[0], step, -step), writeable=False
+    )
+    return np.multiply(diagonal[:, :, None], circulant, out=np.empty((count, n, n), dtype=complex))
 
 
 class PhaseMatch(NamedTuple):

@@ -227,7 +227,9 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     points and 0 at the others), and Tr(Delta_p^dag Delta_q) sums
     conj(a_p) a_q over the rows where sigma_p and sigma_q agree. Any two permutations must
     agree on every row or on none (else ValueError), so the Gram matrix is
-    block diagonal over the classes of equal permutations. Translation
+    block diagonal over the classes of equal permutations; the classes are
+    read off sigma_p(0), one comparison per table entry (no sort of the
+    rows), and _traciality takes every block in one product. Translation
     (_weyl_generator_defect) compares each kernel with its image under the
     two Weyl generators, O(N^3); BoundExceeded above odd N = 53 and even
     N = 38.
@@ -248,15 +250,44 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     if parity != ODD:
         integer_point = (xs % 2 == 0) & (ys % 2 == 0)
         integer_trace = float(np.abs(trace - np.where(integer_point, 2.0, 0.0)).max())
-    perms, label = np.unique(cols, axis=0, return_inverse=True)
-    if (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
+    # classes by first column: a row unlike its class's first, or two
+    # classes sharing a value in some column, agree on some rows but not all;
+    # with neither, they are the classes of equal permutations
+    _, first, label = np.unique(cols[:, 0], return_index=True, return_inverse=True)
+    perms = cols[first]
+    if (cols != perms[label]).any() or (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
         raise ValueError("two kernel permutations agree on some rows but not all")
-    blocks = (values[label == c] for c in range(len(perms)))
-    traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
+    traciality = _traciality(values, label)
     translation = _weyl_generator_defect(cols, exponents) if parity == ODD else None
     return SWKernelReport(
         parity, n, hermiticity, unit_trace, traciality, translation, integer_trace
     )
+
+
+def _traciality(values: np.ndarray, label: np.ndarray) -> float:
+    """max |Tr(Delta_p^dag Delta_q) - N [p = q]| within the classes of
+    ``label``, from the kernels' nonzeros ``values`` (one row per point): the
+    classes, in point order, zero-padded into one (classes, largest, N)
+    stack and every Gram block taken in one product. Padded rows give only
+    zeros; a NaN entry gives NaN. BoundExceeded above SYSTEM_BYTES_BOUND for
+    the Gram stack, before it is built.
+    """
+    n = values.shape[1]
+    sizes = np.bincount(label)
+    classes, largest = sizes.size, int(sizes.max())
+    check_bytes(
+        f"traciality Gram stack of {classes} classes of up to {largest} kernels",
+        classes * largest * largest * np.dtype(complex).itemsize,
+    )
+    order = np.argsort(label, kind="stable")
+    sorted_label = label[order]
+    slot = np.arange(order.size) - (np.cumsum(sizes) - sizes)[sorted_label]
+    blocks = np.zeros((classes, largest, n), dtype=complex)
+    blocks[sorted_label, slot] = values[order]
+    gram = blocks.conj() @ blocks.swapaxes(1, 2)
+    present = np.arange(largest) < sizes[:, None]
+    gram.reshape(classes, largest * largest)[:, :: largest + 1] -= np.where(present, n, 0)
+    return float(np.abs(gram).max())
 
 
 def _weyl_generator_defect(cols: np.ndarray, exponents: np.ndarray) -> float:

@@ -206,26 +206,32 @@ def _euclid_word(s: SympMat) -> GenWord:
         return GenWord((("+", s.b),), m)
     if s.a == 1 and s.d == 1 and s.b == 0:
         return GenWord((("-", s.c),), m)
-    if s == h_t(m):
+    if s.entries == (0, 1, m - 1, 0):  # h_t
         return GenWord((("+", 1), ("-", m - 1), ("+", 1)), m)
 
     # Reduce s to lower triangular form by left multiplications, recording
-    # the factors in application order (first applied first).
+    # the factors in application order (first applied first). Each is a row
+    # operation on the entries, carried as integers mod M: h+^(-k) takes k
+    # times the bottom row from the top one, h-^(-k) the top from the bottom.
     applied: list[tuple[str, int]] = []
-    cur = s
-    if cur.b != 0 and cur.d != 0:
-        sign = "+" if cur.b >= cur.d else "-"
-        for k in euclid_trace(cur.b, cur.d).quotients:
-            cur = generator_power(sign, -k, m) @ cur
+    a, b, c, d = s.entries
+    if b != 0 and d != 0:
+        sign = "+" if b >= d else "-"
+        for k in euclid_trace(b, d).quotients:
+            if sign == "+":
+                a, b = (a - k * c) % m, (b - k * d) % m
+            else:
+                c, d = (c - k * a) % m, (d - k * b) % m
             applied.append((sign, -k))
             sign = "-" if sign == "+" else "+"
-    # a chain (or a zero d) that leaves the top entry nonzero ends with h_t
-    if cur.b != 0:
-        cur = h_t(m) @ cur
+    # a chain (or a zero d) that leaves the top entry nonzero ends with h_t,
+    # which moves the bottom row up and the negated top row down
+    if b != 0:
+        a, b, c, d = c, d, -a % m, -b % m
         applied.append(("t", 1))
-    if cur.b != 0:
-        raise DecompositionFailed(f"reduction left top-right entry {cur.b} != 0")
-    alpha, gamma, beta = cur.a, cur.c, cur.d
+    if b != 0:
+        raise DecompositionFailed(f"reduction left top-right entry {b} != 0")
+    alpha, gamma, beta = a, c, d
     if (alpha * beta) % m != 1:
         raise DecompositionFailed(
             f"triangular form has non-unit diagonal ({alpha}, {beta}) mod {m}"

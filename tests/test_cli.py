@@ -402,7 +402,7 @@ def test_verify_output_does_not_depend_on_pass_size(capsys, stack_budget, parity
 
 def test_verify_covariance_working_set_stays_near_the_pass_cap(capsys):
     # one unstacked pass over Sp_11 would hold 3 + 1320 elements at
-    # about 10 kB each, about 13 MB
+    # 64 B per entry, about 7.7 kB each, about 10 MB
     argv = ("verify", "--dim", "11", "--parity", "odd", "--suite", "covariance")
     tracemalloc.start()
     try:

@@ -564,7 +564,77 @@ def test_proj_unitary_copies_the_callers_array():
     assert u.matrix[0, 0] == 1.0
 
 
+def test_u_of_freezes_its_own_stack():
+    u = u_of(SympMat(2, 1, 1, 1, 5), ODD).matrix
+    assert not u.flags.writeable
+    assert u.flags.c_contiguous
+    with pytest.raises(ValueError):
+        u[0, 0] = 0
+
+
 WHOLE_GROUPS = [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8, 12)]
+
+
+def two_pair_u_stack(elements, parity):
+    """_u_stack with every h+ power applied as an inverse FFT, a scaling by
+    its eigenvalues and a forward FFT along the rows, one element at a time
+    from the identity: up to two N x N FFT pairs per word."""
+    n = hilbert_dim(elements[0].modulus, parity)
+    exponents, r = metaplectic._generator_exponents(n, parity)
+    roots = unit_roots(r)
+    eighth = metaplectic.chirp_eighth(n, parity)
+    stack = np.empty((len(elements), n, n), dtype=complex)
+    for g, s in enumerate(elements):
+        matrix = np.eye(n, dtype=complex)
+        for sign, k in four_factor_word(s).factors:
+            if sign == "-":
+                matrix *= roots[k * exponents % r]
+            else:
+                matrix = np.fft.ifft(matrix, axis=-1)
+                matrix *= unit_roots(8)[eighth * k % 8] * roots[-k * exponents % r]
+                matrix = np.fft.fft(matrix, axis=-1)
+        stack[g] = matrix
+    return stack
+
+
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_u_stack_matches_the_two_pair_build_on_whole_group(modulus, parity):
+    elements = enumerate_group(modulus)
+    stack = _u_stack(elements, parity)
+    assert stack.flags.c_contiguous
+    assert np.abs(stack - two_pair_u_stack(elements, parity)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n,parity", [(255, ODD), (511, ODD), (256, EVEN)])
+def test_u_stack_matches_the_two_pair_build_at_large_dimensions(n, parity):
+    modulus = lattice_modulus(n, parity)
+    rng = np.random.default_rng(n)
+    # b = 0 is no unit, so the last two elements take all four factors
+    unit = 2 if parity == ODD else 3
+    elements = [random_element(modulus, rng) for _ in range(3)]
+    elements += [h_t(modulus) @ h_t(modulus), SympMat(unit, 0, 1, pow(unit, -1, modulus), modulus)]
+    assert max(len(four_factor_word(s)) for s in elements) == 4
+    stack = _u_stack(elements, parity)
+    assert stack.flags.c_contiguous
+    assert np.abs(stack - two_pair_u_stack(elements, parity)).max() < 1e-13
+
+
+@pytest.mark.parametrize("modulus,parity", [(7, ODD), (8, EVEN)])
+def test_u_of_takes_a_matrix_fft_pair_only_for_a_second_h_plus_power(monkeypatch, modulus, parity):
+    transforms = []
+    for name in ("fft", "ifft"):
+        def spy(a, *args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+            transforms.append((_name, np.ndim(a)))
+            return _transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    for s in enumerate_group(modulus):
+        transforms.clear()
+        u_of(s, parity)
+        matrices = sorted(name for name, ndim in transforms if ndim == 3)
+        if [sign for sign, _ in four_factor_word(s).factors].count("+") <= 1:
+            assert matrices == []
+        else:
+            assert matrices == ["fft", "ifft"]
 
 
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)

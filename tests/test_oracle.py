@@ -183,6 +183,7 @@ def test_sw_kernel_propagates_nan_kernel_entry(monkeypatch):
     report = verify_sw_kernel(ODD, 3)
     assert np.isnan(report.hermiticity)
     assert np.isnan(report.unit_trace)
+    assert np.isnan(report.traciality)
     assert np.isnan(report.translation_covariance)
 
 
@@ -737,7 +738,9 @@ def test_sw_kernel_of_mutant_matches_dense_reference(monkeypatch, mutant):
 
 def test_sw_kernel_refuses_partly_agreeing_permutations(monkeypatch):
     # The Gram blocks between classes are zero only if any two permutations
-    # agree on every row or on none; one moved column breaks that.
+    # agree on every row or on none; one moved column breaks that. Here
+    # Delta_(1,2)'s row 0 moves to column 3, the first column of the class
+    # of x = 4, whose other rows differ.
     def mutant(n, parity, x, y):
         factors = qops.kernel_factors(n, parity, x, y)
         hit = np.broadcast_to((x == 1) & (y == 2), factors.cols.shape).copy()
@@ -747,3 +750,87 @@ def test_sw_kernel_refuses_partly_agreeing_permutations(monkeypatch):
     monkeypatch.setattr(oracle, "kernel_factors", mutant)
     with pytest.raises(ValueError, match="agree"):
         verify_sw_kernel(ODD, 5)
+
+
+def row_sort_sw_kernel(parity, n):
+    """verify_sw_kernel with its classes from a sort of the whole kernel rows
+    (np.unique along axis 0) and one Gram product per class in a Python
+    loop, reading oracle.kernel_factors (so mutants reach it)."""
+    side = lattice_modulus(n, parity)
+    xs, ys = np.divmod(np.arange(side * side), side)
+    factors = oracle.kernel_factors(n, parity, xs[:, None], ys[:, None])
+    cols, exponents = factors.cols, factors.exponents
+    values = unit_roots(factors.root_modulus)[exponents]
+    rows = np.arange(n)
+    involution = np.take_along_axis(cols, cols, 1) == rows
+    mirrored = np.take_along_axis(values, cols, 1).conj()
+    hermiticity = float(np.abs(values - np.where(involution, mirrored, 0)).max())
+    trace = np.where(cols == rows, values, 0).sum(axis=1)
+    unit_trace = float(np.abs(trace - 1.0).max())
+    integer_trace = None
+    if parity != ODD:
+        integer_point = (xs % 2 == 0) & (ys % 2 == 0)
+        integer_trace = float(np.abs(trace - np.where(integer_point, 2.0, 0.0)).max())
+    perms, label = np.unique(cols, axis=0, return_inverse=True)
+    if (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
+        raise ValueError("two kernel permutations agree on some rows but not all")
+    blocks = (values[label == c] for c in range(len(perms)))
+    traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
+    translation = oracle._weyl_generator_defect(cols, exponents) if parity == ODD else None
+    return oracle.SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation, integer_trace)
+
+
+def report_fields(report):
+    return (report.parity, report.dim, report.hermiticity, report.unit_trace, report.traciality,
+            report.translation_covariance, report.integer_trace)
+
+
+@pytest.mark.parametrize(
+    "n,parity",
+    [(n, ODD) for n in range(3, 26, 2)] + [(53, ODD)] + [(n, EVEN) for n in range(2, 21, 2)] + [(38, EVEN)],
+)
+def test_sw_kernel_equals_the_row_sort_reference(n, parity):
+    assert report_fields(verify_sw_kernel(parity, n)) == report_fields(row_sort_sw_kernel(parity, n))
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [one_exponent_mutant((1, 2)), one_permutation_mutant((1, 2), (2, 2)), cyclic_mutant],
+    ids=["exponent", "permutation", "cyclic"],
+)
+@pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
+def test_sw_kernel_of_mutant_equals_the_row_sort_reference(monkeypatch, mutant, n, parity):
+    # the cyclic mutant is one class of every kernel
+    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    assert report_fields(verify_sw_kernel(parity, n)) == report_fields(row_sort_sw_kernel(parity, n))
+
+
+@pytest.mark.parametrize("whole_class", [False, True], ids=["first-column", "later-column"])
+def test_sw_kernel_refuses_permutations_sharing_a_column(monkeypatch, whole_class):
+    # Rows 1 and 2 swapped at odd N = 5 give (2, 0, 1, 4, 3). In Delta_(1,2)
+    # alone, that shares the first column, 2, of the other kernels of x = 1,
+    # (2, 1, 0, 4, 3), and differs elsewhere. In every kernel of x = 1, that
+    # class keeps its own first column and shares row 1's column 0 with the
+    # class of x = 3, (1, 0, 4, 3, 2).
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
+        swapped = factors.cols[..., [0, 2, 1, 3, 4]]
+        hit = (np.asarray(x) == 1) & (whole_class | (np.asarray(y) == 2))
+        return factors._replace(cols=np.where(hit, swapped, factors.cols))
+
+    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    for check in (verify_sw_kernel, row_sort_sw_kernel):
+        with pytest.raises(ValueError, match="agree"):
+            check(ODD, 5)
+
+
+def test_sw_kernel_refuses_gram_stacks_above_byte_bound(monkeypatch, byte_bound):
+    # The cyclic mutant at even N = 2 is one class of all 16 points: a
+    # 16 x 16 Gram block, 4096 B, above the tables' 16 * 4 * 32 = 2048 B.
+    monkeypatch.setattr(oracle, "kernel_factors", cyclic_mutant)
+    gram_bytes = 16 * 16 * 16
+    byte_bound(gram_bytes)
+    assert verify_sw_kernel(EVEN, 2).traciality == row_sort_sw_kernel(EVEN, 2).traciality
+    byte_bound(gram_bytes - 1)
+    with pytest.raises(BoundExceeded, match="Gram"):
+        verify_sw_kernel(EVEN, 2)

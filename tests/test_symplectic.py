@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_value_semantics
 
 from phasepoint import symplectic
-from phasepoint.modring import ModulusMismatch
+from phasepoint.modring import ModulusMismatch, euclid_trace
 from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
@@ -243,6 +243,60 @@ def test_four_factor_word_of_a_generator_power_is_that_power():
     for sign in "+-":
         for k in range(1, 8):
             assert four_factor_word(generator_power(sign, k, 8)).factors == ((sign, k),)
+
+
+def matrix_euclid_word(s):
+    """decompose's Euclidean word with the reduction carried on SympMat
+    products: each factor multiplied on from the left, as a validated matrix."""
+    m = s.modulus
+    if s.a == 1 and s.d == 1 and s.c == 0:
+        return GenWord((("+", s.b),), m)
+    if s.a == 1 and s.d == 1 and s.b == 0:
+        return GenWord((("-", s.c),), m)
+    if s == h_t(m):
+        return GenWord((("+", 1), ("-", m - 1), ("+", 1)), m)
+    applied = []
+    cur = s
+    if cur.b != 0 and cur.d != 0:
+        sign = "+" if cur.b >= cur.d else "-"
+        for k in euclid_trace(cur.b, cur.d).quotients:
+            cur = generator_power(sign, -k, m) @ cur
+            applied.append((sign, -k))
+            sign = "-" if sign == "+" else "+"
+    if cur.b != 0:
+        cur = h_t(m) @ cur
+        applied.append(("t", 1))
+    if cur.b != 0:
+        raise symplectic.DecompositionFailed(f"reduction left top-right entry {cur.b} != 0")
+    alpha, gamma, beta = cur.a, cur.c, cur.d
+    if (alpha * beta) % m != 1:
+        raise symplectic.DecompositionFailed(
+            f"triangular form has non-unit diagonal ({alpha}, {beta}) mod {m}"
+        )
+    factors = []
+    for sign, exponent in applied:
+        if sign == "t":
+            factors += [("+", -1), ("-", 1), ("+", -1)]
+        else:
+            factors.append((sign, -exponent))
+    factors.append(("-", beta + beta * gamma))
+    factors += [("+", 1), ("-", -1), ("+", 1), ("-", alpha), ("+", -beta)]
+    return GenWord(tuple(factors), m)
+
+
+@pytest.mark.parametrize("modulus", range(2, ENUMERATION_BOUND + 1))
+def test_decompose_equals_the_matrix_reduction_on_whole_group(modulus):
+    for s in enumerate_group(modulus):
+        assert decompose(s).factors == matrix_euclid_word(s).factors
+
+
+@pytest.mark.parametrize("modulus", [31, 64, 2**61 - 1])
+def test_decompose_equals_the_matrix_reduction_at_larger_moduli(modulus):
+    draws = random.Random(modulus)
+    for _ in range(200):
+        factors = tuple((draws.choice("+-"), draws.randrange(1, modulus)) for _ in range(6))
+        s = GenWord(factors, modulus).evaluate()
+        assert decompose(s).factors == matrix_euclid_word(s).factors
 
 
 def test_decompose_rejects_unknown_method():
