@@ -6,10 +6,19 @@ points, but the quasi-distribution does). Tables are real and sum to the
 state's squared norm <psi|psi>, which is one within NORM_TOL.
 Both directions, state to table and table to operator, are batched FFTs over
 the kernel rows and cost O(N^2 log N).
+
+What depends on the lattice alone, the chirp wt^(-step x y) and the gather
+and scatter indexes, is one read-only plan per (modulus, parity). Plans of at
+most 1 MiB (odd N <= 179, even N <= 108) are memoised, the eight most
+recently used, so memoised plans never hold more than 8 MiB; a larger plan
+is built inside the call and dropped with it. A transform's output does not
+depend on whether its plan was memoised.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -116,6 +125,92 @@ class Marginals(NamedTuple):
     momentum: np.ndarray
 
 
+# Both transforms hold at most four complex words per table cell at their
+# peak; check_bytes refuses them on that figure.
+_TRANSFORM_CELL_BYTES = 4 * np.dtype(complex).itemsize
+# Plans of at most _PLAN_MEMO_BYTES are memoised, the _PLAN_SLOTS most
+# recently used of them: 8 MiB at most.
+_PLAN_MEMO_BYTES = 1 << 20
+_PLAN_SLOTS = 8
+
+
+def _check_transform_bytes(what: str, modulus: int) -> None:
+    check_bytes(what, modulus * modulus * _TRANSFORM_CELL_BYTES)
+
+
+class _Plan(NamedTuple):
+    """Read-only arrays of one lattice that both transforms index with,
+    for modulus M and dimension N, with step = lattice.kernel_step:
+
+    - chirp[x, y] = wt^(-step x y), wt = exp(2 pi i / M): M x M complex;
+    - pairs[x, i] = (step x - i) mod N: wigner_of's gather, M x N;
+    - columns[y] = (step y) mod N: wigner_of's spectrum column, M;
+    - reads[i] = 2i mod M: weyl_quantize's read index, N;
+    - targets[x, i] = N i + (step x - i) mod N, x < N: weyl_quantize's
+      scatter, the flat position of entry (i, step x - i) for grid row x.
+
+    That is 32 B per cell on odd lattices and 22 B per cell on the doubled
+    grid, plus 16 or 24 B per N: odd N <= 179 and even N <= 108 fit in
+    _PLAN_MEMO_BYTES.
+    """
+
+    chirp: np.ndarray
+    pairs: np.ndarray
+    columns: np.ndarray
+    reads: np.ndarray
+    targets: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+def _build_plan(modulus: int, parity: str) -> _Plan:
+    n = hilbert_dim(modulus, parity)
+    step = kernel_step(parity)
+    x = np.arange(modulus).reshape(-1, 1)
+    y = np.arange(modulus)
+    i = np.arange(n)
+    plan = _Plan(
+        chirp=unit_roots(modulus)[(-step * x * y) % modulus],
+        pairs=(step * x - i) % n,
+        columns=(step * y) % n,
+        reads=(2 * i) % modulus,
+        targets=n * i + (step * x[:n] - i) % n,
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+_plans: OrderedDict[tuple[int, str], _Plan] = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _plan(modulus: int, parity: str) -> _Plan:
+    """The lattice's plan: memoised in a least-recently-used cache when it
+    fits _PLAN_MEMO_BYTES, else built for this call alone."""
+    key = (modulus, parity)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    plan = _build_plan(modulus, parity)
+    if plan.nbytes <= _PLAN_MEMO_BYTES:
+        with _plans_lock:
+            _plans[key] = plan
+            if len(_plans) > _PLAN_SLOTS:
+                _plans.popitem(last=False)
+    return plan
+
+
+def _plan_stats() -> tuple[int, int]:
+    """(entries, bytes) of the memoised plans."""
+    with _plans_lock:
+        return len(_plans), sum(plan.nbytes for plan in _plans.values())
+
+
 def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     """Wigner table of a pure state.
 
@@ -137,23 +232,27 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
       W[j, k] = wt^(-kj) (sum_i g_j[i] w^((k mod N) i)) / 2N.
 
     All rows go through one batched FFT: O(N^2 log N) time, O(N^2) memory.
-    The transform holds about four complex words per table cell at its
-    peak; check_bytes, called before any of it is built, keeps that under
-    the byte bound (odd N <= 2047, even N <= 1024).
+    At its peak the transform holds 64 B per table cell at odd N = 1023 and
+    46 B at even N = 512 with its plan built for the call, and 36 B at odd
+    N = 179 and 24 B at even N = 108 with a memoised one (tracemalloc).
+    check_bytes, called before the plan is looked up or built, keeps four
+    complex words (64 B) per cell under the byte bound (odd N <= 2047, even
+    N <= 1024).
     """
     n = state.dim
     modulus = lattice_modulus(n, parity)
-    table_bytes = modulus * modulus * 4 * np.dtype(complex).itemsize
-    check_bytes(f"Wigner table of {modulus} x {modulus} cells", table_bytes)
-    step = kernel_step(parity)
+    _check_transform_bytes(f"Wigner table of {modulus} x {modulus} cells", modulus)
+    plan = _plan(modulus, parity)
     amps = state.amplitudes
-    x = np.arange(modulus).reshape(-1, 1)
-    i = np.arange(n)
-    pairs = amps.conj() * amps[(step * x - i) % n]
     # ifft carries the 1/N of the sum; the even grid divides by 2N, not N.
-    spectra = np.fft.ifft(pairs, axis=1) * (n / modulus)
-    y = np.arange(modulus)
-    values = unit_roots(modulus)[(-step * x * y) % modulus] * spectra[:, (step * y) % n]
+    spectra = np.fft.ifft(amps.conj() * amps[plan.pairs], axis=1) * (n / modulus)
+    # take, not spectra[:, columns], whose result is column-major: the table
+    # stays row-major, so its sums add in the same order
+    values = spectra.take(plan.columns, axis=1)
+    del spectra  # the peak is the plan, the spectra and the table
+    # in place, the chirp kept as the left factor: with fused multiply-adds
+    # a complex product's last bit depends on the operand order
+    np.multiply(plan.chirp, values, out=values)
     worst_imag = float(np.abs(values.imag).max())
     if not worst_imag <= IMAG_TOL:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
@@ -189,22 +288,23 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     is one length-D inverse DFT read at index 2i mod D, and it lands on the
     kernel's support (i, step*x - i).
     At even N, rows j and j + N share that support and add. The cost is
-    O(N^2 log N); no kernel matrix is built.
+    O(N^2 log N); no kernel matrix is built. The peak is 64 B per cell at
+    odd N = 1023 and 54 B at even N = 512 with the plan built for the call,
+    36 and 32 B at odd N = 179 and even N = 108 with a memoised one;
+    check_bytes holds it to wigner_of's 64 B per cell, so the same sizes
+    are admitted (odd N <= 2047, even N <= 1024).
     """
     values = _real(grid, "grid")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DimensionMismatch(f"grid must be square, got {values.shape}")
     modulus = values.shape[0]
     n = hilbert_dim(modulus, parity)
+    _check_transform_bytes(f"quantized grid of {modulus} x {modulus} cells", modulus)
     if not np.isfinite(values).all():
         raise ValueError("grid has non-finite entries")
-    step = kernel_step(parity)
-    x = np.arange(modulus).reshape(-1, 1)
-    y = np.arange(modulus)
-    i = np.arange(n)
-    weighted = values * unit_roots(modulus)[(-step * x * y) % modulus]
-    rows = np.fft.ifft(weighted, axis=1)[:, (2 * i) % modulus]
+    plan = _plan(modulus, parity)
+    rows = np.fft.ifft(values * plan.chirp, axis=1)[:, plan.reads]
     rows = rows.reshape(modulus // n, n, n).sum(axis=0)
-    operator = np.empty((n, n), dtype=complex)
-    operator[i, (step * x[:n] - i) % n] = rows
-    return operator
+    operator = np.empty(n * n, dtype=complex)
+    operator[plan.targets] = rows
+    return operator.reshape(n, n)

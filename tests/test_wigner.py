@@ -1,8 +1,19 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from conftest import random_state, weyl_leonhardt
-from phasepoint.lattice import EVEN, ODD, DimensionMismatch, ParityError, lattice_modulus
+from phasepoint import wigner
+from phasepoint.lattice import (
+    EVEN,
+    ODD,
+    DimensionMismatch,
+    ParityError,
+    hilbert_dim,
+    kernel_step,
+    lattice_modulus,
+)
 from phasepoint.metaplectic import apply_point, u_of
 from phasepoint.qops import delta_at, phase_points, unit_roots
 from phasepoint.symplectic import BoundExceeded, enumerate_group
@@ -21,6 +32,12 @@ def characteristic_fn(state, j, k):
     the expectation value of the Weyl operator there."""
     amps = state.amplitudes
     return complex(amps.conj() @ weyl_leonhardt(state.dim, j, k) @ amps)
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan memo for one test."""
+    monkeypatch.setattr(wigner, "_plans", OrderedDict())
 
 
 def test_state_normalization_enforced():
@@ -292,22 +309,37 @@ def test_large_dimension_ladder(n, parity, rng):
     assert np.abs(quantized - np.outer(amps, amps.conj()) / n).max() < 1e-12
 
 
-def test_wigner_refuses_tables_above_byte_bound(byte_bound):
+def test_wigner_refuses_tables_above_byte_bound(byte_bound, fresh_plans):
     state = QuantumState.basis(3, 0)
+    grid = np.full((3, 3), 1 / 9)
     table_bytes = 3 * 3 * 64  # four complex words per cell of the 3 x 3 grid
-    byte_bound(table_bytes)
+
+    def refused():
+        byte_bound(table_bytes - 1)
+        with pytest.raises(BoundExceeded):
+            wigner_of(state, ODD)
+        with pytest.raises(BoundExceeded):
+            weyl_quantize(grid, ODD)
+        byte_bound(table_bytes)
+
+    refused()
+    assert wigner._plan_stats() == (0, 0)  # refused before the plan is built
     assert wigner_of(state, ODD).total == pytest.approx(1.0)
-    byte_bound(table_bytes - 1)
-    with pytest.raises(BoundExceeded):
-        wigner_of(state, ODD)
+    assert np.abs(weyl_quantize(grid, ODD) - np.eye(3) / 9).max() < 1e-15
+    assert (3, ODD) in wigner._plans
+    refused()  # and still refused with the plan memoised
 
 
 @pytest.mark.parametrize("n,parity", [(2049, ODD), (1026, EVEN)])
 def test_wigner_bound_sizes(n, parity):
     # odd N <= 2047 and even N <= 1024 fit in 256 MiB; the next sizes are
-    # refused before the transform allocates
+    # refused before the transforms allocate (the grid is never read)
+    modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         wigner_of(QuantumState.basis(n, 0), parity)
+    with pytest.raises(BoundExceeded):
+        weyl_quantize(np.zeros((modulus, modulus)), parity)
+    wigner._check_transform_bytes("the largest admitted table", lattice_modulus(n - 2, parity))
 
 
 def test_wigner_table_copies_the_callers_array():
@@ -329,3 +361,133 @@ def test_wigner_table_rejects_a_shape_that_fits_no_dimension(edge, parity):
 def test_wigner_table_dimension():
     assert WignerTable(ODD, np.zeros((5, 5))).dim == 5
     assert WignerTable(EVEN, np.zeros((8, 8))).dim == 4
+
+
+# -- per-lattice plans ---------------------------------------------------------
+
+
+def chirp_wigner_of(state, parity):
+    """Reference: wigner_of's complex entries with the chirp and the indexes
+    built inside the call, as before the plans were memoised."""
+    n = state.dim
+    modulus = lattice_modulus(n, parity)
+    step = kernel_step(parity)
+    amps = state.amplitudes
+    x = np.arange(modulus).reshape(-1, 1)
+    i = np.arange(n)
+    pairs = amps.conj() * amps[(step * x - i) % n]
+    spectra = np.fft.ifft(pairs, axis=1) * (n / modulus)
+    y = np.arange(modulus)
+    return unit_roots(modulus)[(-step * x * y) % modulus] * spectra[:, (step * y) % n]
+
+
+def chirp_weyl_quantize(grid, parity):
+    """Reference: weyl_quantize with the chirp and the indexes built inside
+    the call, as before the plans were memoised."""
+    values = np.asarray(grid, dtype=float)
+    modulus = values.shape[0]
+    n = hilbert_dim(modulus, parity)
+    step = kernel_step(parity)
+    x = np.arange(modulus).reshape(-1, 1)
+    y = np.arange(modulus)
+    i = np.arange(n)
+    weighted = values * unit_roots(modulus)[(-step * x * y) % modulus]
+    rows = np.fft.ifft(weighted, axis=1)[:, (2 * i) % modulus]
+    rows = rows.reshape(modulus // n, n, n).sum(axis=0)
+    operator = np.empty((n, n), dtype=complex)
+    operator[i, (step * x[:n] - i) % n] = rows
+    return operator
+
+
+def same_bits(a, b):
+    """Equal dtype, shape, memory layout and bytes: stricter than
+    np.array_equal, which takes -0.0 for 0.0 and ignores the layout that
+    sums depend on."""
+    return (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+
+
+# DENSE_CASES, the benchmark's lattices and two above the memo limit (odd
+# 179, even 108), odd and even in turn
+PLAN_CASES = [
+    (3, ODD), (2, EVEN), (5, ODD), (4, EVEN), (7, ODD), (6, EVEN), (9, ODD), (8, EVEN),
+    (41, ODD), (16, EVEN), (255, ODD), (256, EVEN),
+]
+
+
+def test_transforms_equal_the_per_call_chirp_build(fresh_plans, rng):
+    # Each odd-even pair twice: the first visit builds the plans, the
+    # second reads the memoised ones; the sizes above the memo limit build
+    # theirs on every call.
+    for pair in zip(PLAN_CASES[0::2], PLAN_CASES[1::2]):
+        built = {}
+        for _ in range(2):
+            for n, parity in pair:
+                state = random_state(n, rng)
+                table = wigner_of(state, parity)
+                reference = chirp_wigner_of(state, parity)
+                expected = WignerTable(parity, reference.real, float(np.abs(reference.imag).max()))
+                assert same_bits(table.values, expected.values)
+                assert table.imag_residual == expected.imag_residual
+                assert table.total == expected.total
+                for got, want in zip(marginals(table), marginals(expected)):
+                    assert same_bits(got, want)
+                operator = weyl_quantize(table.values, parity)
+                assert same_bits(operator, chirp_weyl_quantize(table.values, parity))
+                grid = rng.standard_normal(table.values.shape)
+                assert same_bits(weyl_quantize(grid, parity), chirp_weyl_quantize(grid, parity))
+                key = (table.modulus, parity)
+                assert built.setdefault(key, wigner._plans.get(key)) is wigner._plans.get(key)
+        assert [plan is None for plan in built.values()] == [n > 200 for n, _ in pair]
+
+
+@pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN), (181, ODD), (110, EVEN)])
+def test_plan_arrays_are_read_only(n, parity):
+    plan = wigner._plan(lattice_modulus(n, parity), parity)
+    for array in plan:
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("largest,parity,per_cell,per_n", [(179, ODD, 32, 16), (108, EVEN, 22, 24)])
+def test_plan_memo_limit(largest, parity, per_cell, per_n, fresh_plans):
+    # plan bytes are per_cell per table cell plus per_n per dimension;
+    # the largest memoised lattice and the next one of its parity
+    for n in (largest, largest + 2):
+        modulus = lattice_modulus(n, parity)
+        plan = wigner._plan(modulus, parity)
+        assert plan.nbytes == per_cell * modulus * modulus + per_n * n
+    assert plan.nbytes > wigner._PLAN_MEMO_BYTES
+    assert list(wigner._plans) == [(lattice_modulus(largest, parity), parity)]
+
+
+def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
+    ceiling = wigner._PLAN_SLOTS * wigner._PLAN_MEMO_BYTES
+    assert ceiling == 8 << 20  # the module docstring's figure
+    sweep = [(n, ODD) for n in range(3, 256, 2)] + [(n, EVEN) for n in range(2, 129, 2)]
+    for n, parity in sweep:
+        table = wigner_of(QuantumState.basis(n, 1), parity)
+        weyl_quantize(table.values, parity)
+        entries, nbytes = wigner._plan_stats()
+        assert entries <= wigner._PLAN_SLOTS
+        assert nbytes <= ceiling
+    # the last eight memoised lattices, least recently used first
+    assert list(wigner._plans) == [(2 * n, EVEN) for n in range(94, 109, 2)]
+    # a hit renews its plan: the next miss evicts the one after it
+    wigner_of(QuantumState.basis(94, 1), EVEN)
+    wigner_of(QuantumState.basis(3, 1), ODD)
+    assert list(wigner._plans)[:2] == [(2 * 98, EVEN), (2 * 100, EVEN)]
+    assert (2 * 94, EVEN) in wigner._plans and (2 * 96, EVEN) not in wigner._plans
+
+
+def test_plan_above_memo_limit_leaves_the_memo_unchanged(fresh_plans):
+    for n, parity in [(3, ODD), (4, EVEN), (179, ODD)]:
+        wigner_of(QuantumState.basis(n, 0), parity)
+    before = list(wigner._plans.items())
+    stats = wigner._plan_stats()
+    for n, parity in [(181, ODD), (110, EVEN)]:
+        table = wigner_of(QuantumState.basis(n, 0), parity)
+        weyl_quantize(table.values, parity)
+    after = list(wigner._plans.items())
+    assert [key for key, _ in after] == [key for key, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+    assert wigner._plan_stats() == stats
