@@ -31,6 +31,7 @@ _NAMES_BY_MODULE = {
         "GenWord",
         "NotSymplectic",
         "SympMat",
+        "apply_point",
         "bfs_decompose",
         "decompose",
         "enumerate_group",
@@ -44,7 +45,6 @@ _NAMES_BY_MODULE = {
     "metaplectic": (
         "ProjUnitary",
         "UTable",
-        "apply_point",
         "covariance_residual",
         "equal_up_to_phase",
         "group_covariance",

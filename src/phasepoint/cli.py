@@ -31,6 +31,7 @@ from .symplectic import (
     BoundExceeded,
     DecompositionFailed,
     SympMat,
+    bfs_decompose,
     check_bytes,
     decompose,
     enumerate_group,
@@ -85,7 +86,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except ValueError as exc:  # NotSymplectic included
         return _fail(str(exc), 2)
     try:
-        word = decompose(mat, method=args.method)
+        word = bfs_decompose(mat) if args.method == "bfs" else decompose(mat)
     except BoundExceeded as exc:
         return _fail(str(exc), 2)
     except DecompositionFailed as exc:

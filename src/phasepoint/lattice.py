@@ -2,9 +2,11 @@
 
 Odd lattices (N odd) index phase points mod N; even lattices (N even) use the
 doubled grid mod 2N. This module is the one place that maps a dimension and a
-parity onto the lattice and back, and the one place that picks a parity's
-kernel step. Its names live apart from the numeric layers so that argument
-checks and the command-line parser run without importing numpy.
+parity onto the lattice and back, and the one home of the phase point
+operators' entries: row i of Delta_(x,y) has its one nonzero in column
+kernel_column(parity, x, i) mod N, with exponent kernel_exponent(parity, x,
+y, i) mod lattice_modulus. Its names live apart from the numeric layers so
+that argument checks and the command-line parser run without importing numpy.
 """
 
 from __future__ import annotations
@@ -40,12 +42,25 @@ def lattice_modulus(n: int, parity: str) -> int:
 
 
 def kernel_step(parity: str) -> int:
-    """The one choice between the two kernels: row i of Delta_(x,y) has its
-    nonzero in column step x - i mod N, with exponent 2 y i - step x y mod
-    lattice_modulus. Step 2 over Z_N on odd lattices (Cohendet et al.),
-    step 1 over Z_2N on the doubled grid (Leonhardt). Callers check the
-    parity, with the dimension, through check_parity."""
+    """The one choice between the two kernels: step 2 over Z_N on odd
+    lattices (Cohendet et al.), step 1 over Z_2N on the doubled grid
+    (Leonhardt). Callers check the parity, with the dimension, through
+    check_parity."""
     return 2 if parity == ODD else 1
+
+
+def kernel_column(parity: str, x, i):
+    """Column of row i's nonzero in Delta_(x,y), step x - i, unreduced
+    (read it mod N). x and i are ints or broadcasting integer arrays."""
+    return kernel_step(parity) * x - i
+
+
+def kernel_exponent(parity: str, x, y, i):
+    """Exponent of row i's nonzero in Delta_(x,y), 2 y i - step x y,
+    unreduced (read it mod lattice_modulus, as a power of
+    exp(2 pi i / lattice_modulus)). x, y and i are ints or broadcasting
+    integer arrays."""
+    return 2 * y * i - kernel_step(parity) * x * y
 
 
 def hilbert_dim(modulus: int, parity: str) -> int:

@@ -75,6 +75,8 @@ _RESIDUAL_ENTRY_BYTES = 44
 # u_table's closed-form table, bytes per entry (tracemalloc peak 9.0-10.2 at
 # odd N = 255..1023 and even N = 512 and 1024): N <= 4729
 _TABLE_ENTRY_BYTES = 12
+# Generator exponent tables _exponent_table keeps, the most recently used
+_EXPONENT_TABLES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +110,10 @@ def _generator_exponents(n: int, parity: str) -> tuple[np.ndarray, int]:
     return _exponent_table(n, parity)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EXPONENT_TABLES)
 def _exponent_table(n: int, parity: str) -> tuple[np.ndarray, int]:
-    """_generator_exponents once per lattice, read-only; O(N) entries."""
+    """_generator_exponents once per lattice, read-only; O(N) entries, kept
+    for the _EXPONENT_TABLES most recently used lattices."""
     i = np.arange(n)
     if parity == ODD:
         # i and i+N have opposite parity, so the product is even.
@@ -272,12 +275,6 @@ def phase_defect(a, b) -> float:
     return float(_phase_fit(a, b)[1])
 
 
-def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
-    """Linear action of a symplectic element on a lattice point, mod s.modulus."""
-    m, n = point
-    return ((s.a * m + s.b * n) % s.modulus, (s.c * m + s.d * n) % s.modulus)
-
-
 class UTable(NamedTuple):
     """U(S) as an exact table: entry [i, k] is
     scale * unit_roots(root_modulus)[exponents[i, k]] where support[i, k],
@@ -410,18 +407,18 @@ def _three_point_certified(tables: UTable, elements, parity: str) -> np.ndarray:
     """
     exponents, support, _, _, r = tables
     count, n = exponents.shape[:2]
-    modulus = elements[0].modulus
     a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None]
     stack = np.arange(count)[:, None]
     certified = np.ones(count, dtype=bool)
-    for x, y in ((0, 0), (1, 0), (0, 1)):
-        kernel = kernel_factors(n, parity, x, y)
-        image = kernel_factors(n, parity, (a * x + b * y) % modulus, (c * x + d * y) % modulus)
+    # S fixes (0, 0) and maps (1, 0) and (0, 1) to its columns
+    for point, moved in (((0, 0), (0, 0)), ((1, 0), (a, c)), ((0, 1), (b, d))):
+        kernel = kernel_factors(n, parity, *point)
+        image = kernel_factors(n, parity, *moved)
         step = r // kernel.root_modulus
         inverse = np.argsort(kernel.cols)
         difference = exponents[:, :, inverse]
         difference += step * kernel.exponents[inverse]
-        difference -= step * image.exponents[:, :, None]
+        difference -= step * image.exponents[..., None]
         difference -= exponents[stack, image.cols]
         difference %= r
         on = support[:, :, inverse]
@@ -441,7 +438,7 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     exactly in O(1) (weil.certify), so that by the Schur argument of
     _three_point_certified its table V is unitary and
     V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure
-    is inf. _covariance_bounds reaches the same table by rounding a float
+    is inf. group_covariance reaches the same table by rounding a float
     U(S), and the figures agree bit for bit.
 
     With c = <V, u>_F / N (any c would do) and E = u - c V,
@@ -472,19 +469,6 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
     exponents, support, gcd, scale, root_modulus = _descriptor_table(form)
     table = UTable(exponents[None], support[None], gcd, np.array([scale]), root_modulus)
     return float(_bounds(matrix[None], table, np.array([certify(form, s, parity)]))[0])
-
-
-def _covariance_bounds(us: np.ndarray, references: np.ndarray, elements, parity: str):
-    """covariance_residual(us[g], elements[g], parity) for each g of a
-    (G, N, N) stack (one modulus), given references[g] =
-    u_of(elements[g]).matrix; the two may be one array, never written to.
-    The reference tables come from rounding, certified by
-    _three_point_certified. Every step runs on the stack, each element
-    against its own images, so each figure is the one-element figure bit for
-    bit and a NaN reaches only its own."""
-    tables, failures = _round_stack(references, elements)
-    rounded = np.array([failure is None for failure in failures])
-    return _bounds(us, tables, _three_point_certified(tables, elements, parity) & rounded)
 
 
 def _bounds(us: np.ndarray, tables: UTable, certified: np.ndarray) -> np.ndarray:
@@ -537,8 +521,12 @@ def _passes(what: str, items: list, item_bytes: int, evaluate) -> np.ndarray:
 def group_covariance(elements, parity: str) -> np.ndarray:
     """covariance_residual(u_of(s).matrix, s, parity) for each of
     ``elements`` (one modulus), bit for bit, from stacked passes, each U(S)
-    bounded against itself. One element counts as _BOUND_ENTRY_BYTES per
-    entry: odd N <= 2047, even N <= 2048. No elements give an empty array."""
+    bounded against itself. The reference tables come from rounding the
+    stack, certified by _three_point_certified. Every step runs on the
+    stack, each element against its own images, so each figure is the
+    one-element figure bit for bit and a NaN reaches only its own. One
+    element counts as _BOUND_ENTRY_BYTES per entry: odd N <= 2047, even
+    N <= 2048. No elements give an empty array."""
     elements = list(elements)
     if not elements:
         return np.empty(0)
@@ -546,7 +534,9 @@ def group_covariance(elements, parity: str) -> np.ndarray:
 
     def bounds(part):
         stack = _u_stack(part, parity)
-        return _covariance_bounds(stack, stack, part, parity)
+        tables, failures = _round_stack(stack, part)
+        rounded = np.array([failure is None for failure in failures])
+        return _bounds(stack, tables, _three_point_certified(tables, part, parity) & rounded)
 
     element_bytes = _BOUND_ENTRY_BYTES * n * n
     return _passes(f"covariance check at dimension {n}", elements, element_bytes, bounds)

@@ -20,9 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from .lattice import EVEN, ODD, check_parity, hilbert_dim, lattice_modulus
-from .metaplectic import apply_point, equal_up_to_phase, u_of
+from .metaplectic import equal_up_to_phase, u_of
 from .qops import delta_at, kernel_factors, unit_roots
-from .symplectic import SympMat, check_bytes
+from .symplectic import SympMat, apply_point, check_bytes
 
 SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8

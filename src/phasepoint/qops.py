@@ -19,12 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import kernel_step, lattice_modulus
+from .lattice import kernel_column, kernel_exponent, lattice_modulus
 from .modring import _check_modulus
 from .symplectic import check_bytes
 
 
-@lru_cache(maxsize=None)
+# Root tables unit_roots keeps, the most recently used: a lattice reads at
+# most three (R, 8R and 8), and a sweep over many N holds no more than this
+_ROOT_TABLES = 16
+
+
+@lru_cache(maxsize=_ROOT_TABLES)
 def unit_roots(m: int) -> np.ndarray:
     """Table of the m-th roots of unity, exp(2 pi i k / m) for k = 0..m-1."""
     _check_modulus(m)
@@ -44,20 +49,20 @@ class KernelFactors(NamedTuple):
 
 
 def kernel_factors(n: int, parity: str, x, y) -> KernelFactors:
-    """Tables of the phase point operators at points (x, y), laid out by
-    lattice.kernel_step: column step x - i mod N and exponent
-    2 y i - step x y mod R, with R = lattice_modulus(n, parity). That is
-    Cohendet's kernel w^(2 y i - 2 x y) in column 2x - i on odd lattices,
-    w = exp(2 pi i / N), and Leonhardt's wt^(2 k i - j k) in column j - i
-    at doubled coordinates (j, k) on even ones, wt = exp(2 pi i / 2N).
+    """Tables of the phase point operators at points (x, y): lattice's
+    kernel_column reduced mod N and kernel_exponent reduced mod
+    R = lattice_modulus(n, parity). That is Cohendet's kernel
+    w^(2 y i - 2 x y) in column 2x - i on odd lattices, w = exp(2 pi i / N),
+    and Leonhardt's wt^(2 k i - j k) in column j - i at doubled coordinates
+    (j, k) on even ones, wt = exp(2 pi i / 2N).
 
     x and y are integers or integer arrays; they broadcast against the row
     index i, which runs along the last axis (pass x[:, None] for a batch).
     A dimension or parity that does not fit raises ParityError.
     """
-    step, r = kernel_step(parity), lattice_modulus(n, parity)
-    rows = np.arange(n)
-    return KernelFactors((step * x - rows) % n, (2 * y * rows - step * x * y) % r, r)
+    r, rows = lattice_modulus(n, parity), np.arange(n)
+    cols, exponents = kernel_column(parity, x, rows), kernel_exponent(parity, x, y, rows)
+    return KernelFactors(cols % n, exponents % r, r)
 
 
 def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:

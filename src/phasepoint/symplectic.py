@@ -101,6 +101,13 @@ def multiply(s1: SympMat, s2: SympMat) -> SympMat:
     )
 
 
+def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:
+    """Linear action of a symplectic element on a lattice point, mod s.modulus:
+    (a x + b y, c x + d y) for point (x, y), ints or integer arrays."""
+    x, y = point
+    return ((s.a * x + s.b * y) % s.modulus, (s.c * x + s.d * y) % s.modulus)
+
+
 def generator(sign: str, modulus: int) -> SympMat:
     """The generator h+ (sign '+') or h- (sign '-') over Z_M."""
     return generator_power(sign, 1, modulus)
@@ -173,33 +180,23 @@ def random_element(modulus: int, rng) -> SympMat:
     return GenWord(factors, modulus).evaluate()
 
 
-def decompose(s: SympMat, method: str = "euclid") -> GenWord:
+def decompose(s: SympMat) -> GenWord:
     """Factor ``s`` into a generator word with word.evaluate() == s exactly.
 
-    The Euclidean method runs the Euclidean algorithm on the canonical
-    representatives of the second column (b, d). Each quotient k dictates a
-    left multiplication by h+^(-k) or h-^(-k), alternating, which replays
-    the remainder chain inside the matrix; the two chain parities that end
-    with the bottom entry zeroed instead of the top get one extra swap by
-    h_t. The result is lower triangular, [[alpha, 0], [gamma, beta]] with
-    alpha * beta = 1 (mod M), and the closing identity
+    It runs the Euclidean algorithm on the canonical representatives of the
+    second column (b, d). Each quotient k dictates a left multiplication by
+    h+^(-k) or h-^(-k), alternating, which replays the remainder chain
+    inside the matrix; the two chain parities that end with the bottom entry
+    zeroed instead of the top get one extra swap by h_t. The result is lower
+    triangular, [[alpha, 0], [gamma, beta]] with alpha * beta = 1 (mod M),
+    and the closing identity
 
         h-^(-beta - beta*gamma) (H s) h+^beta h-^(-alpha) = h_t
 
     is solved for ``s`` itself. The word is re-evaluated before returning
     and DecompositionFailed is raised if it does not reproduce ``s``.
-
-    ``method`` is "euclid" or "bfs" (the bounded shortest-word oracle,
-    see bfs_decompose).
+    bfs_decompose is the bounded shortest-word oracle.
     """
-    if method == "euclid":
-        return _euclid_word(s)
-    if method == "bfs":
-        return bfs_decompose(s)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _euclid_word(s: SympMat) -> GenWord:
     m = s.modulus
     # the identity included, as h+^0
     if s.a == 1 and s.d == 1 and s.c == 0:
@@ -265,7 +262,7 @@ def four_factor_word(s: SympMat) -> GenWord:
 
     matches it for z = (a - 1)/b' and x = (d' - 1)/b'; the bottom-left
     entry x + d' z = (a d' - 1)/b' is c because a d' - b' c = 1. The word is
-    re-evaluated before returning, as in the Euclidean method.
+    re-evaluated before returning, as in decompose.
     """
     m = s.modulus
     for t in range(m):

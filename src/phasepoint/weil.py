@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import math
 
-from .lattice import ODD, hilbert_dim, kernel_step
+from .lattice import ODD, hilbert_dim, kernel_column, kernel_exponent
 from .modring import _Frozen
-from .symplectic import four_factor_word
+from .symplectic import apply_point, four_factor_word
 
 # Points on which an integer quadratic in two variables that vanishes mod L
 # vanishes on all of Z^2 (its Newton forward differences)
@@ -277,9 +277,10 @@ def certify(form: Descriptor, s, parity: str) -> bool:
        P(i + N, m - delta N/g) = P(i, m) mod L. Each difference is affine,
        so three points decide it; the table is then well defined, and P may
        be read at unreduced indices.
-    3. For q = (0, 0), (1, 0), (0, 1) and q' = S.q, with Delta_q's row i
-       holding zeta^(8 e_q(i)) in column u - i (lattice.kernel_step:
-       u = step x and e_q(i) = 2yi - step xy),
+    3. For q = (0, 0), (1, 0), (0, 1) and q' = S.q (symplectic.apply_point),
+       Delta_q's row i holds zeta^(8 e_q(i)) in column u - i, with
+       u - i = lattice.kernel_column and e_q(i) = lattice.kernel_exponent
+       at q, in R units (8 zeta units each, as L = 8R). Then
        (V Delta_q)[i, j] = V[i, u - j] zeta^(8 e_q(u - j)) and
        (Delta_q' V)[i, j] = zeta^(8 e_q'(i)) V[u' - i, j]. Their cosets must
        agree mod g; then, in the coset's lifted coordinates (i, mu), both
@@ -302,20 +303,17 @@ def certify(form: Descriptor, s, parity: str) -> bool:
         here = at(i, m)
         if at(i, m + period) != here or at(i + n, m - delta * period) != here:
             return False
-    step = kernel_step(parity)
     for x, y in ((0, 0), (1, 0), (0, 1)):
-        x2, y2 = (s.a * x + s.b * y) % s.modulus, (s.c * x + s.d * y) % s.modulus
-        u, u2 = step * x, step * x2
-        # e_q(k) = 2yk - step xy in R units, times 8 in zeta units
-        const, const2 = 8 * step * x * y, 8 * step * x2 * y2
+        x2, y2 = apply_point(s, (x, y))
+        u, u2 = kernel_column(parity, x, 0), kernel_column(parity, x2, 0)
         left_offset, right_offset = u - kappa, kappa + delta * u2
         if (right_offset - left_offset) % g:
             return False
         shift = (right_offset - left_offset) // g
         for i, mu in _NEWTON:
             j = right_offset - delta * i + g * mu
-            left = at(i, -mu - shift) + 16 * y * (u - j) - const
-            right = 16 * y2 * i - const2 + at(u2 - i, mu)
+            left = at(i, -mu - shift) + 8 * kernel_exponent(parity, x, y, u - j)
+            right = 8 * kernel_exponent(parity, x2, y2, i) + at(u2 - i, mu)
             if (left - right) % root_modulus:
                 return False
     return True

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DimensionMismatch, hilbert_dim, kernel_step, lattice_modulus
+from .lattice import DimensionMismatch, hilbert_dim, kernel_column, kernel_exponent, lattice_modulus
 from .qops import unit_roots
 from .symplectic import check_bytes
 
@@ -140,12 +140,16 @@ def _check_transform_bytes(what: str, modulus: int) -> None:
 
 class _Plan(NamedTuple):
     """Read-only arrays of one lattice that both transforms index with,
-    for modulus M and dimension N, with step = lattice.kernel_step:
+    for modulus M and dimension N, all read off Delta_(x,y)'s row i, its
+    column step x - i (lattice.kernel_column) and exponent 2 y i - step x y
+    (lattice.kernel_exponent), with wt = exp(2 pi i / M):
 
-    - chirp[x, y] = wt^(-step x y), wt = exp(2 pi i / M): M x M complex;
-    - pairs[x, i] = (step x - i) mod N: wigner_of's gather, M x N;
-    - columns[y] = (step y) mod N: wigner_of's spectrum column, M;
-    - reads[i] = 2i mod M: weyl_quantize's read index, N;
+    - chirp[x, y] = wt^(-step x y), row 0's entry: M x M complex;
+    - pairs[x, i] = (step x - i) mod N, row i's column: wigner_of's gather,
+      M x N;
+    - columns[y] = (step y) mod N, the exponent's slope 2y in i in units of
+      exp(2 pi i / N): wigner_of's spectrum column, M;
+    - reads[i] = 2i mod M, its slope in y: weyl_quantize's read index, N;
     - targets[x, i] = N i + (step x - i) mod N, x < N: weyl_quantize's
       scatter, the flat position of entry (i, step x - i) for grid row x.
 
@@ -167,16 +171,16 @@ class _Plan(NamedTuple):
 
 def _build_plan(modulus: int, parity: str) -> _Plan:
     n = hilbert_dim(modulus, parity)
-    step = kernel_step(parity)
     x = np.arange(modulus).reshape(-1, 1)
     y = np.arange(modulus)
     i = np.arange(n)
+    pairs = kernel_column(parity, x, i) % n
     plan = _Plan(
-        chirp=unit_roots(modulus)[(-step * x * y) % modulus],
-        pairs=(step * x - i) % n,
-        columns=(step * y) % n,
-        reads=(2 * i) % modulus,
-        targets=n * i + (step * x[:n] - i) % n,
+        chirp=unit_roots(modulus)[kernel_exponent(parity, x, y, 0) % modulus],
+        pairs=pairs,
+        columns=kernel_exponent(parity, 0, y, 1) * n // modulus % n,
+        reads=kernel_exponent(parity, 0, 1, i) % modulus,
+        targets=n * i + pairs[:n],
     )
     for array in plan:
         array.flags.writeable = False

@@ -440,11 +440,12 @@ def test_verify_rejects_bad_tol_before_any_suite(capsys, monkeypatch, tol):
 
 
 def nan_residual_at(target):
-    """_covariance_bounds with a NaN figure for the element ``target``."""
-    residuals = metaplectic._covariance_bounds
+    """group_covariance with a NaN figure for the element ``target``."""
+    residuals = metaplectic.group_covariance
 
-    def patched(us, references, elements, parity):
-        figures = residuals(us, references, elements, parity)
+    def patched(elements, parity):
+        elements = list(elements)
+        figures = residuals(elements, parity)
         figures[[s == target for s in elements]] = np.nan
         return figures
 
@@ -454,7 +455,7 @@ def nan_residual_at(target):
 def test_verify_fails_on_nan_group_residual(capsys, monkeypatch):
     # -I is no generator, so only the whole-group check sees the NaN
     target = SympMat(2, 0, 0, 2, 3)
-    monkeypatch.setattr(metaplectic, "_covariance_bounds", nan_residual_at(target))
+    monkeypatch.setattr(metaplectic, "group_covariance", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = json.loads(out)
@@ -473,7 +474,7 @@ def strict_json(text):
 
 def test_verify_writes_nan_residual_as_null(capsys, monkeypatch):
     target = SympMat(2, 0, 0, 2, 3)
-    monkeypatch.setattr(metaplectic, "_covariance_bounds", nan_residual_at(target))
+    monkeypatch.setattr(metaplectic, "group_covariance", nan_residual_at(target))
     code, out, _ = run(capsys, "verify", "--dim", "3", "--parity", "odd", "--suite", "covariance")
     assert code == 1
     payload = strict_json(out)

@@ -1,6 +1,7 @@
-"""The package root, the lattice helpers, U(S)'s closed form (weil) and the
-decompose and rep commands must run without numpy, and without
-``dataclasses`` or ``inspect``.
+"""The package root, the lattice helpers, the point action
+(phasepoint.apply_point), U(S)'s closed form (weil) and the decompose and
+rep commands must run without numpy, and without ``dataclasses`` or
+``inspect``.
 
 The child process poisons ``numpy`` in ``sys.modules`` before anything from
 phasepoint is imported, so any import of numpy (direct, or through a numeric
@@ -38,11 +39,11 @@ def run(*argv):
     return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
 
 
-def fail_decompose(s, method="euclid"):
+def fail_decompose(s):
     raise symplectic.DecompositionFailed("injected failure")
 
 
-def wrong_word(s, method="euclid"):
+def wrong_word(s):
     return symplectic.GenWord((), s.modulus)
 
 
@@ -53,7 +54,8 @@ results["certified"] = [
     for s, parity in ((symplectic.SympMat(2, 1, 1, 1, 2**61 - 1), "odd"),
                       (symplectic.SympMat(2, 1, 1, 1, 2**21), "even"))
 ]
-for method in ("euclid", "bfs"):
+results["apply_point"] = phasepoint.apply_point(symplectic.SympMat(2, 1, 1, 1, 5), (1, 2))
+for method, name in (("euclid", "decompose"), ("bfs", "bfs_decompose")):
     dec = ("decompose", "--method", method, "--modulus")
     results[method] = [
         run(*dec, "11", "--matrix", "2,1,1,1"),
@@ -64,9 +66,9 @@ for method in ("euclid", "bfs"):
     if method == "bfs":
         results[method].append(run(*dec, "1009", "--matrix", "2,1,1,1"))
     for fake in (fail_decompose, wrong_word):
-        cli.decompose = fake
+        setattr(cli, name, fake)
         results[method].append(run(*dec, "11", "--matrix", "2,1,1,1"))
-    cli.decompose = symplectic.decompose
+    setattr(cli, name, getattr(symplectic, name))
 rep = ("rep", "--parity")
 results["rep"] = [
     run(*rep, parity, "--dim", dim, "--matrix", "5,2,2,1", "--index-style", style)
@@ -102,6 +104,7 @@ def test_root_and_decompose_import_no_numpy():
     assert "decompose" in results["help"]["out"]
     assert results["hilbert_dim"] == [7, 4]
     assert results["certified"] == [True, True]
+    assert results["apply_point"] == [4, 3]
     for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):
         runs = results[method]
         assert [r["code"] for r in runs] == expected

@@ -21,13 +21,11 @@ from phasepoint.metaplectic import (
     ProjUnitary,
     _BOUND_ENTRY_BYTES,
     _RESIDUAL_ENTRY_BYTES,
-    _covariance_bounds,
     _phase_fit,
     _bounds,
     _round_stack,
     _three_point_certified,
     _u_stack,
-    apply_point,
     covariance_residual,
     equal_up_to_phase,
     group_covariance,
@@ -49,6 +47,7 @@ from phasepoint.symplectic import (
     SYSTEM_BYTES_BOUND,
     BoundExceeded,
     SympMat,
+    apply_point,
     bfs_decompose,
     decompose,
     enumerate_group,
@@ -648,11 +647,6 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
     stack = _u_stack(elements, parity)
     assert np.array_equal(stack, np.array(singles))
     expected = [covariance_residual(u, s, parity) for u, s in zip(singles, elements)]
-    # passes of 50, as the CLI cuts them, and one ragged last pass
-    parts = [(stack[start : start + 50], elements[start : start + 50])
-             for start in range(0, len(elements), 50)]
-    residuals = np.concatenate([_covariance_bounds(us, us, part, parity) for us, part in parts])
-    assert np.array_equal(residuals, expected)
     # the stacked rounding and three-point verdicts, against the one-element
     # functions, for the whole group in one stack
     tables, failures = _round_stack(stack, elements)
@@ -695,10 +689,12 @@ def test_nan_in_one_stacked_unitary_reaches_only_its_figure(n, parity, rng):
     modulus = lattice_modulus(n, parity)
     elements = [random_element(modulus, rng) for _ in range(6)]
     clean = _u_stack(elements, parity)
+    tables, _ = _round_stack(clean, elements)
+    certified = _three_point_certified(tables, elements, parity)
     for g in range(len(elements)):
         stack = clean.copy()
         stack[g, 1, 2] = np.nan
-        residuals = _covariance_bounds(stack, clean, elements, parity)
+        residuals = _bounds(stack, tables, certified)
         defects = _phase_fit(stack, clean)[1]
         for figures in (residuals, defects):
             assert np.isnan(figures[g])

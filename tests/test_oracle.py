@@ -6,7 +6,7 @@ from numpy.linalg import matrix_power
 
 from conftest import weyl_symmetric
 from phasepoint.lattice import EVEN, ODD, lattice_modulus
-from phasepoint.metaplectic import apply_point, equal_up_to_phase, u_hminus, u_hplus, u_of
+from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus, u_of
 from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
     integer_point_family,
@@ -19,6 +19,7 @@ from phasepoint.symplectic import (
     ENUMERATION_BOUND,
     BoundExceeded,
     SympMat,
+    apply_point,
     bfs_decompose,
     enumerate_group,
     generator,
@@ -85,8 +86,6 @@ def test_solution_basis_actually_solves(rng):
     s = random_element(3, rng)
     family = delta_family(3, ODD)
     solution = solve_covariance(s, family)
-    from phasepoint.metaplectic import apply_point
-
     for basis_matrix in solution.basis:
         for point, delta in family.items():
             moved = family[apply_point(s, point)]

@@ -10,9 +10,10 @@ from conftest import (
     weyl_leonhardt,
     weyl_symmetric,
 )
-from phasepoint.lattice import EVEN, ODD, ParityError, kernel_step
+from phasepoint import lattice, metaplectic, qops, weil, wigner
+from phasepoint.lattice import EVEN, ODD, ParityError, kernel_step, lattice_modulus
 from phasepoint.qops import delta_at, delta_family, kernel_factors, phase_points, unit_roots
-from phasepoint.symplectic import BoundExceeded
+from phasepoint.symplectic import BoundExceeded, SympMat, random_element
 
 TOL = 1e-12
 
@@ -158,6 +159,42 @@ def test_kernel_step_is_two_on_odd_lattices_and_one_on_the_doubled_grid():
     assert kernel_step(ODD) == 2 and kernel_step(EVEN) == 1
     assert kernel_factors(5, ODD, 1, 0).cols.tolist() == [2, 1, 0, 4, 3]
     assert kernel_factors(4, EVEN, 1, 0).cols.tolist() == [1, 0, 3, 2]
+
+
+@pytest.mark.parametrize("n,parity", [(7, ODD), (4, EVEN)])
+def test_every_kernel_entry_comes_from_lattice(n, parity, monkeypatch):
+    # a mutant of one entry, Delta_(0,1)'s row 0, bound wherever the
+    # package imported kernel_exponent: every reader of the entry must see it
+    modulus = lattice_modulus(n, parity)
+    s = SympMat(2, 1, 1, 1, modulus)
+    form = weil.descriptor(s, parity)
+    assert weil.certify(form, s, parity)
+    factors = kernel_factors(n, parity, 0, 1)
+    chirp = wigner._build_plan(modulus, parity).chirp
+    original = lattice.kernel_exponent
+
+    def mutant(parity, x, y, i):
+        return original(parity, x, y, i) + ((x == 0) & (y == 1) & (i == 0))
+
+    for module in (lattice, qops, wigner, weil):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, mutant)
+    mutated = kernel_factors(n, parity, 0, 1)
+    assert np.array_equal(mutated.cols, factors.cols)
+    assert (mutated.exponents != factors.exponents).tolist() == [True] + [False] * (n - 1)
+    changed = wigner._build_plan(modulus, parity).chirp != chirp
+    assert np.flatnonzero(changed).tolist() == [1]
+    assert not weil.certify(form, s, parity)
+
+
+def test_memoised_tables_stay_bounded_over_a_sweep(rng):
+    # a sweep over 40 lattices reads more than either memo keeps
+    for n in range(3, 83, 2):
+        s = random_element(n, rng)
+        metaplectic.covariance_residual(metaplectic.u_of(s, ODD), s, ODD)
+    assert unit_roots.cache_info().currsize == qops._ROOT_TABLES
+    assert metaplectic._exponent_table.cache_info().currsize == metaplectic._EXPONENT_TABLES
 
 
 @pytest.mark.parametrize("parity", ["bogus", "Odd", ""])

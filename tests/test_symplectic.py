@@ -11,6 +11,7 @@ from phasepoint.symplectic import (
     GenWord,
     NotSymplectic,
     SympMat,
+    bfs_decompose,
     decompose,
     enumerate_group,
     four_factor_word,
@@ -167,14 +168,14 @@ def test_decompose_example_matrix():
     s = SympMat(2, 1, 1, 1, 5)
     word = decompose(s)
     assert word.evaluate() == s
-    bfs_word = decompose(s, method="bfs")
+    bfs_word = bfs_decompose(s)
     assert bfs_word.evaluate() == s
 
 
 @pytest.mark.parametrize("modulus", range(2, 10))
 def test_decompose_round_trip_exhaustive(modulus):
     for s in enumerate_group(modulus):
-        word = decompose(s, method="euclid")
+        word = decompose(s)
         assert word.evaluate() == s
 
 
@@ -206,8 +207,8 @@ def test_evaluate_equals_the_product_of_generator_powers(modulus, rng):
 def test_decompose_agrees_with_bfs_oracle(modulus):
     # both routes must land on the same matrix (words themselves may differ)
     for s in enumerate_group(modulus):
-        assert decompose(s, method="bfs").evaluate() == s
-        assert decompose(s, method="euclid").evaluate() == s
+        assert bfs_decompose(s).evaluate() == s
+        assert decompose(s).evaluate() == s
 
 
 @pytest.mark.parametrize("modulus", range(2, ENUMERATION_BOUND + 1))
@@ -297,10 +298,3 @@ def test_decompose_equals_the_matrix_reduction_at_larger_moduli(modulus):
         factors = tuple((draws.choice("+-"), draws.randrange(1, modulus)) for _ in range(6))
         s = GenWord(factors, modulus).evaluate()
         assert decompose(s).factors == matrix_euclid_word(s).factors
-
-
-def test_decompose_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        decompose(SympMat.identity(5), method="magic")
-    with pytest.raises(ValueError):
-        decompose(SympMat.identity(5), method="auto")

@@ -14,9 +14,9 @@ from phasepoint.lattice import (
     kernel_step,
     lattice_modulus,
 )
-from phasepoint.metaplectic import apply_point, u_of
+from phasepoint.metaplectic import u_of
 from phasepoint.qops import delta_at, phase_points, unit_roots
-from phasepoint.symplectic import BoundExceeded, enumerate_group
+from phasepoint.symplectic import BoundExceeded, apply_point, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
     QuantumState,
