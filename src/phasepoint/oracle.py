@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import EVEN, ODD, check_parity, hilbert_dim, lattice_modulus
 from .metaplectic import equal_up_to_phase, u_of
-from .qops import delta_at, kernel_factors, unit_roots
+from .qops import KernelFactors, delta_at, kernel_factors, unit_roots
 from .symplectic import SympMat, apply_point, check_bytes
 
 SVD_CUTOFF = 1e-9
@@ -33,12 +33,20 @@ CLOSED_FORM_TOL = 1e-9
 # split system builds only its blocks, so this over-counts it; the count
 # stays, as it fixes the admitted sizes (odd N <= 13, even N <= 10).
 _SYSTEM_ENTRY_BYTES = 52
+# _covariance_graph's bytes per (grid point, row) of its tables: columns,
+# exponents, their argsort and gains, and the fold certificate's temporaries
+# (tracemalloc peak before any edge is built: 34 B at even N = 40 and 52)
+_GRID_ROW_BYTES = 64
 
 
-def _check_table_bytes(what: str, n: int, parity: str) -> None:
-    """Refuse ``what`` above 4 int64 words per (lattice point, matrix entry)
-    pair: odd N <= 53, even N <= 38. (The uniqueness graph measured 26 B.)"""
-    pairs = lattice_modulus(n, parity) ** 2 * n * n
+def _check_table_bytes(what: str, n: int, points: int) -> None:
+    """Refuse ``what`` above 4 int64 words (32 B) per (lattice point, matrix
+    entry) pair, ``points`` * N^2 pairs. Over the whole lattice that admits
+    odd N <= 53 and even N <= 38; over the N^2 representatives of the
+    uniqueness graph's certified fold, even N <= 52. (The uniqueness graph's
+    tracemalloc peak, its grid tables included, measured 18 B per pair at odd
+    N = 53 and 20 B per representative pair at even N = 52.)"""
+    pairs = points * n * n
     size = pairs * 4 * np.dtype(np.int64).itemsize
     check_bytes(f"{what} over {pairs} (point, entry) pairs at dimension {n}", size)
 
@@ -116,16 +124,17 @@ def _blocks(source: np.ndarray, image: np.ndarray) -> list[tuple[list[np.ndarray
     rows (increasing; zero rows only if one block) stacked, a lone block 2-D.
     """
     dim = source.shape[1]
-    unknowns, off = dim * dim, ~np.eye(dim, dtype=bool)
-    p, l, j = (x.repeat(dim) for x in np.nonzero((source != 0) & off))
-    q, i, k = (x.repeat(dim) for x in np.nonzero((image != 0) & off))
-    a, b = np.arange(p.size) % dim, np.arange(q.size) % dim
+    unknowns, off, a = dim * dim, ~np.eye(dim, dtype=bool), np.arange(dim)
+    p, l, j = (x[:, None] for x in np.nonzero((source != 0) & off))
+    q, i, k = (x[:, None] for x in np.nonzero((image != 0) & off))
     # on the diagonals both terms fall on one entry: their difference
     both = source.diagonal(0, 1, 2)[:, None, :] - image.diagonal(0, 1, 2)[:, :, None]
     f = np.flatnonzero(both)
-    rows = np.concatenate([(p * dim + a) * dim + j, (q * dim + i) * dim + b, f])
-    cols = np.concatenate([a * dim + l, k * dim + b, f % unknowns])
-    values = np.concatenate([source[p, l, j], 0 - image[q, i, k], both.ravel()[f]])
+    rows = np.concatenate([((p * dim + a) * dim + j).ravel(), ((q * dim + i) * dim + a).ravel(), f])
+    cols = np.concatenate([(a * dim + l).ravel(), (k * dim + a).ravel(), f % unknowns])
+    values = np.concatenate(
+        [source[p, l, j].repeat(dim), (0 - image[q, i, k]).repeat(dim), both.ravel()[f]]
+    )
     label, settled = np.arange(unknowns), False
     while not settled:
         row_label = np.full(len(source) * unknowns, unknowns)
@@ -134,24 +143,36 @@ def _blocks(source: np.ndarray, image: np.ndarray) -> list[tuple[list[np.ndarray
         np.minimum.at(reached, cols, row_label[rows])
         settled = (reached[reached] == label).all()
         label = reached[reached]
+
+    def runs(group, size):  # stable order by group, the runs' bounds, each place in its run
+        # the smallest dtype that holds the groups: numpy radix-sorts 8 and 16 bits
+        order = np.argsort(group.astype(np.min_scalar_type(size)), kind="stable")
+        bounds = np.append(0, np.cumsum(np.bincount(group, minlength=size)))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(group.size) - bounds[group[order]]
+        return order, bounds, rank
+
     roots, block = np.unique(label, return_inverse=True)
     row_block = np.append(block, -1 if roots.size > 1 else 0)[row_label]
-    heights = np.bincount(row_block + 1, minlength=roots.size + 1)[1:]
-    shapes, shape_of = np.unique(heights * (unknowns + 1) + np.bincount(block), return_inverse=True)
-
-    def ranks(group):  # each element's place among its group's, in index order
-        order = np.argsort(group, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
-        return rank
-    owner, slot = block[cols], ranks(shape_of)
-    row_rank, col_rank = ranks(row_block)[rows], ranks(block)[cols]
+    _, row_bounds, row_rank = runs(row_block + 1, roots.size + 1)
+    by_block, col_bounds, col_rank = runs(block, roots.size)
+    heights, widths = np.diff(row_bounds)[1:], np.diff(col_bounds)
+    shapes, shape_of = np.unique(heights * (unknowns + 1) + widths, return_inverse=True)
+    by_shape, member_bounds, slot = runs(shape_of, shapes.size)
+    # every stack is a slice of one zeroed buffer: one scatter fills them all
+    tall, wide = np.divmod(shapes, unknowns + 1)
+    starts = np.append(0, np.cumsum(np.diff(member_bounds) * tall * wide))
+    owner = block[cols]
+    shape = shape_of[owner]
+    place = (slot[owner] * tall[shape] + row_rank[rows]) * wide[shape] + col_rank[cols]
+    buffer = np.zeros(starts[-1], dtype=complex)
+    buffer[starts[shape] + place] = values
     stacks = []
-    for which, (tall, wide) in enumerate(zip(*np.divmod(shapes, unknowns + 1))):
-        members, mine = np.flatnonzero(shape_of == which), shape_of[owner] == which
-        stack = np.zeros((members.size, tall, wide), dtype=complex)
-        stack[slot[owner[mine]], row_rank[mine], col_rank[mine]] = values[mine]
-        columns = [np.flatnonzero(block == c) for c in members]
+    for which in range(shapes.size):
+        members = by_shape[member_bounds[which] : member_bounds[which + 1]]
+        stack = buffer[starts[which] : starts[which + 1]]
+        stack = stack.reshape(members.size, tall[which], wide[which])
+        columns = [by_block[col_bounds[c] : col_bounds[c + 1]] for c in members]
         stacks.append((columns, stack if members.size > 1 else stack[0]))
     return stacks
 
@@ -234,8 +255,8 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     two Weyl generators, O(N^3); BoundExceeded above odd N = 53 and even
     N = 38.
     """
-    _check_table_bytes("kernel suite", n, parity)
     side = lattice_modulus(n, parity)
+    _check_table_bytes("kernel suite", n, side * side)
     xs, ys = np.divmod(np.arange(side * side), side)
     factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
     cols, exponents = factors.cols, factors.exponents
@@ -343,39 +364,75 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     have gain 0 mod R (balanced) and zero on the others, so the nullity is
     the number of balanced components, an exact integer.
 
+    One kernel_factors call gives every point's table, rows indexed by the
+    grid index x * M + y; q's table is a gather at the grid index of
+    apply_point's output, and one argsort of the columns gives every
+    sigma^-1. Points whose edges repeat another's are built once
+    (_fold_certified): on the doubled grid kernel_exponent gives
+    Delta_(j+N,k) = (-1)^k Delta_(j,k) and Delta_(j,k+N) = (-1)^j
+    Delta_(j,k), so each point's table is its representative's (j mod N,
+    k mod N) with one constant exponent c added. S moves p + (N, 0) to
+    S.p + N (a, c), whose sign against S.p = (x', y') is (-1)^(c x' + a y'),
+    and c x' + a y' = 2acj + (ad + bc) k = k mod 2 since det S = 1; likewise
+    p + (0, N) goes to S.p + N (b, d), with d x' + b y' = (ad + bc) j + 2bdk
+    = j. So S.p moves by the same sign as p, c_p - c_(S.p) is the
+    representative's, and every edge of p, (u, w) -> (sigma_q(u),
+    sigma_p(w)), keeps its gain. Where the tables certify this, only the N^2
+    representatives' edges are built (a quarter of the doubled grid); on odd
+    lattices every point is its own representative; otherwise every point's
+    edges are built.
+
     Each point contributes a permutation of the N^2 entries, so every
     component is strongly connected and propagation along the edges alone
-    reaches all of it. All points are handled at once: each round, every
-    entry takes the smallest component label among its predecessors, with
-    the phase carried along that edge; a round that lowers no label ends the
-    search, which makes it a breadth-first search from each component's
-    smallest entry. That last round also checks every edge against the
-    phases found.
+    reaches all of it. A breadth-first search over the three generating
+    points (0, 0), (1, 0) and (0, 1), from each unreached entry in increasing
+    order, starts every entry at the smallest entry of its three-point
+    component, with a phase from there (_three_point_start). Then all built
+    edges are handled at once: each round, every entry takes the smallest
+    component label among its predecessors, with the phase carried along
+    that edge; a round that lowers no label ends the search, which makes it
+    a breadth-first search from each component's smallest entry. That last
+    round also checks every edge against the phases found. Where the three
+    points already connect each component, as the Schur argument says they
+    do, the first round is the last; an edge that joins or contradicts
+    three-point components is caught as without the start.
 
-    Raises BoundExceeded, before building anything, when the edge arrays
-    (one edge per point and entry of U) would exceed _check_table_bytes.
+    Raises BoundExceeded, before building anything, when the N^2
+    representatives' edge arrays (one edge per point and entry of U) would
+    exceed _check_table_bytes or the grid tables _GRID_ROW_BYTES per point
+    and row, and, before building them, when an uncertified lattice's edges
+    would exceed _check_table_bytes.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
     nodes = n * n
-    _check_table_bytes("uniqueness graph", n, parity)
-    xs, ys = np.divmod(np.arange(side * side), side)
-    xs, ys = xs[:, None], ys[:, None]
-    source = kernel_factors(n, parity, xs, ys)
-    image = kernel_factors(n, parity, *apply_point(s, (xs, ys)))
-    r = source.root_modulus
+    _check_table_bytes("uniqueness graph", n, nodes)
+    check_bytes(
+        f"uniqueness graph tables of {side * side} points at dimension {n}",
+        side * side * n * _GRID_ROW_BYTES,
+    )
+    grid = np.arange(side * side)
+    xs, ys = np.divmod(grid, side)
+    factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
+    moved_x, moved_y = apply_point(s, (xs, ys))
+    image = moved_x * side + moved_y
+    if side == n or _fold_certified(factors, image):
+        built = np.flatnonzero((xs < n) & (ys < n))
+    else:
+        _check_table_bytes("uniqueness graph", n, side * side)
+        built = grid
+    r = factors.root_modulus
     # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
     # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
-    into_p = np.argsort(source.cols, axis=1)
-    into_q = np.argsort(image.cols, axis=1)
-    gain_p = np.take_along_axis(source.exponents, into_p, 1)[:, None, :]
-    gain_q = np.take_along_axis(image.exponents, into_q, 1)[:, :, None]
-    rows, cols = into_q[:, :, None], into_p[:, None, :]
+    into = np.argsort(factors.cols, axis=1)
+    gain = np.take_along_axis(factors.exponents, into, 1)
+    moved = image[built]
+    rows, cols = into[moved][:, :, None], into[built][:, None, :]
+    gain_p, gain_q = gain[built][:, None, :], gain[moved][:, :, None]
 
     # Each entry's key is label * R + phase, so a minimum over keys picks
     # the smallest label and carries one phase consistent with it.
-    label = np.arange(nodes)
-    phase = np.zeros(nodes, dtype=np.int64)
+    label, phase = _three_point_start(factors, [(p, image[p]) for p in (0, side, 1)])
     while True:
         key = (label * r + phase).reshape(n, n)
         offered = key[rows, cols]
@@ -401,6 +458,59 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     return 1, solution.reshape(n, n)
 
 
+def _fold_certified(factors: KernelFactors, image: np.ndarray) -> bool:
+    """Whether every point of the doubled grid (tables indexed x * 2N + y,
+    ``image`` the grid index of each point's image) has its
+    representative's edges: its table is the representative's (x mod N, y
+    mod N) with one constant c added to every exponent, and c_p - c_(S.p) is
+    the same at every point of the representative's class. O(M^2 N)
+    integer compares.
+    """
+    cols, exponents, r = factors
+    n = cols.shape[1]
+    xs, ys = np.divmod(np.arange(cols.shape[0]), 2 * n)
+    fold = xs % n * (2 * n) + ys % n
+    if not (cols == cols[fold]).all():
+        return False
+    shift = (exponents[:, 0] - exponents[fold, 0]) % r
+    if ((exponents - exponents[fold] - shift[:, None]) % r).any():
+        return False
+    gap = (shift - shift[image]) % r
+    return bool((gap == gap[fold]).all())
+
+
+def _three_point_start(
+    factors: KernelFactors, pairs: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label and phase of every entry of U from a breadth-first search over
+    the edges of the (point, image) table rows ``pairs``, roots taken in
+    increasing order: each label is the smallest entry of its component in
+    those edges, where the phase is 0. Plain lists: N^2 edges per pair.
+    """
+    cols, exponents, r = factors
+    n = cols.shape[1]
+    moves = [
+        (cols[p].tolist(), exponents[p].tolist(), cols[q].tolist(), exponents[q].tolist())
+        for p, q in pairs
+    ]
+    label, phase = [-1] * (n * n), [0] * (n * n)
+    for root in range(n * n):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        queue = [root]
+        for node in queue:
+            u, w = divmod(node, n)
+            here = phase[node]
+            for sigma_p, e_p, sigma_q, e_q in moves:
+                reached = sigma_q[u] * n + sigma_p[w]
+                if label[reached] < 0:
+                    label[reached] = root
+                    phase[reached] = (here + e_p[w] - e_q[u]) % r
+                    queue.append(reached)
+    return np.array(label), np.array(phase)
+
+
 def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     """Solve covariance for ``s`` from scratch and compare to the word product.
 
@@ -409,8 +519,10 @@ def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     A one-dimensional space containing a unitary confirms both the
     uniqueness claim and (through the returned phase) agreement with the
     constructive route, u_of's product along the four-factor word. Raises
-    BoundExceeded above odd N = 53 and even N = 38 (about 32 B per edge,
-    N^2 edges per lattice point).
+    BoundExceeded above odd N = 53 and even N = 52 (32 B per edge, N^2 edges
+    for each of the N^2 points whose edges are built), or above even N = 38
+    where the doubled grid's fold is not certified and every point's edges
+    are built.
     """
     nullity, candidate = _covariance_graph(s, parity)
     unitary = _unitarize(candidate) if candidate is not None else None

@@ -249,6 +249,8 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     plan = _plan(modulus, parity)
     amps = state.amplitudes
     # ifft carries the 1/N of the sum; the even grid divides by 2N, not N.
+    # On odd lattices the factor is 1.0 but the product is kept: a complex
+    # product with 1.0 turns some exact zeros' -0.0 into 0.0.
     spectra = np.fft.ifft(amps.conj() * amps[plan.pairs], axis=1) * (n / modulus)
     # take, not spectra[:, columns], whose result is column-major: the table
     # stays row-major, so its sums add in the same order
@@ -308,6 +310,7 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
         raise ValueError("grid has non-finite entries")
     plan = _plan(modulus, parity)
     rows = np.fft.ifft(values * plan.chirp, axis=1)[:, plan.reads]
+    # also on odd lattices, where the sum of one block turns -0.0 into 0.0
     rows = rows.reshape(modulus // n, n, n).sum(axis=0)
     operator = np.empty(n * n, dtype=complex)
     operator[plan.targets] = rows

@@ -591,6 +591,13 @@ def test_verify_uniqueness_at_dimension_31_passes(capsys):
     assert len(payload["checks"]) == 6
 
 
+def test_verify_uniqueness_at_largest_even_dimension_passes(capsys):
+    # even N = 52, admitted through the certified fold's N^2 representatives
+    code, out, _ = run(capsys, "verify", "--dim", "52", "--parity", "even", "--suite", "uniqueness")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_sw_at_dimension_31_passes(capsys):
     code, out, _ = run(capsys, "verify", "--dim", "31", "--parity", "odd", "--suite", "sw")
     assert code == 0
@@ -608,8 +615,8 @@ def test_verify_sw_at_dimension_31_passes(capsys):
     ],
 )
 def test_verify_dense_suites_above_bound_exit_two(argv):
-    # The kernel suites (sw, translation, and so all) share the uniqueness
-    # graph's bound, odd N <= 53 and even N <= 38; above it they are
+    # The kernel suites (sw, translation, and so all) are bounded over the
+    # whole lattice, odd N <= 53 and even N <= 38; above it they are
     # refused before any table is built.
     child = run_capped(*argv)
     assert child.returncode == 2

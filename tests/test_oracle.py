@@ -5,7 +5,7 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import weyl_symmetric
-from phasepoint.lattice import EVEN, ODD, lattice_modulus
+from phasepoint.lattice import EVEN, ODD, hilbert_dim, lattice_modulus
 from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus, u_of
 from phasepoint import oracle, qops, symplectic
 from phasepoint.oracle import (
@@ -213,14 +213,16 @@ def test_uniqueness_at_composite_dimensions(n, parity, rng):
         assert report.closed_form_residual < 1e-9
 
 
-def one_exponent_mutant(point):
-    """kernel_factors with one phase exponent, Delta_point[0, .], raised by 1."""
+def one_exponent_mutant(point, whole=False):
+    """kernel_factors with one phase exponent, Delta_point[0, .], raised by 1
+    (with ``whole``, every row's: the kernel times one root)."""
 
     def mutant(n, parity, x, y):
         factors = qops.kernel_factors(n, parity, x, y)
         exponents = factors.exponents
         hit = np.broadcast_to((x == point[0]) & (y == point[1]), exponents.shape).copy()
-        hit[..., 1:] = False  # row 0 only
+        if not whole:
+            hit[..., 1:] = False  # row 0 only
         raised = np.where(hit, (exponents + 1) % factors.root_modulus, exponents)
         return factors._replace(exponents=raised)
 
@@ -239,9 +241,13 @@ def one_permutation_mutant(point, source):
     return mutant
 
 
-@pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
+@pytest.mark.parametrize(
+    "n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2)), (4, EVEN, (5, 2)), (4, EVEN, (2, 4))]
+)
 def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
-    # No matrix is covariant with the mutated family.
+    # No matrix is covariant with the mutated family. (5, 2) and (2, 4) are
+    # folded points of the doubled grid, whose edges the certified fold
+    # would not build: the mutant must fail the certificate.
     modulus = lattice_modulus(n, parity)
     s = h_t(modulus)
     assert apply_point(s, point) != point
@@ -265,14 +271,114 @@ def test_uniqueness_refuses_graphs_above_byte_bound(byte_bound):
         verify_uniqueness(h_t(3), ODD)
 
 
-@pytest.mark.parametrize("n,parity", [(55, ODD), (40, EVEN)])
+@pytest.mark.parametrize("n,parity", [(55, ODD), (54, EVEN)])
 def test_uniqueness_graph_bound_sizes(n, parity):
-    # odd N <= 53 and even N <= 38 fit; the next sizes are refused before
-    # anything is built (far larger ones are tried in a capped child, in
-    # tests/test_cli.py)
+    # odd N <= 53 and even N <= 52 (the N^2 representatives of the certified
+    # fold) fit; the next sizes are refused before anything is built (far
+    # larger ones are tried in a capped child, in tests/test_cli.py)
     modulus = lattice_modulus(n, parity)
     with pytest.raises(BoundExceeded):
         verify_uniqueness(h_t(modulus), parity)
+
+
+def test_uniqueness_refuses_uncertified_grid_above_bound(monkeypatch):
+    # Even N = 40 is admitted through its certified fold; a mutant at a
+    # folded point fails the certificate, and the whole doubled grid's edges
+    # (6400 points) are refused before they are built.
+    assert verify_uniqueness(h_t(80), EVEN).unitary_found
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant((41, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="over 10240000 "):
+            verify_uniqueness(h_t(80), EVEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grid tables within their bound; the edges would be 10 times that
+    assert peak <= 6400 * 40 * oracle._GRID_ROW_BYTES
+
+
+def grid_image(s):
+    """Grid index x * M + y of the image of every lattice point under s."""
+    side = s.modulus
+    x, y = apply_point(s, np.divmod(np.arange(side * side), side))
+    return x * side + y
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_fold_certificate_holds_on_whole_group(n):
+    side = 2 * n
+    xs, ys = np.divmod(np.arange(side * side), side)
+    factors = qops.kernel_factors(n, EVEN, xs[:, None], ys[:, None])
+    assert all(oracle._fold_certified(factors, grid_image(s)) for s in enumerate_group(side))
+
+
+def all_points_graph(s, parity):
+    """Reference: the gain graph's nullity and solution with every lattice
+    point's edges built and labels started at each entry's own index, read
+    from oracle.kernel_factors (so mutants reach it); the min-label loop
+    runs until a round lowers no label."""
+    n = hilbert_dim(s.modulus, parity)
+    side, nodes = s.modulus, n * n
+    xs, ys = np.divmod(np.arange(side * side), side)
+    xs, ys = xs[:, None], ys[:, None]
+    source = oracle.kernel_factors(n, parity, xs, ys)
+    image = oracle.kernel_factors(n, parity, *apply_point(s, (xs, ys)))
+    r = source.root_modulus
+    into_p = np.argsort(source.cols, axis=1)
+    into_q = np.argsort(image.cols, axis=1)
+    gain_p = np.take_along_axis(source.exponents, into_p, 1)[:, None, :]
+    gain_q = np.take_along_axis(image.exponents, into_q, 1)[:, :, None]
+    rows, cols = into_q[:, :, None], into_p[:, None, :]
+    label = np.arange(nodes)
+    phase = np.zeros(nodes, dtype=np.int64)
+    while True:
+        key = (label * r + phase).reshape(n, n)
+        offered = key[rows, cols]
+        carried = offered % r
+        offered -= carried
+        carried += gain_p
+        carried -= gain_q
+        carried %= r
+        offered += carried
+        best = offered.min(axis=0).reshape(-1)
+        lower = best // r < label
+        if not lower.any():
+            break
+        label[lower], phase[lower] = np.divmod(best[lower], r)
+    consistent = (offered == key).all(axis=0).reshape(-1)
+    balanced = label == np.arange(nodes)
+    balanced[label[~consistent]] = False
+    roots = np.flatnonzero(balanced)
+    if len(roots) != 1:
+        return len(roots), None
+    support = label == roots[0]
+    solution = np.where(support, unit_roots(r)[phase], 0) / np.sqrt(support.sum())
+    return 1, solution.reshape(n, n)
+
+
+@pytest.mark.parametrize("modulus,parity", [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (4, EVEN), (8, EVEN)])
+def test_graph_equals_all_points_reference_on_whole_group(modulus, parity):
+    for s in enumerate_group(modulus):
+        nullity, solution = oracle._covariance_graph(s, parity)
+        reference_nullity, reference = all_points_graph(s, parity)
+        assert nullity == reference_nullity == 1
+        assert solution.dtype == reference.dtype and np.array_equal(solution, reference)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
+@pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
+def test_graph_of_mutant_equals_all_points_reference(monkeypatch, point, whole):
+    # A whole-kernel mutant keeps every table a constant shift of its
+    # representative's, so only the certificate's second part, c_p - c_(S.p)
+    # per class, rejects it at a folded point.
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point, whole))
+    for s in [h_t(8), generator("+", 8), generator("-", 8)]:
+        nullity, solution = oracle._covariance_graph(s, EVEN)
+        reference_nullity, reference = all_points_graph(s, EVEN)
+        assert nullity == reference_nullity
+        assert (solution is None) == (reference is None)
+        assert solution is None or np.array_equal(solution, reference)
 
 
 def test_solve_covariance_matches_full_svd(rng):
@@ -621,7 +727,8 @@ def test_sw_kernel_peak_memory_at_largest_odd_dimension():
 
 @pytest.mark.parametrize("n,parity,allowed", [(31, ODD, True), (55, ODD, False), (38, EVEN, True), (40, EVEN, False)])
 def test_sw_kernel_shares_graph_bound(n, parity, allowed):
-    # the uniqueness graph's bound: odd N <= 53 and even N <= 38
+    # the whole-lattice bound, which the uniqueness graph keeps for an
+    # uncertified doubled grid: odd N <= 53 and even N <= 38
     if allowed:
         assert verify_sw_kernel(parity, n).hermiticity < 1e-12
     else:

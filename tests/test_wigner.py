@@ -440,6 +440,26 @@ def test_transforms_equal_the_per_call_chirp_build(fresh_plans, rng):
         assert [plan is None for plan in built.values()] == [n > 200 for n, _ in pair]
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_odd_transforms_keep_the_chirp_builds_signed_zeros(n):
+    # On odd lattices wigner_of's factor n / modulus is 1.0 and weyl_quantize
+    # sums one row block, yet neither pass is a no-op on exact zeros: both
+    # turn some -0.0 into 0.0, which basis states and signed-zero grids show.
+    states = []
+    for k in range(n):
+        for phase in (1, 1j, -1):
+            amplitudes = np.zeros(n, dtype=complex)
+            amplitudes[k] = phase
+            states.append(amplitudes)
+    for amplitudes in states:
+        state = QuantumState(amplitudes)
+        assert same_bits(wigner_of(state, ODD).values, chirp_wigner_of(state, ODD).real.copy())
+    grid = np.zeros((n, n))
+    grid[::2] = -0.0
+    for values in (grid, -np.zeros((n, n))):
+        assert same_bits(weyl_quantize(values, ODD), chirp_weyl_quantize(values, ODD))
+
+
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN), (181, ODD), (110, EVEN)])
 def test_plan_arrays_are_read_only(n, parity):
     plan = wigner._plan(lattice_modulus(n, parity), parity)
