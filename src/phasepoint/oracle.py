@@ -37,18 +37,31 @@ _SYSTEM_ENTRY_BYTES = 52
 # exponents, their argsort and gains, and the fold certificate's temporaries
 # (tracemalloc peak before any edge is built: 34 B at even N = 40 and 52)
 _GRID_ROW_BYTES = 64
+# _covariance_graph's bytes per edge, one edge per (built point, entry of U):
+# four int64 words (tracemalloc peak, the grid tables included, 18 B per edge
+# at odd N = 53 and 20 B per representative edge at even N = 52)
+_EDGE_BYTES = 32
+# verify_sw_kernel's bytes per (grid point, row): its tables, their roots and
+# the per-check temporaries (tracemalloc peak 154-172 B at odd N = 9, 53, 111
+# and even N = 8, 38, 70)
+_KERNEL_ROW_BYTES = 192
 
 
-def _check_table_bytes(what: str, n: int, points: int) -> None:
-    """Refuse ``what`` above 4 int64 words (32 B) per (lattice point, matrix
-    entry) pair, ``points`` * N^2 pairs. Over the whole lattice that admits
-    odd N <= 53 and even N <= 38; over the N^2 representatives of the
-    uniqueness graph's certified fold, even N <= 52. (The uniqueness graph's
-    tracemalloc peak, its grid tables included, measured 18 B per pair at odd
-    N = 53 and 20 B per representative pair at even N = 52.)"""
-    pairs = points * n * n
-    size = pairs * 4 * np.dtype(np.int64).itemsize
-    check_bytes(f"{what} over {pairs} (point, entry) pairs at dimension {n}", size)
+def _grid_factors(what: str, n: int, parity: str, row_bytes: int):
+    """Every lattice point's kernel table, rows indexed by the grid index
+    x * M + y, with the coordinates (xs, ys) of each grid index. BoundExceeded
+    above ``row_bytes`` per (point, row), before anything is built."""
+    side = lattice_modulus(n, parity)
+    check_bytes(f"{what} of {side * side} points at dimension {n}", side * side * n * row_bytes)
+    xs, ys = np.divmod(np.arange(side * side), side)
+    return xs, ys, kernel_factors(n, parity, xs[:, None], ys[:, None])
+
+
+def _check_edge_bytes(n: int, points: int) -> None:
+    """Refuse the uniqueness graph's points * N^2 edges above _EDGE_BYTES each."""
+    edges = points * n * n
+    what = f"uniqueness graph over {edges} (point, entry) pairs at dimension {n}"
+    check_bytes(what, edges * _EDGE_BYTES)
 
 
 @dataclass(eq=False)
@@ -252,13 +265,11 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     read off sigma_p(0), one comparison per table entry (no sort of the
     rows), and _traciality takes every block in one product. Translation
     (_weyl_generator_defect) compares each kernel with its image under the
-    two Weyl generators, O(N^3); BoundExceeded above odd N = 53 and even
-    N = 38.
+    two Weyl generators, O(N^3). BoundExceeded above _KERNEL_ROW_BYTES per
+    (lattice point, row), odd N = 111 and even N = 70, before any table is
+    built.
     """
-    side = lattice_modulus(n, parity)
-    _check_table_bytes("kernel suite", n, side * side)
-    xs, ys = np.divmod(np.arange(side * side), side)
-    factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
+    xs, ys, factors = _grid_factors("kernel suite", n, parity, _KERNEL_ROW_BYTES)
     cols, exponents = factors.cols, factors.exponents
     values = unit_roots(factors.root_modulus)[exponents]
     rows = np.arange(n)
@@ -398,29 +409,23 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     three-point components is caught as without the start.
 
     Raises BoundExceeded, before building anything, when the N^2
-    representatives' edge arrays (one edge per point and entry of U) would
-    exceed _check_table_bytes or the grid tables _GRID_ROW_BYTES per point
-    and row, and, before building them, when an uncertified lattice's edges
-    would exceed _check_table_bytes.
+    representatives' edges (one per point and entry of U) would exceed
+    _EDGE_BYTES each or the grid tables _GRID_ROW_BYTES per point and row,
+    and, before building them, when an uncertified lattice's edges would
+    exceed _EDGE_BYTES each.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
     nodes = n * n
-    _check_table_bytes("uniqueness graph", n, nodes)
-    check_bytes(
-        f"uniqueness graph tables of {side * side} points at dimension {n}",
-        side * side * n * _GRID_ROW_BYTES,
-    )
-    grid = np.arange(side * side)
-    xs, ys = np.divmod(grid, side)
-    factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
+    _check_edge_bytes(n, nodes)
+    xs, ys, factors = _grid_factors("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
     moved_x, moved_y = apply_point(s, (xs, ys))
     image = moved_x * side + moved_y
-    if side == n or _fold_certified(factors, image):
+    if side == n or _fold_certified(factors, xs, ys, image):
         built = np.flatnonzero((xs < n) & (ys < n))
     else:
-        _check_table_bytes("uniqueness graph", n, side * side)
-        built = grid
+        _check_edge_bytes(n, side * side)
+        built = np.arange(side * side)
     r = factors.root_modulus
     # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
     # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
@@ -458,9 +463,11 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     return 1, solution.reshape(n, n)
 
 
-def _fold_certified(factors: KernelFactors, image: np.ndarray) -> bool:
-    """Whether every point of the doubled grid (tables indexed x * 2N + y,
-    ``image`` the grid index of each point's image) has its
+def _fold_certified(
+    factors: KernelFactors, xs: np.ndarray, ys: np.ndarray, image: np.ndarray
+) -> bool:
+    """Whether every point (xs, ys) of the doubled grid (_grid_factors'
+    tables, ``image`` the grid index of each point's image) has its
     representative's edges: its table is the representative's (x mod N, y
     mod N) with one constant c added to every exponent, and c_p - c_(S.p) is
     the same at every point of the representative's class. O(M^2 N)
@@ -468,7 +475,6 @@ def _fold_certified(factors: KernelFactors, image: np.ndarray) -> bool:
     """
     cols, exponents, r = factors
     n = cols.shape[1]
-    xs, ys = np.divmod(np.arange(cols.shape[0]), 2 * n)
     fold = xs % n * (2 * n) + ys % n
     if not (cols == cols[fold]).all():
         return False
@@ -519,10 +525,11 @@ def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     A one-dimensional space containing a unitary confirms both the
     uniqueness claim and (through the returned phase) agreement with the
     constructive route, u_of's product along the four-factor word. Raises
-    BoundExceeded above odd N = 53 and even N = 52 (32 B per edge, N^2 edges
-    for each of the N^2 points whose edges are built), or above even N = 38
-    where the doubled grid's fold is not certified and every point's edges
-    are built.
+    BoundExceeded above odd N = 53 and even N = 52 (_EDGE_BYTES per edge,
+    N^2 edges for each of the N^2 points whose edges are built), or above
+    even N = 38 where the doubled grid's fold is not certified and every
+    point's edges are built. The kernel suite, verify_sw_kernel, has its own
+    bound and runs further.
     """
     nullity, candidate = _covariance_graph(s, parity)
     unitary = _unitarize(candidate) if candidate is not None else None

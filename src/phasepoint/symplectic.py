@@ -280,9 +280,10 @@ def four_factor_word(s: SympMat) -> GenWord:
     return word
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENUMERATION_BOUND)
 def _word_table(modulus: int) -> dict[SympMat, GenWord]:
-    """Breadth-first table of shortest words (in factor count) for all of Sp_M."""
+    """Breadth-first table of shortest words (in factor count) for all of Sp_M,
+    M <= ENUMERATION_BOUND: one slot per modulus, so none is evicted."""
     identity = SympMat.identity(modulus)
     steps = [(sign, e) for sign in "+-" for e in range(1, modulus)]
     step_mats = {step: generator_power(step[0], step[1], modulus) for step in steps}

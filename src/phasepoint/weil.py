@@ -14,8 +14,7 @@ J. Math. Phys. 46, 052107, 2005). A Descriptor holds those integers.
 compose builds one along any generator word by exact right multiplication,
 from the identity (g = N, kappa = 0, delta = 1, P = 0):
 - h-^k adds the column chirp k e(c) to P, with c = kappa + delta i + g m
-  substituted (4k(c^2 + Nc) in zeta units on odd lattices, 8k c^2 on even
-  ones);
+  substituted (chirp_terms, the generators' one exponent rule);
 - h+^k is the inverse DFT, the chirp -k e(f), the eighth root lambda_0^k
   and the DFT, as metaplectic._u_stack applies it in floats. A DFT step sums
   zeta^(A m^2 + B m) over m in Z_(N/g), with B affine in the row i and the
@@ -175,20 +174,29 @@ def chirp_eighth(n: int, parity: str) -> int:
     return gauss(1, 2 * n)[0]
 
 
+def chirp_terms(parity: str, n: int) -> tuple[int, int]:
+    """The generator chirp e(c) as (square, linear), e(c) = square c^2 +
+    linear c in zeta units: e(c) = c(c + N)/2 mod N, (4, 4N), on odd
+    lattices and c^2 mod 2N, (8, 0), on even ones (zeta^8 = rho). U(h-) is
+    diag rho^(e(i)) and U(h+)'s eigenvalues are lambda_0 rho^(-e(f))."""
+    return (4, 4 * n) if parity == ODD else (8, 0)
+
+
 def _square(c0: int, ci: int, cm: int) -> tuple[int, int, int, int, int, int]:
     """(c0 + ci i + cm m)^2 as quadratic coefficients."""
     return (c0 * c0, 2 * c0 * ci, 2 * c0 * cm, ci * ci, 2 * ci * cm, cm * cm)
 
 
-def _chirp(p, k: int, n: int, odd: bool, coset, root_modulus: int):
-    """P plus the column chirp k e(c) in zeta units, c = kappa + delta i + g m:
-    4k(c^2 + N c) on odd lattices, 8k c^2 on even ones."""
+def _chirp(p, k: int, terms, coset, root_modulus: int):
+    """P plus the column chirp k e(c) in zeta units, c = kappa + delta i + g m,
+    with e's (square, linear) ``terms`` (chirp_terms)."""
+    square, linear = terms
     g, kappa, delta = coset
-    square = _square(kappa, delta, g)
-    if odd:
-        linear = (n * kappa, n * delta, n * g, 0, 0, 0)
-        return tuple((c + 4 * k * (s + t)) % root_modulus for c, s, t in zip(p, square, linear))
-    return tuple((c + 8 * k * s) % root_modulus for c, s in zip(p, square))
+    affine = (kappa, delta, g, 0, 0, 0)
+    return tuple(
+        (c + k * (square * s + linear * t)) % root_modulus
+        for c, s, t in zip(p, _square(kappa, delta, g), affine)
+    )
 
 
 def _dft(p, sign: int, n: int, coset, root_modulus: int):
@@ -241,17 +249,17 @@ def compose(word, parity: str) -> Descriptor:
     which no true word does."""
     modulus = word.modulus
     n = hilbert_dim(modulus, parity)
-    odd = parity == ODD
+    terms = chirp_terms(parity, n)
     root_modulus = 8 * modulus
     lambda_0 = chirp_eighth(n, parity)
     p, coset, eighth, numerator, denominator = (0,) * 6, (n, 0, 1), 0, 1, 1
     for sign, k in word.factors:
         if sign == "-":
-            p = _chirp(p, k, n, odd, coset, root_modulus)
+            p = _chirp(p, k, terms, coset, root_modulus)
             continue
         # inverse DFT with its 1/N, chirp and twist, DFT
         p, coset, first, first_square = _dft(p, 1, n, coset, root_modulus)
-        p = _chirp(p, -k, n, odd, coset, root_modulus)
+        p = _chirp(p, -k, terms, coset, root_modulus)
         p, coset, second, second_square = _dft(p, -1, n, coset, root_modulus)
         eighth += first + second + lambda_0 * k
         # each sum is half of S, so its squared magnitude is square / 4

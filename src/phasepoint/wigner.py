@@ -9,17 +9,16 @@ the kernel rows and cost O(N^2 log N).
 
 What depends on the lattice alone, the chirp wt^(-step x y) and the gather
 and scatter indexes, is one read-only plan per (modulus, parity). Plans of at
-most 1 MiB (odd N <= 179, even N <= 108) are memoised, the eight most
-recently used, so memoised plans never hold more than 8 MiB; a larger plan
-is built inside the call and dropped with it. A transform's output does not
+most 1 MiB (odd N <= 179, even N <= 108) are memoised in an eight-slot
+lru_cache, so memoised plans never hold more than 8 MiB; a larger plan is
+built inside the call and dropped with it. A transform's output does not
 depend on whether its plan was memoised.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -187,32 +186,17 @@ def _build_plan(modulus: int, parity: str) -> _Plan:
     return plan
 
 
-_plans: OrderedDict[tuple[int, str], _Plan] = OrderedDict()
-_plans_lock = threading.Lock()
+_plan_memo = lru_cache(maxsize=_PLAN_SLOTS)(_build_plan)
 
 
 def _plan(modulus: int, parity: str) -> _Plan:
-    """The lattice's plan: memoised in a least-recently-used cache when it
-    fits _PLAN_MEMO_BYTES, else built for this call alone."""
-    key = (modulus, parity)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
-    plan = _build_plan(modulus, parity)
-    if plan.nbytes <= _PLAN_MEMO_BYTES:
-        with _plans_lock:
-            _plans[key] = plan
-            if len(_plans) > _PLAN_SLOTS:
-                _plans.popitem(last=False)
-    return plan
-
-
-def _plan_stats() -> tuple[int, int]:
-    """(entries, bytes) of the memoised plans."""
-    with _plans_lock:
-        return len(_plans), sum(plan.nbytes for plan in _plans.values())
+    """The lattice's plan: from _plan_memo when its bytes fit
+    _PLAN_MEMO_BYTES, else built for this call alone. The bytes are _Plan's
+    arrays, 16 M^2 + 8 M N + 8 M + 8 N + 8 N^2 for modulus M and dimension
+    N, counted before anything is built."""
+    n = hilbert_dim(modulus, parity)
+    size = 16 * modulus * modulus + 8 * (modulus * n + modulus + n + n * n)
+    return (_plan_memo if size <= _PLAN_MEMO_BYTES else _build_plan)(modulus, parity)
 
 
 def wigner_of(state: QuantumState, parity: str) -> WignerTable:

@@ -2,6 +2,10 @@
 the package root: renaming or deleting one breaks the benchmark, so it
 should break this test first."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
 import phasepoint
@@ -54,3 +58,32 @@ def test_star_import_binds_every_public_name():
     assert set(phasepoint.__all__) <= set(namespace)
     for name in phasepoint.__all__:
         assert namespace[name] is getattr(phasepoint, name)
+
+
+# Every memo in the package, by the name it is bound to: each a
+# functools.lru_cache with a finite maxsize
+MEMOS = {
+    "phasepoint.qops.unit_roots",
+    "phasepoint.metaplectic._exponent_table",
+    "phasepoint.symplectic._word_table",
+    "phasepoint.wigner._plan_memo",
+}
+
+
+def test_every_memo_is_listed_and_bounded():
+    # a new memo has to be added here on purpose, with a finite maxsize
+    found = {}
+    names = [f"phasepoint.{info.name}" for info in pkgutil.iter_modules(phasepoint.__path__)]
+    for module in map(importlib.import_module, ["phasepoint", *names]):
+        scopes = [(module.__name__, module)] + [
+            (f"{module.__name__}.{name}", cls)
+            for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+        ]
+        for prefix, scope in scopes:
+            for name, value in vars(scope).items():
+                # a memo imported from another module is counted where it is made
+                if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                    found[f"{prefix}.{name}"] = value.cache_parameters()["maxsize"]
+    assert set(found) == MEMOS
+    assert all(isinstance(maxsize, int) and maxsize > 0 for maxsize in found.values())

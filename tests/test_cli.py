@@ -607,21 +607,32 @@ def test_verify_sw_at_dimension_31_passes(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--dim", "55", "--parity", "odd", "--suite", "sw"),
-        ("verify", "--dim", "40", "--parity", "even", "--suite", "sw"),
+        ("verify", "--dim", "113", "--parity", "odd", "--suite", "sw"),
+        ("verify", "--dim", "72", "--parity", "even", "--suite", "sw"),
         ("verify", "--dim", "55", "--parity", "odd", "--suite", "all"),
-        ("verify", "--dim", "55", "--parity", "odd", "--suite", "translation"),
-        ("verify", "--dim", "40", "--parity", "even", "--suite", "all"),
+        ("verify", "--dim", "113", "--parity", "odd", "--suite", "translation"),
+        ("verify", "--dim", "54", "--parity", "even", "--suite", "all"),
     ],
 )
 def test_verify_dense_suites_above_bound_exit_two(argv):
-    # The kernel suites (sw, translation, and so all) are bounded over the
-    # whole lattice, odd N <= 53 and even N <= 38; above it they are
-    # refused before any table is built.
+    # The kernel suites (sw, translation) have their own bound over the
+    # whole lattice, odd N <= 111 and even N <= 70, and above it are
+    # refused before any table is built; all also stops where uniqueness
+    # does, above odd N = 53 and even N = 52.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize("dim,parity,failing", [("111", "odd", []), ("70", "even", ["sw_unit_trace"])])
+def test_verify_sw_at_largest_dimensions(dim, parity, failing):
+    # the kernel suite's largest sizes, in the capped child; on the doubled
+    # grid only the red unit trace (criterion 06) fails
+    child = run_capped("verify", "--dim", dim, "--parity", parity, "--suite", "sw")
+    assert child.returncode == (1 if failing else 0), child.stderr
+    checks = strict_json(child.stdout)["checks"]
+    assert [check["name"] for check in checks if not check["pass"]] == failing
 
 
 # The id argv2 is kept from when this list also held rep's two argvs, which

@@ -307,10 +307,9 @@ def grid_image(s):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_fold_certificate_holds_on_whole_group(n):
-    side = 2 * n
-    xs, ys = np.divmod(np.arange(side * side), side)
-    factors = qops.kernel_factors(n, EVEN, xs[:, None], ys[:, None])
-    assert all(oracle._fold_certified(factors, grid_image(s)) for s in enumerate_group(side))
+    xs, ys, factors = oracle._grid_factors("fold", n, EVEN, oracle._GRID_ROW_BYTES)
+    images = (grid_image(s) for s in enumerate_group(2 * n))
+    assert all(oracle._fold_certified(factors, xs, ys, image) for image in images)
 
 
 def all_points_graph(s, parity):
@@ -718,17 +717,20 @@ def test_sw_translation_rejects_mutant_at_every_point(monkeypatch, n, kind):
 def test_sw_kernel_peak_memory_at_largest_odd_dimension():
     tracemalloc.start()
     try:
-        verify_sw_kernel(ODD, 53)
+        report = verify_sw_kernel(ODD, 111)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert report.traciality < 1e-12
+    assert peak <= 111**3 * oracle._KERNEL_ROW_BYTES
 
 
-@pytest.mark.parametrize("n,parity,allowed", [(31, ODD, True), (55, ODD, False), (38, EVEN, True), (40, EVEN, False)])
-def test_sw_kernel_shares_graph_bound(n, parity, allowed):
-    # the whole-lattice bound, which the uniqueness graph keeps for an
-    # uncertified doubled grid: odd N <= 53 and even N <= 38
+@pytest.mark.parametrize(
+    "n,parity,allowed", [(111, ODD, True), (113, ODD, False), (70, EVEN, True), (72, EVEN, False)]
+)
+def test_sw_kernel_bound_sizes(n, parity, allowed):
+    # the kernel suite's own bound, _KERNEL_ROW_BYTES per (lattice point,
+    # row): odd N <= 111 and even N <= 70
     if allowed:
         assert verify_sw_kernel(parity, n).hermiticity < 1e-12
     else:
@@ -737,7 +739,7 @@ def test_sw_kernel_shares_graph_bound(n, parity, allowed):
 
 
 def test_sw_kernel_refuses_tables_above_byte_bound(byte_bound):
-    table_bytes = 3**2 * 3**2 * 32  # N^2 points at odd N = 3, N^2 entries each
+    table_bytes = 3**2 * 3 * oracle._KERNEL_ROW_BYTES  # N^2 points at odd N = 3, N rows each
     byte_bound(table_bytes)
     assert verify_sw_kernel(ODD, 3).translation_covariance < 1e-12
     byte_bound(table_bytes - 1)
@@ -931,12 +933,13 @@ def test_sw_kernel_refuses_permutations_sharing_a_column(monkeypatch, whole_clas
 
 
 def test_sw_kernel_refuses_gram_stacks_above_byte_bound(monkeypatch, byte_bound):
-    # The cyclic mutant at even N = 2 is one class of all 16 points: a
-    # 16 x 16 Gram block, 4096 B, above the tables' 16 * 4 * 32 = 2048 B.
+    # The cyclic mutant at even N = 4 is one class of all 64 points: a
+    # 64 x 64 Gram block, 65536 B, above the tables' 64 * 4 * 192 = 49152 B.
     monkeypatch.setattr(oracle, "kernel_factors", cyclic_mutant)
-    gram_bytes = 16 * 16 * 16
+    gram_bytes = 64 * 64 * 16
+    assert gram_bytes > 64 * 4 * oracle._KERNEL_ROW_BYTES
     byte_bound(gram_bytes)
-    assert verify_sw_kernel(EVEN, 2).traciality == row_sort_sw_kernel(EVEN, 2).traciality
+    assert verify_sw_kernel(EVEN, 4).traciality == row_sort_sw_kernel(EVEN, 4).traciality
     byte_bound(gram_bytes - 1)
     with pytest.raises(BoundExceeded, match="Gram"):
-        verify_sw_kernel(EVEN, 2)
+        verify_sw_kernel(EVEN, 4)

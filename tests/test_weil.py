@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import stacked
-from phasepoint import weil
-from phasepoint.lattice import EVEN, ODD, lattice_modulus
+from phasepoint import metaplectic, weil
+from phasepoint.lattice import EVEN, ODD, hilbert_dim, lattice_modulus
 from phasepoint.metaplectic import (
     UTable,
     _descriptor_table,
@@ -19,7 +19,14 @@ from phasepoint.metaplectic import (
     u_of,
     u_table,
 )
-from phasepoint.symplectic import SympMat, decompose, enumerate_group, random_element
+from phasepoint.symplectic import (
+    SympMat,
+    decompose,
+    enumerate_group,
+    four_factor_word,
+    generator,
+    random_element,
+)
 
 WHOLE_GROUPS = [(m, ODD) for m in (3, 5, 7, 9, 11)] + [(m, EVEN) for m in (4, 8, 12)]
 
@@ -82,6 +89,45 @@ def test_chirp_eighth_equals_the_float_sum():
         assert abs(abs(lambda_0) - 1) < 1e-9
         rounded = round(float(np.angle(lambda_0)) * 4 / np.pi) % 8
         assert weil.chirp_eighth(n, parity) == rounded, n
+
+
+@pytest.mark.parametrize("modulus,parity", [(7, ODD), (8, EVEN)])
+def test_chirp_terms_mutant_reaches_both_builds(monkeypatch, modulus, parity):
+    # One coefficient of the chirp rule moved, e(c) + 2c (periodic in c on
+    # both lattices): the float build and the closed form both read it and
+    # still agree. U(h-) is then displaced by a clock power, which certify
+    # rejects, as does the three-point check of the rounded table; on a
+    # longer word the displacements may cancel, and both checks agree.
+    elements = [s for s in enumerate_group(modulus) if "-" in dict(four_factor_word(s).factors)]
+    h_minus = elements.index(generator("-", modulus))
+    terms = weil.chirp_terms
+
+    def mutant(parity, n):
+        square, linear = terms(parity, n)
+        return square, linear + 16
+
+    n = hilbert_dim(modulus, parity)
+    true_exponents = np.array(metaplectic._exponent_table(n, parity)[0])
+    metaplectic._exponent_table.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(weil, "chirp_terms", mutant)
+            exponents = metaplectic._exponent_table(n, parity)[0]
+            assert np.array_equal(exponents, (true_exponents + 2 * np.arange(n)) % modulus)
+            tables, failures = _round_stack(_u_stack(elements, parity), elements)
+            assert failures == [None] * len(elements)
+            certified = []
+            for g, s in enumerate(elements):
+                form = weil.descriptor(s, parity)
+                expected = UTable(tables.exponents[g], tables.support[g], int(tables.gcd[g]),
+                                  float(tables.scale[g]), tables.root_modulus)
+                assert_tables_equal(_descriptor_table(form), expected)
+                certified.append(weil.certify(form, s, parity))
+            assert certified == _three_point_certified(tables, elements, parity).tolist()
+            assert not certified[h_minus]
+    finally:
+        metaplectic._exponent_table.cache_clear()
+    assert np.array_equal(metaplectic._exponent_table(n, parity)[0], true_exponents)
 
 
 def assert_tables_equal(table, expected):

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -35,9 +33,19 @@ def characteristic_fn(state, j, k):
 
 
 @pytest.fixture
-def fresh_plans(monkeypatch):
-    """An empty plan memo for one test."""
-    monkeypatch.setattr(wigner, "_plans", OrderedDict())
+def fresh_plans():
+    """An empty plan memo for one test, emptied again after it."""
+    wigner._plan_memo.cache_clear()
+    yield
+    wigner._plan_memo.cache_clear()
+
+
+def memoised(modulus, parity):
+    """Whether the plan memo holds the lattice's plan: a _plan call hits
+    the memo (and renews the plan, as a transform's call would)."""
+    hits = wigner._plan_memo.cache_info().hits
+    wigner._plan(modulus, parity)
+    return wigner._plan_memo.cache_info().hits > hits
 
 
 def test_state_normalization_enforced():
@@ -323,10 +331,11 @@ def test_wigner_refuses_tables_above_byte_bound(byte_bound, fresh_plans):
         byte_bound(table_bytes)
 
     refused()
-    assert wigner._plan_stats() == (0, 0)  # refused before the plan is built
+    # refused before the plan is looked up or built
+    assert wigner._plan_memo.cache_info()[:2] == (0, 0)
     assert wigner_of(state, ODD).total == pytest.approx(1.0)
     assert np.abs(weyl_quantize(grid, ODD) - np.eye(3) / 9).max() < 1e-15
-    assert (3, ODD) in wigner._plans
+    assert memoised(3, ODD)
     refused()  # and still refused with the plan memoised
 
 
@@ -419,7 +428,7 @@ def test_transforms_equal_the_per_call_chirp_build(fresh_plans, rng):
     # second reads the memoised ones; the sizes above the memo limit build
     # theirs on every call.
     for pair in zip(PLAN_CASES[0::2], PLAN_CASES[1::2]):
-        built = {}
+        plans = {}
         for _ in range(2):
             for n, parity in pair:
                 state = random_state(n, rng)
@@ -436,8 +445,10 @@ def test_transforms_equal_the_per_call_chirp_build(fresh_plans, rng):
                 grid = rng.standard_normal(table.values.shape)
                 assert same_bits(weyl_quantize(grid, parity), chirp_weyl_quantize(grid, parity))
                 key = (table.modulus, parity)
-                assert built.setdefault(key, wigner._plans.get(key)) is wigner._plans.get(key)
-        assert [plan is None for plan in built.values()] == [n > 200 for n, _ in pair]
+                plans.setdefault(key, []).append(wigner._plan(*key))
+        # one memoised plan per lattice, or a new plan on every call
+        fresh = [len(set(map(id, built))) == 2 for built in plans.values()]
+        assert fresh == [n > 200 for n, _ in pair]
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -476,8 +487,10 @@ def test_plan_memo_limit(largest, parity, per_cell, per_n, fresh_plans):
         modulus = lattice_modulus(n, parity)
         plan = wigner._plan(modulus, parity)
         assert plan.nbytes == per_cell * modulus * modulus + per_n * n
+        # memoised only at the largest: a second call returns the same plan
+        assert (wigner._plan(modulus, parity) is plan) == (n == largest)
     assert plan.nbytes > wigner._PLAN_MEMO_BYTES
-    assert list(wigner._plans) == [(lattice_modulus(largest, parity), parity)]
+    assert wigner._plan_memo.cache_info().currsize == 1
 
 
 def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
@@ -487,27 +500,29 @@ def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
     for n, parity in sweep:
         table = wigner_of(QuantumState.basis(n, 1), parity)
         weyl_quantize(table.values, parity)
-        entries, nbytes = wigner._plan_stats()
-        assert entries <= wigner._PLAN_SLOTS
-        assert nbytes <= ceiling
-    # the last eight memoised lattices, least recently used first
-    assert list(wigner._plans) == [(2 * n, EVEN) for n in range(94, 109, 2)]
+        modulus = table.modulus
+        # exactly the plans within _PLAN_MEMO_BYTES are memoised
+        small = wigner._plan(modulus, parity).nbytes <= wigner._PLAN_MEMO_BYTES
+        assert memoised(modulus, parity) == small
+        assert wigner._plan_memo.cache_info().currsize <= wigner._PLAN_SLOTS
+    # so the memo holds at most _PLAN_SLOTS plans of at most
+    # _PLAN_MEMO_BYTES each; the last eight memoised lattices, each renewed
+    # in the order it was used
+    assert all(memoised(2 * n, EVEN) for n in range(94, 109, 2))
     # a hit renews its plan: the next miss evicts the one after it
     wigner_of(QuantumState.basis(94, 1), EVEN)
     wigner_of(QuantumState.basis(3, 1), ODD)
-    assert list(wigner._plans)[:2] == [(2 * 98, EVEN), (2 * 100, EVEN)]
-    assert (2 * 94, EVEN) in wigner._plans and (2 * 96, EVEN) not in wigner._plans
+    assert memoised(2 * 94, EVEN) and not memoised(2 * 96, EVEN)
 
 
 def test_plan_above_memo_limit_leaves_the_memo_unchanged(fresh_plans):
-    for n, parity in [(3, ODD), (4, EVEN), (179, ODD)]:
-        wigner_of(QuantumState.basis(n, 0), parity)
-    before = list(wigner._plans.items())
-    stats = wigner._plan_stats()
+    small = [(3, ODD), (4, EVEN), (179, ODD)]
+    before = [wigner._plan(lattice_modulus(n, parity), parity) for n, parity in small]
+    info = wigner._plan_memo.cache_info()
     for n, parity in [(181, ODD), (110, EVEN)]:
         table = wigner_of(QuantumState.basis(n, 0), parity)
         weyl_quantize(table.values, parity)
-    after = list(wigner._plans.items())
-    assert [key for key, _ in after] == [key for key, _ in before]
-    assert all(a is b for (_, a), (_, b) in zip(after, before))
-    assert wigner._plan_stats() == stats
+    # the larger plans never reach the memo: no hit, no miss, no entry
+    assert wigner._plan_memo.cache_info() == info
+    after = [wigner._plan(lattice_modulus(n, parity), parity) for n, parity in small]
+    assert all(a is b for a, b in zip(after, before))
