@@ -24,7 +24,7 @@ _NAMES_BY_MODULE = {
         "euclid_trace",
     ),
     "lattice": ("DimensionMismatch", "EVEN", "ODD", "ParityError"),
-    "qops": ("delta_family", "phase_points", "unit_roots"),
+    "qops": ("delta_family", "unit_roots"),
     "symplectic": (
         "BoundExceeded",
         "DecompositionFailed",
@@ -39,7 +39,6 @@ _NAMES_BY_MODULE = {
         "generator_power",
         "group_order",
         "h_t",
-        "multiply",
         "random_element",
     ),
     "metaplectic": (

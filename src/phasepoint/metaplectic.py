@@ -30,17 +30,14 @@ group_covariance and group_projectivity check many elements or pairs in bounded
 passes over (G, N, N) stacks, each figure bit for bit the one-element figure.
 
 U(S) is also exact integers: N^2/g entries (g = gcd(b, N)) of modulus
-sqrt(g/N), with phases roots of unity of order 8R. There is one exact
-covariance check for each form of that table: weil composes it in closed
-form, as quadratic Gauss sums along the same word, and weil.certify checks
-it in O(1); a table rounded from a float stack is checked by
-_three_point_certified, an integer comparison at three points in O(N^2)
-whose Schur argument covers every point. u_table returns only tables that
-passed: u_table(s, parity) reads the closed form with no matrix built, and
-u_table(s, parity, u) rounds a given matrix. covariance_residual bounds
-any matrix's all-points defect against the closed form in O(N^2);
-group_covariance reaches the same figures from its float stack by
-rounding.
+sqrt(g/N), with phases roots of unity of order 8R. weil composes that table
+in closed form, as quadratic Gauss sums along the same word, and
+weil.certify checks it in O(1); u_table reads it, certified, with no matrix
+built. covariance_residual bounds any matrix's all-points defect against
+the closed form in O(N^2). group_covariance reaches the same figures from
+its float stack: it rounds each U(S) to a table (_round_stack) and checks
+it with _three_point_certified, an integer comparison at three points in
+O(N^2) whose Schur argument covers every point.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from .weil import certify, chirp_eighth, descriptor
 
 # Working set of one pass of group_covariance and group_projectivity
 _PASS_BYTES = 2**20
-# u_table's rounding margins: entry moduli, and phases in radians
+# _round_stack's margins: entry moduli, and phases in radians
 _MODULUS_MARGIN = 1e-9
 _PHASE_MARGIN = 1e-6
 # One group_covariance element's bytes per entry, U(S)'s float build and its
@@ -293,40 +290,23 @@ class UTable(NamedTuple):
     root_modulus: int
 
 
-def u_table(s: SympMat, parity: str, u=None) -> UTable:
-    """U(S) as an exact table, certified covariant for ``s``: by default
-    straight from its closed form (weil.descriptor), with no matrix built,
-    checked by weil.certify in O(1); given ``u``, read off it by rounding,
-    the one-element case of _round_stack, and checked by
-    _three_point_certified in O(N^2).
+def u_table(s: SympMat, parity: str) -> UTable:
+    """U(S) as an exact table, straight from its closed form
+    (weil.descriptor), with no matrix built, certified covariant for ``s``
+    by weil.certify in O(1).
 
     Every U(S) is a common modulus m = sqrt(g/N) on N^2/g entries, with
     g = gcd(b, N), and zero elsewhere; its phases are roots of unity of
-    order L = 8R (R = N odd, 2N even). Rounding ``u``, each step passes a
-    margin: the entries above m/2 in modulus must number exactly N^2/g,
-    each within 1e-9 of m, every other entry must be below 1e-9, and every
-    phase within 1e-6 radians of an L-th root. A NaN fails a margin. A
-    failed margin or check raises ValueError, which names it. O(N^2) beyond
-    the build of ``u``; the closed form costs _TABLE_ENTRY_BYTES per entry,
-    BoundExceeded above.
+    order L = 8R (R = N odd, 2N even). A closed form that fails its
+    certificate raises ValueError. The table costs _TABLE_ENTRY_BYTES per
+    entry, BoundExceeded above.
     """
     n = hilbert_dim(s.modulus, parity)
-    if u is None:
-        check_bytes(f"unitary table at dimension {n}", _TABLE_ENTRY_BYTES * n * n)
-        form = descriptor(s, parity)
-        if not certify(form, s, parity):
-            raise ValueError(f"the closed form of U(S) for {s} fails weil.certify")
-        return _descriptor_table(form)
-    matrix = _as_matrix(u)
-    if matrix.shape != (n, n):
-        raise DimensionMismatch(f"unitary is {matrix.shape}, expected {(n, n)}")
-    tables, failures = _round_stack(matrix[None], [s])
-    if failures[0] is not None:
-        raise ValueError(failures[0])
-    if not _three_point_certified(tables, [s], parity)[0]:
-        raise ValueError(f"the rounded table is not covariant for {s} at (0, 0), (1, 0), (0, 1)")
-    exponents, support, gcd, scale, root_modulus = tables
-    return UTable(exponents[0], support[0], int(gcd[0]), float(scale[0]), root_modulus)
+    check_bytes(f"unitary table at dimension {n}", _TABLE_ENTRY_BYTES * n * n)
+    form = descriptor(s, parity)
+    if not certify(form, s, parity):
+        raise ValueError(f"the closed form of U(S) for {s} fails weil.certify")
+    return _descriptor_table(form)
 
 
 def _descriptor_table(form) -> UTable:
@@ -353,10 +333,18 @@ def _descriptor_table(form) -> UTable:
     return UTable(exponents, support, g, float(np.sqrt(g / n)), root_modulus)
 
 
-def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]:
-    """u_table(elements[g], parity, stack[g]) for each g of a (G, N, N) stack
-    (one modulus), as one UTable with a leading stack axis on each array field,
-    and each element's reason not to round, or None (else its table is void)."""
+def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, np.ndarray]:
+    """The table of each U(S) of a (G, N, N) stack, stack[g] rounded for
+    elements[g] (one modulus), as one UTable with a leading stack axis on
+    each array field, and whether each one rounds (else its table is void).
+
+    U(S) has N^2/g entries of modulus m = sqrt(g/N), g = gcd(b, N), and
+    phases that are roots of unity of order L = 8R, so stack[g] rounds when
+    each step passes a margin: the entries above m/2 in modulus must number
+    exactly N^2/g, each within 1e-9 of m, every other entry must be below
+    1e-9, and every phase within 1e-6 radians of an L-th root. A NaN fails
+    a margin. O(N^2) per element.
+    """
     n = stack.shape[-1]
     root_modulus = 8 * elements[0].modulus
     gcds = np.array([math.gcd(s.b, n) for s in elements])
@@ -376,12 +364,7 @@ def _round_stack(stack: np.ndarray, elements) -> tuple[UTable, list[str | None]]
     exponents = np.where(support, nearest, 0.0).astype(np.int64) % root_modulus
     # written as "<" so that a NaN fails
     rounded = (counts == n * n // gcds) & (moduli < _MODULUS_MARGIN) & (radians < _PHASE_MARGIN)
-    failures = [
-        None if ok else f"{count} entries near modulus {m} (N^2/g = {n * n // g}), moduli within "
-        f"{dm} and phases within {dp} rad (margins {_MODULUS_MARGIN} and {_PHASE_MARGIN})"
-        for ok, count, m, g, dm, dp in zip(rounded, counts, scales, gcds, moduli, radians)
-    ]
-    return UTable(exponents, support, gcds, scales, root_modulus), failures
+    return UTable(exponents, support, gcds, scales, root_modulus), rounded
 
 
 def _three_point_certified(tables: UTable, elements, parity: str) -> np.ndarray:
@@ -402,12 +385,12 @@ def _three_point_certified(tables: UTable, elements, parity: str) -> np.ndarray:
     three kernels generate the full matrix algebra M_N. By the existence
     theorem some unitary U_0 is covariant at every point. If V intertwines
     the three kernels with their images, U_0^-1 V commutes with a generating
-    set of M_N, so by Schur's lemma V = c U_0. A u_table table has
+    set of M_N, so by Schur's lemma V = c U_0. A U(S) table has
     N^2/g entries of modulus sqrt(g/N), so |V|_F^2 = N = |U_0|_F^2 and
     |c| = 1: V is unitary and U(S) Delta_p U(S)^dag = Delta_(S.p) at every
-    point p. The premise is that normalization, which u_table's margins
-    (or, for the closed form, weil.certify) enforce and a hand-made table
-    need not meet.
+    point p. The premise is that normalization, which _round_stack's
+    margins (or, for the closed form, weil.certify) enforce and a hand-made
+    table need not meet.
     """
     exponents, support, _, _, r = tables
     count, n = exponents.shape[:2]
@@ -526,7 +509,8 @@ def group_covariance(elements, parity: str) -> np.ndarray:
     """covariance_residual(u_of(s).matrix, s, parity) for each of
     ``elements`` (one modulus), bit for bit, from stacked passes, each U(S)
     bounded against itself. The reference tables come from rounding the
-    stack, certified by _three_point_certified. Every step runs on the
+    stack (_round_stack), certified by _three_point_certified; a U(S) that
+    fails either gets inf, or NaN where it holds one. Every step runs on the
     stack, each element against its own images, so each figure is the
     one-element figure bit for bit and a NaN reaches only its own. One
     element counts as _BOUND_ENTRY_BYTES per entry: odd N <= 2047, even
@@ -538,8 +522,7 @@ def group_covariance(elements, parity: str) -> np.ndarray:
 
     def bounds(part):
         stack = _u_stack(part, parity)
-        tables, failures = _round_stack(stack, part)
-        rounded = np.array([failure is None for failure in failures])
+        tables, rounded = _round_stack(stack, part)
         return _bounds(stack, tables, _three_point_certified(tables, part, parity) & rounded)
 
     element_bytes = _BOUND_ENTRY_BYTES * n * n

@@ -76,20 +76,12 @@ def delta_at(n: int, parity: str, point: tuple[int, int]) -> np.ndarray:
     return delta
 
 
-def phase_points(n: int, parity: str) -> list[tuple[int, int]]:
-    """All lattice points in canonical row-major order.
-
-    Odd: (m, nn) over Z_N x Z_N. Even: doubled coordinates (j, k) over
-    Z_2N x Z_2N, covering integer and ghost points alike.
-    """
-    modulus = lattice_modulus(n, parity)
-    return [(x, y) for x in range(modulus) for y in range(modulus)]
-
-
 def delta_family(n: int, parity: str) -> dict[tuple[int, int], np.ndarray]:
     """Map from every phase point to its phase point operator, built afresh on
-    each call: 16 N^4 bytes (64 N^4 even), refused at once above odd N = 63
-    and even N = 44."""
-    size = lattice_modulus(n, parity) ** 2 * n * n * np.dtype(complex).itemsize
-    check_bytes(f"kernel family at dimension {n}", size)
-    return {point: delta_at(n, parity, point) for point in phase_points(n, parity)}
+    each call, in canonical row-major order: (m, nn) over Z_N x Z_N on odd
+    lattices, doubled coordinates (j, k) over Z_2N x Z_2N on even ones,
+    integer and ghost points alike. 16 N^4 bytes (64 N^4 even), refused at
+    once above odd N = 63 and even N = 44."""
+    modulus = lattice_modulus(n, parity)
+    check_bytes(f"kernel family at dimension {n}", modulus**2 * n * n * np.dtype(complex).itemsize)
+    return {(x, y): delta_at(n, parity, (x, y)) for x in range(modulus) for y in range(modulus)}

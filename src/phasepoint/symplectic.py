@@ -71,7 +71,16 @@ class SympMat(_Frozen):
         return self.entries == (1, 0, 0, 1)
 
     def __matmul__(self, other: "SympMat") -> "SympMat":
-        return multiply(self, other)
+        """Matrix product with entrywise reduction mod M."""
+        if self.modulus != other.modulus:
+            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
+        return SympMat(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+            self.modulus,
+        )
 
     def inverse(self) -> "SympMat":
         return SympMat(self.d, -self.b, -self.c, self.a, self.modulus)
@@ -86,19 +95,6 @@ class SympMat(_Frozen):
             base = base @ base
             n >>= 1
         return result
-
-
-def multiply(s1: SympMat, s2: SympMat) -> SympMat:
-    """Matrix product with entrywise reduction mod M."""
-    if s1.modulus != s2.modulus:
-        raise ModulusMismatch(f"moduli differ: {s1.modulus} vs {s2.modulus}")
-    return SympMat(
-        s1.a * s2.a + s1.b * s2.c,
-        s1.a * s2.b + s1.b * s2.d,
-        s1.c * s2.a + s1.d * s2.c,
-        s1.c * s2.b + s1.d * s2.d,
-        s1.modulus,
-    )
 
 
 def apply_point(s: SympMat, point: tuple[int, int]) -> tuple[int, int]:

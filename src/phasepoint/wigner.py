@@ -189,12 +189,11 @@ def _build_plan(modulus: int, parity: str) -> _Plan:
 _plan_memo = lru_cache(maxsize=_PLAN_SLOTS)(_build_plan)
 
 
-def _plan(modulus: int, parity: str) -> _Plan:
-    """The lattice's plan: from _plan_memo when its bytes fit
-    _PLAN_MEMO_BYTES, else built for this call alone. The bytes are _Plan's
-    arrays, 16 M^2 + 8 M N + 8 M + 8 N + 8 N^2 for modulus M and dimension
-    N, counted before anything is built."""
-    n = hilbert_dim(modulus, parity)
+def _plan(modulus: int, n: int, parity: str) -> _Plan:
+    """The plan of the lattice of modulus M and dimension N: from _plan_memo
+    when its bytes fit _PLAN_MEMO_BYTES, else built for this call alone. The
+    bytes are _Plan's arrays, 16 M^2 + 8 M N + 8 M + 8 N + 8 N^2, counted
+    before anything is built."""
     size = 16 * modulus * modulus + 8 * (modulus * n + modulus + n + n * n)
     return (_plan_memo if size <= _PLAN_MEMO_BYTES else _build_plan)(modulus, parity)
 
@@ -230,7 +229,7 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     n = state.dim
     modulus = lattice_modulus(n, parity)
     _check_transform_bytes(f"Wigner table of {modulus} x {modulus} cells", modulus)
-    plan = _plan(modulus, parity)
+    plan = _plan(modulus, n, parity)
     amps = state.amplitudes
     # ifft carries the 1/N of the sum; the even grid divides by 2N, not N.
     # On odd lattices the factor is 1.0 but the product is kept: a complex
@@ -292,7 +291,7 @@ def weyl_quantize(grid, parity: str) -> np.ndarray:
     _check_transform_bytes(f"quantized grid of {modulus} x {modulus} cells", modulus)
     if not np.isfinite(values).all():
         raise ValueError("grid has non-finite entries")
-    plan = _plan(modulus, parity)
+    plan = _plan(modulus, n, parity)
     rows = np.fft.ifft(values * plan.chirp, axis=1)[:, plan.reads]
     # also on odd lattices, where the sum of one block turns -0.0 into 0.0
     rows = rows.reshape(modulus // n, n, n).sum(axis=0)

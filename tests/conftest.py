@@ -6,7 +6,7 @@ import pytest
 from numpy.linalg import matrix_power
 
 from phasepoint import metaplectic, oracle, qops, symplectic
-from phasepoint.lattice import ODD, ParityError, check_parity
+from phasepoint.lattice import ODD, ParityError, check_parity, lattice_modulus
 from phasepoint.qops import unit_roots
 from phasepoint.wigner import QuantumState
 
@@ -64,6 +64,14 @@ def weyl_leonhardt(n, j, k):
     return unit_roots(2 * n)[j * k % (2 * n)] * matrix_power(q_inv, j) @ matrix_power(p_inv, k)
 
 
+def lattice_points(n, parity):
+    """Every lattice point in canonical row-major order: (m, nn) over
+    Z_N x Z_N on odd lattices, doubled coordinates (j, k) over Z_2N x Z_2N
+    on even ones."""
+    modulus = lattice_modulus(n, parity)
+    return [(x, y) for x in range(modulus) for y in range(modulus)]
+
+
 def stacked(tables):
     """One-element UTables as one stacked UTable, as _round_stack gives:
     a leading stack axis on each array field."""
@@ -80,6 +88,15 @@ def unstacked(tables, g):
     """The g-th table of a stacked UTable, as u_table gives it."""
     return metaplectic.UTable(tables.exponents[g], tables.support[g], int(tables.gcd[g]),
                               float(tables.scale[g]), tables.root_modulus)
+
+
+def rounded(u, s, parity):
+    """One matrix rounded for ``s`` as group_covariance rounds each U(S): a
+    one-element _round_stack and _three_point_certified. Returns the table,
+    whether it passed the rounding margins, and the three-point verdict."""
+    tables, rounds = metaplectic._round_stack(np.asarray(u, dtype=complex)[None], [s])
+    certified = metaplectic._three_point_certified(tables, [s], parity)
+    return unstacked(tables, 0), bool(rounds[0]), bool(certified[0])
 
 
 def assert_value_semantics(value, fields, text):

@@ -339,19 +339,23 @@ def test_verify_parity_mismatch_exits_two(capsys):
     assert code == 2
 
 
-def test_verify_translation_even_rejected(capsys):
-    code, _, _ = run(
-        capsys, "verify", "--dim", "2", "--parity", "even", "--suite", "translation"
-    )
-    assert code == 2
+def test_verify_translation_suite_is_a_usage_error(capsys):
+    # its one figure is sw's sw_translation_covariance, so it is no suite
+    for dim, parity in (("5", "odd"), ("2", "even")):
+        argv = ("verify", "--dim", dim, "--parity", parity, "--suite", "translation")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage:")
+        assert "argument --suite: invalid choice: 'translation'" in err
 
 
 def test_verify_translation_reports_kernel_suite_figure(capsys):
-    code, out, _ = run(capsys, "verify", "--dim", "5", "--parity", "odd", "--suite", "translation")
+    code, out, _ = run(capsys, "verify", "--dim", "5", "--parity", "odd", "--suite", "sw")
     assert code == 0
-    (check,) = json.loads(out)["checks"]
-    assert check["name"] == "translation_weyl"
-    assert check["max_residual"] == oracle.verify_sw_kernel("odd", 5).translation_covariance
+    by_name = {check["name"]: check for check in json.loads(out)["checks"]}
+    expected = oracle.verify_sw_kernel("odd", 5).translation_covariance
+    assert by_name["sw_translation_covariance"]["max_residual"] == expected
 
 
 def test_verify_all_runs_kernel_suite_once(capsys, monkeypatch):
@@ -604,25 +608,46 @@ def test_verify_sw_at_dimension_31_passes(capsys):
     assert json.loads(out)["pass"] is True
 
 
+# The ids are kept from when this list also held a translation argv (argv3),
+# a suite verify no longer offers.
 @pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--dim", "113", "--parity", "odd", "--suite", "sw"),
         ("verify", "--dim", "72", "--parity", "even", "--suite", "sw"),
         ("verify", "--dim", "55", "--parity", "odd", "--suite", "all"),
-        ("verify", "--dim", "113", "--parity", "odd", "--suite", "translation"),
         ("verify", "--dim", "54", "--parity", "even", "--suite", "all"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv4"],
 )
 def test_verify_dense_suites_above_bound_exit_two(argv):
-    # The kernel suites (sw, translation) have their own bound over the
-    # whole lattice, odd N <= 111 and even N <= 70, and above it are
-    # refused before any table is built; all also stops where uniqueness
-    # does, above odd N = 53 and even N = 52.
+    # The kernel suite (sw) has its own bound over the whole lattice, odd
+    # N <= 111 and even N <= 70, and above it is refused before any table
+    # is built; all also stops where uniqueness does, above odd N = 53 and
+    # even N = 52.
     child = run_capped(*argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert "bound" in child.stderr
+
+
+@pytest.mark.parametrize("dim,parity", [("55", "odd"), ("54", "even")])
+def test_verify_all_is_refused_before_any_suite_builds(capsys, monkeypatch, dim, parity):
+    # all runs its suites narrowest bound first, so uniqueness refuses the
+    # request before the kernel suite (admitted to odd 111, even 70) builds
+    calls = []
+    monkeypatch.setattr(oracle, "verify_sw_kernel", lambda *args: calls.append(args))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--dim", dim, "--parity", parity, "--suite", "all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "uniqueness graph" in err
+    assert calls == []
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("dim,parity,failing", [("111", "odd", []), ("70", "even", ["sw_unit_trace"])])

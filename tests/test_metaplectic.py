@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from conftest import stacked, unstacked
+from conftest import lattice_points, rounded, stacked, unstacked
 
 from phasepoint.lattice import (
     EVEN,
@@ -40,7 +40,6 @@ from phasepoint.modring import ModulusMismatch
 from phasepoint.qops import (
     delta_at,
     kernel_factors,
-    phase_points,
     unit_roots,
 )
 from phasepoint.symplectic import (
@@ -276,7 +275,7 @@ def dense_covariance_residual(u, s, parity):
                 u @ delta_at(n, parity, p) @ u.conj().T
                 - delta_at(n, parity, apply_point(s, p))
             ).max()
-            for p in phase_points(n, parity)
+            for p in lattice_points(n, parity)
         ]
     )
 
@@ -649,15 +648,15 @@ def test_stacked_cores_equal_the_one_element_functions_on_whole_group(
     expected = [covariance_residual(u, s, parity) for u, s in zip(singles, elements)]
     # the stacked rounding and three-point verdicts, against the one-element
     # functions, for the whole group in one stack
-    tables, failures = _round_stack(stack, elements)
-    assert failures == [None] * len(elements)
+    tables, rounds = _round_stack(stack, elements)
+    assert rounds.all()
     verdicts = _three_point_certified(tables, elements, parity)
     for g, (u, s) in enumerate(zip(singles, elements)):
-        table = u_table(s, parity, u)
+        table, one_rounds, certified = rounded(u, s, parity)
         assert np.array_equal(tables.exponents[g], table.exponents)
         assert np.array_equal(tables.support[g], table.support)
         assert (tables.gcd[g], tables.scale[g]) == (table.gcd, table.scale)
-        assert verdicts[g] and _three_point_certified(stacked([table]), [s], parity)[0]
+        assert one_rounds and verdicts[g] and certified
     composed = _u_stack([s @ s for s in elements], parity)
     squares = stack @ stack
     defects = [phase_defect(c, q) for c, q in zip(composed, squares)]
@@ -726,7 +725,7 @@ def all_points_defects(tables, s, parity):
     scale, r = tables[0].scale, tables[0].root_modulus
     exponents = np.array([table.exponents for table in tables])[:, None]
     support = np.array([table.support for table in tables])[:, None]
-    points = np.array(phase_points(n, parity))
+    points = np.array(lattice_points(n, parity))
     xs, ys = points[:, :1], points[:, 1:]
     kernel = kernel_factors(n, parity, xs, ys)
     image = kernel_factors(
@@ -777,8 +776,8 @@ def test_three_point_defect_is_exact_on_whole_group(modulus, parity, rng):
     elements = enumerate_group(modulus)
     assert group_covariance(elements, parity).max() < 1e-10
     unitaries = _u_stack(elements, parity)
-    tables, failures = _round_stack(unitaries, elements)
-    assert failures == [None] * len(elements)
+    tables, rounds = _round_stack(unitaries, elements)
+    assert rounds.all()
     everies, kinds = [], [[] for _ in range(3)]
     for g, s in enumerate(elements):
         table = unstacked(tables, g)
@@ -799,7 +798,8 @@ def test_three_point_defect_is_exact_on_whole_group(modulus, parity, rng):
 
 def test_u_table_reads_u_of_by_default():
     s = SympMat(2, 1, 1, 1, 9)
-    table, read = u_table(s, ODD), u_table(s, ODD, u_of(s, ODD))
+    table, (read, rounds, certified) = u_table(s, ODD), rounded(u_of(s, ODD).matrix, s, ODD)
+    assert rounds and certified
     assert np.array_equal(table.exponents, read.exponents)
     assert np.array_equal(table.support, read.support)
     assert not table.exponents[~table.support].any()
@@ -807,19 +807,28 @@ def test_u_table_reads_u_of_by_default():
     assert table.root_modulus == 8 * 9
 
 
+def covariance_of(monkeypatch, u, s, parity):
+    """group_covariance's figure for ``s`` with its U(S) replaced by ``u``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metaplectic, "_u_stack", lambda part, parity: np.array([u], dtype=complex))
+        return group_covariance([s], parity)[0]
+
+
 @pytest.mark.parametrize("n,parity", [(7, ODD), (6, EVEN)])
-def test_u_table_refuses_what_does_not_round(n, parity, rng):
+def test_u_table_refuses_what_does_not_round(monkeypatch, n, parity, rng):
     s = random_element(lattice_modulus(n, parity), rng)
     u = u_of(s, parity).matrix
     gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     random_unitary = np.linalg.qr(gaussian)[0]
     with_nan = u.copy()
     with_nan[1, 2] = np.nan
+    assert rounded(u, s, parity)[1:] == (True, True)
+    assert covariance_of(monkeypatch, u, s, parity) < 1e-12
     for bad in (random_unitary, with_nan, u * 1.01):
-        with pytest.raises(ValueError):
-            u_table(s, parity, bad)
-    with pytest.raises(DimensionMismatch):
-        u_table(s, parity, u[:-1])
+        assert not rounded(bad, s, parity)[1]
+    assert covariance_of(monkeypatch, random_unitary, s, parity) == np.inf
+    assert np.isnan(covariance_of(monkeypatch, with_nan, s, parity))
+    assert covariance_of(monkeypatch, u * 1.01, s, parity) == np.inf
 
 
 def test_u_table_refuses_dimensions_above_byte_bound(byte_bound, monkeypatch):
@@ -834,15 +843,15 @@ def test_u_table_refuses_dimensions_above_byte_bound(byte_bound, monkeypatch):
 
 
 @pytest.mark.parametrize("n,parity", [(7, ODD), (8, EVEN)])
-def test_u_table_refuses_the_unitary_of_another_element(n, parity, rng):
+def test_u_table_refuses_the_unitary_of_another_element(monkeypatch, n, parity, rng):
     # s h- has s's upper-right entry, so its unitary rounds with s's gcd and
     # passes every margin, but it is not covariant for s
     modulus = lattice_modulus(n, parity)
     for _ in range(5):
         s = random_element(modulus, rng)
         other = u_of(s @ generator("-", modulus), parity)
-        with pytest.raises(ValueError, match="not covariant"):
-            u_table(s, parity, other)
+        assert rounded(other.matrix, s, parity)[1:] == (True, False)
+        assert covariance_of(monkeypatch, other.matrix, s, parity) == np.inf
 
 
 def test_u_table_refuses_a_closed_form_that_fails_its_certificate(monkeypatch):
@@ -853,12 +862,13 @@ def test_u_table_refuses_a_closed_form_that_fails_its_certificate(monkeypatch):
         u_table(s, ODD)
 
 
-def test_u_table_refuses_a_phase_between_roots():
+def test_u_table_refuses_a_phase_between_roots(monkeypatch):
     s = SympMat(1, 0, 0, 1, 5)
     u = np.eye(5, dtype=complex)
     u[2, 2] = np.exp(1j * np.pi / 80)  # halfway between two 40th roots
-    with pytest.raises(ValueError):
-        u_table(s, ODD, u)
+    assert rounded(np.eye(5), s, ODD)[1]
+    assert not rounded(u, s, ODD)[1]
+    assert covariance_of(monkeypatch, u, s, ODD) == np.inf
 
 
 def test_nan_scale_table_gets_a_nan_figure():
@@ -875,6 +885,6 @@ def test_nan_scale_table_gets_a_nan_figure():
 def test_u_table_is_exact_at_large_dimensions(n, parity, rng):
     s = random_element(lattice_modulus(n, parity), rng)
     unitary = u_of(s, parity)
-    table = u_table(s, parity, unitary)
-    assert _three_point_certified(stacked([table]), [s], parity)[0]
+    table, rounds, certified = rounded(unitary.matrix, s, parity)
+    assert rounds and certified
     assert np.abs(unitary.matrix - table_matrix(table)).max() < 1e-12

@@ -12,7 +12,7 @@ from conftest import (
 )
 from phasepoint import lattice, metaplectic, qops, weil, wigner
 from phasepoint.lattice import EVEN, ODD, ParityError, kernel_step, lattice_modulus
-from phasepoint.qops import delta_at, delta_family, kernel_factors, phase_points, unit_roots
+from phasepoint.qops import delta_at, delta_family, kernel_factors, unit_roots
 from phasepoint.symplectic import BoundExceeded, SympMat, random_element
 
 TOL = 1e-12
@@ -272,12 +272,12 @@ def test_exponent_tables_shift_invariant():
 
 
 def test_phase_points_and_family_shapes():
-    assert len(phase_points(3, ODD)) == 9
-    assert len(phase_points(2, EVEN)) == 16
+    # every lattice point, in canonical row-major order
     fam = delta_family(3, ODD)
-    assert set(fam) == set(phase_points(3, ODD))
+    assert list(fam) == [(x, y) for x in range(3) for y in range(3)]
+    assert list(delta_family(2, EVEN)) == [(j, k) for j in range(4) for k in range(4)]
     with pytest.raises(ParityError):
-        phase_points(3, "diagonal")
+        delta_family(3, "diagonal")
 
 
 @pytest.mark.parametrize("n,parity,points", [(3, ODD, 9), (2, EVEN, 16)])

@@ -19,7 +19,6 @@ from phasepoint.symplectic import (
     generator_power,
     group_order,
     h_t,
-    multiply,
     random_element,
 )
 
@@ -78,7 +77,7 @@ def test_multiply_row_column_identities(rng):
 
 def test_multiply_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        multiply(SympMat.identity(5), SympMat.identity(7))
+        SympMat.identity(5) @ SympMat.identity(7)
 
 
 def test_inverse_and_power(rng):
@@ -199,7 +198,7 @@ def test_evaluate_equals_the_product_of_generator_powers(modulus, rng):
             ]
             expected = SympMat.identity(modulus)
             for sign, exponent in factors:
-                expected = multiply(expected, generator_power(sign, exponent, modulus))
+                expected = expected @ generator_power(sign, exponent, modulus)
             assert GenWord(tuple(factors), modulus).evaluate() == expected
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import stacked
+from conftest import rounded, stacked
 from phasepoint import metaplectic, weil
 from phasepoint.lattice import EVEN, ODD, hilbert_dim, lattice_modulus
 from phasepoint.metaplectic import (
@@ -114,8 +114,8 @@ def test_chirp_terms_mutant_reaches_both_builds(monkeypatch, modulus, parity):
             patch.setattr(weil, "chirp_terms", mutant)
             exponents = metaplectic._exponent_table(n, parity)[0]
             assert np.array_equal(exponents, (true_exponents + 2 * np.arange(n)) % modulus)
-            tables, failures = _round_stack(_u_stack(elements, parity), elements)
-            assert failures == [None] * len(elements)
+            tables, rounds = _round_stack(_u_stack(elements, parity), elements)
+            assert rounds.all()
             certified = []
             for g, s in enumerate(elements):
                 form = weil.descriptor(s, parity)
@@ -140,8 +140,8 @@ def assert_tables_equal(table, expected):
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
 def test_descriptor_table_is_the_rounded_unitary_on_whole_group(modulus, parity):
     elements = enumerate_group(modulus)
-    tables, failures = _round_stack(_u_stack(elements, parity), elements)
-    assert failures == [None] * len(elements)
+    tables, rounds = _round_stack(_u_stack(elements, parity), elements)
+    assert rounds.all()
     for g, s in enumerate(elements):
         form = weil.descriptor(s, parity)
         assert weil.certify(form, s, parity)
@@ -158,7 +158,9 @@ def test_descriptor_table_is_the_rounded_unitary_at_large_dimensions(n, parity):
         s = random_element(lattice_modulus(n, parity), rng)
         form = weil.descriptor(s, parity)
         assert weil.certify(form, s, parity)
-        assert_tables_equal(u_table(s, parity), u_table(s, parity, u_of(s, parity)))
+        table, rounds, certified = rounded(u_of(s, parity).matrix, s, parity)
+        assert rounds and certified
+        assert_tables_equal(u_table(s, parity), table)
 
 
 def assert_rows_are_the_table(form):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state, weyl_leonhardt
+from conftest import lattice_points, random_state, weyl_leonhardt
 from phasepoint import wigner
 from phasepoint.lattice import (
     EVEN,
@@ -13,7 +13,7 @@ from phasepoint.lattice import (
     lattice_modulus,
 )
 from phasepoint.metaplectic import u_of
-from phasepoint.qops import delta_at, phase_points, unit_roots
+from phasepoint.qops import delta_at, unit_roots
 from phasepoint.symplectic import BoundExceeded, apply_point, enumerate_group
 from phasepoint.wigner import (
     NotNormalized,
@@ -40,11 +40,16 @@ def fresh_plans():
     wigner._plan_memo.cache_clear()
 
 
+def plan(modulus, parity):
+    """The lattice's plan, looked up as the transforms look it up."""
+    return wigner._plan(modulus, hilbert_dim(modulus, parity), parity)
+
+
 def memoised(modulus, parity):
     """Whether the plan memo holds the lattice's plan: a _plan call hits
     the memo (and renews the plan, as a transform's call would)."""
     hits = wigner._plan_memo.cache_info().hits
-    wigner._plan(modulus, parity)
+    plan(modulus, parity)
     return wigner._plan_memo.cache_info().hits > hits
 
 
@@ -281,7 +286,7 @@ def test_wigner_matches_dense_definition(n, parity, rng):
     amps = state.amplitudes
     d = lattice_modulus(n, parity)
     table = wigner_of(state, parity)
-    for x, y in phase_points(n, parity):
+    for x, y in lattice_points(n, parity):
         expected = amps.conj() @ delta_at(n, parity, (x, y)) @ amps / d
         assert abs(table.values[x, y] - expected.real) < 1e-12
         assert abs(expected.imag) < 1e-12
@@ -293,7 +298,7 @@ def test_quantize_matches_dense_definition(n, parity, rng):
     d = lattice_modulus(n, parity)
     grid = rng.standard_normal((d, d))
     expected = np.zeros((n, n), dtype=complex)
-    for x, y in phase_points(n, parity):
+    for x, y in lattice_points(n, parity):
         expected += grid[x, y] * delta_at(n, parity, (x, y))
     expected /= d
     assert np.abs(weyl_quantize(grid, parity) - expected).max() < 1e-12
@@ -445,7 +450,7 @@ def test_transforms_equal_the_per_call_chirp_build(fresh_plans, rng):
                 grid = rng.standard_normal(table.values.shape)
                 assert same_bits(weyl_quantize(grid, parity), chirp_weyl_quantize(grid, parity))
                 key = (table.modulus, parity)
-                plans.setdefault(key, []).append(wigner._plan(*key))
+                plans.setdefault(key, []).append(plan(*key))
         # one memoised plan per lattice, or a new plan on every call
         fresh = [len(set(map(id, built))) == 2 for built in plans.values()]
         assert fresh == [n > 200 for n, _ in pair]
@@ -473,8 +478,7 @@ def test_odd_transforms_keep_the_chirp_builds_signed_zeros(n):
 
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN), (181, ODD), (110, EVEN)])
 def test_plan_arrays_are_read_only(n, parity):
-    plan = wigner._plan(lattice_modulus(n, parity), parity)
-    for array in plan:
+    for array in plan(lattice_modulus(n, parity), parity):
         with pytest.raises(ValueError):
             array[...] = 0
 
@@ -485,11 +489,11 @@ def test_plan_memo_limit(largest, parity, per_cell, per_n, fresh_plans):
     # the largest memoised lattice and the next one of its parity
     for n in (largest, largest + 2):
         modulus = lattice_modulus(n, parity)
-        plan = wigner._plan(modulus, parity)
-        assert plan.nbytes == per_cell * modulus * modulus + per_n * n
+        first = plan(modulus, parity)
+        assert first.nbytes == per_cell * modulus * modulus + per_n * n
         # memoised only at the largest: a second call returns the same plan
-        assert (wigner._plan(modulus, parity) is plan) == (n == largest)
-    assert plan.nbytes > wigner._PLAN_MEMO_BYTES
+        assert (plan(modulus, parity) is first) == (n == largest)
+    assert first.nbytes > wigner._PLAN_MEMO_BYTES
     assert wigner._plan_memo.cache_info().currsize == 1
 
 
@@ -502,7 +506,7 @@ def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
         weyl_quantize(table.values, parity)
         modulus = table.modulus
         # exactly the plans within _PLAN_MEMO_BYTES are memoised
-        small = wigner._plan(modulus, parity).nbytes <= wigner._PLAN_MEMO_BYTES
+        small = plan(modulus, parity).nbytes <= wigner._PLAN_MEMO_BYTES
         assert memoised(modulus, parity) == small
         assert wigner._plan_memo.cache_info().currsize <= wigner._PLAN_SLOTS
     # so the memo holds at most _PLAN_SLOTS plans of at most
@@ -517,12 +521,12 @@ def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
 
 def test_plan_above_memo_limit_leaves_the_memo_unchanged(fresh_plans):
     small = [(3, ODD), (4, EVEN), (179, ODD)]
-    before = [wigner._plan(lattice_modulus(n, parity), parity) for n, parity in small]
+    before = [plan(lattice_modulus(n, parity), parity) for n, parity in small]
     info = wigner._plan_memo.cache_info()
     for n, parity in [(181, ODD), (110, EVEN)]:
         table = wigner_of(QuantumState.basis(n, 0), parity)
         weyl_quantize(table.values, parity)
     # the larger plans never reach the memo: no hit, no miss, no entry
     assert wigner._plan_memo.cache_info() == info
-    after = [wigner._plan(lattice_modulus(n, parity), parity) for n, parity in small]
+    after = [plan(lattice_modulus(n, parity), parity) for n, parity in small]
     assert all(a is b for a, b in zip(after, before))
