@@ -1,20 +1,18 @@
 """Independent verification of the representation and kernel claims.
 
 Nothing here reuses the closed forms it checks. Every phase point operator
-is monomial, Delta_p[i, sigma_p(i)] = rho^(e_p(i)), so the exact oracles
-read the integer tables of kernel_factors and build no dense kernel:
-uniqueness is the solution count of a gain graph over integer phases
-(verify_uniqueness), and the kernel properties are table identities
+is monomial, Delta_p[i, sigma_p(i)] = rho^(e_p(i)), so the oracles read
+integer tables and build no dense system: uniqueness is the solution count
+of a gain graph over integer phases (verify_uniqueness on kernel_factors'
+tables, solve_covariance on any monomial family read from its matrices, one
+solver for both), and the kernel properties are table identities
 (verify_sw_kernel), translation at the two Weyl generators, which give
-every shift. The floating-point cross-check at small N, solve_covariance,
-builds the covariance relation's linear system over any point family from
-its nonzeros, block by connected block, and factors all blocks of a shape
-in one stacked QR and SVD. The factorization oracle is bfs_decompose.
+every shift. The factorization oracle is bfs_decompose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -24,15 +22,15 @@ from .metaplectic import equal_up_to_phase, u_of
 from .qops import KernelFactors, delta_at, kernel_factors, unit_roots
 from .symplectic import SympMat, apply_point, check_bytes
 
-SVD_CUTOFF = 1e-9
 UNITARY_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
-# solve_covariance's bytes per entry of its stacked system: the system, the
-# QR's copy and LAPACK's workspace when it is one block (peak RSS grew by
-# 3.10 and 3.09 copies at odd N = 11 and 13); 3.25 copies are counted. A
-# split system builds only its blocks, so this over-counts it; the count
-# stays, as it fixes the admitted sizes (odd N <= 13, even N <= 10).
-_SYSTEM_ENTRY_BYTES = 52
+# solve_covariance's distance allowed between a nonzero and its root of unity
+_ROOT_TOL = 1e-9
+# solve_covariance's bytes per (point, entry) to read a family into tables:
+# the stacked copy, its masks and the per-row tables (tracemalloc peak
+# 19.0-22.3 B at odd N = 13, 25 and even N = 12, 20 on the full grid and
+# N = 32 on the integer points); the graph's _EDGE_BYTES are counted beside
+_READ_ENTRY_BYTES = 24
 # _covariance_graph's bytes per (grid point, row) of its tables: columns,
 # exponents, their argsort and gains, and the fold certificate's temporaries
 # (tracemalloc peak before any edge is built: 34 B at even N = 40 and 52)
@@ -66,132 +64,84 @@ def _check_edge_bytes(n: int, points: int) -> None:
 
 @dataclass(eq=False)
 class CovarianceSolution:
-    """Null space of the stacked covariance constraints for one group element.
+    """Solution space of the covariance relation for one group element.
 
     ``basis`` spans all matrices U with U Delta_p = Delta_(S.p) U for every
-    point p of the supplied family. ``unitary`` is set only when the space is
-    one-dimensional and its generator can be scaled to a unitary; the scaling
-    fixes the first entry of significant magnitude to be real positive.
+    point p of the supplied family: one unit-norm matrix per balanced
+    component of the gain graph, components by smallest entry. ``unitary``
+    is set only when the space is one-dimensional and its generator can be
+    scaled to a unitary; the scaling fixes the first entry of significant
+    magnitude to be real positive.
     """
 
     nullity: int
     basis: list[np.ndarray]
     unitary: np.ndarray | None
-    singular_values: np.ndarray = field(repr=False)
 
 
 def solve_covariance(
     s: SympMat, deltas: Mapping[tuple[int, int], np.ndarray]
 ) -> CovarianceSolution:
-    """Solve U Delta_p - Delta_(S.p) U = 0 over all points p of ``deltas``.
+    """Solve U Delta_p = Delta_(S.p) U over all points p of ``deltas``.
 
-    The unknowns are U's N^2 entries, row-major; point p contributes the rows
-    kron(I, Delta_p^T) - kron(Delta_(S.p), I). Each block of them (_blocks)
-    gets a QR factorization and an SVD of its triangular factor, missing
-    values of a block with fewer rows than unknowns counted as zeros. The
-    nullity counts the N^2 values at or below SVD_CUTOFF times the largest;
-    the basis is each block's null vectors, blocks by smallest unknown. The
-    family must be closed under ``s`` (keys mod s.modulus). Raises ValueError
-    for a NaN or inf kernel entry and BoundExceeded above _SYSTEM_ENTRY_BYTES
-    per entry of the stacked system (points * N^4), admitting odd N <= 13 and
-    even N <= 10 on the full grid; both before the system is built.
+    The family must be closed under ``s`` (keys mod s.modulus) and monomial
+    over the 2N-th roots (_monomial_tables), as every phase point operator
+    is; it is read into integer tables once and solved by the gain graph of
+    _covariance_graph (_gain_graph), every point's edges built. The BFS
+    starts from (0, 0), (1, 0) and (0, 1) where the family holds them, else
+    from its first three points. Raises ValueError for a family that is
+    empty, not closed, not finite or not monomial, and BoundExceeded above
+    _READ_ENTRY_BYTES + _EDGE_BYTES per (point, entry), which admits odd
+    N <= 45 and even N <= 32 on the full grid; both before the graph is
+    built, the bound before the family is read.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
-    size = len(points) * dim**4 * _SYSTEM_ENTRY_BYTES
-    check_bytes(f"covariance system of {len(points)} points at dimension {dim}", size)
+    size = len(points) * dim * dim * (_READ_ENTRY_BYTES + _EDGE_BYTES)
+    check_bytes(f"covariance graph of {len(points)} points at dimension {dim}", size)
+    index = {point: i for i, point in enumerate(points)}
     moved = [apply_point(s, point) for point in points]
-    missing = [point for point in moved if point not in deltas]
+    missing = [point for point in moved if point not in index]
     if missing:
         raise ValueError(f"family is not closed under the action: missing {missing[0]}")
-    source = np.stack([deltas[point] for point in points])
-    # every image is a kernel of the family, so the sources cover them all
+    factors = _monomial_tables(np.stack([deltas[point] for point in points]))
+    image = np.array([index[point] for point in moved])
+    generators = [(0, 0), (1, 0), (0, 1)]
+    starts = [index[p] for p in (generators if set(generators) <= index.keys() else points[:3])]
+    label, phase, roots = _gain_graph(
+        factors, image, np.arange(len(points)), [(p, image[p]) for p in starts]
+    )
+    basis = [_component_vector(label, phase, root, factors.root_modulus, dim) for root in roots]
+    unitary = _unitarize(basis[0]) if len(basis) == 1 else None
+    return CovarianceSolution(len(basis), basis, unitary)
+
+
+def _monomial_tables(source: np.ndarray) -> KernelFactors:
+    """The (points, N, N) kernels ``source`` as KernelFactors over R = 2N:
+    each row's one nonzero, rho^(e(i)) with rho = exp(2 pi i / 2N), in
+    column sigma(i). An odd lattice's N-th roots read as even exponents,
+    which keeps every balanced component. Raises ValueError where an entry
+    is not finite, where a row or column holds other than one nonzero, or
+    where a nonzero is farther than _ROOT_TOL from every power of rho.
+    """
     if not np.isfinite(source).all():
         raise ValueError("phase point family has a kernel that is not finite")
-    blocks = []
-    for columns, stack in _blocks(source, np.stack([deltas[point] for point in moved])):
-        _, singular, vh = np.linalg.svd(np.linalg.qr(stack, mode="r"))
-        blocks += zip(columns, np.atleast_2d(singular), vh.reshape(-1, *vh.shape[-2:]))
-    blocks.sort(key=lambda block: block[0][0])
-    found = np.concatenate([values for _, values, _ in blocks])
-    singular = np.sort(np.pad(found, (0, dim * dim - found.size)))[::-1]
-    threshold = SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
-    basis = []
-    for columns, values, vh in blocks:
-        for row in vh[int((values > threshold).sum()) :]:
-            vector = np.zeros(dim * dim, dtype=complex)
-            vector[columns] = row.conj()
-            basis.append(vector.reshape(dim, dim))
-    unitary = _unitarize(basis[0]) if len(basis) == 1 else None
-    return CovarianceSolution(len(basis), basis, unitary, singular)
-
-
-def _blocks(source: np.ndarray, image: np.ndarray) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """The connected blocks of the system of the (points, N, N) source and
-    image kernels, built from their nonzeros: row (p, i, j), column (k, l)
-    holds Delta_p[l, j] where k = i minus Delta_(S.p)[i, k] where l = j.
-    Labels: the least label among a row's unknowns, then that label's own,
-    until none changes. Per block shape, the components' columns and their
-    rows (increasing; zero rows only if one block) stacked, a lone block 2-D.
-    """
-    dim = source.shape[1]
-    unknowns, off, a = dim * dim, ~np.eye(dim, dtype=bool), np.arange(dim)
-    p, l, j = (x[:, None] for x in np.nonzero((source != 0) & off))
-    q, i, k = (x[:, None] for x in np.nonzero((image != 0) & off))
-    # on the diagonals both terms fall on one entry: their difference
-    both = source.diagonal(0, 1, 2)[:, None, :] - image.diagonal(0, 1, 2)[:, :, None]
-    f = np.flatnonzero(both)
-    rows = np.concatenate([((p * dim + a) * dim + j).ravel(), ((q * dim + i) * dim + a).ravel(), f])
-    cols = np.concatenate([(a * dim + l).ravel(), (k * dim + a).ravel(), f % unknowns])
-    values = np.concatenate(
-        [source[p, l, j].repeat(dim), (0 - image[q, i, k]).repeat(dim), both.ravel()[f]]
-    )
-    label, settled = np.arange(unknowns), False
-    while not settled:
-        row_label = np.full(len(source) * unknowns, unknowns)
-        np.minimum.at(row_label, rows, label[cols])
-        reached = label.copy()
-        np.minimum.at(reached, cols, row_label[rows])
-        settled = (reached[reached] == label).all()
-        label = reached[reached]
-
-    def runs(group, size):  # stable order by group, the runs' bounds, each place in its run
-        # the smallest dtype that holds the groups: numpy radix-sorts 8 and 16 bits
-        order = np.argsort(group.astype(np.min_scalar_type(size)), kind="stable")
-        bounds = np.append(0, np.cumsum(np.bincount(group, minlength=size)))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(group.size) - bounds[group[order]]
-        return order, bounds, rank
-
-    roots, block = np.unique(label, return_inverse=True)
-    row_block = np.append(block, -1 if roots.size > 1 else 0)[row_label]
-    _, row_bounds, row_rank = runs(row_block + 1, roots.size + 1)
-    by_block, col_bounds, col_rank = runs(block, roots.size)
-    heights, widths = np.diff(row_bounds)[1:], np.diff(col_bounds)
-    shapes, shape_of = np.unique(heights * (unknowns + 1) + widths, return_inverse=True)
-    by_shape, member_bounds, slot = runs(shape_of, shapes.size)
-    # every stack is a slice of one zeroed buffer: one scatter fills them all
-    tall, wide = np.divmod(shapes, unknowns + 1)
-    starts = np.append(0, np.cumsum(np.diff(member_bounds) * tall * wide))
-    owner = block[cols]
-    shape = shape_of[owner]
-    place = (slot[owner] * tall[shape] + row_rank[rows]) * wide[shape] + col_rank[cols]
-    buffer = np.zeros(starts[-1], dtype=complex)
-    buffer[starts[shape] + place] = values
-    stacks = []
-    for which in range(shapes.size):
-        members = by_shape[member_bounds[which] : member_bounds[which + 1]]
-        stack = buffer[starts[which] : starts[which + 1]]
-        stack = stack.reshape(members.size, tall[which], wide[which])
-        columns = [by_block[col_bounds[c] : col_bounds[c + 1]] for c in members]
-        stacks.append((columns, stack if members.size > 1 else stack[0]))
-    return stacks
+    nonzero = source != 0
+    if (nonzero.sum(axis=2) != 1).any() or (nonzero.sum(axis=1) != 1).any():
+        raise ValueError("phase point family is not monomial: one nonzero per row and column")
+    r = 2 * source.shape[1]
+    cols = nonzero.argmax(axis=2)
+    values = np.take_along_axis(source, cols[..., None], 2)[..., 0]
+    exponents = np.rint(np.angle(values) * (r / (2 * np.pi))).astype(np.int64) % r
+    if not np.abs(values - unit_roots(r)[exponents]).max() <= _ROOT_TOL:
+        raise ValueError(f"phase point family has an entry that is not a {r}-th root of unity")
+    return KernelFactors(cols, exponents, r)
 
 
 def _unitarize(candidate: np.ndarray) -> np.ndarray | None:
-    # Candidates (SVD basis vectors, gain-graph solutions) have unit
+    # Candidates (gain-graph solutions) have unit
     # Frobenius norm; a unitary multiple must be sqrt(dim) times that.
     # A NaN defect fails the comparison, so a NaN entry gives None.
     dim = candidate.shape[0]
@@ -398,15 +348,11 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     reaches all of it. A breadth-first search over the three generating
     points (0, 0), (1, 0) and (0, 1), from each unreached entry in increasing
     order, starts every entry at the smallest entry of its three-point
-    component, with a phase from there (_three_point_start). Then all built
-    edges are handled at once: each round, every entry takes the smallest
-    component label among its predecessors, with the phase carried along
-    that edge; a round that lowers no label ends the search, which makes it
-    a breadth-first search from each component's smallest entry. That last
-    round also checks every edge against the phases found. Where the three
-    points already connect each component, as the Schur argument says they
-    do, the first round is the last; an edge that joins or contradicts
-    three-point components is caught as without the start.
+    component, with a phase from there (_three_point_start). Then
+    _gain_graph's rounds run over all built edges from those labels. Where
+    the three points already connect each component, as the Schur argument
+    says they do, the first round is the last; an edge that joins or
+    contradicts three-point components is caught as without the start.
 
     Raises BoundExceeded, before building anything, when the N^2
     representatives' edges (one per point and entry of U) would exceed
@@ -416,8 +362,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
-    nodes = n * n
-    _check_edge_bytes(n, nodes)
+    _check_edge_bytes(n, n * n)
     xs, ys, factors = _grid_factors("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
     moved_x, moved_y = apply_point(s, (xs, ys))
     image = moved_x * side + moved_y
@@ -426,7 +371,29 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     else:
         _check_edge_bytes(n, side * side)
         built = np.arange(side * side)
-    r = factors.root_modulus
+    pairs = [(p, image[p]) for p in (0, side, 1)]
+    label, phase, roots = _gain_graph(factors, image, built, pairs)
+    if len(roots) != 1:
+        return len(roots), None
+    return 1, _component_vector(label, phase, roots[0], factors.root_modulus, n)
+
+
+def _gain_graph(
+    factors: KernelFactors, image: np.ndarray, built: np.ndarray, pairs: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label and phase of every entry of U, and the balanced components'
+    roots in increasing order, for the gain graph of the table rows
+    ``factors`` (one per point), ``image`` the row of each point's image,
+    with the edges of the rows ``built`` and the breadth-first start over
+    the (point, image) rows ``pairs`` (_three_point_start).
+
+    Each round, every entry takes the smallest component label among its
+    predecessors, with the phase carried along that edge, until a round
+    lowers no label; that last round also checks every edge against the
+    phases found. A component is balanced where its root, its smallest
+    entry, is its own label and no edge contradicts it.
+    """
+    n, r = factors.cols.shape[1], factors.root_modulus
     # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
     # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
     into = np.argsort(factors.cols, axis=1)
@@ -437,7 +404,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
 
     # Each entry's key is label * R + phase, so a minimum over keys picks
     # the smallest label and carries one phase consistent with it.
-    label, phase = _three_point_start(factors, [(p, image[p]) for p in (0, side, 1)])
+    label, phase = _three_point_start(factors, pairs)
     while True:
         key = (label * r + phase).reshape(n, n)
         offered = key[rows, cols]
@@ -453,14 +420,19 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
             break
         label[lower], phase[lower] = np.divmod(best[lower], r)
     consistent = (offered == key).all(axis=0).reshape(-1)
-    balanced = label == np.arange(nodes)
+    balanced = label == np.arange(n * n)
     balanced[label[~consistent]] = False
-    roots = np.flatnonzero(balanced)
-    if len(roots) != 1:
-        return len(roots), None
-    support = label == roots[0]
+    return label, phase, np.flatnonzero(balanced)
+
+
+def _component_vector(
+    label: np.ndarray, phase: np.ndarray, root: int, r: int, n: int
+) -> np.ndarray:
+    """The (N, N) solution on the component of ``root``: rho^phase there,
+    zero elsewhere, scaled to unit Frobenius norm."""
+    support = label == root
     solution = np.where(support, unit_roots(r)[phase], 0) / np.sqrt(support.sum())
-    return 1, solution.reshape(n, n)
+    return solution.reshape(n, n)
 
 
 def _fold_certified(

@@ -7,7 +7,7 @@ from numpy.linalg import matrix_power
 from conftest import weyl_symmetric
 from phasepoint.lattice import EVEN, ODD, hilbert_dim, lattice_modulus
 from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus, u_of
-from phasepoint import oracle, qops, symplectic
+from phasepoint import oracle, qops
 from phasepoint.oracle import (
     integer_point_family,
     solve_covariance,
@@ -116,23 +116,31 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
 
 
 def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
-    # 3.25 copies of the system's complex entries: 52 bytes per entry
+    # per (point, entry): 24 B to read the family, 32 B for its edge
     family = delta_family(3, ODD)
-    system_bytes = len(family) * 3**4 * 52
-    byte_bound(system_bytes)
+    graph_bytes = len(family) * 3**2 * (24 + 32)
+    byte_bound(graph_bytes)
     assert solve_covariance(generator("+", 3), family).nullity == 1
-    byte_bound(system_bytes - 1)
+    byte_bound(graph_bytes - 1)
     with pytest.raises(BoundExceeded):
         solve_covariance(generator("+", 3), family)
 
 
 @pytest.mark.parametrize(
-    "n,parity,allowed", [(13, ODD, True), (15, ODD, False), (10, EVEN, True), (12, EVEN, False)]
+    "n,parity,allowed",
+    [(13, ODD, True), (45, ODD, True), (47, ODD, False),
+     (10, EVEN, True), (32, EVEN, True), (34, EVEN, False)],
 )
 def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
-    # full-grid families: N^2 points at odd N, (2N)^2 on the doubled grid
-    points = lattice_modulus(n, parity) ** 2
-    assert (points * n**4 * 52 <= symplectic.SYSTEM_BYTES_BOUND) == allowed
+    # full-grid families (N^2 points at odd N, (2N)^2 on the doubled grid)
+    # of one shared zero kernel: an admitted size is read and refused as not
+    # monomial, a larger one is refused before it is read. The former dense
+    # system's bound admitted odd N <= 13 and even N <= 10.
+    side = lattice_modulus(n, parity)
+    zero = np.zeros((n, n), dtype=complex)
+    family = {(x, y): zero for x in range(side) for y in range(side)}
+    with pytest.raises(ValueError, match="not monomial" if allowed else "above the bound"):
+        solve_covariance(h_t(side), family)
 
 
 def test_sw_kernel_odd():
@@ -197,7 +205,7 @@ def test_graph_matches_svd_on_whole_group(modulus, n, parity):
     family = delta_family(n, parity)
     for s in enumerate_group(modulus):
         nullity, unitary = _graph_unitary(s, parity)
-        solution = solve_covariance(s, family)
+        solution = dense_solve_covariance(s, family)
         assert nullity == solution.nullity == 1
         assert unitary is not None and solution.unitary is not None
         assert equal_up_to_phase(unitary, solution.unitary, tol=1e-9).equivalent
@@ -381,31 +389,22 @@ def test_graph_of_mutant_equals_all_points_reference(monkeypatch, point, whole):
 
 
 def test_solve_covariance_matches_full_svd(rng):
-    # Reference: the SVD of the whole stacked system, left factor included.
+    # the gain graph's one solution is the SVD reference's null vector
     for n, parity in [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)]:
         family = delta_family(n, parity)
         modulus = lattice_modulus(n, parity)
         for s in (h_t(modulus), random_element(modulus, rng)):
-            stacked = np.vstack([
-                np.kron(np.eye(n), family[p].T) - np.kron(family[apply_point(s, p)], np.eye(n))
-                for p in sorted(family)
-            ])
-            _, singular, vh = np.linalg.svd(stacked, full_matrices=False)
             solution = solve_covariance(s, family)
-            assert np.abs(solution.singular_values - singular).max() < 1e-10
-            assert solution.nullity == 1
+            reference = dense_solve_covariance(s, family)
+            assert solution.nullity == reference.nullity == 1
             assert equal_up_to_phase(
-                solution.basis[0] * np.sqrt(n), vh[-1].conj().reshape(n, n) * np.sqrt(n), tol=1e-10
+                solution.basis[0] * np.sqrt(n), reference.basis[0] * np.sqrt(n), tol=1e-10
             ).equivalent
 
 
-
-def dense_stacked_system(s, family, n):
-    """The whole stacked covariance system, one kron pair per point."""
-    return np.vstack([
-        np.kron(np.eye(n), family[p].T) - np.kron(family[apply_point(s, p)], np.eye(n))
-        for p in sorted(family)
-    ])
+# The SVD reference's cutoff: singular values at or below this times the
+# largest count toward the nullity.
+SVD_CUTOFF = 1e-9
 
 
 def null_projector(vectors):
@@ -438,9 +437,11 @@ def components(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_solve_covariance(s, deltas):
-    """solve_covariance from the whole system: every entry of a dense
-    (points, N, N, N, N) array, blocks from its float32 pattern product
-    (components), each block gathered and factored on its own."""
+    """The SVD reference for solve_covariance, on any family: every entry of
+    the dense (points, N, N, N, N) system, blocks from its float32 pattern
+    product (components), each block gathered and factored by QR and SVD on
+    its own; the nullity counts the N^2 singular values (a block's missing
+    ones as zeros) at or below SVD_CUTOFF times the largest."""
     points = sorted(deltas)
     dim = deltas[points[0]].shape[0]
     images = [deltas[apply_point(s, point)] for point in points]
@@ -465,7 +466,7 @@ def dense_solve_covariance(s, deltas):
         blocks.append((columns, singular, vh))
     found = np.concatenate([values for _, values, _ in blocks])
     singular = np.sort(np.pad(found, (0, unknowns - found.size)))[::-1]
-    threshold = oracle.SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
+    threshold = SVD_CUTOFF * (singular[0] if singular[0] > 0 else 1.0)
     basis = []
     for columns, values, vh in blocks:
         for row in vh[int((values > threshold).sum()) :]:
@@ -473,7 +474,7 @@ def dense_solve_covariance(s, deltas):
             vector[columns] = row.conj()
             basis.append(vector.reshape(dim, dim))
     unitary = oracle._unitarize(basis[0]) if len(basis) == 1 else None
-    return oracle.CovarianceSolution(len(basis), basis, unitary, singular)
+    return oracle.CovarianceSolution(len(basis), basis, unitary)
 
 
 def conjugated_family(n, rng):
@@ -484,109 +485,120 @@ def conjugated_family(n, rng):
 
 
 def assert_same_solution(solution, reference):
+    """Equal nullities, null spaces (their projectors) and unitaries up to
+    phase: a basis of a null space of dimension > 1 is not unique."""
     assert solution.nullity == reference.nullity
-    assert np.array_equal(solution.singular_values, reference.singular_values)
-    assert len(solution.basis) == len(reference.basis)
-    assert all(np.array_equal(a, b) for a, b in zip(solution.basis, reference.basis))
+    assert np.abs(null_projector(solution.basis) - null_projector(reference.basis)).max() < 1e-10
     assert (solution.unitary is None) == (reference.unitary is None)
-    assert solution.unitary is None or np.array_equal(solution.unitary, reference.unitary)
+    assert solution.unitary is None or equal_up_to_phase(
+        solution.unitary, reference.unitary, tol=1e-9
+    ).equivalent
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_solve_covariance_matches_dense_build_on_integer_points(n, integer_point_solutions):
-    # bit for bit on every element of Sp_N; the solutions are shared with
-    # criterion 10's whole-group check
+    # on every element of Sp_N; the solutions are shared with criterion 10's
+    # whole-group check
     family = integer_point_family(n)
     for s, solution in integer_point_solutions[n]:
         assert_same_solution(solution, dense_solve_covariance(s, family))
 
 
 @pytest.mark.parametrize(
-    "n,parity,conjugated",
-    [(3, ODD, False), (5, ODD, False), (2, EVEN, False), (4, EVEN, False), (5, ODD, True)],
-    ids=["odd-3", "odd-5", "even-2", "even-4", "conjugated-odd-5"],
+    "n,parity", [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)],
+    ids=["odd-3", "odd-5", "even-2", "even-4"],
 )
-def test_solve_covariance_matches_dense_build_on_whole_group(n, parity, conjugated, rng):
-    family = conjugated_family(n, rng)[1] if conjugated else delta_family(n, parity)
+def test_solve_covariance_matches_dense_build_on_whole_group(n, parity):
+    family = delta_family(n, parity)
     for s in enumerate_group(lattice_modulus(n, parity)):
         assert_same_solution(solve_covariance(s, family), dense_solve_covariance(s, family))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_block_solve_matches_dense_svd_where_nullity_exceeds_one(n, rng):
-    # integer points split the system into several components; a basis of a
-    # null space of dimension > 1 is not unique, its projector is
+    # integer points split the system into several components
     family = integer_point_family(n)
     for s in (generator("+", n), random_element(n, rng), random_element(n, rng)):
-        _, singular, vh = np.linalg.svd(dense_stacked_system(s, family, n), full_matrices=False)
-        rank = int((singular > oracle.SVD_CUTOFF * singular[0]).sum())
         solution = solve_covariance(s, family)
-        assert np.abs(solution.singular_values - singular).max() < 1e-10
-        assert solution.nullity == n * n - rank > 1
+        assert solution.nullity > 1
         assert solution.unitary is None
-        dense = null_projector([row.conj() for row in vh[rank:]])
-        assert np.abs(null_projector(solution.basis) - dense).max() < 1e-10
+        assert_same_solution(solution, dense_solve_covariance(s, family))
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_block_solve_counts_missing_singular_values_as_zero(n, rng):
-    # The origin alone: its parity kernel gives zero rows and leaves U[0, 0]
-    # untouched, so some components have fewer rows than unknowns.
-    family = {(0, 0): delta_family(n, ODD)[(0, 0)]}
-    for s in (generator("+", n), random_element(n, rng)):
-        singular = np.linalg.svd(dense_stacked_system(s, family, n), compute_uv=False)
-        solution = solve_covariance(s, family)
-        assert solution.singular_values.shape == (n * n,)
-        assert np.abs(solution.singular_values - singular).max() < 1e-10
-        assert solution.nullity == int((singular <= oracle.SVD_CUTOFF * singular[0]).sum()) > 1
+    # The origin alone, at odd N = n and even N = n - 1: its parity kernel
+    # gives zero rows and leaves U[0, 0] untouched, so the reference's
+    # components have fewer rows than unknowns.
+    for dim, parity in [(n, ODD), (n - 1, EVEN)]:
+        family = {(0, 0): delta_family(dim, parity)[(0, 0)]}
+        modulus = lattice_modulus(dim, parity)
+        for s in (generator("+", modulus), random_element(modulus, rng)):
+            solution = solve_covariance(s, family)
+            assert solution.nullity > 1
+            assert_same_solution(solution, dense_solve_covariance(s, family))
     all_zero = solve_covariance(generator("+", 2), integer_point_family(2))
-    assert np.array_equal(all_zero.singular_values, np.zeros(4))
     assert np.array_equal(null_projector(all_zero.basis), np.eye(4))
+
+
+@pytest.mark.parametrize("n,parity", [(3, ODD), (5, ODD), (2, EVEN), (4, EVEN)])
+def test_solve_covariance_matches_dense_nullity_on_phase_mutants(n, parity):
+    # every one-entry phase mutant: row 0 of one kernel times exp(2 pi i / 2N),
+    # still monomial over the 2N-th roots
+    clean = delta_family(n, parity)
+    s = h_t(lattice_modulus(n, parity))
+    for point, kernel in clean.items():
+        family = {**clean, point: kernel.copy()}
+        family[point][0] *= np.exp(1j * np.pi / n)
+        assert solve_covariance(s, family).nullity == dense_solve_covariance(s, family).nullity
+
 
 def test_solve_covariance_on_a_dense_family_with_one_component(rng):
     # every kernel conjugated by one random unitary V: no entry is zero, so
-    # the system is one component, and V U(S) V^dag solves it
+    # the system is one component, and V U(S) V^dag solves it; such a family
+    # is not monomial, so only the SVD reference takes it
     n = 5
     v, family = conjugated_family(n, rng)
-    unknowns, _ = components(dense_stacked_system(h_t(n), family, n) != 0)
-    assert (unknowns == 0).all()
+    assert all((kernel != 0).all() for kernel in family.values())
     for s in (generator("+", n), random_element(n, rng)):
-        solution = solve_covariance(s, family)
+        solution = dense_solve_covariance(s, family)
         assert solution.nullity == 1
         expected = v @ u_of(s, ODD).matrix @ v.conj().T
         assert equal_up_to_phase(solution.unitary, expected, tol=1e-9).equivalent
 
 
+def test_solve_covariance_refuses_non_monomial_families(monkeypatch, rng):
+    # refused as the family is read, before any graph is built
+    def refuse(*args):
+        raise AssertionError("gain graph built")
+
+    monkeypatch.setattr(oracle, "_gain_graph", refuse)
+    _, conjugated = conjugated_family(5, rng)
+    with pytest.raises(ValueError, match="not monomial"):
+        solve_covariance(generator("+", 5), conjugated)
+    clean = delta_family(3, ODD)
+    two = clean[(1, 1)].copy()
+    two[0, np.flatnonzero(two[0] == 0)[0]] = 1.0
+    between = clean[(1, 1)].copy()
+    between[0] *= np.exp(1j * np.pi / 6)  # half way between two 6th roots
+    for kernel, refusal in [(two, "not monomial"), (between, "root of unity")]:
+        with pytest.raises(ValueError, match=refusal):
+            solve_covariance(generator("+", 3), {**clean, (1, 1): kernel})
+
+
 @pytest.mark.parametrize("n,integer_points", [(7, False), (8, True)], ids=["odd-7-full-grid", "even-8-integer-points"])
 def test_solve_covariance_peak_memory(n, integer_points):
-    # check_bytes counts 3.25 copies of the system (points * N^4 complex
-    # entries) for peak RSS; tracemalloc sees less, as LAPACK's workspace is
-    # not traced
+    # check_bytes counts 24 + 32 B per (point, entry): the family's stacked
+    # read and the graph's edges
     family = integer_point_family(n) if integer_points else delta_family(n, ODD)
     s = generator("+", n)
-    system_bytes = len(family) * n**4 * 16
     tracemalloc.start()
     try:
         solve_covariance(s, family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.1 * system_bytes
-
-
-def test_solve_covariance_builds_only_the_blocks_of_a_split_system():
-    # the integer points at N = 8 split the system into blocks (4 of 960 x 16
-    # under h+), which are all that is built: the peak stays below one copy
-    # of the whole system of points * N^4 complex entries
-    n = 8
-    family = integer_point_family(n)
-    tracemalloc.start()
-    try:
-        solve_covariance(generator("+", n), family)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.0 * len(family) * n**4 * 16
+    assert peak <= len(family) * n**2 * (24 + 32)
 
 
 @pytest.mark.parametrize("n,parity,integer_points", [(3, ODD, False), (4, EVEN, True), (8, EVEN, True)])
