@@ -4,10 +4,11 @@ Nothing here reuses the closed forms it checks. Every phase point operator
 is monomial, Delta_p[i, sigma_p(i)] = rho^(e_p(i)), so the oracles read
 integer tables and build no dense system: uniqueness is the solution count
 of a gain graph over integer phases (verify_uniqueness on kernel_factors'
-tables, solve_covariance on any monomial family read from its matrices, one
-solver for both), and the kernel properties are table identities
-(verify_sw_kernel), translation at the two Weyl generators, which give
-every shift. The factorization oracle is bfs_decompose.
+tables over the certified fold of the doubled grid, solve_covariance on any
+monomial family read from its matrices; one solver and one edge bound for
+both), and the kernel properties are table identities (verify_sw_kernel),
+translation at the two Weyl generators, which give every shift. The
+factorization oracle is bfs_decompose.
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ UNITARY_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
 # solve_covariance's distance allowed between a nonzero and its root of unity
 _ROOT_TOL = 1e-9
-# solve_covariance's bytes per (point, entry) to read a family into tables:
-# the stacked copy, its masks and the per-row tables (tracemalloc peak
-# 19.0-22.3 B at odd N = 13, 25 and even N = 12, 20 on the full grid and
-# N = 32 on the integer points); the graph's _EDGE_BYTES are counted beside
-_READ_ENTRY_BYTES = 24
 # _covariance_graph's bytes per (grid point, row) of its tables: columns,
 # exponents, their argsort and gains, and the fold certificate's temporaries
 # (tracemalloc peak before any edge is built: 34 B at even N = 40 and 52)
 _GRID_ROW_BYTES = 64
-# _covariance_graph's bytes per edge, one edge per (built point, entry of U):
-# four int64 words (tracemalloc peak, the grid tables included, 18 B per edge
-# at odd N = 53 and 20 B per representative edge at even N = 52)
+# the uniqueness graph's bytes per edge, one per (built point, entry of U),
+# for _covariance_graph and solve_covariance (whose stacked read is freed
+# before its edges are built) alike: four int64 words. Admitted: the N^2
+# representatives at odd N <= 53 and even N <= 52, full-grid families at
+# odd N <= 53 and even N <= 38. Tracemalloc peak, tables and read included:
+# 18-20 B per edge (representatives at odd N = 53 and even N = 52, full
+# grids at odd N = 45, 53 and even N = 32, 38)
 _EDGE_BYTES = 32
 # verify_sw_kernel's bytes per (grid point, row): its tables, their roots and
 # the per-check temporaries (tracemalloc peak 154-172 B at odd N = 9, 53, 111
@@ -91,16 +91,14 @@ def solve_covariance(
     starts from (0, 0), (1, 0) and (0, 1) where the family holds them, else
     from its first three points. Raises ValueError for a family that is
     empty, not closed, not finite or not monomial, and BoundExceeded above
-    _READ_ENTRY_BYTES + _EDGE_BYTES per (point, entry), which admits odd
-    N <= 45 and even N <= 32 on the full grid; both before the graph is
-    built, the bound before the family is read.
+    the graph's _EDGE_BYTES per (point, entry) (_check_edge_bytes); both
+    before the graph is built, the bound before the family is read.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
-    size = len(points) * dim * dim * (_READ_ENTRY_BYTES + _EDGE_BYTES)
-    check_bytes(f"covariance graph of {len(points)} points at dimension {dim}", size)
+    _check_edge_bytes(dim, len(points))
     index = {point: i for i, point in enumerate(points)}
     moved = [apply_point(s, point) for point in points]
     missing = [point for point in moved if point not in index]
@@ -338,10 +336,12 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     p + (0, N) goes to S.p + N (b, d), with d x' + b y' = (ad + bc) j + 2bdk
     = j. So S.p moves by the same sign as p, c_p - c_(S.p) is the
     representative's, and every edge of p, (u, w) -> (sigma_q(u),
-    sigma_p(w)), keeps its gain. Where the tables certify this, only the N^2
-    representatives' edges are built (a quarter of the doubled grid); on odd
-    lattices every point is its own representative; otherwise every point's
-    edges are built.
+    sigma_p(w)), keeps its gain. Only the N^2 representatives' edges are
+    built (a quarter of the doubled grid; on odd lattices every point is its
+    own representative). Tables that fail the certificate, as a mutated
+    kernel can, raise ValueError before any edge is built, as
+    verify_sw_kernel does for permutations that agree on some rows but not
+    all.
 
     Each point contributes a permutation of the N^2 entries, so every
     component is strongly connected and propagation along the edges alone
@@ -356,9 +356,7 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
 
     Raises BoundExceeded, before building anything, when the N^2
     representatives' edges (one per point and entry of U) would exceed
-    _EDGE_BYTES each or the grid tables _GRID_ROW_BYTES per point and row,
-    and, before building them, when an uncertified lattice's edges would
-    exceed _EDGE_BYTES each.
+    _EDGE_BYTES each or the grid tables _GRID_ROW_BYTES per point and row.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
@@ -366,11 +364,9 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     xs, ys, factors = _grid_factors("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
     moved_x, moved_y = apply_point(s, (xs, ys))
     image = moved_x * side + moved_y
-    if side == n or _fold_certified(factors, xs, ys, image):
-        built = np.flatnonzero((xs < n) & (ys < n))
-    else:
-        _check_edge_bytes(n, side * side)
-        built = np.arange(side * side)
+    if side != n and not _fold_certified(factors, xs, ys, image):
+        raise ValueError("doubled-grid kernel tables fail the fold certificate")
+    built = np.flatnonzero((xs < n) & (ys < n))
     pairs = [(p, image[p]) for p in (0, side, 1)]
     label, phase, roots = _gain_graph(factors, image, built, pairs)
     if len(roots) != 1:
@@ -498,10 +494,10 @@ def verify_uniqueness(s: SympMat, parity: str) -> UniquenessReport:
     uniqueness claim and (through the returned phase) agreement with the
     constructive route, u_of's product along the four-factor word. Raises
     BoundExceeded above odd N = 53 and even N = 52 (_EDGE_BYTES per edge,
-    N^2 edges for each of the N^2 points whose edges are built), or above
-    even N = 38 where the doubled grid's fold is not certified and every
-    point's edges are built. The kernel suite, verify_sw_kernel, has its own
-    bound and runs further.
+    N^2 edges for each of the N^2 representatives whose edges are built),
+    and ValueError where the doubled grid's tables fail the fold
+    certificate (_covariance_graph). The kernel suite, verify_sw_kernel, has
+    its own bound and runs further.
     """
     nullity, candidate = _covariance_graph(s, parity)
     unitary = _unitarize(candidate) if candidate is not None else None

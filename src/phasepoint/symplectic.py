@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import index
 
 from .modring import ModulusMismatch, _check_modulus, _Frozen, euclid_trace
 
@@ -46,14 +47,17 @@ def check_bytes(what: str, nbytes: int) -> None:
 
 
 class SympMat(_Frozen):
-    """Element of Sp_M: entries are canonical representatives, det = 1 (mod M)."""
+    """Element of Sp_M: entries are canonical representatives, det = 1 (mod M).
+
+    Entries are read with operator.index, so ints and numpy integer scalars
+    pass and a float or a string raises TypeError instead of truncating."""
 
     __slots__ = __match_args__ = ("a", "b", "c", "d", "modulus")
 
     def __init__(self, a: int, b: int, c: int, d: int, modulus: int):
         _check_modulus(modulus)
         m = modulus
-        a, b, c, d = int(a) % m, int(b) % m, int(c) % m, int(d) % m
+        a, b, c, d = index(a) % m, index(b) % m, index(c) % m, index(d) % m
         if (a * d - b * c) % m != 1:
             raise NotSymplectic(f"det {(a * d - b * c) % m} != 1 for {(a, b, c, d)} mod {m}")
         self._init(a, b, c, d, m)
@@ -127,9 +131,10 @@ def h_t(modulus: int) -> SympMat:
 class GenWord(_Frozen):
     """An ordered product of generator powers, evaluated left to right.
 
-    Exponents are canonical in {0, ..., M-1}; zero-exponent factors are
-    dropped and adjacent factors with the same sign are merged, so stored
-    words always alternate sign.
+    Exponents are canonical in {0, ..., M-1}, read with operator.index as
+    SympMat's entries are; zero-exponent factors are dropped and adjacent
+    factors with the same sign are merged, so stored words always alternate
+    sign.
     """
 
     __slots__ = __match_args__ = ("factors", "modulus")
@@ -140,7 +145,7 @@ class GenWord(_Frozen):
         for sign, exponent in factors:
             if sign not in ("+", "-"):
                 raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-            exponent = int(exponent) % modulus
+            exponent = index(exponent) % modulus
             if stack and stack[-1][0] == sign:
                 exponent = (stack.pop()[1] + exponent) % modulus
             if exponent:

@@ -35,7 +35,7 @@ def test_benchmark_name_is_public(name):
 
 def test_public_surface_does_not_grow():
     # a new public name has to be deliberate: this cap only comes down, on
-    # the way to ROADMAP item 6's target of at most 47 names
+    # the way to ROADMAP item 8's target of at most 46 names
     assert len(phasepoint.__all__) <= 49
 
 

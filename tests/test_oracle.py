@@ -116,9 +116,10 @@ def test_bfs_refuses_moduli_above_enumeration_bound():
 
 
 def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
-    # per (point, entry): 24 B to read the family, 32 B for its edge
+    # 32 B per (point, entry), the graph's edge: the stacked read is freed
+    # before the edges are built
     family = delta_family(3, ODD)
-    graph_bytes = len(family) * 3**2 * (24 + 32)
+    graph_bytes = len(family) * 3**2 * 32
     byte_bound(graph_bytes)
     assert solve_covariance(generator("+", 3), family).nullity == 1
     byte_bound(graph_bytes - 1)
@@ -128,8 +129,8 @@ def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
 
 @pytest.mark.parametrize(
     "n,parity,allowed",
-    [(13, ODD, True), (45, ODD, True), (47, ODD, False),
-     (10, EVEN, True), (32, EVEN, True), (34, EVEN, False)],
+    [(13, ODD, True), (45, ODD, True), (53, ODD, True), (55, ODD, False),
+     (10, EVEN, True), (32, EVEN, True), (38, EVEN, True), (40, EVEN, False)],
 )
 def test_solve_covariance_byte_bound_sizes(n, parity, allowed):
     # full-grid families (N^2 points at odd N, (2N)^2 on the doubled grid)
@@ -221,14 +222,20 @@ def test_uniqueness_at_composite_dimensions(n, parity, rng):
         assert report.closed_form_residual < 1e-9
 
 
-def one_exponent_mutant(point, whole=False):
+def one_exponent_mutant(point, whole=False, fold=False):
     """kernel_factors with one phase exponent, Delta_point[0, .], raised by 1
-    (with ``whole``, every row's: the kernel times one root)."""
+    (with ``whole``, every row's: the kernel times one root; with ``fold``,
+    at every point equal to ``point`` mod N, its representative and three
+    folded copies on the doubled grid, which keeps the fold certified)."""
 
     def mutant(n, parity, x, y):
         factors = qops.kernel_factors(n, parity, x, y)
         exponents = factors.exponents
-        hit = np.broadcast_to((x == point[0]) & (y == point[1]), exponents.shape).copy()
+        if fold:
+            at = (x % n == point[0] % n) & (y % n == point[1] % n)
+        else:
+            at = (x == point[0]) & (y == point[1])
+        hit = np.broadcast_to(at, exponents.shape).copy()
         if not whole:
             hit[..., 1:] = False  # row 0 only
         raised = np.where(hit, (exponents + 1) % factors.root_modulus, exponents)
@@ -253,14 +260,19 @@ def one_permutation_mutant(point, source):
     "n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2)), (4, EVEN, (5, 2)), (4, EVEN, (2, 4))]
 )
 def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
-    # No matrix is covariant with the mutated family. (5, 2) and (2, 4) are
-    # folded points of the doubled grid, whose edges the certified fold
-    # would not build: the mutant must fail the certificate.
+    # No matrix is covariant with the mutated family. On the doubled grid,
+    # at a representative (3, 2) or a folded point (5, 2), (2, 4), the mutant
+    # fails the fold certificate and is refused; an odd mutant reaches the
+    # graph.
     modulus = lattice_modulus(n, parity)
     s = h_t(modulus)
     assert apply_point(s, point) != point
     assert verify_uniqueness(s, parity).unitary_found
     monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+    if parity == EVEN:
+        with pytest.raises(ValueError, match="fold certificate"):
+            verify_uniqueness(s, parity)
+        return
     report = verify_uniqueness(s, parity)
     assert report.nullity == 0 or not report.unitary_found
 
@@ -290,19 +302,20 @@ def test_uniqueness_graph_bound_sizes(n, parity):
 
 
 def test_uniqueness_refuses_uncertified_grid_above_bound(monkeypatch):
-    # Even N = 40 is admitted through its certified fold; a mutant at a
-    # folded point fails the certificate, and the whole doubled grid's edges
-    # (6400 points) are refused before they are built.
+    # Even N = 40 is admitted through its certified fold, though the whole
+    # doubled grid's edges (6400 points) are above the bound; a mutant at a
+    # folded point fails the certificate and is refused before any edge is
+    # built.
     assert verify_uniqueness(h_t(80), EVEN).unitary_found
     monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant((41, 2)))
     tracemalloc.start()
     try:
-        with pytest.raises(BoundExceeded, match="over 10240000 "):
+        with pytest.raises(ValueError, match="fold certificate"):
             verify_uniqueness(h_t(80), EVEN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the grid tables within their bound; the edges would be 10 times that
+    # the grid tables within their bound
     assert peak <= 6400 * 40 * oracle._GRID_ROW_BYTES
 
 
@@ -375,17 +388,38 @@ def test_graph_equals_all_points_reference_on_whole_group(modulus, parity):
 
 @pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
 @pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
-def test_graph_of_mutant_equals_all_points_reference(monkeypatch, point, whole):
-    # A whole-kernel mutant keeps every table a constant shift of its
-    # representative's, so only the certificate's second part, c_p - c_(S.p)
-    # per class, rejects it at a folded point.
+def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, point, whole):
+    # A row mutant leaves a table that is no constant shift of its
+    # representative's; a whole-kernel mutant keeps the shift, so only the
+    # certificate's second part, c_p - c_(S.p) per class, rejects it. Either
+    # is refused before any edge is built.
+    def refuse(*args):
+        raise AssertionError("gain graph built")
+
+    monkeypatch.setattr(oracle, "_gain_graph", refuse)
     monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point, whole))
     for s in [h_t(8), generator("+", 8), generator("-", 8)]:
-        nullity, solution = oracle._covariance_graph(s, EVEN)
-        reference_nullity, reference = all_points_graph(s, EVEN)
-        assert nullity == reference_nullity
-        assert (solution is None) == (reference is None)
-        assert solution is None or np.array_equal(solution, reference)
+        with pytest.raises(ValueError, match="fold certificate"):
+            oracle._covariance_graph(s, EVEN)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
+@pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
+def test_graph_of_mutant_equals_all_points_reference(monkeypatch, point, whole):
+    # The same change at a representative and its three folded copies passes
+    # the certificate, so the graph over the representatives alone must see
+    # the defect the whole doubled grid has. At even N = 4 the class of
+    # (2, 4) is (2, 0), which h+ maps onto itself: there the whole-kernel
+    # mutant stays covariant (nullity 1), and every other case has none.
+    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point, whole, fold=True))
+    for modulus in (8, 16):
+        for s in [h_t(modulus), generator("+", modulus), generator("-", modulus)]:
+            nullity, solution = oracle._covariance_graph(s, EVEN)
+            reference_nullity, reference = all_points_graph(s, EVEN)
+            covariant = whole and point == (2, 4) and s == generator("+", 8)
+            assert nullity == reference_nullity == int(covariant)
+            assert (solution is None) == (reference is None)
+            assert solution is None or np.array_equal(solution, reference)
 
 
 def test_solve_covariance_matches_full_svd(rng):
@@ -586,19 +620,21 @@ def test_solve_covariance_refuses_non_monomial_families(monkeypatch, rng):
             solve_covariance(generator("+", 3), {**clean, (1, 1): kernel})
 
 
-@pytest.mark.parametrize("n,integer_points", [(7, False), (8, True)], ids=["odd-7-full-grid", "even-8-integer-points"])
-def test_solve_covariance_peak_memory(n, integer_points):
-    # check_bytes counts 24 + 32 B per (point, entry): the family's stacked
-    # read and the graph's edges
-    family = integer_point_family(n) if integer_points else delta_family(n, ODD)
-    s = generator("+", n)
+@pytest.mark.parametrize("n,parity", [(13, ODD), (12, EVEN)], ids=["odd-13-full-grid", "even-12-full-grid"])
+def test_solve_covariance_peak_memory(n, parity):
+    # check_bytes counts the graph's _EDGE_BYTES per (point, entry); the
+    # stacked read is freed before the edges are built. At these sizes the
+    # fixed overhead has settled (25 and 24 B; 39 B on the full grid at odd
+    # N = 7)
+    family = delta_family(n, parity)
+    s = generator("+", lattice_modulus(n, parity))
     tracemalloc.start()
     try:
         solve_covariance(s, family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= len(family) * n**2 * (24 + 32)
+    assert peak <= len(family) * n**2 * oracle._EDGE_BYTES
 
 
 @pytest.mark.parametrize("n,parity,integer_points", [(3, ODD, False), (4, EVEN, True), (8, EVEN, True)])

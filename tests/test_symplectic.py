@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from conftest import assert_value_semantics
 
@@ -137,6 +138,18 @@ def test_construction_errors():
         GenWord((("+", 1), ("t", 1)), 7)
     with pytest.raises(TypeError):
         SympMat(1, 0, 0, 1)
+
+
+def test_entries_and_exponents_must_be_integers():
+    # int() would truncate 2.7 to 2 (det 6 = 1 mod 5 passes) and parse '2'
+    for bad in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            SympMat(bad, 0, 0, 3, 5)
+    for bad in (1.9, "1"):
+        with pytest.raises(TypeError):
+            GenWord((("+", bad),), 5)
+    assert SympMat(np.int64(2), np.int32(0), 0, np.uint8(3), 5) == SympMat(2, 0, 0, 3, 5)
+    assert GenWord((("+", np.int64(6)),), 5) == GenWord((("+", 1),), 5)
 
 
 @pytest.mark.parametrize(
