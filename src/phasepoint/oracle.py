@@ -9,12 +9,21 @@ monomial family read from its matrices; one solver and one edge bound for
 both), and the kernel properties are table identities (verify_sw_kernel),
 translation at the two Weyl generators, which give every shift. The
 factorization oracle is bfs_decompose.
+
+What depends on the lattice alone, kernel_factors' tables over the whole
+grid, every sigma_p^-1 with its gains and the table half of the fold
+certificate, is one read-only plan per (N, parity) (_Plan). Plans of at most
+1 MiB (odd N <= 31, even N <= 18) are memoised in an eight-slot lru_cache,
+so memoised plans never hold more than 8 MiB; a larger plan is built inside
+the call and dropped with it. Every figure and every check is still computed
+on each call, and none depends on whether the plan was memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,9 +36,9 @@ UNITARY_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-9
 # solve_covariance's distance allowed between a nonzero and its root of unity
 _ROOT_TOL = 1e-9
-# _covariance_graph's bytes per (grid point, row) of its tables: columns,
+# _covariance_graph's bytes per (grid point, row) of its plan: columns,
 # exponents, their argsort and gains, and the fold certificate's temporaries
-# (tracemalloc peak before any edge is built: 34 B at even N = 40 and 52)
+# (tracemalloc peak of the plan's build: 33 B at odd N = 53 and even N = 40, 52)
 _GRID_ROW_BYTES = 64
 # the uniqueness graph's bytes per edge, one per (built point, entry of U),
 # for _covariance_graph and solve_covariance (whose stacked read is freed
@@ -40,19 +49,106 @@ _GRID_ROW_BYTES = 64
 # grids at odd N = 45, 53 and even N = 32, 38)
 _EDGE_BYTES = 32
 # verify_sw_kernel's bytes per (grid point, row): its tables, their roots and
-# the per-check temporaries (tracemalloc peak 154-172 B at odd N = 9, 53, 111
-# and even N = 8, 38, 70)
+# the per-check temporaries (tracemalloc peak 138-163 B at odd N = 53, 111 and
+# even N = 38, 70; 131-153 B at odd N = 9 and even N = 8 with the plan
+# memoised, 175-191 B where the call builds it)
 _KERNEL_ROW_BYTES = 192
 
 
-def _grid_factors(what: str, n: int, parity: str, row_bytes: int):
-    """Every lattice point's kernel table, rows indexed by the grid index
-    x * M + y, with the coordinates (xs, ys) of each grid index. BoundExceeded
-    above ``row_bytes`` per (point, row), before anything is built."""
+# Plans of at most _PLAN_MEMO_BYTES are memoised, the _PLAN_SLOTS most
+# recently used of them: 8 MiB at most.
+_PLAN_MEMO_BYTES = 1 << 20
+_PLAN_SLOTS = 8
+
+
+class _Plan(NamedTuple):
+    """Read-only tables of one lattice that both oracles read, rows indexed
+    by the grid index x * M + y of the M^2 points (M = N odd, 2N even):
+
+    - xs, ys: each point's coordinates;
+    - factors: its kernel_factors table, sigma_p (cols) and e_p (exponents),
+      M^2 x N;
+    - into[p] = sigma_p^-1, the argsort of cols[p], and gain[p] =
+      e_p(sigma_p^-1(.)), the exponents read through it: M^2 x N each;
+    - fold[p]: the grid index of p's representative (x mod N, y mod N), and
+      built: the representatives, N^2;
+    - shift[p]: the constant c_p with e_p = e_fold[p] + c_p mod R (its first
+      row's), and folds: whether every table is its representative's with
+      c_p added, the table half of _fold_certified (true on odd lattices,
+      where every point is its own representative).
+
+    That is 32 B per (point, row), plus 32 B per point and 8 B per
+    representative: odd N <= 31 and even N <= 18 fit in _PLAN_MEMO_BYTES.
+    A plan built for the kernel suite alone (above the memo's bytes) holds
+    only xs, ys and factors, all the suite reads; the rest is None.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    factors: KernelFactors
+    into: np.ndarray | None = None
+    gain: np.ndarray | None = None
+    fold: np.ndarray | None = None
+    built: np.ndarray | None = None
+    shift: np.ndarray | None = None
+    folds: bool = False
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        graph = (self.into, self.gain, self.fold, self.built, self.shift)
+        return (self.xs, self.ys, *self.factors[:2], *(a for a in graph if a is not None))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.arrays)
+
+
+def _sigma_inverse(factors: KernelFactors) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's sigma^-1 (the argsort of its columns) and its exponents
+    read through it."""
+    into = np.argsort(factors.cols, axis=1)
+    return into, np.take_along_axis(factors.exponents, into, 1)
+
+
+def _build_plan(n: int, parity: str, factors_of, graph: bool = True) -> _Plan:
+    """The _Plan of the lattice, its tables from ``factors_of`` (the
+    module's kernel_factors when called); without ``graph``, only its
+    coordinates and tables."""
     side = lattice_modulus(n, parity)
-    check_bytes(f"{what} of {side * side} points at dimension {n}", side * side * n * row_bytes)
     xs, ys = np.divmod(np.arange(side * side), side)
-    return xs, ys, kernel_factors(n, parity, xs[:, None], ys[:, None])
+    factors = factors_of(n, parity, xs[:, None], ys[:, None])
+    plan = _Plan(xs, ys, factors)
+    if graph:
+        cols, exponents, r = factors
+        fold = xs % n * side + ys % n
+        shift = (exponents[:, 0] - exponents[fold, 0]) % r
+        folds = side == n or bool(
+            (cols == cols[fold]).all()
+            and not ((exponents - exponents[fold] - shift[:, None]) % r).any()
+        )
+        built = np.flatnonzero(fold == np.arange(side * side))
+        plan = _Plan(xs, ys, factors, *_sigma_inverse(factors), fold, built, shift, folds)
+    for array in plan.arrays:
+        array.flags.writeable = False
+    return plan
+
+
+# keyed by the kernel_factors the plan is read from, so a replaced one (a
+# test's mutant) never meets a plan of another
+_plan_memo = lru_cache(maxsize=_PLAN_SLOTS)(_build_plan)
+
+
+def _lattice_plan(what: str, n: int, parity: str, row_bytes: int, graph: bool = True) -> _Plan:
+    """The lattice's _Plan, after BoundExceeded above ``row_bytes`` per
+    (point, row): from _plan_memo when its bytes, 32 M^2 N + 32 M^2 + 8 N^2
+    counted before anything is built, fit _PLAN_MEMO_BYTES, else built for
+    this call alone (with ``graph`` False, only its coordinates and tables)."""
+    side = lattice_modulus(n, parity)
+    points = side * side
+    check_bytes(f"{what} of {points} points at dimension {n}", points * n * row_bytes)
+    if 32 * points * n + 32 * points + 8 * n * n <= _PLAN_MEMO_BYTES:
+        return _plan_memo(n, parity, kernel_factors)
+    return _build_plan(n, parity, kernel_factors, graph)
 
 
 def _check_edge_bytes(n: int, points: int) -> None:
@@ -99,17 +195,30 @@ def solve_covariance(
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
     _check_edge_bytes(dim, len(points))
-    index = {point: i for i, point in enumerate(points)}
-    moved = [apply_point(s, point) for point in points]
-    missing = [point for point in moved if point not in index]
-    if missing:
-        raise ValueError(f"family is not closed under the action: missing {missing[0]}")
+    side = s.modulus
+    xs, ys = np.array(points).T
+    # each point's grid index x * M + y; -1 off the canonical grid, where
+    # no image (canonical, apply_point) lands
+    keys = np.where((xs >= 0) & (xs < side) & (ys >= 0) & (ys < side), xs * side + ys, -1)
+    order = np.argsort(keys)
+
+    def find(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the family's index of each grid index ``wanted``, and whether it is there
+        found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=keys.size - 1)]
+        return found, keys[found] == wanted
+
+    moved_x, moved_y = apply_point(s, (xs, ys))
+    image, closed = find(moved_x * side + moved_y)
+    if not closed.all():
+        first = np.argmin(closed)
+        missing = (int(moved_x[first]), int(moved_y[first]))
+        raise ValueError(f"family is not closed under the action: missing {missing}")
     factors = _monomial_tables(np.stack([deltas[point] for point in points]))
-    image = np.array([index[point] for point in moved])
-    generators = [(0, 0), (1, 0), (0, 1)]
-    starts = [index[p] for p in (generators if set(generators) <= index.keys() else points[:3])]
+    generators, held = find(np.array([0, side, 1]))  # (0, 0), (1, 0) and (0, 1)
+    starts = generators if held.all() else range(min(3, len(points)))
     label, phase, roots = _gain_graph(
-        factors, image, np.arange(len(points)), [(p, image[p]) for p in starts]
+        factors, *_sigma_inverse(factors), image, np.arange(len(points)),
+        [(p, image[p]) for p in starts],
     )
     basis = [_component_vector(label, phase, root, factors.root_modulus, dim) for root in roots]
     unitary = _unitarize(basis[0]) if len(basis) == 1 else None
@@ -202,24 +311,27 @@ class SWKernelReport:
 def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     """Measure hermiticity, trace, pairwise traciality and translation covariance.
 
-    Read from the kernel_factors tables sigma_p (cols) and e_p (exponents),
-    with a_p(i) = rho^(e_p(i)) in row i: hermiticity is |a(i) -
+    Read from the plan's kernel_factors tables sigma_p (cols) and e_p
+    (exponents), looked up or built once per lattice (_lattice_plan; above
+    the memo's bytes the tables alone are built for the call), with
+    a_p(i) = rho^(e_p(i)) in row i: hermiticity is |a(i) -
     [sigma(sigma(i)) = i] conj(a(sigma(i)))|, the trace sums a(i) over the
     fixed points of sigma (on even lattices also compared with 2 at integer
     points and 0 at the others), and Tr(Delta_p^dag Delta_q) sums
-    conj(a_p) a_q over the rows where sigma_p and sigma_q agree. Any two permutations must
-    agree on every row or on none (else ValueError), so the Gram matrix is
+    conj(a_p) a_q over the rows where sigma_p and sigma_q agree. Any two
+    permutations must agree on every row or on none (else ValueError), so the Gram matrix is
     block diagonal over the classes of equal permutations; the classes are
     read off sigma_p(0), one comparison per table entry (no sort of the
     rows), and _traciality takes every block in one product. Translation
     (_weyl_generator_defect) compares each kernel with its image under the
-    two Weyl generators, O(N^3). BoundExceeded above _KERNEL_ROW_BYTES per
-    (lattice point, row), odd N = 111 and even N = 70, before any table is
-    built.
+    two Weyl generators, O(N^3), by index gathers. Every figure and check is
+    computed on each call. BoundExceeded above _KERNEL_ROW_BYTES per
+    (lattice point, row), odd N = 111 and even N = 70, before the plan is
+    looked up or built.
     """
-    xs, ys, factors = _grid_factors("kernel suite", n, parity, _KERNEL_ROW_BYTES)
-    cols, exponents = factors.cols, factors.exponents
-    values = unit_roots(factors.root_modulus)[exponents]
+    plan = _lattice_plan("kernel suite", n, parity, _KERNEL_ROW_BYTES, graph=False)
+    cols, exponents, r = plan.factors
+    values = unit_roots(r)[exponents]
     rows = np.arange(n)
     involution = np.take_along_axis(cols, cols, 1) == rows
     mirrored = np.take_along_axis(values, cols, 1).conj()
@@ -228,7 +340,7 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     unit_trace = float(np.abs(trace - 1.0).max())
     integer_trace = None
     if parity != ODD:
-        integer_point = (xs % 2 == 0) & (ys % 2 == 0)
+        integer_point = (plan.xs % 2 == 0) & (plan.ys % 2 == 0)
         integer_trace = float(np.abs(trace - np.where(integer_point, 2.0, 0.0)).max())
     # classes by first column: a row unlike its class's first, or two
     # classes sharing a value in some column, agree on some rows but not all;
@@ -275,25 +387,31 @@ def _weyl_generator_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
     odd tables indexed [x * N + y, row], for the Weyl generators (m', n') =
     (1, 0) and (0, 1); conjugation drops phases, so they decide every shift.
 
-    For (1, 0), row a is row a + 1 of Delta_p moved one column left; for
-    (0, 1), row a keeps column sigma_p(a) and its exponent gains sigma_p(a) - a.
-    Exponents are summed mod N before the lookup, so a true table gives 0.
-    Where the columns differ, the defect is the larger modulus of the two.
+    For (1, 0), row a - 1 is row a of Delta_p moved one column left; for
+    (0, 1), row a keeps column sigma_p(a) and its exponent gains
+    sigma_p(a) - a. The image of (x, y) sits one step back on the
+    generator's axis: for (1, 0) one roll on two axes gives its row a - 1 at
+    [x, y, a], for (0, 1) one gather along y its row a. Exponents are summed
+    mod N before the lookup, so a true table gives 0. Where the columns
+    differ, the defect is the larger modulus of the two.
     """
     n = cols.shape[1]
     cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
+    back = (np.arange(n) - 1) % n
     roots = unit_roots(n)
-    worst = []
-    for axis, moved_cols, moved_exponents in [
-        (0, (np.roll(cols, -1, 2) - 1) % n, np.roll(exponents, -1, 2)),
-        (1, cols, (exponents + cols - np.arange(n)) % n),
-    ]:
-        # the image of (x, y) sits one step back on the generator's axis
-        moved, image = roots[moved_exponents], roots[np.roll(exponents, 1, axis)]
-        apart = moved_cols != np.roll(cols, 1, axis)
-        defect = np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image))
-        worst.append(defect.max())
-    return float(np.max(worst))
+
+    def worst(moved_cols, moved_exponents, image_cols, image_exponents):
+        moved, image = roots[moved_exponents], roots[image_exponents]
+        apart = moved_cols != image_cols
+        return np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image)).max()
+
+    along_x = worst(
+        (cols - 1) % n, exponents, np.roll(cols, 1, (0, 2)), np.roll(exponents, 1, (0, 2))
+    )
+    along_y = worst(
+        cols, (exponents + cols - np.arange(n)) % n, cols.take(back, 1), exponents.take(back, 1)
+    )
+    return float(np.max([along_x, along_y]))
 
 
 @dataclass(eq=False)
@@ -323,10 +441,13 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     have gain 0 mod R (balanced) and zero on the others, so the nullity is
     the number of balanced components, an exact integer.
 
-    One kernel_factors call gives every point's table, rows indexed by the
-    grid index x * M + y; q's table is a gather at the grid index of
-    apply_point's output, and one argsort of the columns gives every
-    sigma^-1. Points whose edges repeat another's are built once
+    The lattice's plan (_lattice_plan, built once per lattice) holds every
+    point's kernel_factors table, rows indexed by the grid index x * M + y,
+    every sigma^-1 (one argsort of the columns) with its gains, and the
+    table half of the fold certificate. Per element only the rest is
+    computed: q's rows, a gather at the grid index of apply_point's output,
+    the certificate's gap, the three-point start and the rounds. Points
+    whose edges repeat another's are built once
     (_fold_certified): on the doubled grid kernel_exponent gives
     Delta_(j+N,k) = (-1)^k Delta_(j,k) and Delta_(j,k+N) = (-1)^j
     Delta_(j,k), so each point's table is its representative's (j mod N,
@@ -354,34 +475,39 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     says they do, the first round is the last; an edge that joins or
     contradicts three-point components is caught as without the start.
 
-    Raises BoundExceeded, before building anything, when the N^2
-    representatives' edges (one per point and entry of U) would exceed
+    Raises BoundExceeded, before the plan is looked up or built, when the
+    N^2 representatives' edges (one per point and entry of U) would exceed
     _EDGE_BYTES each or the grid tables _GRID_ROW_BYTES per point and row.
     """
     n = hilbert_dim(s.modulus, parity)
     side = s.modulus
     _check_edge_bytes(n, n * n)
-    xs, ys, factors = _grid_factors("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
-    moved_x, moved_y = apply_point(s, (xs, ys))
+    plan = _lattice_plan("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
+    moved_x, moved_y = apply_point(s, (plan.xs, plan.ys))
     image = moved_x * side + moved_y
-    if side != n and not _fold_certified(factors, xs, ys, image):
+    if side != n and not _fold_certified(plan, image):
         raise ValueError("doubled-grid kernel tables fail the fold certificate")
-    built = np.flatnonzero((xs < n) & (ys < n))
     pairs = [(p, image[p]) for p in (0, side, 1)]
-    label, phase, roots = _gain_graph(factors, image, built, pairs)
+    label, phase, roots = _gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, pairs)
     if len(roots) != 1:
         return len(roots), None
-    return 1, _component_vector(label, phase, roots[0], factors.root_modulus, n)
+    return 1, _component_vector(label, phase, roots[0], plan.factors.root_modulus, n)
 
 
 def _gain_graph(
-    factors: KernelFactors, image: np.ndarray, built: np.ndarray, pairs: list[tuple[int, int]]
+    factors: KernelFactors,
+    into: np.ndarray,
+    gain: np.ndarray,
+    image: np.ndarray,
+    built: np.ndarray,
+    pairs: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label and phase of every entry of U, and the balanced components'
     roots in increasing order, for the gain graph of the table rows
-    ``factors`` (one per point), ``image`` the row of each point's image,
-    with the edges of the rows ``built`` and the breadth-first start over
-    the (point, image) rows ``pairs`` (_three_point_start).
+    ``factors`` (one per point) with their sigma^-1 ``into`` and ``gain``
+    (_sigma_inverse), ``image`` the row of each point's image, with the
+    edges of the rows ``built`` and the breadth-first start over the
+    (point, image) rows ``pairs`` (_three_point_start).
 
     Each round, every entry takes the smallest component label among its
     predecessors, with the phase carried along that edge, until a round
@@ -392,8 +518,6 @@ def _gain_graph(
     n, r = factors.cols.shape[1], factors.root_modulus
     # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
     # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
-    into = np.argsort(factors.cols, axis=1)
-    gain = np.take_along_axis(factors.exponents, into, 1)
     moved = image[built]
     rows, cols = into[moved][:, :, None], into[built][:, None, :]
     gain_p, gain_q = gain[built][:, None, :], gain[moved][:, :, None]
@@ -431,26 +555,18 @@ def _component_vector(
     return solution.reshape(n, n)
 
 
-def _fold_certified(
-    factors: KernelFactors, xs: np.ndarray, ys: np.ndarray, image: np.ndarray
-) -> bool:
-    """Whether every point (xs, ys) of the doubled grid (_grid_factors'
-    tables, ``image`` the grid index of each point's image) has its
-    representative's edges: its table is the representative's (x mod N, y
-    mod N) with one constant c added to every exponent, and c_p - c_(S.p) is
-    the same at every point of the representative's class. O(M^2 N)
-    integer compares.
+def _fold_certified(plan: _Plan, image: np.ndarray) -> bool:
+    """Whether every point of the doubled grid has its representative's
+    edges under the element whose images are at the grid indexes ``image``:
+    each point's table is its representative's (x mod N, y mod N) with one
+    constant c added to every exponent (the plan's table half, plan.folds,
+    O(M^2 N) integer compares once per plan), and c_p - c_(S.p) is the same
+    at every point of the representative's class (O(M^2) per element).
     """
-    cols, exponents, r = factors
-    n = cols.shape[1]
-    fold = xs % n * (2 * n) + ys % n
-    if not (cols == cols[fold]).all():
+    if not plan.folds:
         return False
-    shift = (exponents[:, 0] - exponents[fold, 0]) % r
-    if ((exponents - exponents[fold] - shift[:, None]) % r).any():
-        return False
-    gap = (shift - shift[image]) % r
-    return bool((gap == gap[fold]).all())
+    gap = (plan.shift - plan.shift[image]) % plan.factors.root_modulus
+    return bool((gap == gap[plan.fold]).all())
 
 
 def _three_point_start(

@@ -245,7 +245,14 @@ def wigner_of(state: QuantumState, parity: str) -> WignerTable:
     worst_imag = float(np.abs(values.imag).max())
     if not worst_imag <= IMAG_TOL:
         raise ValueError(f"Wigner entries not real: max imaginary part {worst_imag:.3e}")
-    table = WignerTable(parity, values.real, worst_imag)
+    # built as u_of builds ProjUnitary: the values are real and square
+    # already, so only the contiguous copy WignerTable would make is kept
+    real = np.array(values.real)
+    real.flags.writeable = False
+    table = object.__new__(WignerTable)
+    fields = {"parity": parity, "values": real, "imag_residual": worst_imag, "dim": n}
+    for name, value in fields.items():
+        object.__setattr__(table, name, value)
     norm2 = float(np.vdot(amps, amps).real)
     if not abs(table.total - norm2) <= 1e-8:
         raise ValueError(f"Wigner table sums to {table.total!r}, expected <psi|psi> = {norm2!r}")

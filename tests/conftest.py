@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 
 import numpy as np
@@ -9,6 +10,7 @@ from phasepoint import metaplectic, oracle, qops, symplectic
 from phasepoint.lattice import ODD, ParityError, check_parity, lattice_modulus
 from phasepoint.qops import unit_roots
 from phasepoint.wigner import QuantumState
+from test_api import MEMOS
 
 
 def random_state(n, rng):
@@ -137,6 +139,15 @@ def integer_point_solutions():
     return solutions
 
 
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Every memo of the package (test_api.MEMOS) emptied before each test,
+    so no test reads what another left behind."""
+    for name in MEMOS:
+        module, memo = name.rsplit(".", 1)
+        getattr(importlib.import_module(module), memo).cache_clear()
+
+
 @pytest.fixture
 def byte_bound(monkeypatch):
     """Set the system byte bound for one test: byte_bound(nbytes)."""
@@ -157,6 +168,20 @@ def stack_budget(monkeypatch):
         monkeypatch.setattr(metaplectic, "_PASS_BYTES", nbytes)
 
     return set_budget
+
+
+@pytest.fixture
+def mutant_kernels(monkeypatch):
+    """Read the oracles' kernel tables from a mutant for the rest of one
+    test: mutant_kernels(factors_of) replaces oracle.kernel_factors and
+    empties the oracle plan memo, which is emptied again after the test."""
+
+    def use(mutant):
+        monkeypatch.setattr(oracle, "kernel_factors", mutant)
+        oracle._plan_memo.cache_clear()
+
+    yield use
+    oracle._plan_memo.cache_clear()
 
 
 @pytest.fixture

@@ -67,6 +67,7 @@ MEMOS = {
     "phasepoint.metaplectic._exponent_table",
     "phasepoint.symplectic._word_table",
     "phasepoint.wigner._plan_memo",
+    "phasepoint.oracle._plan_memo",
 }
 
 

@@ -259,7 +259,7 @@ def one_permutation_mutant(point, source):
 @pytest.mark.parametrize(
     "n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2)), (4, EVEN, (5, 2)), (4, EVEN, (2, 4))]
 )
-def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
+def test_uniqueness_rejects_one_exponent_mutant(mutant_kernels, n, parity, point):
     # No matrix is covariant with the mutated family. On the doubled grid,
     # at a representative (3, 2) or a folded point (5, 2), (2, 4), the mutant
     # fails the fold certificate and is refused; an odd mutant reaches the
@@ -268,7 +268,7 @@ def test_uniqueness_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
     s = h_t(modulus)
     assert apply_point(s, point) != point
     assert verify_uniqueness(s, parity).unitary_found
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+    mutant_kernels(one_exponent_mutant(point))
     if parity == EVEN:
         with pytest.raises(ValueError, match="fold certificate"):
             verify_uniqueness(s, parity)
@@ -301,13 +301,13 @@ def test_uniqueness_graph_bound_sizes(n, parity):
         verify_uniqueness(h_t(modulus), parity)
 
 
-def test_uniqueness_refuses_uncertified_grid_above_bound(monkeypatch):
+def test_uniqueness_refuses_uncertified_grid_above_bound(mutant_kernels):
     # Even N = 40 is admitted through its certified fold, though the whole
     # doubled grid's edges (6400 points) are above the bound; a mutant at a
     # folded point fails the certificate and is refused before any edge is
     # built.
     assert verify_uniqueness(h_t(80), EVEN).unitary_found
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant((41, 2)))
+    mutant_kernels(one_exponent_mutant((41, 2)))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="fold certificate"):
@@ -328,9 +328,113 @@ def grid_image(s):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_fold_certificate_holds_on_whole_group(n):
-    xs, ys, factors = oracle._grid_factors("fold", n, EVEN, oracle._GRID_ROW_BYTES)
+    plan = oracle._lattice_plan("fold", n, EVEN, oracle._GRID_ROW_BYTES)
     images = (grid_image(s) for s in enumerate_group(2 * n))
-    assert all(oracle._fold_certified(factors, xs, ys, image) for image in images)
+    assert all(oracle._fold_certified(plan, image) for image in images)
+
+
+WHOLE_GROUPS = [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (11, ODD), (4, EVEN), (8, EVEN), (12, EVEN)]
+
+
+def lattice_plan(n, parity):
+    """The lattice's plan, looked up as _covariance_graph looks it up."""
+    return oracle._lattice_plan("plan", n, parity, oracle._GRID_ROW_BYTES)
+
+
+def plan_graph(plan, s):
+    """_gain_graph's labels, phases and roots for s over the tables of ``plan``."""
+    image = grid_image(s)
+    pairs = [(p, image[p]) for p in (0, s.modulus, 1)]
+    return oracle._gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, pairs)
+
+
+def uniqueness_fields(report):
+    return report.nullity, report.unitary_found, report.phase, report.closed_form_residual
+
+
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, parity):
+    # the same graph and the same reports, bit for bit, whether the plan
+    # comes from the memo or is built for each call (no plan fits a cap of
+    # zero bytes); also where every figure reads NaN roots
+    n = hilbert_dim(modulus, parity)
+    memoised, built = lattice_plan(n, parity), oracle._build_plan(n, parity, qops.kernel_factors)
+    assert lattice_plan(n, parity) is memoised and built is not memoised
+    elements = list(enumerate_group(modulus))
+    for s in elements:
+        for ours, theirs in zip(plan_graph(memoised, s), plan_graph(built, s)):
+            assert np.array_equal(ours, theirs)
+
+    def reports(cap):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_PLAN_MEMO_BYTES", cap)
+            info = oracle._plan_memo.cache_info()
+            found = ([uniqueness_fields(verify_uniqueness(s, parity)) for s in elements],
+                     report_fields(verify_sw_kernel(parity, n)))
+            assert (oracle._plan_memo.cache_info() == info) == (cap == 0)
+        return found
+
+    # repr: equal floats print alike, NaN included
+    assert repr(reports(oracle._PLAN_MEMO_BYTES)) == repr(reports(0))
+
+    def nan_roots(m):
+        roots = unit_roots(m).copy()
+        roots[0] = np.nan
+        return roots
+
+    monkeypatch.setattr(oracle, "unit_roots", nan_roots)
+    found = reports(oracle._PLAN_MEMO_BYTES)
+    assert np.isnan(found[1][2]) and not any(fields[1] for fields in found[0])
+    assert repr(found) == repr(reports(0))
+
+
+@pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN), (33, ODD), (20, EVEN)])
+def test_plan_arrays_are_read_only(n, parity):
+    # a memoised plan or one built for the call (odd 33 and even 20), and
+    # the kernel suite's tables-only plan
+    plans = [lattice_plan(n, parity), oracle._build_plan(n, parity, qops.kernel_factors, graph=False)]
+    assert [len(plan.arrays) for plan in plans] == [9, 4]
+    for plan in plans:
+        for array in plan.arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+@pytest.mark.parametrize("largest,parity", [(31, ODD), (18, EVEN)])
+def test_plan_memo_limit(largest, parity):
+    # plan bytes are 32 per (point, row), 32 per point and 8 per
+    # representative; the largest memoised lattice and the next one of its
+    # parity, which leaves the memo as it was
+    assert oracle._PLAN_SLOTS * oracle._PLAN_MEMO_BYTES == 8 << 20  # the README's figure
+    for n in (largest, largest + 2):
+        points = lattice_modulus(n, parity) ** 2
+        size = oracle._plan_memo.cache_info().currsize
+        first = lattice_plan(n, parity)
+        assert first.nbytes == 32 * points * n + 32 * points + 8 * n * n
+        assert oracle._plan_memo.cache_info().currsize == size + (n == largest)
+        assert (lattice_plan(n, parity) is first) == (n == largest)
+    assert first.nbytes > oracle._PLAN_MEMO_BYTES
+
+
+def test_plan_tables_are_refused_before_the_memo_is_read(byte_bound):
+    # even N = 2: the graph's 16 edges (512 B) fit below its 16 points x 2
+    # rows of tables; each oracle refuses its tables with the plan memoised,
+    # and neither refusal looks the plan up
+    s = h_t(4)
+    assert verify_uniqueness(s, EVEN).unitary_found
+    info = oracle._plan_memo.cache_info()
+    assert info.currsize == 1
+    for check, table_bytes in [
+        (lambda: verify_uniqueness(s, EVEN), 16 * 2 * oracle._GRID_ROW_BYTES),
+        (lambda: verify_sw_kernel(EVEN, 2), 16 * 2 * oracle._KERNEL_ROW_BYTES),
+    ]:
+        byte_bound(table_bytes - 1)
+        with pytest.raises(BoundExceeded, match="16 points"):
+            check()
+        assert oracle._plan_memo.cache_info() == info
+    byte_bound(16 * 2 * oracle._KERNEL_ROW_BYTES)
+    assert verify_sw_kernel(EVEN, 2).hermiticity < 1e-12
+    assert oracle._plan_memo.cache_info().hits == info.hits + 1
 
 
 def all_points_graph(s, parity):
@@ -388,7 +492,7 @@ def test_graph_equals_all_points_reference_on_whole_group(modulus, parity):
 
 @pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
 @pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
-def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, point, whole):
+def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, mutant_kernels, point, whole):
     # A row mutant leaves a table that is no constant shift of its
     # representative's; a whole-kernel mutant keeps the shift, so only the
     # certificate's second part, c_p - c_(S.p) per class, rejects it. Either
@@ -397,7 +501,7 @@ def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, point, w
         raise AssertionError("gain graph built")
 
     monkeypatch.setattr(oracle, "_gain_graph", refuse)
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point, whole))
+    mutant_kernels(one_exponent_mutant(point, whole))
     for s in [h_t(8), generator("+", 8), generator("-", 8)]:
         with pytest.raises(ValueError, match="fold certificate"):
             oracle._covariance_graph(s, EVEN)
@@ -405,13 +509,13 @@ def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, point, w
 
 @pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
 @pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
-def test_graph_of_mutant_equals_all_points_reference(monkeypatch, point, whole):
+def test_graph_of_mutant_equals_all_points_reference(mutant_kernels, point, whole):
     # The same change at a representative and its three folded copies passes
     # the certificate, so the graph over the representatives alone must see
     # the defect the whole doubled grid has. At even N = 4 the class of
     # (2, 4) is (2, 0), which h+ maps onto itself: there the whole-kernel
     # mutant stays covariant (nullity 1), and every other case has none.
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point, whole, fold=True))
+    mutant_kernels(one_exponent_mutant(point, whole, fold=True))
     for modulus in (8, 16):
         for s in [h_t(modulus), generator("+", modulus), generator("-", modulus)]:
             nullity, solution = oracle._covariance_graph(s, EVEN)
@@ -750,7 +854,7 @@ def test_sw_translation_true_tables_pass_both_checks(n):
 
 @pytest.mark.parametrize("n", [5, 7])
 @pytest.mark.parametrize("kind", ["exponent", "permutation"])
-def test_sw_translation_rejects_mutant_at_every_point(monkeypatch, n, kind):
+def test_sw_translation_rejects_mutant_at_every_point(mutant_kernels, n, kind):
     for x in range(n):
         for y in range(n):
             if kind == "exponent":
@@ -758,7 +862,7 @@ def test_sw_translation_rejects_mutant_at_every_point(monkeypatch, n, kind):
             else:
                 mutant = one_permutation_mutant((x, y), ((x + 1) % n, y))
             assert all_shifts_translation_defect(*odd_tables(mutant, n)) > 0.5
-            monkeypatch.setattr(oracle, "kernel_factors", mutant)
+            mutant_kernels(mutant)
             assert verify_sw_kernel(ODD, n).translation_covariance > 0.5
 
 
@@ -819,8 +923,8 @@ def test_sw_kernel_matches_dense_reference(n, parity):
 
 
 @pytest.mark.parametrize("n,parity,point", [(5, ODD, (1, 2)), (4, EVEN, (3, 2))])
-def test_sw_kernel_rejects_one_exponent_mutant(monkeypatch, n, parity, point):
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+def test_sw_kernel_rejects_one_exponent_mutant(mutant_kernels, n, parity, point):
+    mutant_kernels(one_exponent_mutant(point))
     report = verify_sw_kernel(parity, n)
     assert report.hermiticity > 1e-12
     if parity == ODD:
@@ -834,10 +938,10 @@ def test_sw_kernel_even_integer_trace(n):
 
 
 @pytest.mark.parametrize("n,point", [(4, (0, 2)), (8, (0, 0))])
-def test_sw_kernel_integer_trace_rejects_mutant_at_fixed_row(monkeypatch, n, point):
+def test_sw_kernel_integer_trace_rejects_mutant_at_fixed_row(mutant_kernels, n, point):
     # row 0 is a fixed row of Delta_(0,k): its column is (0 - 0) mod N. One
     # step of the root of order 2N moves the trace by 2 sin(pi / 2N).
-    monkeypatch.setattr(oracle, "kernel_factors", one_exponent_mutant(point))
+    mutant_kernels(one_exponent_mutant(point))
     defect = verify_sw_kernel(EVEN, n).integer_trace
     assert defect == pytest.approx(2 * np.sin(np.pi / (2 * n)), abs=1e-12)
 
@@ -871,7 +975,7 @@ def cyclic_mutant(n, parity, x, y):
     [one_exponent_mutant((1, 2)), one_permutation_mutant((1, 2), (2, 2)), cyclic_mutant],
     ids=["exponent", "permutation", "cyclic"],
 )
-def test_sw_kernel_of_mutant_matches_dense_reference(monkeypatch, mutant):
+def test_sw_kernel_of_mutant_matches_dense_reference(mutant_kernels, mutant):
     # Every figure of a mutated family is measured like the dense one, also
     # where a kernel's columns disagree with its adjoint's or its image's.
     n = 5
@@ -883,7 +987,7 @@ def test_sw_kernel_of_mutant_matches_dense_reference(monkeypatch, mutant):
             family[(x, y)][np.arange(n), factors.cols] = unit_roots(n)[factors.exponents]
     hermiticity, unit_trace, traciality = dense_figures(family, n)
     translation = dense_translation_defect(family, n)
-    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    mutant_kernels(mutant)
     report = verify_sw_kernel(ODD, n)
     assert translation > 0.5
     assert report.hermiticity == hermiticity
@@ -892,7 +996,7 @@ def test_sw_kernel_of_mutant_matches_dense_reference(monkeypatch, mutant):
     assert abs(report.translation_covariance - translation) < 1e-15
 
 
-def test_sw_kernel_refuses_partly_agreeing_permutations(monkeypatch):
+def test_sw_kernel_refuses_partly_agreeing_permutations(mutant_kernels):
     # The Gram blocks between classes are zero only if any two permutations
     # agree on every row or on none; one moved column breaks that. Here
     # Delta_(1,2)'s row 0 moves to column 3, the first column of the class
@@ -903,7 +1007,7 @@ def test_sw_kernel_refuses_partly_agreeing_permutations(monkeypatch):
         hit[..., 1:] = False  # row 0 only
         return factors._replace(cols=np.where(hit, (factors.cols + 1) % n, factors.cols))
 
-    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    mutant_kernels(mutant)
     with pytest.raises(ValueError, match="agree"):
         verify_sw_kernel(ODD, 5)
 
@@ -955,14 +1059,14 @@ def test_sw_kernel_equals_the_row_sort_reference(n, parity):
     ids=["exponent", "permutation", "cyclic"],
 )
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN)])
-def test_sw_kernel_of_mutant_equals_the_row_sort_reference(monkeypatch, mutant, n, parity):
+def test_sw_kernel_of_mutant_equals_the_row_sort_reference(mutant_kernels, mutant, n, parity):
     # the cyclic mutant is one class of every kernel
-    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    mutant_kernels(mutant)
     assert report_fields(verify_sw_kernel(parity, n)) == report_fields(row_sort_sw_kernel(parity, n))
 
 
 @pytest.mark.parametrize("whole_class", [False, True], ids=["first-column", "later-column"])
-def test_sw_kernel_refuses_permutations_sharing_a_column(monkeypatch, whole_class):
+def test_sw_kernel_refuses_permutations_sharing_a_column(mutant_kernels, whole_class):
     # Rows 1 and 2 swapped at odd N = 5 give (2, 0, 1, 4, 3). In Delta_(1,2)
     # alone, that shares the first column, 2, of the other kernels of x = 1,
     # (2, 1, 0, 4, 3), and differs elsewhere. In every kernel of x = 1, that
@@ -974,16 +1078,16 @@ def test_sw_kernel_refuses_permutations_sharing_a_column(monkeypatch, whole_clas
         hit = (np.asarray(x) == 1) & (whole_class | (np.asarray(y) == 2))
         return factors._replace(cols=np.where(hit, swapped, factors.cols))
 
-    monkeypatch.setattr(oracle, "kernel_factors", mutant)
+    mutant_kernels(mutant)
     for check in (verify_sw_kernel, row_sort_sw_kernel):
         with pytest.raises(ValueError, match="agree"):
             check(ODD, 5)
 
 
-def test_sw_kernel_refuses_gram_stacks_above_byte_bound(monkeypatch, byte_bound):
+def test_sw_kernel_refuses_gram_stacks_above_byte_bound(mutant_kernels, byte_bound):
     # The cyclic mutant at even N = 4 is one class of all 64 points: a
     # 64 x 64 Gram block, 65536 B, above the tables' 64 * 4 * 192 = 49152 B.
-    monkeypatch.setattr(oracle, "kernel_factors", cyclic_mutant)
+    mutant_kernels(cyclic_mutant)
     gram_bytes = 64 * 64 * 16
     assert gram_bytes > 64 * 4 * oracle._KERNEL_ROW_BYTES
     byte_bound(gram_bytes)
