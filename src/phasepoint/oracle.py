@@ -42,16 +42,19 @@ _ROOT_TOL = 1e-9
 _GRID_ROW_BYTES = 64
 # the uniqueness graph's bytes per edge, one per (built point, entry of U),
 # for _covariance_graph and solve_covariance (whose stacked read is freed
-# before its edges are built) alike: four int64 words. Admitted: the N^2
-# representatives at odd N <= 53 and even N <= 52, full-grid families at
-# odd N <= 53 and even N <= 38. Tracemalloc peak, tables and read included:
-# 18-20 B per edge (representatives at odd N = 53 and even N = 52, full
-# grids at odd N = 45, 53 and even N = 32, 38)
+# before its edges are built) alike: an intp predecessor index and an int32
+# gain and offer, 16 B. Admitted: the N^2 representatives at odd N <= 53 and
+# even N <= 52, full-grid families at odd N <= 53 and even N <= 38.
+# Tracemalloc peak, tables and read included: 16.6 B per edge for the
+# representatives at odd N = 53 and 18.6 B at even N = 52 (plan built in
+# the call), 18-19 B for full grids at odd N = 45, 53 and even N = 32, 38
+# (set by the read); 25-31 B where every label is lowered by the rounds
+# (singleton starts at odd N = 25 and even N = 24)
 _EDGE_BYTES = 32
 # verify_sw_kernel's bytes per (grid point, row): its tables, their roots and
-# the per-check temporaries (tracemalloc peak 138-163 B at odd N = 53, 111 and
-# even N = 38, 70; 131-153 B at odd N = 9 and even N = 8 with the plan
-# memoised, 175-191 B where the call builds it)
+# the per-check temporaries (tracemalloc peak 98 B at odd N = 53, 111 and
+# 162-163 B at even N = 38, 70; 92 B at odd N = 9 and 153 B at even N = 8
+# with the plan memoised, 134 and 191 B where the call builds it)
 _KERNEL_ROW_BYTES = 192
 
 
@@ -324,8 +327,9 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     read off sigma_p(0), one comparison per table entry (no sort of the
     rows), and _traciality takes every block in one product. Translation
     (_weyl_generator_defect) compares each kernel with its image under the
-    two Weyl generators, O(N^3), by index gathers. Every figure and check is
-    computed on each call. BoundExceeded above _KERNEL_ROW_BYTES per
+    two Weyl generators, O(N^3), by index gathers, in integers: the roots
+    are evaluated once per distinct pair of exponents compared. Every figure
+    and check is computed on each call. BoundExceeded above _KERNEL_ROW_BYTES per
     (lattice point, row), odd N = 111 and even N = 70, before the plan is
     looked up or built.
     """
@@ -390,28 +394,49 @@ def _weyl_generator_defect(cols: np.ndarray, exponents: np.ndarray) -> float:
     For (1, 0), row a - 1 is row a of Delta_p moved one column left; for
     (0, 1), row a keeps column sigma_p(a) and its exponent gains
     sigma_p(a) - a. The image of (x, y) sits one step back on the
-    generator's axis: for (1, 0) one roll on two axes gives its row a - 1 at
-    [x, y, a], for (0, 1) one gather along y its row a. Exponents are summed
-    mod N before the lookup, so a true table gives 0. Where the columns
-    differ, the defect is the larger modulus of the two.
+    generator's axis: for (1, 0) one roll on two axes (_step_back) gives its
+    row a - 1 at [x, y, a], for (0, 1) one gather along y its row a. A true
+    table gives 0. Where the columns differ, the defect is the larger
+    modulus of the two.
+
+    The tables are compared in integers, with no division: columns by their
+    difference (1 or 1 - N where a column moved left is the image's), and
+    each entry marks its triple of moved exponent (left unreduced, below
+    3N), image exponent and whether the columns differ. |rho^e - rho^f| or
+    max(|rho^e|, |rho^f|) is then evaluated once per triple that occurs, at
+    most 6 N^2 of them: the same maximum, bit for bit, as over every entry,
+    a NaN root included.
     """
     n = cols.shape[1]
     cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
     back = (np.arange(n) - 1) % n
+    seen = np.zeros((2, 3 * n, n), dtype=bool)
+
+    def mark(apart, moved_exponents, image_exponents):
+        triple = moved_exponents * n
+        triple += image_exponents
+        triple += apart * (3 * n * n)
+        seen.reshape(-1)[triple] = True
+
+    step = cols - _step_back(cols)
+    mark((step != 1) & (step != 1 - n), exponents, _step_back(exponents))
+    raised = exponents + cols + (n - np.arange(n))
+    mark(cols != cols.take(back, 1), raised, exponents.take(back, 1))
+    apart, moved_exponents, image_exponents = np.nonzero(seen)
     roots = unit_roots(n)
+    moved, image = roots[moved_exponents % n], roots[image_exponents]
+    defect = np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image))
+    return float(defect.max())
 
-    def worst(moved_cols, moved_exponents, image_cols, image_exponents):
-        moved, image = roots[moved_exponents], roots[image_exponents]
-        apart = moved_cols != image_cols
-        return np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image)).max()
 
-    along_x = worst(
-        (cols - 1) % n, exponents, np.roll(cols, 1, (0, 2)), np.roll(exponents, 1, (0, 2))
-    )
-    along_y = worst(
-        cols, (exponents + cols - np.arange(n)) % n, cols.take(back, 1), exponents.take(back, 1)
-    )
-    return float(np.max([along_x, along_y]))
+def _step_back(table: np.ndarray) -> np.ndarray:
+    """table[x - 1, y, a - 1] at [x, y, a], indexes mod N: np.roll(table, 1,
+    (0, 2)) of an (N, N, N) table, in four slice copies (np.roll over two
+    axes took three times as long at odd N = 9, and as long at 111)."""
+    out = np.empty_like(table)
+    out[1:, :, 1:], out[1:, :, 0] = table[:-1, :, :-1], table[:-1, :, -1]
+    out[0, :, 1:], out[0, :, 0] = table[-1, :, :-1], table[-1, :, -1]
+    return out
 
 
 @dataclass(eq=False)
@@ -516,30 +541,48 @@ def _gain_graph(
     entry, is its own label and no edge contradicts it.
     """
     n, r = factors.cols.shape[1], factors.root_modulus
-    # Entry (u', w') has one predecessor per point: (sigma_q^-1(u'),
-    # sigma_p^-1(w')), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')).
+    span = 3 * r
+    # int32 holds every key and offer below N^2 labels of 3R each
+    small = np.int32 if (n * n + 1) * span <= np.iinfo(np.int32).max else np.int64
+    # Entry u' * N + w' has one predecessor per point, at the flat index
+    # sigma_q^-1(u') * N + sigma_p^-1(w') (intp, which np.take reads without
+    # a cast), reached with gain e_p(sigma_p^-1(w')) - e_q(sigma_q^-1(u')),
+    # lifted by R to lie in (0, 2R).
     moved = image[built]
-    rows, cols = into[moved][:, :, None], into[built][:, None, :]
-    gain_p, gain_q = gain[built][:, None, :], gain[moved][:, :, None]
+    source = ((into[moved] * n)[:, :, None] + into[built][:, None, :]).reshape(len(built), n * n)
+    lift = gain[built].astype(small)[:, None, :] - gain[moved].astype(small)[:, :, None]
+    lift += r
+    lift = lift.reshape(len(built), n * n)
 
-    # Each entry's key is label * R + phase, so a minimum over keys picks
-    # the smallest label and carries one phase consistent with it.
+    # Each entry's key is label * 3R + phase, its phase below R; an offer
+    # adds the lifted gain to its predecessor's key, so its label stays the
+    # predecessor's and its phase, below 3R, is unreduced. A minimum over
+    # offers picks the smallest label; where that lowers an entry's label,
+    # the phase it takes is the smallest reduced phase offered with it.
     label, phase = _three_point_start(factors, pairs)
     while True:
-        key = (label * r + phase).reshape(n, n)
-        offered = key[rows, cols]
-        carried = offered % r
-        offered -= carried
-        carried += gain_p
-        carried -= gain_q
-        carried %= r
-        offered += carried
-        best = offered.min(axis=0).reshape(-1)
-        lower = best // r < label
+        floor = label * span
+        key = (floor + phase).astype(small)
+        offered = key.take(source)
+        offered += lift
+        best = offered.min(axis=0)
+        lower = best < floor
         if not lower.any():
             break
-        label[lower], phase[lower] = np.divmod(best[lower], r)
-    consistent = (offered == key).all(axis=0).reshape(-1)
+        label[lower] = best[lower] // span
+        # the offers carrying the new label, less its floor, lie below 3R
+        offers = offered[:, lower]
+        offers -= label[lower] * span
+        others = offers >= span
+        offers %= r
+        offers[others] = r
+        phase[lower] = offers.min(axis=0)
+    # an offer agrees with its entry's key when it carries the same label
+    # and a phase that reduces to the entry's (the index and gains are
+    # dropped first, so the check's temporaries do not raise the peak)
+    del source, lift
+    offered -= key
+    consistent = ((offered == 0) | (offered == r) | (offered == 2 * r)).all(axis=0)
     balanced = label == np.arange(n * n)
     balanced[label[~consistent]] = False
     return label, phase, np.flatnonzero(balanced)

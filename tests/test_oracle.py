@@ -341,11 +341,17 @@ def lattice_plan(n, parity):
     return oracle._lattice_plan("plan", n, parity, oracle._GRID_ROW_BYTES)
 
 
-def plan_graph(plan, s):
-    """_gain_graph's labels, phases and roots for s over the tables of ``plan``."""
+def plan_args(plan, s):
+    """_gain_graph's arguments for s over the tables of ``plan``, as
+    _covariance_graph passes them."""
     image = grid_image(s)
     pairs = [(p, image[p]) for p in (0, s.modulus, 1)]
-    return oracle._gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, pairs)
+    return plan.factors, plan.into, plan.gain, image, plan.built, pairs
+
+
+def plan_graph(plan, s):
+    """_gain_graph's labels, phases and roots for s over the tables of ``plan``."""
+    return oracle._gain_graph(*plan_args(plan, s))
 
 
 def uniqueness_fields(report):
@@ -384,7 +390,11 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
 
     monkeypatch.setattr(oracle, "unit_roots", nan_roots)
     found = reports(oracle._PLAN_MEMO_BYTES)
-    assert np.isnan(found[1][2]) and not any(fields[1] for fields in found[0])
+    assert not any(fields[1] for fields in found[0])
+    # hermiticity, traciality and (odd) translation covariance all read a NaN root
+    _, _, hermiticity, _, traciality, translation, _ = found[1]
+    assert np.isnan(hermiticity) and np.isnan(traciality)
+    assert parity == EVEN or np.isnan(translation)
     assert repr(found) == repr(reports(0))
 
 
@@ -488,6 +498,101 @@ def test_graph_equals_all_points_reference_on_whole_group(modulus, parity):
         reference_nullity, reference = all_points_graph(s, parity)
         assert nullity == reference_nullity == 1
         assert solution.dtype == reference.dtype and np.array_equal(solution, reference)
+
+
+def modular_gain_graph(factors, into, gain, image, built, pairs):
+    """Reference for oracle._gain_graph, with its arguments: int64 keys
+    label * R + phase through a 2-D gather, the carried phase reduced mod R
+    in every round, from oracle._three_point_start (so a patch reaches it)."""
+    n, r = factors.cols.shape[1], factors.root_modulus
+    moved = image[built]
+    rows, cols = into[moved][:, :, None], into[built][:, None, :]
+    gain_p, gain_q = gain[built][:, None, :], gain[moved][:, :, None]
+    label, phase = oracle._three_point_start(factors, pairs)
+    while True:
+        key = (label * r + phase).reshape(n, n)
+        offered = key[rows, cols]
+        carried = offered % r
+        offered -= carried
+        carried += gain_p
+        carried -= gain_q
+        carried %= r
+        offered += carried
+        best = offered.min(axis=0).reshape(-1)
+        lower = best // r < label
+        if not lower.any():
+            break
+        label[lower], phase[lower] = np.divmod(best[lower], r)
+    consistent = (offered == key).all(axis=0).reshape(-1)
+    balanced = label == np.arange(n * n)
+    balanced[label[~consistent]] = False
+    return label, phase, np.flatnonzero(balanced)
+
+
+def singleton_start(factors, pairs):
+    """A _three_point_start that connects nothing: every entry its own
+    label at phase 0, so the all-points rounds do the lowering."""
+    nodes = factors.cols.shape[1] ** 2
+    return np.arange(nodes), np.zeros(nodes, dtype=np.int64)
+
+
+def modular_round_agrees(graph, *args):
+    """``graph`` (oracle._gain_graph) on ``args``, after asserting that
+    modular_gain_graph gives equal labels, phases and roots."""
+    ours = graph(*args)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, modular_gain_graph(*args)))
+    return ours
+
+
+@pytest.mark.parametrize("start", ["three-point", "singleton"])
+@pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
+def test_gain_graph_equals_the_modular_round_on_whole_group(monkeypatch, modulus, parity, start):
+    # singleton starts leave every label to the all-points rounds
+    if start == "singleton":
+        monkeypatch.setattr(oracle, "_three_point_start", singleton_start)
+    plan = lattice_plan(hilbert_dim(modulus, parity), parity)
+    for s in enumerate_group(modulus):
+        assert len(modular_round_agrees(oracle._gain_graph, *plan_args(plan, s))[2]) == 1
+
+
+@pytest.mark.parametrize("start", ["three-point", "singleton"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_gain_graph_equals_the_modular_round_on_integer_points(monkeypatch, n, start):
+    # integer points, indexed mod N, leave several components, balanced and
+    # not; every solve_covariance call is compared on its own arguments
+    if start == "singleton":
+        monkeypatch.setattr(oracle, "_three_point_start", singleton_start)
+    graph, nullities = oracle._gain_graph, []
+
+    def checked(*args):
+        found = modular_round_agrees(graph, *args)
+        nullities.append(len(found[2]))
+        return found
+
+    monkeypatch.setattr(oracle, "_gain_graph", checked)
+    family = integer_point_family(n)
+    elements = list(enumerate_group(n))
+    for s in elements:
+        solve_covariance(s, family)
+    assert len(nullities) == len(elements) and min(nullities) > 1
+
+
+@pytest.mark.parametrize("n", [709, 711])
+def test_gain_graph_keys_leave_int32_where_they_would_overflow(monkeypatch, n):
+    # The origin alone, read as solve_covariance reads it (R = 2N): keys
+    # below N^2 labels of 3R each fit int32 at N = 709 and not at N = 711.
+    # Each entry pairs with its negative at gain 0, so from singleton
+    # starts one round lowers half the labels and the next confirms them.
+    monkeypatch.setattr(oracle, "_three_point_start", singleton_start)
+    factors = oracle._monomial_tables(qops.delta_at(n, ODD, (0, 0))[None])
+    origin = np.zeros(1, dtype=int)
+    label, phase, roots = oracle._gain_graph(
+        factors, *oracle._sigma_inverse(factors), origin, origin, [(0, 0)]
+    )
+    entries = np.arange(n * n)
+    u, w = np.divmod(entries, n)
+    assert np.array_equal(label, np.minimum(entries, -u % n * n + -w % n))
+    assert not phase.any() and len(roots) == (n * n + 1) // 2
 
 
 @pytest.mark.parametrize("whole", [False, True], ids=["row", "kernel"])
@@ -1014,8 +1119,9 @@ def test_sw_kernel_refuses_partly_agreeing_permutations(mutant_kernels):
 
 def row_sort_sw_kernel(parity, n):
     """verify_sw_kernel with its classes from a sort of the whole kernel rows
-    (np.unique along axis 0) and one Gram product per class in a Python
-    loop, reading oracle.kernel_factors (so mutants reach it)."""
+    (np.unique along axis 0), one Gram product per class in a Python loop
+    and translation in floats on every entry (float_weyl_generator_defect),
+    reading oracle.kernel_factors (so mutants reach it)."""
     side = lattice_modulus(n, parity)
     xs, ys = np.divmod(np.arange(side * side), side)
     factors = oracle.kernel_factors(n, parity, xs[:, None], ys[:, None])
@@ -1036,8 +1142,31 @@ def row_sort_sw_kernel(parity, n):
         raise ValueError("two kernel permutations agree on some rows but not all")
     blocks = (values[label == c] for c in range(len(perms)))
     traciality = float(np.max([np.abs(b.conj() @ b.T - n * np.eye(len(b))).max() for b in blocks]))
-    translation = oracle._weyl_generator_defect(cols, exponents) if parity == ODD else None
+    translation = float_weyl_generator_defect(cols, exponents) if parity == ODD else None
     return oracle.SWKernelReport(parity, n, hermiticity, unit_trace, traciality, translation, integer_trace)
+
+
+def float_weyl_generator_defect(cols, exponents):
+    """Reference for oracle._weyl_generator_defect: the same images of every
+    odd table under the Weyl generators (1, 0) and (0, 1), with the defect
+    evaluated in complex floats on every (point, row) of both."""
+    n = cols.shape[1]
+    cols, exponents = cols.reshape(n, n, n), exponents.reshape(n, n, n)
+    back = (np.arange(n) - 1) % n
+    roots = unit_roots(n)
+
+    def worst(moved_cols, moved_exponents, image_cols, image_exponents):
+        moved, image = roots[moved_exponents], roots[image_exponents]
+        apart = moved_cols != image_cols
+        return np.where(apart, np.maximum(abs(moved), abs(image)), abs(moved - image)).max()
+
+    along_x = worst(
+        (cols - 1) % n, exponents, np.roll(cols, 1, (0, 2)), np.roll(exponents, 1, (0, 2))
+    )
+    along_y = worst(
+        cols, (exponents + cols - np.arange(n)) % n, cols.take(back, 1), exponents.take(back, 1)
+    )
+    return float(np.max([along_x, along_y]))
 
 
 def report_fields(report):
