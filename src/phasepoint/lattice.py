@@ -5,8 +5,10 @@ doubled grid mod 2N. This module is the one place that maps a dimension and a
 parity onto the lattice and back, and the one home of the phase point
 operators' entries: row i of Delta_(x,y) has its one nonzero in column
 kernel_column(parity, x, i) mod N, with exponent kernel_exponent(parity, x,
-y, i) mod lattice_modulus. Its names live apart from the numeric layers so
-that argument checks and the command-line parser run without importing numpy.
+y, i) mod lattice_modulus, and of the doubled grid's fold onto the N^2
+representatives (fold_exponent). Its names live apart from the numeric
+layers so that argument checks and the command-line parser run without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -61,6 +63,26 @@ def kernel_exponent(parity: str, x, y, i):
     exp(2 pi i / lattice_modulus)). x, y and i are ints or broadcasting
     integer arrays."""
     return 2 * y * i - kernel_step(parity) * x * y
+
+
+def fold_exponent(x, y, n: int):
+    """The doubled grid's fold at even N: c in {0, N} with Delta_(x,y) =
+    rho^c Delta_(x mod N, y mod N), rho = exp(2 pi i / 2N); so
+    Delta_(x+N,y) = (-1)^y Delta_(x,y) and Delta_(x,y+N) = (-1)^x Delta_(x,y).
+    x and y are ints or broadcasting integer arrays.
+
+    From kernel_exponent (step 1, mod 2N): e(x + uN, y + vN, i) - e(x, y, i)
+    = 2vNi - N(uy + vx) - uvN^2 = N(uy + vx) mod 2N, as 2N divides 2vNi,
+    2N(uy + vx) and N^2. With x, y reduced mod 2N, u, v = x div N, y div N.
+
+    With det S = 1, c(p) - c(S.p) is the same across each fold class: S
+    moves p + N(u, v) to S.p + N(au + bv, cu + dv), and at S.p = (x', y')
+    (au + bv) y' + (cu + dv) x' = u (2acx + (ad + bc) y) + v ((ad + bc) x +
+    2bdy) = uy + vx mod 2, as ad + bc = ad - bc = 1 mod 2. So every point of
+    a class has its representative's covariance edges.
+    """
+    x, y = x % (2 * n), y % (2 * n)
+    return n * ((x // n) * y + (y // n) * x) % (2 * n)
 
 
 def hilbert_dim(modulus: int, parity: str) -> int:

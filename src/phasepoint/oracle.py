@@ -11,10 +11,11 @@ translation at the two Weyl generators, which give every shift. The
 factorization oracle is bfs_decompose.
 
 What depends on the lattice alone, kernel_factors' tables over the whole
-grid, every sigma_p^-1 with its gains and the table half of the fold
-certificate, is one read-only plan per (N, parity) (_Plan). Plans of at most
-1 MiB (odd N <= 31, even N <= 18) are memoised in an eight-slot lru_cache,
-so memoised plans never hold more than 8 MiB; a larger plan is built inside
+grid, every sigma_p^-1 with its gains and the fold certificate (every
+doubled-grid table checked against lattice.fold_exponent), is one read-only
+plan per (N, parity) (_Plan). Plans of at most 1 MiB (odd N <= 31, even
+N <= 18) are memoised in an eight-slot lru_cache keyed by (N, parity), so
+memoised plans never hold more than 8 MiB; a larger plan is built inside
 the call and dropped with it. Every figure and every check is still computed
 on each call, and none depends on whether the plan was memoised.
 """
@@ -27,7 +28,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import EVEN, ODD, check_parity, hilbert_dim, lattice_modulus
+from . import qops
+from .lattice import EVEN, ODD, check_parity, fold_exponent, hilbert_dim, lattice_modulus
 from .metaplectic import equal_up_to_phase, u_of
 from .qops import KernelFactors, delta_at, kernel_factors, unit_roots
 from .symplectic import SympMat, apply_point, check_bytes
@@ -58,12 +60,6 @@ _EDGE_BYTES = 32
 _KERNEL_ROW_BYTES = 192
 
 
-# Plans of at most _PLAN_MEMO_BYTES are memoised, the _PLAN_SLOTS most
-# recently used of them: 8 MiB at most.
-_PLAN_MEMO_BYTES = 1 << 20
-_PLAN_SLOTS = 8
-
-
 class _Plan(NamedTuple):
     """Read-only tables of one lattice that both oracles read, rows indexed
     by the grid index x * M + y of the M^2 points (M = N odd, 2N even):
@@ -73,15 +69,15 @@ class _Plan(NamedTuple):
       M^2 x N;
     - into[p] = sigma_p^-1, the argsort of cols[p], and gain[p] =
       e_p(sigma_p^-1(.)), the exponents read through it: M^2 x N each;
-    - fold[p]: the grid index of p's representative (x mod N, y mod N), and
-      built: the representatives, N^2;
-    - shift[p]: the constant c_p with e_p = e_fold[p] + c_p mod R (its first
-      row's), and folds: whether every table is its representative's with
-      c_p added, the table half of _fold_certified (true on odd lattices,
-      where every point is its own representative).
+    - built: the grid indexes of the N^2 representatives (x mod N, y mod N),
+      the points whose edges _covariance_graph builds;
+    - folds: the fold certificate, whether every table is its
+      representative's with lattice.fold_exponent added to every exponent
+      (true on odd lattices, where every point is its own representative).
 
-    That is 32 B per (point, row), plus 32 B per point and 8 B per
-    representative: odd N <= 31 and even N <= 18 fit in _PLAN_MEMO_BYTES.
+    That is 32 B per (point, row), plus 16 B per point and 8 B per
+    representative: odd N <= 31 and even N <= 18 fit in
+    qops._PLAN_MEMO_BYTES.
     A plan built for the kernel suite alone (above the memo's bytes) holds
     only xs, ys and factors, all the suite reads; the rest is None.
     """
@@ -91,14 +87,12 @@ class _Plan(NamedTuple):
     factors: KernelFactors
     into: np.ndarray | None = None
     gain: np.ndarray | None = None
-    fold: np.ndarray | None = None
     built: np.ndarray | None = None
-    shift: np.ndarray | None = None
     folds: bool = False
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
-        graph = (self.into, self.gain, self.fold, self.built, self.shift)
+        graph = (self.into, self.gain, self.built)
         return (self.xs, self.ys, *self.factors[:2], *(a for a in graph if a is not None))
 
     @property
@@ -113,45 +107,42 @@ def _sigma_inverse(factors: KernelFactors) -> tuple[np.ndarray, np.ndarray]:
     return into, np.take_along_axis(factors.exponents, into, 1)
 
 
-def _build_plan(n: int, parity: str, factors_of, graph: bool = True) -> _Plan:
-    """The _Plan of the lattice, its tables from ``factors_of`` (the
-    module's kernel_factors when called); without ``graph``, only its
-    coordinates and tables."""
+def _build_plan(n: int, parity: str, graph: bool = True) -> _Plan:
+    """The _Plan of the lattice, its tables from the module's kernel_factors
+    at the call; without ``graph``, only its coordinates and tables."""
     side = lattice_modulus(n, parity)
     xs, ys = np.divmod(np.arange(side * side), side)
-    factors = factors_of(n, parity, xs[:, None], ys[:, None])
+    factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
     plan = _Plan(xs, ys, factors)
     if graph:
         cols, exponents, r = factors
         fold = xs % n * side + ys % n
-        shift = (exponents[:, 0] - exponents[fold, 0]) % r
         folds = side == n or bool(
             (cols == cols[fold]).all()
-            and not ((exponents - exponents[fold] - shift[:, None]) % r).any()
+            and not ((exponents - exponents[fold] - fold_exponent(xs, ys, n)[:, None]) % r).any()
         )
         built = np.flatnonzero(fold == np.arange(side * side))
-        plan = _Plan(xs, ys, factors, *_sigma_inverse(factors), fold, built, shift, folds)
+        plan = _Plan(xs, ys, factors, *_sigma_inverse(factors), built, folds)
     for array in plan.arrays:
         array.flags.writeable = False
     return plan
 
 
-# keyed by the kernel_factors the plan is read from, so a replaced one (a
-# test's mutant) never meets a plan of another
-_plan_memo = lru_cache(maxsize=_PLAN_SLOTS)(_build_plan)
+_plan_memo = lru_cache(maxsize=qops._PLAN_SLOTS)(_build_plan)
 
 
 def _lattice_plan(what: str, n: int, parity: str, row_bytes: int, graph: bool = True) -> _Plan:
     """The lattice's _Plan, after BoundExceeded above ``row_bytes`` per
-    (point, row): from _plan_memo when its bytes, 32 M^2 N + 32 M^2 + 8 N^2
-    counted before anything is built, fit _PLAN_MEMO_BYTES, else built for
-    this call alone (with ``graph`` False, only its coordinates and tables)."""
+    (point, row): from _plan_memo, keyed by (N, parity), when its bytes,
+    32 M^2 N + 16 M^2 + 8 N^2 counted before anything is built, fit
+    qops._PLAN_MEMO_BYTES, else built for this call alone (with ``graph``
+    False, only its coordinates and tables)."""
     side = lattice_modulus(n, parity)
     points = side * side
     check_bytes(f"{what} of {points} points at dimension {n}", points * n * row_bytes)
-    if 32 * points * n + 32 * points + 8 * n * n <= _PLAN_MEMO_BYTES:
-        return _plan_memo(n, parity, kernel_factors)
-    return _build_plan(n, parity, kernel_factors, graph)
+    if 32 * points * n + 16 * points + 8 * n * n <= qops._PLAN_MEMO_BYTES:
+        return _plan_memo(n, parity)
+    return _build_plan(n, parity, graph)
 
 
 def _check_edge_bytes(n: int, points: int) -> None:
@@ -191,7 +182,9 @@ def solve_covariance(
     from its first three points. Raises ValueError for a family that is
     empty, not closed, not finite or not monomial, and BoundExceeded above
     the graph's _EDGE_BYTES per (point, entry) (_check_edge_bytes); both
-    before the graph is built, the bound before the family is read.
+    before the graph is built, the bound before the family is read. The
+    basis, one dense N x N matrix per balanced component, is refused in the
+    same way after the graph and before any of it is built.
     """
     points = sorted(deltas)
     if not points:
@@ -223,6 +216,8 @@ def solve_covariance(
         factors, *_sigma_inverse(factors), image, np.arange(len(points)),
         [(p, image[p]) for p in starts],
     )
+    basis_bytes = len(roots) * dim * dim * np.dtype(complex).itemsize
+    check_bytes(f"covariance basis of {len(roots)} components at dimension {dim}", basis_bytes)
     basis = [_component_vector(label, phase, root, factors.root_modulus, dim) for root in roots]
     unitary = _unitarize(basis[0]) if len(basis) == 1 else None
     return CovarianceSolution(len(basis), basis, unitary)
@@ -469,25 +464,18 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     The lattice's plan (_lattice_plan, built once per lattice) holds every
     point's kernel_factors table, rows indexed by the grid index x * M + y,
     every sigma^-1 (one argsort of the columns) with its gains, and the
-    table half of the fold certificate. Per element only the rest is
-    computed: q's rows, a gather at the grid index of apply_point's output,
-    the certificate's gap, the three-point start and the rounds. Points
-    whose edges repeat another's are built once
-    (_fold_certified): on the doubled grid kernel_exponent gives
-    Delta_(j+N,k) = (-1)^k Delta_(j,k) and Delta_(j,k+N) = (-1)^j
-    Delta_(j,k), so each point's table is its representative's (j mod N,
-    k mod N) with one constant exponent c added. S moves p + (N, 0) to
-    S.p + N (a, c), whose sign against S.p = (x', y') is (-1)^(c x' + a y'),
-    and c x' + a y' = 2acj + (ad + bc) k = k mod 2 since det S = 1; likewise
-    p + (0, N) goes to S.p + N (b, d), with d x' + b y' = (ad + bc) j + 2bdk
-    = j. So S.p moves by the same sign as p, c_p - c_(S.p) is the
-    representative's, and every edge of p, (u, w) -> (sigma_q(u),
-    sigma_p(w)), keeps its gain. Only the N^2 representatives' edges are
+    fold certificate: every table is its representative's (x mod N,
+    y mod N) with lattice.fold_exponent c_p added. Per element only the
+    rest is computed: q's rows, a gather at the grid index of apply_point's
+    output, the three-point start and the rounds. With det S = 1,
+    c_p - c_(S.p) is the same across each fold class (fold_exponent), so
+    every edge of p, (u, w) -> (sigma_q(u), sigma_p(w)), has its
+    representative's gain, and only the N^2 representatives' edges are
     built (a quarter of the doubled grid; on odd lattices every point is its
     own representative). Tables that fail the certificate, as a mutated
-    kernel can, raise ValueError before any edge is built, as
-    verify_sw_kernel does for permutations that agree on some rows but not
-    all.
+    kernel can, raise ValueError for every element before any edge is
+    built, as verify_sw_kernel does for permutations that agree on some
+    rows but not all.
 
     Each point contributes a permutation of the N^2 entries, so every
     component is strongly connected and propagation along the edges alone
@@ -508,10 +496,10 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
     side = s.modulus
     _check_edge_bytes(n, n * n)
     plan = _lattice_plan("uniqueness graph tables", n, parity, _GRID_ROW_BYTES)
+    if not plan.folds:
+        raise ValueError("doubled-grid kernel tables fail the fold certificate")
     moved_x, moved_y = apply_point(s, (plan.xs, plan.ys))
     image = moved_x * side + moved_y
-    if side != n and not _fold_certified(plan, image):
-        raise ValueError("doubled-grid kernel tables fail the fold certificate")
     pairs = [(p, image[p]) for p in (0, side, 1)]
     label, phase, roots = _gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, pairs)
     if len(roots) != 1:
@@ -596,20 +584,6 @@ def _component_vector(
     support = label == root
     solution = np.where(support, unit_roots(r)[phase], 0) / np.sqrt(support.sum())
     return solution.reshape(n, n)
-
-
-def _fold_certified(plan: _Plan, image: np.ndarray) -> bool:
-    """Whether every point of the doubled grid has its representative's
-    edges under the element whose images are at the grid indexes ``image``:
-    each point's table is its representative's (x mod N, y mod N) with one
-    constant c added to every exponent (the plan's table half, plan.folds,
-    O(M^2 N) integer compares once per plan), and c_p - c_(S.p) is the same
-    at every point of the representative's class (O(M^2) per element).
-    """
-    if not plan.folds:
-        return False
-    gap = (plan.shift - plan.shift[image]) % plan.factors.root_modulus
-    return bool((gap == gap[plan.fold]).all())
 
 
 def _three_point_start(

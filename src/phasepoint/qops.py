@@ -27,6 +27,11 @@ from .symplectic import check_bytes
 # Root tables unit_roots keeps, the most recently used: a lattice reads at
 # most three (R, 8R and 8), and a sweep over many N holds no more than this
 _ROOT_TABLES = 16
+# The per-lattice plan memos of oracle and wigner each keep the _PLAN_SLOTS
+# most recently used plans of at most _PLAN_MEMO_BYTES (read at call time):
+# 8 MiB at most each.
+_PLAN_MEMO_BYTES = 1 << 20
+_PLAN_SLOTS = 8
 
 
 @lru_cache(maxsize=_ROOT_TABLES)

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qops
 from .lattice import DimensionMismatch, hilbert_dim, kernel_column, kernel_exponent, lattice_modulus
 from .qops import unit_roots
 from .symplectic import check_bytes
@@ -127,10 +128,6 @@ class Marginals(NamedTuple):
 # Both transforms hold at most four complex words per table cell at their
 # peak; check_bytes refuses them on that figure.
 _TRANSFORM_CELL_BYTES = 4 * np.dtype(complex).itemsize
-# Plans of at most _PLAN_MEMO_BYTES are memoised, the _PLAN_SLOTS most
-# recently used of them: 8 MiB at most.
-_PLAN_MEMO_BYTES = 1 << 20
-_PLAN_SLOTS = 8
 
 
 def _check_transform_bytes(what: str, modulus: int) -> None:
@@ -154,7 +151,7 @@ class _Plan(NamedTuple):
 
     That is 32 B per cell on odd lattices and 22 B per cell on the doubled
     grid, plus 16 or 24 B per N: odd N <= 179 and even N <= 108 fit in
-    _PLAN_MEMO_BYTES.
+    qops._PLAN_MEMO_BYTES.
     """
 
     chirp: np.ndarray
@@ -186,16 +183,16 @@ def _build_plan(modulus: int, parity: str) -> _Plan:
     return plan
 
 
-_plan_memo = lru_cache(maxsize=_PLAN_SLOTS)(_build_plan)
+_plan_memo = lru_cache(maxsize=qops._PLAN_SLOTS)(_build_plan)
 
 
 def _plan(modulus: int, n: int, parity: str) -> _Plan:
     """The plan of the lattice of modulus M and dimension N: from _plan_memo
-    when its bytes fit _PLAN_MEMO_BYTES, else built for this call alone. The
-    bytes are _Plan's arrays, 16 M^2 + 8 M N + 8 M + 8 N + 8 N^2, counted
-    before anything is built."""
+    when its bytes fit qops._PLAN_MEMO_BYTES, else built for this call
+    alone. The bytes are _Plan's arrays, 16 M^2 + 8 M N + 8 M + 8 N + 8 N^2,
+    counted before anything is built."""
     size = 16 * modulus * modulus + 8 * (modulus * n + modulus + n + n * n)
-    return (_plan_memo if size <= _PLAN_MEMO_BYTES else _build_plan)(modulus, parity)
+    return (_plan_memo if size <= qops._PLAN_MEMO_BYTES else _build_plan)(modulus, parity)
 
 
 def wigner_of(state: QuantumState, parity: str) -> WignerTable:

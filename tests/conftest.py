@@ -173,8 +173,10 @@ def stack_budget(monkeypatch):
 @pytest.fixture
 def mutant_kernels(monkeypatch):
     """Read the oracles' kernel tables from a mutant for the rest of one
-    test: mutant_kernels(factors_of) replaces oracle.kernel_factors and
-    empties the oracle plan memo, which is emptied again after the test."""
+    test: mutant_kernels(mutant) replaces oracle.kernel_factors with
+    ``mutant``, which takes kernel_factors' arguments, and empties the
+    oracle plan memo (keyed by (N, parity) alone), which is emptied again
+    after the test."""
 
     def use(mutant):
         monkeypatch.setattr(oracle, "kernel_factors", mutant)

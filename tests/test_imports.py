@@ -49,6 +49,11 @@ def wrong_word(s):
 
 results = {"help": run("--help")}
 results["hilbert_dim"] = [lattice.hilbert_dim(7, "odd"), lattice.hilbert_dim(8, "even")]
+big = 2**20
+results["fold_exponent"] = [
+    lattice.fold_exponent(x, y, big)
+    for x, y in ((big + 3, 4), (big + 3, 5), (3, big + 5), (big + 3, big + 5), (-1, 1))
+]
 results["certified"] = [
     weil.certify(weil.descriptor(s, parity), s, parity)
     for s, parity in ((symplectic.SympMat(2, 1, 1, 1, 2**61 - 1), "odd"),
@@ -103,6 +108,8 @@ def test_root_and_decompose_import_no_numpy():
     assert results["help"]["code"] == 0
     assert "decompose" in results["help"]["out"]
     assert results["hilbert_dim"] == [7, 4]
+    # Delta_(x+N,y) = (-1)^y Delta_(x,y), Delta_(x,y+N) = (-1)^x Delta_(x,y)
+    assert results["fold_exponent"] == [0, 2**20, 2**20, 0, 2**20]
     assert results["certified"] == [True, True]
     assert results["apply_point"] == [4, 3]
     for method, expected in (("euclid", [0, 2, 2, 2, 3, 3]), ("bfs", [0, 2, 2, 2, 2, 3, 3])):

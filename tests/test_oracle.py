@@ -5,7 +5,7 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import weyl_symmetric
-from phasepoint.lattice import EVEN, ODD, hilbert_dim, lattice_modulus
+from phasepoint.lattice import EVEN, ODD, fold_exponent, hilbert_dim, lattice_modulus
 from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus, u_of
 from phasepoint import oracle, qops
 from phasepoint.oracle import (
@@ -125,6 +125,20 @@ def test_solve_covariance_refuses_systems_above_byte_bound(byte_bound):
     byte_bound(graph_bytes - 1)
     with pytest.raises(BoundExceeded):
         solve_covariance(generator("+", 3), family)
+
+
+def test_solve_covariance_refuses_a_basis_above_byte_bound(byte_bound):
+    # the origin alone at odd N = 9: its 81 edges (2592 B) fit, but its
+    # (N^2 + 1) / 2 = 41 balanced components each need a dense N x N basis
+    # matrix, 16 B per entry, refused after the graph
+    family = {(0, 0): qops.delta_at(9, ODD, (0, 0))}
+    basis_bytes = 41 * 9 * 9 * 16
+    byte_bound(basis_bytes)
+    assert solve_covariance(h_t(9), family).nullity == 41
+    byte_bound(basis_bytes - 1)
+    assert 9 * 9 * 32 <= basis_bytes - 1
+    with pytest.raises(BoundExceeded, match="basis of 41 components"):
+        solve_covariance(h_t(9), family)
 
 
 @pytest.mark.parametrize(
@@ -326,11 +340,21 @@ def grid_image(s):
     return x * side + y
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_fold_certificate_holds_on_whole_group(n):
-    plan = oracle._lattice_plan("fold", n, EVEN, oracle._GRID_ROW_BYTES)
-    images = (grid_image(s) for s in enumerate_group(2 * n))
-    assert all(oracle._fold_certified(plan, image) for image in images)
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 32, 52])
+def test_fold_certificate_holds_on_whole_group(n, rng):
+    # fold_exponent(p) - fold_exponent(S.p) is the same across each fold
+    # class, so every point has its representative's edges: on all of
+    # Sp_4, Sp_8 and Sp_12, and on 50 seeded elements at even 16, 32, 52
+    side = 2 * n
+    xs, ys = np.divmod(np.arange(side * side), side)
+    fold = xs % n * side + ys % n
+    if n <= 6:
+        elements = enumerate_group(side)
+    else:
+        elements = [random_element(side, rng) for _ in range(50)]
+    for s in elements:
+        gap = (fold_exponent(xs, ys, n) - fold_exponent(*apply_point(s, (xs, ys)), n)) % side
+        assert np.array_equal(gap, gap[fold])
 
 
 WHOLE_GROUPS = [(3, ODD), (5, ODD), (7, ODD), (9, ODD), (11, ODD), (4, EVEN), (8, EVEN), (12, EVEN)]
@@ -364,7 +388,7 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
     # comes from the memo or is built for each call (no plan fits a cap of
     # zero bytes); also where every figure reads NaN roots
     n = hilbert_dim(modulus, parity)
-    memoised, built = lattice_plan(n, parity), oracle._build_plan(n, parity, qops.kernel_factors)
+    memoised, built = lattice_plan(n, parity), oracle._build_plan(n, parity)
     assert lattice_plan(n, parity) is memoised and built is not memoised
     elements = list(enumerate_group(modulus))
     for s in elements:
@@ -373,7 +397,7 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
 
     def reports(cap):
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_PLAN_MEMO_BYTES", cap)
+            patch.setattr(qops, "_PLAN_MEMO_BYTES", cap)
             info = oracle._plan_memo.cache_info()
             found = ([uniqueness_fields(verify_uniqueness(s, parity)) for s in elements],
                      report_fields(verify_sw_kernel(parity, n)))
@@ -381,7 +405,7 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
         return found
 
     # repr: equal floats print alike, NaN included
-    assert repr(reports(oracle._PLAN_MEMO_BYTES)) == repr(reports(0))
+    assert repr(reports(qops._PLAN_MEMO_BYTES)) == repr(reports(0))
 
     def nan_roots(m):
         roots = unit_roots(m).copy()
@@ -389,7 +413,7 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
         return roots
 
     monkeypatch.setattr(oracle, "unit_roots", nan_roots)
-    found = reports(oracle._PLAN_MEMO_BYTES)
+    found = reports(qops._PLAN_MEMO_BYTES)
     assert not any(fields[1] for fields in found[0])
     # hermiticity, traciality and (odd) translation covariance all read a NaN root
     _, _, hermiticity, _, traciality, translation, _ = found[1]
@@ -402,8 +426,8 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
 def test_plan_arrays_are_read_only(n, parity):
     # a memoised plan or one built for the call (odd 33 and even 20), and
     # the kernel suite's tables-only plan
-    plans = [lattice_plan(n, parity), oracle._build_plan(n, parity, qops.kernel_factors, graph=False)]
-    assert [len(plan.arrays) for plan in plans] == [9, 4]
+    plans = [lattice_plan(n, parity), oracle._build_plan(n, parity, graph=False)]
+    assert [len(plan.arrays) for plan in plans] == [7, 4]
     for plan in plans:
         for array in plan.arrays:
             with pytest.raises(ValueError):
@@ -412,18 +436,18 @@ def test_plan_arrays_are_read_only(n, parity):
 
 @pytest.mark.parametrize("largest,parity", [(31, ODD), (18, EVEN)])
 def test_plan_memo_limit(largest, parity):
-    # plan bytes are 32 per (point, row), 32 per point and 8 per
+    # plan bytes are 32 per (point, row), 16 per point and 8 per
     # representative; the largest memoised lattice and the next one of its
     # parity, which leaves the memo as it was
-    assert oracle._PLAN_SLOTS * oracle._PLAN_MEMO_BYTES == 8 << 20  # the README's figure
+    assert qops._PLAN_SLOTS * qops._PLAN_MEMO_BYTES == 8 << 20  # the README's figure
     for n in (largest, largest + 2):
         points = lattice_modulus(n, parity) ** 2
         size = oracle._plan_memo.cache_info().currsize
         first = lattice_plan(n, parity)
-        assert first.nbytes == 32 * points * n + 32 * points + 8 * n * n
+        assert first.nbytes == 32 * points * n + 16 * points + 8 * n * n
         assert oracle._plan_memo.cache_info().currsize == size + (n == largest)
         assert (lattice_plan(n, parity) is first) == (n == largest)
-    assert first.nbytes > oracle._PLAN_MEMO_BYTES
+    assert first.nbytes > qops._PLAN_MEMO_BYTES
 
 
 def test_plan_tables_are_refused_before_the_memo_is_read(byte_bound):
@@ -599,15 +623,33 @@ def test_gain_graph_keys_leave_int32_where_they_would_overflow(monkeypatch, n):
 @pytest.mark.parametrize("point", [(5, 2), (2, 4), (3, 2)])
 def test_graph_refuses_one_exponent_mutant_on_doubled_grid(monkeypatch, mutant_kernels, point, whole):
     # A row mutant leaves a table that is no constant shift of its
-    # representative's; a whole-kernel mutant keeps the shift, so only the
-    # certificate's second part, c_p - c_(S.p) per class, rejects it. Either
-    # is refused before any edge is built.
+    # representative's; a whole-kernel mutant is one, but not by the
+    # shift lattice.fold_exponent gives. Either is refused before any edge
+    # is built.
     def refuse(*args):
         raise AssertionError("gain graph built")
 
     monkeypatch.setattr(oracle, "_gain_graph", refuse)
     mutant_kernels(one_exponent_mutant(point, whole))
     for s in [h_t(8), generator("+", 8), generator("-", 8)]:
+        with pytest.raises(ValueError, match="fold certificate"):
+            oracle._covariance_graph(s, EVEN)
+
+
+def test_graph_refuses_the_upper_half_sign_mutant_on_the_whole_group(mutant_kernels):
+    # Every kernel with x >= N times -1: each table is still its
+    # representative's with one constant exponent added, so constants
+    # inferred from the tables pass it and only some elements expose the
+    # change. Against lattice.fold_exponent it is refused for all of Sp_8.
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
+        flipped = factors.exponents + np.where(x >= n, n, 0)
+        return factors._replace(exponents=flipped % factors.root_modulus)
+
+    mutant_kernels(mutant)
+    elements = list(enumerate_group(8))
+    assert len(elements) == 384
+    for s in elements:
         with pytest.raises(ValueError, match="fold certificate"):
             oracle._covariance_graph(s, EVEN)
 

@@ -232,6 +232,22 @@ def test_delta_leonhardt_alias_signs(n):
             assert np.abs(fam[(j, (k + n) % (2 * n))] - (-1) ** j * fam[(j, k)]).max() < TOL
 
 
+def test_fold_exponent_is_the_kernel_tables_fold():
+    # every doubled-grid table at even N = 2..38 is its representative's
+    # (x mod N, y mod N), columns equal and lattice.fold_exponent added to
+    # every exponent
+    for n in range(2, 40, 2):
+        side = 2 * n
+        xs, ys = np.divmod(np.arange(side * side), side)
+        xs, ys = xs[:, None], ys[:, None]
+        factors = kernel_factors(n, EVEN, xs, ys)
+        folded = kernel_factors(n, EVEN, xs % n, ys % n)
+        fold = lattice.fold_exponent(xs, ys, n)
+        assert np.isin(fold, [0, n]).all()
+        assert np.array_equal(factors.cols, folded.cols)
+        assert np.array_equal(factors.exponents, (folded.exponents + fold) % side)
+
+
 def test_weyl_leonhardt_identity_and_unitarity(rng):
     assert np.abs(weyl_leonhardt(2, 0, 0) - np.eye(2)).max() < TOL
     for _ in range(20):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import lattice_points, random_state, weyl_leonhardt
-from phasepoint import wigner
+from phasepoint import qops, wigner
 from phasepoint.lattice import (
     EVEN,
     ODD,
@@ -493,12 +493,12 @@ def test_plan_memo_limit(largest, parity, per_cell, per_n, fresh_plans):
         assert first.nbytes == per_cell * modulus * modulus + per_n * n
         # memoised only at the largest: a second call returns the same plan
         assert (plan(modulus, parity) is first) == (n == largest)
-    assert first.nbytes > wigner._PLAN_MEMO_BYTES
+    assert first.nbytes > qops._PLAN_MEMO_BYTES
     assert wigner._plan_memo.cache_info().currsize == 1
 
 
 def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
-    ceiling = wigner._PLAN_SLOTS * wigner._PLAN_MEMO_BYTES
+    ceiling = qops._PLAN_SLOTS * qops._PLAN_MEMO_BYTES
     assert ceiling == 8 << 20  # the module docstring's figure
     sweep = [(n, ODD) for n in range(3, 256, 2)] + [(n, EVEN) for n in range(2, 129, 2)]
     for n, parity in sweep:
@@ -506,9 +506,9 @@ def test_memoised_plans_stay_under_the_ceiling(fresh_plans):
         weyl_quantize(table.values, parity)
         modulus = table.modulus
         # exactly the plans within _PLAN_MEMO_BYTES are memoised
-        small = plan(modulus, parity).nbytes <= wigner._PLAN_MEMO_BYTES
+        small = plan(modulus, parity).nbytes <= qops._PLAN_MEMO_BYTES
         assert memoised(modulus, parity) == small
-        assert wigner._plan_memo.cache_info().currsize <= wigner._PLAN_SLOTS
+        assert wigner._plan_memo.cache_info().currsize <= qops._PLAN_SLOTS
     # so the memo holds at most _PLAN_SLOTS plans of at most
     # _PLAN_MEMO_BYTES each; the last eight memoised lattices, each renewed
     # in the order it was used
