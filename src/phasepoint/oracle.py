@@ -13,11 +13,12 @@ factorization oracle is bfs_decompose.
 What depends on the lattice alone, kernel_factors' tables over the whole
 grid, every sigma_p^-1 with its gains and the fold certificate (every
 doubled-grid table checked against lattice.fold_exponent), is one read-only
-plan per (N, parity) (_Plan). Plans of at most 1 MiB (odd N <= 31, even
-N <= 18) are memoised in an eight-slot lru_cache keyed by (N, parity), so
-memoised plans never hold more than 8 MiB; a larger plan is built inside
-the call and dropped with it. Every figure and every check is still computed
-on each call, and none depends on whether the plan was memoised.
+plan per (N, parity) (_Plan), the same whole plan at every size and for
+both oracles. Plans of at most 1 MiB (odd N <= 31, even N <= 18) are
+memoised in an eight-slot lru_cache keyed by (N, parity), so memoised plans
+never hold more than 8 MiB; a larger plan is built inside the call and
+dropped with it. Every figure and every check is still computed on each
+call, and none depends on whether the plan was memoised.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ _GRID_ROW_BYTES = 64
 # (set by the read); 25-31 B where every label is lowered by the rounds
 # (singleton starts at odd N = 25 and even N = 24)
 _EDGE_BYTES = 32
-# verify_sw_kernel's bytes per (grid point, row): its tables, their roots and
-# the per-check temporaries (tracemalloc peak 98 B at odd N = 53, 111 and
-# 162-163 B at even N = 38, 70; 92 B at odd N = 9 and 153 B at even N = 8
-# with the plan memoised, 134 and 191 B where the call builds it)
+# verify_sw_kernel's bytes per (grid point, row): its plan, the roots and
+# the per-check temporaries (tracemalloc peak 98-99 B at odd N = 53, 111 and
+# 162-163 B at even N = 38, 70, plan built in the call; 76 B at odd N = 9
+# and 137 B at even N = 8 with the plan memoised, 118 and 173 B where the
+# call builds it)
 _KERNEL_ROW_BYTES = 192
 
 
@@ -78,22 +80,19 @@ class _Plan(NamedTuple):
     That is 32 B per (point, row), plus 16 B per point and 8 B per
     representative: odd N <= 31 and even N <= 18 fit in
     qops._PLAN_MEMO_BYTES.
-    A plan built for the kernel suite alone (above the memo's bytes) holds
-    only xs, ys and factors, all the suite reads; the rest is None.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     factors: KernelFactors
-    into: np.ndarray | None = None
-    gain: np.ndarray | None = None
-    built: np.ndarray | None = None
-    folds: bool = False
+    into: np.ndarray
+    gain: np.ndarray
+    built: np.ndarray
+    folds: bool
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
-        graph = (self.into, self.gain, self.built)
-        return (self.xs, self.ys, *self.factors[:2], *(a for a in graph if a is not None))
+        return (self.xs, self.ys, *self.factors[:2], self.into, self.gain, self.built)
 
     @property
     def nbytes(self) -> int:
@@ -107,22 +106,20 @@ def _sigma_inverse(factors: KernelFactors) -> tuple[np.ndarray, np.ndarray]:
     return into, np.take_along_axis(factors.exponents, into, 1)
 
 
-def _build_plan(n: int, parity: str, graph: bool = True) -> _Plan:
+def _build_plan(n: int, parity: str) -> _Plan:
     """The _Plan of the lattice, its tables from the module's kernel_factors
-    at the call; without ``graph``, only its coordinates and tables."""
+    at the call."""
     side = lattice_modulus(n, parity)
     xs, ys = np.divmod(np.arange(side * side), side)
     factors = kernel_factors(n, parity, xs[:, None], ys[:, None])
-    plan = _Plan(xs, ys, factors)
-    if graph:
-        cols, exponents, r = factors
-        fold = xs % n * side + ys % n
-        folds = side == n or bool(
-            (cols == cols[fold]).all()
-            and not ((exponents - exponents[fold] - fold_exponent(xs, ys, n)[:, None]) % r).any()
-        )
-        built = np.flatnonzero(fold == np.arange(side * side))
-        plan = _Plan(xs, ys, factors, *_sigma_inverse(factors), built, folds)
+    cols, exponents, r = factors
+    fold = xs % n * side + ys % n
+    folds = side == n or bool(
+        (cols == cols[fold]).all()
+        and not ((exponents - exponents[fold] - fold_exponent(xs, ys, n)[:, None]) % r).any()
+    )
+    built = np.flatnonzero(fold == np.arange(side * side))
+    plan = _Plan(xs, ys, factors, *_sigma_inverse(factors), built, folds)
     for array in plan.arrays:
         array.flags.writeable = False
     return plan
@@ -131,18 +128,17 @@ def _build_plan(n: int, parity: str, graph: bool = True) -> _Plan:
 _plan_memo = lru_cache(maxsize=qops._PLAN_SLOTS)(_build_plan)
 
 
-def _lattice_plan(what: str, n: int, parity: str, row_bytes: int, graph: bool = True) -> _Plan:
+def _lattice_plan(what: str, n: int, parity: str, row_bytes: int) -> _Plan:
     """The lattice's _Plan, after BoundExceeded above ``row_bytes`` per
     (point, row): from _plan_memo, keyed by (N, parity), when its bytes,
     32 M^2 N + 16 M^2 + 8 N^2 counted before anything is built, fit
-    qops._PLAN_MEMO_BYTES, else built for this call alone (with ``graph``
-    False, only its coordinates and tables)."""
+    qops._PLAN_MEMO_BYTES, else built for this call alone."""
     side = lattice_modulus(n, parity)
     points = side * side
     check_bytes(f"{what} of {points} points at dimension {n}", points * n * row_bytes)
     if 32 * points * n + 16 * points + 8 * n * n <= qops._PLAN_MEMO_BYTES:
         return _plan_memo(n, parity)
-    return _build_plan(n, parity, graph)
+    return _build_plan(n, parity)
 
 
 def _check_edge_bytes(n: int, points: int) -> None:
@@ -178,8 +174,9 @@ def solve_covariance(
     over the 2N-th roots (_monomial_tables), as every phase point operator
     is; it is read into integer tables once and solved by the gain graph of
     _covariance_graph (_gain_graph), every point's edges built. The BFS
-    starts from (0, 0), (1, 0) and (0, 1) where the family holds them, else
-    from its first three points. Raises ValueError for a family that is
+    starts from whichever of (0, 0), (1, 0) and (0, 1) the family holds;
+    the balanced components, their labels (smallest entry) and phases do
+    not depend on the start. Raises ValueError for a family that is
     empty, not closed, not finite or not monomial, and BoundExceeded above
     the graph's _EDGE_BYTES per (point, entry) (_check_edge_bytes); both
     before the graph is built, the bound before the family is read. The
@@ -211,10 +208,9 @@ def solve_covariance(
         raise ValueError(f"family is not closed under the action: missing {missing}")
     factors = _monomial_tables(np.stack([deltas[point] for point in points]))
     generators, held = find(np.array([0, side, 1]))  # (0, 0), (1, 0) and (0, 1)
-    starts = generators if held.all() else range(min(3, len(points)))
     label, phase, roots = _gain_graph(
         factors, *_sigma_inverse(factors), image, np.arange(len(points)),
-        [(p, image[p]) for p in starts],
+        [(p, image[p]) for p in generators[held]],
     )
     basis_bytes = len(roots) * dim * dim * np.dtype(complex).itemsize
     check_bytes(f"covariance basis of {len(roots)} components at dimension {dim}", basis_bytes)
@@ -309,18 +305,21 @@ class SWKernelReport:
 def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     """Measure hermiticity, trace, pairwise traciality and translation covariance.
 
-    Read from the plan's kernel_factors tables sigma_p (cols) and e_p
-    (exponents), looked up or built once per lattice (_lattice_plan; above
-    the memo's bytes the tables alone are built for the call), with
-    a_p(i) = rho^(e_p(i)) in row i: hermiticity is |a(i) -
-    [sigma(sigma(i)) = i] conj(a(sigma(i)))|, the trace sums a(i) over the
-    fixed points of sigma (on even lattices also compared with 2 at integer
+    Read from the lattice's plan (_lattice_plan), looked up or built once
+    per lattice, with a_p(i) = rho^(e_p(i)) in row i of its kernel_factors
+    table, sigma_p (cols) and e_p (exponents): hermiticity is |a(i) -
+    [sigma(sigma(i)) = i] conj(a(sigma(i)))|, read through the plan's
+    sigma^-1 and gains (sigma(sigma(i)) = i where sigma(i) = sigma^-1(i),
+    and there e(sigma(i)) is the gain), the trace sums a(i) over the fixed
+    points of sigma (on even lattices also compared with 2 at integer
     points and 0 at the others), and Tr(Delta_p^dag Delta_q) sums
     conj(a_p) a_q over the rows where sigma_p and sigma_q agree. Any two
-    permutations must agree on every row or on none (else ValueError), so the Gram matrix is
+    permutations must agree on every row or on none, so the Gram matrix is
     block diagonal over the classes of equal permutations; the classes are
     read off sigma_p(0), one comparison per table entry (no sort of the
-    rows), and _traciality takes every block in one product. Translation
+    rows), and _traciality takes every block in one product. ValueError
+    where two tables agree on some rows but not all, then where a class's
+    columns are not a permutation (one sort of the class rows). Translation
     (_weyl_generator_defect) compares each kernel with its image under the
     two Weyl generators, O(N^3), by index gathers, in integers: the roots
     are evaluated once per distinct pair of exponents compared. Every figure
@@ -328,26 +327,31 @@ def verify_sw_kernel(parity: str, n: int) -> SWKernelReport:
     (lattice point, row), odd N = 111 and even N = 70, before the plan is
     looked up or built.
     """
-    plan = _lattice_plan("kernel suite", n, parity, _KERNEL_ROW_BYTES, graph=False)
+    plan = _lattice_plan("kernel suite", n, parity, _KERNEL_ROW_BYTES)
     cols, exponents, r = plan.factors
-    values = unit_roots(r)[exponents]
     rows = np.arange(n)
-    involution = np.take_along_axis(cols, cols, 1) == rows
-    mirrored = np.take_along_axis(values, cols, 1).conj()
-    hermiticity = float(np.abs(values - np.where(involution, mirrored, 0)).max())
+    # classes by first column: a row unlike its class's first, or two
+    # classes sharing a value in some column, agree on some rows but not all;
+    # with neither, they are the classes of equal column tables, which must
+    # be permutations for the plan's sigma^-1 to be one
+    _, first, label = np.unique(cols[:, 0], return_index=True, return_inverse=True)
+    perms = cols[first]
+    if (cols != perms[label]).any() or (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
+        raise ValueError("two kernel permutations agree on some rows but not all")
+    if (np.sort(perms, axis=1) != rows).any():
+        raise ValueError("a kernel's columns are not a permutation")
+    roots = unit_roots(r)
+    values = roots[exponents]
+    # sigma(sigma(i)) = i exactly where sigma(i) = sigma^-1(i), and there
+    # e(sigma(i)) is the plan's gain
+    involution = cols == plan.into
+    hermiticity = float(np.abs(values - np.where(involution, roots.conj()[plan.gain], 0)).max())
     trace = np.where(cols == rows, values, 0).sum(axis=1)
     unit_trace = float(np.abs(trace - 1.0).max())
     integer_trace = None
     if parity != ODD:
         integer_point = (plan.xs % 2 == 0) & (plan.ys % 2 == 0)
         integer_trace = float(np.abs(trace - np.where(integer_point, 2.0, 0.0)).max())
-    # classes by first column: a row unlike its class's first, or two
-    # classes sharing a value in some column, agree on some rows but not all;
-    # with neither, they are the classes of equal permutations
-    _, first, label = np.unique(cols[:, 0], return_index=True, return_inverse=True)
-    perms = cols[first]
-    if (cols != perms[label]).any() or (np.diff(np.sort(perms, axis=0), axis=0) == 0).any():
-        raise ValueError("two kernel permutations agree on some rows but not all")
     traciality = _traciality(values, label)
     translation = _weyl_generator_defect(cols, exponents) if parity == ODD else None
     return SWKernelReport(

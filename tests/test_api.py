@@ -71,20 +71,43 @@ MEMOS = {
 }
 
 
+def package_scopes():
+    """(module name, dotted prefix, namespace) of every module of the package
+    and of every class defined in it."""
+    names = [f"phasepoint.{info.name}" for info in pkgutil.iter_modules(phasepoint.__path__)]
+    for module in map(importlib.import_module, ["phasepoint", *names]):
+        yield module.__name__, module.__name__, module
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                yield module.__name__, f"{module.__name__}.{name}", cls
+
+
 def test_every_memo_is_listed_and_bounded():
     # a new memo has to be added here on purpose, with a finite maxsize
     found = {}
-    names = [f"phasepoint.{info.name}" for info in pkgutil.iter_modules(phasepoint.__path__)]
-    for module in map(importlib.import_module, ["phasepoint", *names]):
-        scopes = [(module.__name__, module)] + [
-            (f"{module.__name__}.{name}", cls)
-            for name, cls in inspect.getmembers(module, inspect.isclass)
-            if cls.__module__ == module.__name__
-        ]
-        for prefix, scope in scopes:
-            for name, value in vars(scope).items():
-                # a memo imported from another module is counted where it is made
-                if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
-                    found[f"{prefix}.{name}"] = value.cache_parameters()["maxsize"]
+    for module, prefix, scope in package_scopes():
+        for name, value in vars(scope).items():
+            # a memo imported from another module is counted where it is made
+            if hasattr(value, "cache_parameters") and value.__module__ == module:
+                found[f"{prefix}.{name}"] = value.cache_parameters()["maxsize"]
     assert set(found) == MEMOS
     assert all(isinstance(maxsize, int) and maxsize > 0 for maxsize in found.values())
+
+
+# Every function or method in the package with a True/False default, by the
+# name it is bound to: each an on/off switch whose both settings need tests
+FLAGS: set[str] = set()
+
+
+def test_no_flag_parameters():
+    # a new flag has to be added here on purpose, as a memo to MEMOS; record
+    # fields without a default are no flag
+    found = set()
+    for module, prefix, scope in package_scopes():
+        for name, value in vars(scope).items():
+            if not inspect.isfunction(value) or value.__module__ != module:
+                continue
+            defaults = [parameter.default for parameter in inspect.signature(value).parameters.values()]
+            if any(default is True or default is False for default in defaults):
+                found.add(f"{prefix}.{name}")
+    assert found == FLAGS

@@ -239,6 +239,13 @@ def test_act_on_phase_points():
     assert apply_point(SympMat.identity(5), (m, n)) == (m, n)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (5, 4), (25,)])
+def test_covariance_residual_refuses_a_matrix_of_the_wrong_shape(shape):
+    # dimension 5 at odd modulus 5
+    with pytest.raises(DimensionMismatch, match="expected"):
+        covariance_residual(np.ones(shape), generator("-", 5), ODD)
+
+
 def test_even_phase_root_branch_is_forced():
     # Only exp(+2 pi i / 2N) works: the conjugate square root of the basic
     # phase breaks covariance already at dimension two.

@@ -42,6 +42,12 @@ def test_euclid_trace_both_zero():
         euclid_trace(0, 0)
 
 
+def test_euclid_trace_rejects_negative_inputs():
+    for b, d in [(-1, 3), (3, -1), (-2, -2)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            euclid_trace(b, d)
+
+
 def test_euclid_trace_division_identities(rng):
     for _ in range(200):
         b = int(rng.integers(0, 200))

@@ -424,10 +424,10 @@ def test_memoised_plan_equals_a_plan_built_for_the_call(monkeypatch, modulus, pa
 
 @pytest.mark.parametrize("n,parity", [(5, ODD), (4, EVEN), (33, ODD), (20, EVEN)])
 def test_plan_arrays_are_read_only(n, parity):
-    # a memoised plan or one built for the call (odd 33 and even 20), and
-    # the kernel suite's tables-only plan
-    plans = [lattice_plan(n, parity), oracle._build_plan(n, parity, graph=False)]
-    assert [len(plan.arrays) for plan in plans] == [7, 4]
+    # a memoised plan or one built for the call (odd 33 and even 20), and a
+    # plan built outside the memo
+    plans = [lattice_plan(n, parity), oracle._build_plan(n, parity)]
+    assert [len(plan.arrays) for plan in plans] == [7, 7]
     for plan in plans:
         for array in plan.arrays:
             with pytest.raises(ValueError):
@@ -1157,6 +1157,21 @@ def test_sw_kernel_refuses_partly_agreeing_permutations(mutant_kernels):
     mutant_kernels(mutant)
     with pytest.raises(ValueError, match="agree"):
         verify_sw_kernel(ODD, 5)
+
+
+def test_sw_kernel_refuses_columns_that_are_not_a_permutation(mutant_kernels):
+    # Every row of every kernel sent to its row 0's column: each class's
+    # columns repeat one value, while the classes, still told apart by their
+    # first column, share no value in any column, so the suite's first
+    # refusal passes them and only the permutation check can refuse.
+    def mutant(n, parity, x, y):
+        factors = qops.kernel_factors(n, parity, x, y)
+        return factors._replace(cols=np.broadcast_to(factors.cols[..., :1], factors.cols.shape))
+
+    mutant_kernels(mutant)
+    for n, parity in [(5, ODD), (4, EVEN)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            verify_sw_kernel(parity, n)
 
 
 def row_sort_sw_kernel(parity, n):

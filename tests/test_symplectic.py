@@ -94,6 +94,7 @@ def test_inverse_and_power(rng):
 def test_word_canonicalization():
     word = GenWord((("+", 2), ("+", 3), ("-", 0), ("-", 8)), 7)
     assert word.factors == (("+", 5), ("-", 1))
+    assert str(word) == "h+^5 h-^1"
     # cancellation exposing a same-sign neighbor pair, which merges again
     word = GenWord((("+", 1), ("-", 2), ("-", 5), ("+", 2)), 7)
     assert word.factors == (("+", 3),)

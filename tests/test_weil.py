@@ -257,6 +257,37 @@ def mutants(form, rng):
             yield weil.Descriptor(**{**fields, name: moved})
 
 
+def test_certificate_refuses_a_descriptor_of_another_lattice():
+    # the identity's descriptor of one lattice, checked for the identity of
+    # another: some of these pairs pass every later step
+    lattices = [(3, ODD), (5, ODD), (4, EVEN), (8, EVEN)]
+    for modulus, parity in lattices:
+        s = SympMat.identity(modulus)
+        assert weil.certify(weil.descriptor(s, parity), s, parity)
+        for other, other_parity in lattices:
+            form = weil.descriptor(SympMat.identity(other), other_parity)
+            assert weil.certify(form, s, parity) == ((other, other_parity) == (modulus, parity))
+
+
+@pytest.mark.parametrize("modulus,parity", [(9, ODD), (8, EVEN)])
+def test_certificate_refuses_rows_that_are_not_unit_norm(modulus, parity):
+    # gcd 0, a gcd that does not divide N, and a squared magnitude other
+    # than g/N, each with the rest of the descriptor kept: no later step
+    # reads the magnitude, so the unit norm half of the premise is the one
+    # check that refuses the last
+    s = SympMat(2, 1, 1, 1, modulus)
+    form = weil.descriptor(s, parity)
+    n, (numerator, denominator) = form.dim, form.square
+    assert weil.certify(form, s, parity)
+    fields = dict(zip(form.__match_args__, form._fields(form)))
+    for changed in [
+        {"gcd": 0, "offset": 0, "stride": 0, "square": (0, n)},
+        {"gcd": n - 1, "offset": 0, "stride": 0, "square": (n - 1, n)},
+        {"square": (2 * numerator, denominator)},
+    ]:
+        assert not weil.certify(weil.Descriptor(**{**fields, **changed}), s, parity)
+
+
 @pytest.mark.parametrize("modulus,parity", WHOLE_GROUPS)
 def test_certificate_passes_no_mutant_with_a_nonzero_three_point_defect(modulus, parity, rng):
     elements = enumerate_group(modulus)

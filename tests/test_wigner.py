@@ -372,6 +372,12 @@ def test_wigner_table_rejects_a_shape_that_fits_no_dimension(edge, parity):
         WignerTable(parity, np.zeros((edge, edge)))
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (9,), (3, 3, 3)])
+def test_wigner_table_rejects_a_table_that_is_not_square(shape):
+    with pytest.raises(DimensionMismatch, match="square"):
+        WignerTable(ODD, np.zeros(shape))
+
+
 def test_wigner_table_dimension():
     assert WignerTable(ODD, np.zeros((5, 5))).dim == 5
     assert WignerTable(EVEN, np.zeros((8, 8))).dim == 4
