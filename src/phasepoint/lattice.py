@@ -5,10 +5,11 @@ doubled grid mod 2N. This module is the one place that maps a dimension and a
 parity onto the lattice and back, and the one home of the phase point
 operators' entries: row i of Delta_(x,y) has its one nonzero in column
 kernel_column(parity, x, i) mod N, with exponent kernel_exponent(parity, x,
-y, i) mod lattice_modulus, and of the doubled grid's fold onto the N^2
-representatives (fold_exponent). Its names live apart from the numeric
-layers so that argument checks and the command-line parser run without
-importing numpy.
+y, i) mod lattice_modulus, of the doubled grid's fold onto the N^2
+representatives (fold_exponent), and of the three points whose kernels
+generate the matrix algebra (GENERATING_POINTS). Its names live apart from
+the numeric layers so that argument checks and the command-line parser run
+without importing numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,23 @@ from __future__ import annotations
 ODD = "odd"
 EVEN = "even"
 PARITIES = (ODD, EVEN)
+
+# The phase points whose kernels generate the matrix algebra M_N, in doubled
+# coordinates on even lattices, so that covariance at these three points is
+# covariance at every point (Cohendet's odd grid and Leonhardt's doubled
+# grid, Phys. Rev. A 53, 2998, 1996, alike):
+# - Delta_(1,0) Delta_(0,0) is the shift by the kernel step (row i holds 1
+#   in column i - step), and Delta_(0,1) Delta_(0,0) is the clock to the same
+#   power, diag w^(step i) with w = exp(2 pi i / N). The step is a unit
+#   mod N (2 on odd lattices, 1 on even ones), so the two products give the
+#   shift and the clock, and the three kernels generate M_N.
+# - By the existence theorem some unitary U_0 has U_0 Delta_p U_0^dag =
+#   Delta_(S.p) at every point p. If V Delta_q = Delta_(S.q) V at the three
+#   points q, then U_0^-1 V commutes with a generating set of M_N, so by
+#   Schur's lemma V = c U_0. With the normalisation |V|_F^2 = N = |U_0|_F^2,
+#   |c| = 1: V is unitary and covariant at every point, and unique up to a
+#   phase.
+GENERATING_POINTS = ((0, 0), (1, 0), (0, 1))
 
 
 class ParityError(ValueError):

@@ -36,8 +36,8 @@ weil.certify checks it in O(1); u_table reads it, certified, with no matrix
 built. covariance_residual bounds any matrix's all-points defect against
 the closed form in O(N^2). group_covariance reaches the same figures from
 its float stack: it rounds each U(S) to a table (_round_stack) and checks
-it with _three_point_certified, an integer comparison at three points in
-O(N^2) whose Schur argument covers every point.
+it with _three_point_certified, an integer comparison at the generating
+points in O(N^2) that covers every point (lattice.GENERATING_POINTS).
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import weil
-from .lattice import DimensionMismatch, check_parity, hilbert_dim, lattice_modulus
+from .lattice import (
+    GENERATING_POINTS, DimensionMismatch, check_parity, hilbert_dim, lattice_modulus,
+)
 from .modring import ModulusMismatch
 from .qops import kernel_factors, unit_roots
 from .symplectic import SympMat, check_bytes, four_factor_word
@@ -371,36 +373,28 @@ def _three_point_certified(tables: UTable, elements, parity: str) -> np.ndarray:
     """Whether each table V of a stacked UTable (as _round_stack gives) is
     exactly covariant for its own element (one modulus): one bool each.
 
-    At q = (0, 0), (1, 0), (0, 1), with Delta_q's row i holding
-    rho^(e_q(i)) in column sigma_q(i) (qops.kernel_factors), both sides are
-    gathers of V: (V Delta_q)[i, j] = V[i, k] rho^(e_q(k)) with
-    k = sigma_q^-1(j), and (Delta_(S.q) V)[i, j] =
+    At each generating point q (lattice.GENERATING_POINTS), with Delta_q's
+    row i holding rho^(e_q(i)) in column sigma_q(i) (qops.kernel_factors),
+    both sides are gathers of V: (V Delta_q)[i, j] = V[i, k] rho^(e_q(k))
+    with k = sigma_q^-1(j), and (Delta_(S.q) V)[i, j] =
     rho^(e_(S.q)(i)) V[sigma_(S.q)(i), j]. They are equal when their
     supports are, and their exponents agree mod the table's root modulus on
     that support: integer comparisons only, in O(N^2).
 
-    Three points suffice. Delta_(0,1) Delta_(0,0) is the clock Z and
-    Delta_(1,0) Delta_(0,0) the shift T on even lattices (Z^2 and T^-2 on
-    odd ones, which generate Z and T since 2 is invertible mod N), so the
-    three kernels generate the full matrix algebra M_N. By the existence
-    theorem some unitary U_0 is covariant at every point. If V intertwines
-    the three kernels with their images, U_0^-1 V commutes with a generating
-    set of M_N, so by Schur's lemma V = c U_0. A U(S) table has
-    N^2/g entries of modulus sqrt(g/N), so |V|_F^2 = N = |U_0|_F^2 and
-    |c| = 1: V is unitary and U(S) Delta_p U(S)^dag = Delta_(S.p) at every
-    point p. The premise is that normalization, which _round_stack's
-    margins (or, for the closed form, weil.certify) enforce and a hand-made
-    table need not meet.
+    By the argument stated with lattice.GENERATING_POINTS, a table that
+    passes is unitary and U(S) Delta_p U(S)^dag = Delta_(S.p) at every
+    point p, given its normalization |V|_F^2 = N: a U(S) table has N^2/g
+    entries of modulus sqrt(g/N), which _round_stack's margins (or, for the
+    closed form, weil.certify) enforce and a hand-made table need not meet.
     """
     exponents, support, _, _, r = tables
     count, n = exponents.shape[:2]
     a, b, c, d = np.array([s.entries for s in elements]).T[:, :, None]
     stack = np.arange(count)[:, None]
     certified = np.ones(count, dtype=bool)
-    # S fixes (0, 0) and maps (1, 0) and (0, 1) to its columns
-    for point, moved in (((0, 0), (0, 0)), ((1, 0), (a, c)), ((0, 1), (b, d))):
-        kernel = kernel_factors(n, parity, *point)
-        image = kernel_factors(n, parity, *moved)
+    for x, y in GENERATING_POINTS:
+        kernel = kernel_factors(n, parity, x, y)
+        image = kernel_factors(n, parity, a * x + b * y, c * x + d * y)
         step = r // kernel.root_modulus
         inverse = np.argsort(kernel.cols)
         difference = exponents[:, :, inverse]
@@ -422,8 +416,8 @@ def covariance_residual(u, s: SympMat, parity: str) -> float:
 
     The reference comes from ``s`` alone: U(S)'s closed form, composed in
     integers along four_factor_word(s) (weil.descriptor) and certified
-    exactly in O(1) (weil.certify), so that by the Schur argument of
-    _three_point_certified its table V is unitary and
+    exactly in O(1) (weil.certify), so that by the argument stated with
+    lattice.GENERATING_POINTS its table V is unitary and
     V Delta_p V^dag = Delta_(s.p) at every point p. Otherwise the figure
     is inf. group_covariance reaches the same table by rounding a float
     U(S), and the figures agree bit for bit.

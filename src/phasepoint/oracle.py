@@ -30,7 +30,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import qops
-from .lattice import EVEN, ODD, check_parity, fold_exponent, hilbert_dim, lattice_modulus
+from .lattice import (
+    EVEN, GENERATING_POINTS, ODD, check_parity, fold_exponent, hilbert_dim, lattice_modulus,
+)
 from .metaplectic import equal_up_to_phase, u_of
 from .qops import KernelFactors, delta_at, kernel_factors, unit_roots
 from .symplectic import SympMat, apply_point, check_bytes
@@ -174,43 +176,33 @@ def solve_covariance(
     over the 2N-th roots (_monomial_tables), as every phase point operator
     is; it is read into integer tables once and solved by the gain graph of
     _covariance_graph (_gain_graph), every point's edges built. The BFS
-    starts from whichever of (0, 0), (1, 0) and (0, 1) the family holds;
-    the balanced components, their labels (smallest entry) and phases do
-    not depend on the start. Raises ValueError for a family that is
-    empty, not closed, not finite or not monomial, and BoundExceeded above
-    the graph's _EDGE_BYTES per (point, entry) (_check_edge_bytes); both
-    before the graph is built, the bound before the family is read. The
-    basis, one dense N x N matrix per balanced component, is refused in the
-    same way after the graph and before any of it is built.
+    starts from whichever generating points (lattice.GENERATING_POINTS) the
+    family holds; the balanced components, their labels (smallest entry)
+    and phases do not depend on the start. Every point, image and
+    generating point is found through one dict from point to row; images
+    are canonical (apply_point), so a key off the canonical grid is never
+    an image. Raises ValueError for a family that is empty, not closed, not
+    finite or not monomial, and BoundExceeded above the graph's _EDGE_BYTES
+    per (point, entry) (_check_edge_bytes); both before the graph is built,
+    the bound before the family is read. The basis, one dense N x N matrix
+    per balanced component, is refused in the same way after the graph and
+    before any of it is built.
     """
     points = sorted(deltas)
     if not points:
         raise ValueError("empty phase point family")
     dim = deltas[points[0]].shape[0]
     _check_edge_bytes(dim, len(points))
-    side = s.modulus
-    xs, ys = np.array(points).T
-    # each point's grid index x * M + y; -1 off the canonical grid, where
-    # no image (canonical, apply_point) lands
-    keys = np.where((xs >= 0) & (xs < side) & (ys >= 0) & (ys < side), xs * side + ys, -1)
-    order = np.argsort(keys)
-
-    def find(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the family's index of each grid index ``wanted``, and whether it is there
-        found = order[np.searchsorted(keys, wanted, sorter=order).clip(max=keys.size - 1)]
-        return found, keys[found] == wanted
-
-    moved_x, moved_y = apply_point(s, (xs, ys))
-    image, closed = find(moved_x * side + moved_y)
-    if not closed.all():
-        first = np.argmin(closed)
-        missing = (int(moved_x[first]), int(moved_y[first]))
-        raise ValueError(f"family is not closed under the action: missing {missing}")
+    row = {point: i for i, point in enumerate(points)}
+    moved_x, moved_y = apply_point(s, np.array(points).T)
+    images = list(zip(moved_x.tolist(), moved_y.tolist()))
+    for moved in images:
+        if moved not in row:
+            raise ValueError(f"family is not closed under the action: missing {moved}")
     factors = _monomial_tables(np.stack([deltas[point] for point in points]))
-    generators, held = find(np.array([0, side, 1]))  # (0, 0), (1, 0) and (0, 1)
     label, phase, roots = _gain_graph(
-        factors, *_sigma_inverse(factors), image, np.arange(len(points)),
-        [(p, image[p]) for p in generators[held]],
+        factors, *_sigma_inverse(factors), np.array([row[moved] for moved in images]),
+        np.arange(len(points)), [row[p] for p in GENERATING_POINTS if p in row],
     )
     basis_bytes = len(roots) * dim * dim * np.dtype(complex).itemsize
     check_bytes(f"covariance basis of {len(roots)} components at dimension {dim}", basis_bytes)
@@ -483,14 +475,14 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
 
     Each point contributes a permutation of the N^2 entries, so every
     component is strongly connected and propagation along the edges alone
-    reaches all of it. A breadth-first search over the three generating
-    points (0, 0), (1, 0) and (0, 1), from each unreached entry in increasing
+    reaches all of it. A breadth-first search over the edges of
+    lattice.GENERATING_POINTS, from each unreached entry in increasing
     order, starts every entry at the smallest entry of its three-point
     component, with a phase from there (_three_point_start). Then
     _gain_graph's rounds run over all built edges from those labels. Where
-    the three points already connect each component, as the Schur argument
-    says they do, the first round is the last; an edge that joins or
-    contradicts three-point components is caught as without the start.
+    the three points already connect each component, as the argument stated
+    with them says they do, the first round is the last; an edge that joins
+    or contradicts three-point components is caught as without the start.
 
     Raises BoundExceeded, before the plan is looked up or built, when the
     N^2 representatives' edges (one per point and entry of U) would exceed
@@ -504,8 +496,8 @@ def _covariance_graph(s: SympMat, parity: str) -> tuple[int, np.ndarray | None]:
         raise ValueError("doubled-grid kernel tables fail the fold certificate")
     moved_x, moved_y = apply_point(s, (plan.xs, plan.ys))
     image = moved_x * side + moved_y
-    pairs = [(p, image[p]) for p in (0, side, 1)]
-    label, phase, roots = _gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, pairs)
+    starts = [x * side + y for x, y in GENERATING_POINTS]
+    label, phase, roots = _gain_graph(plan.factors, plan.into, plan.gain, image, plan.built, starts)
     if len(roots) != 1:
         return len(roots), None
     return 1, _component_vector(label, phase, roots[0], plan.factors.root_modulus, n)
@@ -517,14 +509,14 @@ def _gain_graph(
     gain: np.ndarray,
     image: np.ndarray,
     built: np.ndarray,
-    pairs: list[tuple[int, int]],
+    starts: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label and phase of every entry of U, and the balanced components'
     roots in increasing order, for the gain graph of the table rows
     ``factors`` (one per point) with their sigma^-1 ``into`` and ``gain``
     (_sigma_inverse), ``image`` the row of each point's image, with the
-    edges of the rows ``built`` and the breadth-first start over the
-    (point, image) rows ``pairs`` (_three_point_start).
+    edges of the rows ``built`` and the breadth-first start over the rows
+    ``starts`` and their images (_three_point_start).
 
     Each round, every entry takes the smallest component label among its
     predecessors, with the phase carried along that edge, until a round
@@ -551,7 +543,7 @@ def _gain_graph(
     # predecessor's and its phase, below 3R, is unreduced. A minimum over
     # offers picks the smallest label; where that lowers an entry's label,
     # the phase it takes is the smallest reduced phase offered with it.
-    label, phase = _three_point_start(factors, pairs)
+    label, phase = _three_point_start(factors, [(p, image[p]) for p in starts])
     while True:
         floor = label * span
         key = (floor + phase).astype(small)

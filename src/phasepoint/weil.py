@@ -28,10 +28,10 @@ symbols, so a descriptor costs O(log M) integer work at any modulus.
 
 certify checks a descriptor against its element exactly, in O(1): the
 magnitude, P's periodicity on the torus, and V Delta_q = Delta_(S.q) V at
-q = (0, 0), (1, 0), (0, 1), each side a quadratic on a coset, compared at
-six points. The Schur argument in metaplectic._three_point_certified, the
-same three-point check on a rounded table, then makes V covariant at every
-phase point.
+the generating points q (lattice.GENERATING_POINTS), each side a quadratic
+on a coset, compared at six points. The argument stated with those points
+then makes V covariant at every phase point; metaplectic's
+_three_point_certified is the same check on a rounded table.
 
 Descriptor.row_terms lays out a row's support and exponents, for an int or
 an int64 array of rows, and is the one place that does. Descriptor.row
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import ODD, hilbert_dim, kernel_column, kernel_exponent
+from .lattice import GENERATING_POINTS, ODD, hilbert_dim, kernel_column, kernel_exponent
 from .modring import _Frozen
 from .symplectic import apply_point, four_factor_word
 
@@ -285,7 +285,7 @@ def certify(form: Descriptor, s, parity: str) -> bool:
        P(i + N, m - delta N/g) = P(i, m) mod L. Each difference is affine,
        so three points decide it; the table is then well defined, and P may
        be read at unreduced indices.
-    3. For q = (0, 0), (1, 0), (0, 1) and q' = S.q (symplectic.apply_point),
+    3. For q in lattice.GENERATING_POINTS and q' = S.q (apply_point),
        Delta_q's row i holds zeta^(8 e_q(i)) in column u - i, with
        u - i = lattice.kernel_column and e_q(i) = lattice.kernel_exponent
        at q, in R units (8 zeta units each, as L = 8R). Then
@@ -295,8 +295,8 @@ def certify(form: Descriptor, s, parity: str) -> bool:
        exponents are integer quadratics, which agree mod L on all of Z^2
        if they agree at the six Newton points.
 
-    By the Schur argument in metaplectic._three_point_certified, 1 and 3
-    make V unitary and covariant at every phase point.
+    By the argument stated with lattice.GENERATING_POINTS, 1 and 3 make V
+    unitary and covariant at every phase point.
     """
     n, root_modulus, g, kappa, delta = (form.dim, form.root_modulus, form.gcd,
                                         form.offset, form.stride)
@@ -311,7 +311,7 @@ def certify(form: Descriptor, s, parity: str) -> bool:
         here = at(i, m)
         if at(i, m + period) != here or at(i + n, m - delta * period) != here:
             return False
-    for x, y in ((0, 0), (1, 0), (0, 1)):
+    for x, y in GENERATING_POINTS:
         x2, y2 = apply_point(s, (x, y))
         u, u2 = kernel_column(parity, x, 0), kernel_column(parity, x2, 0)
         left_offset, right_offset = u - kappa, kappa + delta * u2

@@ -731,6 +731,23 @@ def test_projectivity_above_bound_exits_two(argv):
     assert "bound" in child.stderr
 
 
+@pytest.mark.parametrize("dim,parity", [("10000000000000000001", "odd"), ("4611686018427387906", "even")])
+def test_projectivity_above_int64_moduli_is_refused_before_any_draw(capsys, dim, parity):
+    # Moduli above 2^63, where numpy draws no random element: the pair's
+    # bound refuses the request first, in process, with nothing allocated.
+    argv = ("verify", "--dim", dim, "--parity", parity, "--suite", "projectivity")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"projectivity pair at dimension {dim} needs" in err
+    assert peak < 2**20
+
+
 def test_verify_projectivity_at_dimension_169_passes(capsys):
     argv = ("verify", "--dim", "169", "--parity", "odd", "--suite", "projectivity")
     code, out, _ = run(capsys, *argv)

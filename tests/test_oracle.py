@@ -5,7 +5,9 @@ import pytest
 from numpy.linalg import matrix_power
 
 from conftest import weyl_symmetric
-from phasepoint.lattice import EVEN, ODD, fold_exponent, hilbert_dim, lattice_modulus
+from phasepoint.lattice import (
+    EVEN, GENERATING_POINTS, ODD, fold_exponent, hilbert_dim, lattice_modulus,
+)
 from phasepoint.metaplectic import equal_up_to_phase, u_hminus, u_hplus, u_of
 from phasepoint import oracle, qops
 from phasepoint.oracle import (
@@ -368,9 +370,8 @@ def lattice_plan(n, parity):
 def plan_args(plan, s):
     """_gain_graph's arguments for s over the tables of ``plan``, as
     _covariance_graph passes them."""
-    image = grid_image(s)
-    pairs = [(p, image[p]) for p in (0, s.modulus, 1)]
-    return plan.factors, plan.into, plan.gain, image, plan.built, pairs
+    starts = [x * s.modulus + y for x, y in GENERATING_POINTS]
+    return plan.factors, plan.into, plan.gain, grid_image(s), plan.built, starts
 
 
 def plan_graph(plan, s):
@@ -524,7 +525,7 @@ def test_graph_equals_all_points_reference_on_whole_group(modulus, parity):
         assert solution.dtype == reference.dtype and np.array_equal(solution, reference)
 
 
-def modular_gain_graph(factors, into, gain, image, built, pairs):
+def modular_gain_graph(factors, into, gain, image, built, starts):
     """Reference for oracle._gain_graph, with its arguments: int64 keys
     label * R + phase through a 2-D gather, the carried phase reduced mod R
     in every round, from oracle._three_point_start (so a patch reaches it)."""
@@ -532,7 +533,7 @@ def modular_gain_graph(factors, into, gain, image, built, pairs):
     moved = image[built]
     rows, cols = into[moved][:, :, None], into[built][:, None, :]
     gain_p, gain_q = gain[built][:, None, :], gain[moved][:, :, None]
-    label, phase = oracle._three_point_start(factors, pairs)
+    label, phase = oracle._three_point_start(factors, [(p, image[p]) for p in starts])
     while True:
         key = (label * r + phase).reshape(n, n)
         offered = key[rows, cols]
@@ -611,7 +612,7 @@ def test_gain_graph_keys_leave_int32_where_they_would_overflow(monkeypatch, n):
     factors = oracle._monomial_tables(qops.delta_at(n, ODD, (0, 0))[None])
     origin = np.zeros(1, dtype=int)
     label, phase, roots = oracle._gain_graph(
-        factors, *oracle._sigma_inverse(factors), origin, origin, [(0, 0)]
+        factors, *oracle._sigma_inverse(factors), origin, origin, [0]
     )
     entries = np.arange(n * n)
     u, w = np.divmod(entries, n)
@@ -797,6 +798,50 @@ def test_solve_covariance_matches_dense_build_on_whole_group(n, parity):
     family = delta_family(n, parity)
     for s in enumerate_group(lattice_modulus(n, parity)):
         assert_same_solution(solve_covariance(s, family), dense_solve_covariance(s, family))
+
+
+@pytest.mark.parametrize("n,parity", [(5, ODD), (2, EVEN)], ids=["odd-5", "even-2"])
+def test_solve_without_generating_points_matches_dense_build(monkeypatch, n, parity, rng):
+    # Every point outside the orbits of the generating points under s: a
+    # closed family with an empty breadth-first start, so every entry
+    # starts as its own root and the rounds alone find the components.
+    starts = []
+    three_point_start = oracle._three_point_start
+
+    def recorded(factors, pairs):
+        starts.append(list(pairs))
+        return three_point_start(factors, pairs)
+
+    monkeypatch.setattr(oracle, "_three_point_start", recorded)
+    modulus = lattice_modulus(n, parity)
+    for s in (generator("+", modulus), h_t(modulus), random_element(modulus, rng)):
+        family = delta_family(n, parity)
+        for point in GENERATING_POINTS:
+            while point in family:
+                del family[point]
+                point = apply_point(s, point)
+        assert family
+        assert_same_solution(solve_covariance(s, family), dense_solve_covariance(s, family))
+    assert starts == [[], [], []]
+
+
+def test_solve_covariance_reads_a_non_canonical_key_as_no_image():
+    # Images are canonical, so the key (-1, 0) is never one: alone it leaves
+    # its image (2, 0) missing; beside its canonical twin it repeats the
+    # twin's constraint, and the solution is the twin's alone.
+    identity = SympMat.identity(3)
+    alone = {(-1, 0): qops.delta_at(3, ODD, (-1, 0))}
+    missing = r"^family is not closed under the action: missing \(2, 0\)$"
+    with pytest.raises(ValueError, match=missing):
+        solve_covariance(identity, alone)
+    s = generator("-", 3)
+    orbit = {(2, y): qops.delta_at(3, ODD, (2, y)) for y in range(3)}
+    for element, family in ((identity, {(2, 0): orbit[(2, 0)]}), (s, orbit)):
+        solution = solve_covariance(element, {**alone, **family})
+        twin = solve_covariance(element, family)
+        assert solution.nullity == twin.nullity > 1
+        assert all(np.array_equal(a, b) for a, b in zip(solution.basis, twin.basis))
+        assert_same_solution(solution, dense_solve_covariance(element, {**alone, **family}))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
